@@ -1,10 +1,14 @@
 """Versioned on-disk model format.
 
 A bundle is a single JSON document holding the fitted preprocessing state,
-one or more member model parameter sets, optional ensemble weights, the
-frequency encoder when a member needs one, and the run configuration it
-was trained with. Floats serialize through Python's shortest round-trip
-repr, so save/load reproduces every parameter bit for bit.
+one or more member model parameter sets, the frequency encoder when a
+member needs one, and the run configuration it was trained with. Floats
+serialize through Python's shortest round-trip repr, so save/load
+reproduces every parameter bit for bit.
+
+Member kinds are decoded through ``MEMBER_CLASSES``. Each class names its
+``kind`` and the ``feature_views`` it can read, and provides
+``to_json_dict``/``from_json_dict``, ``describe`` and ``predict_proba``.
 
 Every member records the fingerprint of the preprocessing state it was
 trained against; load refuses a bundle whose members and state disagree.
@@ -16,131 +20,62 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from .errors import DataError
-from .gbdt import GbdtConfig, GbdtModel
-from .models import BaselineMlp, EmbeddingFusionNet, FrequencyEncoder, TrainConfig
+from .gbdt import GbdtModel
+from .models import BaselineMlp, EmbeddingFusionNet, FrequencyEncoder
 from .preprocess import PreprocessState
 
 BUNDLE_FORMAT_VERSION = 1
 
-MODEL_KINDS = ("fusion", "baseline", "gbdt", "ensemble")
-GBDT_FEATURE_VIEWS = ("numeric+tokens", "numeric+frequency", "numeric")
-
-
-def _params_payload(model) -> dict:
-    return {p.name: p.value.tolist() for p in model.params()}
-
-
-def _load_params(model, payload: dict) -> None:
-    for p in model.params():
-        if p.name not in payload:
-            raise DataError(f"bundle is missing parameter {p.name!r}")
-        arr = np.asarray(payload[p.name], dtype=np.float64)
-        if arr.shape != p.value.shape:
-            raise DataError(
-                f"parameter {p.name!r} has shape {arr.shape}, "
-                f"expected {p.value.shape}"
-            )
-        p.value[...] = arr
-
-
-def _fusion_payload(model: EmbeddingFusionNet) -> dict:
-    return {
-        "vocab_size": model.embedding.vocab_size,
-        "token_width": model.token_width,
-        "n_numeric": model.n_numeric,
-        "n_classes": model.n_classes,
-        "embed_dim": model.embed_dim,
-        "hidden_width": model.cat_linear1.out_dim,
-        "fused_width": model.cat_linear2.out_dim,
-        "preprocess_fingerprint": model.preprocess_fingerprint,
-        "params": _params_payload(model),
-    }
-
-
-def _fusion_from_payload(doc: dict) -> EmbeddingFusionNet:
-    model = EmbeddingFusionNet(
-        int(doc["vocab_size"]),
-        int(doc["token_width"]),
-        int(doc["n_numeric"]),
-        int(doc["n_classes"]),
-        embed_dim=int(doc["embed_dim"]),
-        hidden_width=int(doc["hidden_width"]),
-        fused_width=int(doc["fused_width"]),
-        preprocess_fingerprint=doc["preprocess_fingerprint"],
-    )
-    _load_params(model, doc["params"])
-    return model
-
-
-def _baseline_payload(model: BaselineMlp) -> dict:
-    return {
-        "n_features": model.n_features,
-        "n_classes": model.n_classes,
-        "hidden1": model.linear1.out_dim,
-        "hidden2": model.linear2.out_dim,
-        "preprocess_fingerprint": model.preprocess_fingerprint,
-        "params": _params_payload(model),
-    }
-
-
-def _baseline_from_payload(doc: dict) -> BaselineMlp:
-    model = BaselineMlp(
-        int(doc["n_features"]),
-        int(doc["n_classes"]),
-        hidden1=int(doc["hidden1"]),
-        hidden2=int(doc["hidden2"]),
-        preprocess_fingerprint=doc["preprocess_fingerprint"],
-    )
-    _load_params(model, doc["params"])
-    return model
+MEMBER_CLASSES = {cls.kind: cls for cls in (EmbeddingFusionNet, BaselineMlp, GbdtModel)}
+MODEL_KINDS = (*MEMBER_CLASSES, "ensemble")
 
 
 @dataclass
 class BundleMember:
-    """One trained model plus how it consumes the encoded data.
+    """One trained model plus the feature view it reads.
 
-    ``feature_view`` applies to gbdt members only ("numeric+tokens",
-    "numeric+frequency", or "numeric"); fusion members always take the
-    numeric matrix and token matrix, baseline members the numeric matrix
-    concatenated with frequency-encoded categoricals.
+    A kind with a single feature view leaves it out of the document and
+    gets it filled in here; a kind with a choice of views records its view.
     """
 
     kind: str
     model: object
     feature_view: str = ""
 
+    def __post_init__(self):
+        views = MEMBER_CLASSES[self.kind].feature_views
+        if not self.feature_view and len(views) == 1:
+            self.feature_view = views[0]
+        if self.feature_view not in views:
+            raise DataError(
+                f"{self.kind} member has feature view {self.feature_view!r}; "
+                f"pick one of {', '.join(views)}"
+            )
+
+    @property
+    def records_view(self) -> bool:
+        return len(MEMBER_CLASSES[self.kind].feature_views) > 1
+
     def fingerprint(self) -> str:
         return self.model.preprocess_fingerprint
 
+    def describe(self) -> str:
+        view = f", feature view {self.feature_view}" if self.records_view else ""
+        return f"{self.kind}: {self.model.describe()}{view}"
+
     def to_json_dict(self) -> dict:
-        if self.kind == "fusion":
-            payload = _fusion_payload(self.model)
-        elif self.kind == "baseline":
-            payload = _baseline_payload(self.model)
-        elif self.kind == "gbdt":
-            payload = self.model.to_json_dict()
-        else:
-            raise DataError(f"unknown member kind {self.kind!r}")
-        doc = {"kind": self.kind, "payload": payload}
-        if self.feature_view:
+        doc = {"kind": self.kind, "payload": self.model.to_json_dict()}
+        if self.records_view:
             doc["feature_view"] = self.feature_view
         return doc
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "BundleMember":
-        kind = doc["kind"]
-        payload = doc["payload"]
-        if kind == "fusion":
-            model = _fusion_from_payload(payload)
-        elif kind == "baseline":
-            model = _baseline_from_payload(payload)
-        elif kind == "gbdt":
-            model = GbdtModel.from_json_dict(payload)
-        else:
+        kind = doc.get("kind")
+        if not isinstance(kind, str) or kind not in MEMBER_CLASSES:
             raise DataError(f"bundle contains unknown member kind {kind!r}")
+        model = MEMBER_CLASSES[kind].from_json_dict(doc["payload"])
         return cls(kind, model, doc.get("feature_view", ""))
 
 
@@ -151,10 +86,7 @@ class ModelBundle:
     kind: str
     state: PreprocessState
     members: list[BundleMember]
-    weights: tuple[float, ...] | None = None
     frequency_encoder: FrequencyEncoder | None = None
-    train_config: TrainConfig | None = None
-    gbdt_config: GbdtConfig | None = None
     run_summary: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -162,8 +94,11 @@ class ModelBundle:
             raise DataError(f"unknown model kind {self.kind!r}")
         if not self.members:
             raise DataError("bundle has no members")
-        if self.weights is not None and len(self.weights) != len(self.members):
-            raise DataError("weight count does not match member count")
+        if self.kind != "ensemble" and [m.kind for m in self.members] != [self.kind]:
+            raise DataError(
+                f"a {self.kind} bundle must hold exactly one {self.kind} member, "
+                f"not {', '.join(m.kind for m in self.members)}"
+            )
         fp = self.state.fingerprint()
         for m in self.members:
             if m.fingerprint() and m.fingerprint() != fp:
@@ -179,23 +114,22 @@ class ModelBundle:
             "preprocess": self.state.to_json_dict(),
             "preprocess_fingerprint": self.state.fingerprint(),
             "members": [m.to_json_dict() for m in self.members],
-            "weights": list(self.weights) if self.weights is not None else None,
             "frequency_encoder": (
                 self.frequency_encoder.to_json_dict()
                 if self.frequency_encoder is not None
                 else None
-            ),
-            "train_config": (
-                self.train_config.to_json_dict() if self.train_config else None
-            ),
-            "gbdt_config": (
-                self.gbdt_config.to_json_dict() if self.gbdt_config else None
             ),
             "run_summary": self.run_summary,
         }
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ModelBundle":
+        """Decode a bundle document.
+
+        Documents from earlier builds may carry ``train_config`` and
+        ``gbdt_config`` (copies of ``run_summary``), which are ignored, and
+        a null ``weights``; members are always averaged with equal weight.
+        """
         version = doc.get("format_version")
         if version != BUNDLE_FORMAT_VERSION:
             raise DataError(
@@ -209,21 +143,19 @@ class ModelBundle:
                 "bundle preprocess fingerprint does not match its state "
                 "(document was modified or corrupted)"
             )
-        members = [BundleMember.from_json_dict(m) for m in doc["members"]]
-        weights = doc.get("weights")
+        if doc.get("weights") is not None:
+            raise DataError("bundle sets member weights; this build reads none")
+        member_docs = doc.get("members")
+        if not isinstance(member_docs, list) or not member_docs:
+            raise DataError("bundle 'members' must be a non-empty list")
         freq_doc = doc.get("frequency_encoder")
-        train_doc = doc.get("train_config")
-        gbdt_doc = doc.get("gbdt_config")
         return cls(
             kind=doc["kind"],
             state=state,
-            members=members,
-            weights=tuple(weights) if weights is not None else None,
+            members=[BundleMember.from_json_dict(m) for m in member_docs],
             frequency_encoder=(
                 FrequencyEncoder.from_json_dict(freq_doc) if freq_doc else None
             ),
-            train_config=TrainConfig.from_json_dict(train_doc) if train_doc else None,
-            gbdt_config=GbdtConfig.from_json_dict(gbdt_doc) if gbdt_doc else None,
             run_summary=doc.get("run_summary", {}),
         )
 

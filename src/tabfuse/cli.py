@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bundle import BUNDLE_FORMAT_VERSION, ModelBundle, load_bundle, save_bundle
+from .bundle import BUNDLE_FORMAT_VERSION, load_bundle, save_bundle
 from .errors import DataError, ToolkitError, UsageError
 from .gbdt import GbdtConfig
 from .metrics import EvalReport, evaluate
@@ -205,26 +205,16 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _labeled_probabilities(bundle: ModelBundle, data_path: str):
-    table = load_csv(data_path, bundle.state.schema)
+def cmd_evaluate(args) -> int:
+    bundle = load_bundle(args.model)
+    table = load_csv(args.data, bundle.state.schema)
     encoded = transform(table, bundle.state)
     if np.any(encoded.labels < 0):
         n_bad = int((encoded.labels < 0).sum())
         raise DataError(
             f"{n_bad} row(s) have no target label; evaluate needs labeled data"
         )
-    freq = (
-        bundle.frequency_encoder.encode(table)
-        if bundle.frequency_encoder is not None
-        else None
-    )
-    probas = combined_probabilities(bundle, encoded, freq)
-    return table, encoded, probas
-
-
-def cmd_evaluate(args) -> int:
-    bundle = load_bundle(args.model)
-    _, encoded, probas = _labeled_probabilities(bundle, args.data)
+    probas = combined_probabilities(bundle, encoded, table)
     report = evaluate(probas, encoded.labels, bundle.state.schema.class_labels)
     text = f"model: {bundle.kind}\n\n" + report.to_text()
     print(text, end="")
@@ -246,13 +236,7 @@ def cmd_predict(args) -> int:
     bundle = load_bundle(args.model)
     schema = bundle.state.schema
     table = load_csv(args.data, schema)
-    encoded = transform(table, bundle.state)
-    freq = (
-        bundle.frequency_encoder.encode(table)
-        if bundle.frequency_encoder is not None
-        else None
-    )
-    probas = combined_probabilities(bundle, encoded, freq)
+    probas = combined_probabilities(bundle, transform(table, bundle.state), table)
     predicted = [schema.class_labels[i] for i in probas.argmax(axis=1)]
 
     out_path = Path(args.out)
@@ -295,22 +279,7 @@ def cmd_inspect(args) -> int:
         f"preprocess fingerprint: {state.fingerprint()}",
         f"members: {', '.join(m.kind for m in bundle.members)}",
     ]
-    if bundle.weights is not None:
-        lines.append(f"weights: {', '.join(repr(w) for w in bundle.weights)}")
-    for m in bundle.members:
-        if m.kind == "gbdt":
-            lines.append(
-                f"  gbdt: {m.model.rounds} rounds x {m.model.n_classes} classes, "
-                f"feature view {m.feature_view or 'numeric+tokens'}"
-            )
-        elif m.kind == "fusion":
-            lines.append(
-                f"  fusion: embed dim {m.model.embed_dim}, "
-                f"token width {m.model.token_width}, "
-                f"numerics {m.model.n_numeric}"
-            )
-        elif m.kind == "baseline":
-            lines.append(f"  baseline: input width {m.model.n_features}")
+    lines.extend(f"  {m.describe()}" for m in bundle.members)
     seed = bundle.run_summary.get("seed")
     if seed is not None:
         lines.append(f"training seed: {seed}")

@@ -227,6 +227,9 @@ def _grow_tree(
 class GbdtModel:
     """Round-major list of trees: trees[r * n_classes + k] is round r, class k."""
 
+    kind = "gbdt"
+    feature_views = ("numeric+tokens", "numeric+frequency", "numeric")
+
     trees: list[Tree]
     n_classes: int
     feature_count: int
@@ -252,6 +255,9 @@ class GbdtModel:
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         return softmax(self.margins(x))
+
+    def describe(self) -> str:
+        return f"{self.rounds} rounds x {self.n_classes} classes"
 
     def to_json_dict(self) -> dict:
         return {
@@ -280,18 +286,15 @@ def train_gbdt(
     labels: np.ndarray,
     n_classes: int,
     config: GbdtConfig,
-    seed: int = 0,
 ) -> tuple[GbdtModel, list[float]]:
     """Boost for config.rounds rounds; returns the model and per-round log-loss.
 
-    ``seed`` is accepted for interface stability but unused: exact greedy
-    split finding with no subsampling has nothing stochastic in it.
+    Exact greedy split finding with no subsampling takes no seed.
 
     Raises:
         DataError: fewer than 2 rows, labels out of range, or fewer than
             2 distinct classes present.
     """
-    del seed
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels)
     if x.ndim != 2 or len(x) != len(y):

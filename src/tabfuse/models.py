@@ -36,6 +36,23 @@ def restore_params(params: list[Param], snapshot: list[np.ndarray]) -> None:
         p.value[...] = saved
 
 
+def _params_payload(model) -> dict:
+    return {p.name: p.value.tolist() for p in model.params()}
+
+
+def _load_params(model, payload: dict) -> None:
+    for p in model.params():
+        if p.name not in payload:
+            raise DataError(f"bundle is missing parameter {p.name!r}")
+        arr = np.asarray(payload[p.name], dtype=np.float64)
+        if arr.shape != p.value.shape:
+            raise DataError(
+                f"parameter {p.name!r} has shape {arr.shape}, "
+                f"expected {p.value.shape}"
+            )
+        p.value[...] = arr
+
+
 class EmbeddingFusionNet:
     """Token-embedding branch fused with a numeric branch by addition.
 
@@ -52,6 +69,7 @@ class EmbeddingFusionNet:
     """
 
     kind = "fusion"
+    feature_views = ("numeric,tokens",)
 
     def __init__(
         self,
@@ -121,11 +139,46 @@ class EmbeddingFusionNet:
     def predict_proba(self, numeric: np.ndarray, tokens: np.ndarray) -> np.ndarray:
         return softmax(self.forward(numeric, tokens))
 
+    def describe(self) -> str:
+        return (
+            f"embed dim {self.embed_dim}, token width {self.token_width}, "
+            f"numerics {self.n_numeric}"
+        )
+
+    def to_json_dict(self) -> dict:
+        return {
+            "vocab_size": self.embedding.vocab_size,
+            "token_width": self.token_width,
+            "n_numeric": self.n_numeric,
+            "n_classes": self.n_classes,
+            "embed_dim": self.embed_dim,
+            "hidden_width": self.cat_linear1.out_dim,
+            "fused_width": self.cat_linear2.out_dim,
+            "preprocess_fingerprint": self.preprocess_fingerprint,
+            "params": _params_payload(self),
+        }
+
+    @classmethod
+    def from_json_dict(cls, doc: dict) -> "EmbeddingFusionNet":
+        model = cls(
+            int(doc["vocab_size"]),
+            int(doc["token_width"]),
+            int(doc["n_numeric"]),
+            int(doc["n_classes"]),
+            embed_dim=int(doc["embed_dim"]),
+            hidden_width=int(doc["hidden_width"]),
+            fused_width=int(doc["fused_width"]),
+            preprocess_fingerprint=doc["preprocess_fingerprint"],
+        )
+        _load_params(model, doc["params"])
+        return model
+
 
 class BaselineMlp:
     """Plain MLP over numerics plus per-column frequency-encoded categoricals."""
 
     kind = "baseline"
+    feature_views = ("numeric+frequency",)
 
     def __init__(
         self,
@@ -166,6 +219,31 @@ class BaselineMlp:
 
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
         return softmax(self.forward(features))
+
+    def describe(self) -> str:
+        return f"input width {self.n_features}"
+
+    def to_json_dict(self) -> dict:
+        return {
+            "n_features": self.n_features,
+            "n_classes": self.n_classes,
+            "hidden1": self.linear1.out_dim,
+            "hidden2": self.linear2.out_dim,
+            "preprocess_fingerprint": self.preprocess_fingerprint,
+            "params": _params_payload(self),
+        }
+
+    @classmethod
+    def from_json_dict(cls, doc: dict) -> "BaselineMlp":
+        model = cls(
+            int(doc["n_features"]),
+            int(doc["n_classes"]),
+            hidden1=int(doc["hidden1"]),
+            hidden2=int(doc["hidden2"]),
+            preprocess_fingerprint=doc["preprocess_fingerprint"],
+        )
+        _load_params(model, doc["params"])
+        return model
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,9 @@ per-member seeding, and the bundle assembly after training.
 Feature views:
 
 * fusion members read the standardized numeric matrix and the padded
-  token-index matrix directly;
+  token-index matrix as two inputs ("numeric,tokens");
 * baseline members read numerics concatenated with one frequency-encoded
-  column per categorical feature;
+  column per categorical feature ("numeric+frequency");
 * gbdt members read a configurable view: "numeric+tokens" (token indices
   as integer ordinals, the default), "numeric+frequency", or "numeric".
 
@@ -19,20 +19,16 @@ Member i of an ensemble trains with seed = run seed + 7919 * i, so member
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bundle import (
-    GBDT_FEATURE_VIEWS,
-    MODEL_KINDS,
-    BundleMember,
-    ModelBundle,
-)
+from .bundle import MODEL_KINDS, BundleMember, ModelBundle
 from .ensemble import soft_vote
 from .errors import DataError, UsageError
-from .gbdt import GbdtConfig, train_gbdt
+from .gbdt import GbdtConfig, GbdtModel, train_gbdt
 from .metrics import EvalReport, evaluate
 from .models import (
     BaselineMlp,
@@ -77,15 +73,15 @@ class RunConfig:
             )
         if (self.data_path is None) == (self.synthetic is None):
             raise UsageError("provide exactly one data source: --data or --rows")
-        if self.gbdt_feature_view not in GBDT_FEATURE_VIEWS:
+        if self.gbdt_feature_view not in GbdtModel.feature_views:
             raise UsageError(
                 f"unknown feature view {self.gbdt_feature_view!r}; "
-                f"pick one of {', '.join(GBDT_FEATURE_VIEWS)}"
+                f"pick one of {', '.join(GbdtModel.feature_views)}"
             )
         if self.model_kind == "ensemble":
             if not self.ensemble_members:
                 raise UsageError("ensemble needs at least one member")
-            bad = [m for m in self.ensemble_members if m not in MODEL_KINDS or m == "ensemble"]
+            bad = [m for m in self.ensemble_members if m not in MEMBER_TRAINERS]
             if bad:
                 raise UsageError(f"invalid ensemble members: {', '.join(bad)}")
 
@@ -141,6 +137,15 @@ def build_features(
     raise UsageError(f"unknown feature view {view!r}")
 
 
+def member_inputs(
+    view: str, encoded: EncodedDataset, frequency_matrix: np.ndarray | None
+) -> tuple[np.ndarray, ...]:
+    """The arrays a member reading ``view`` takes, in ``predict_proba`` order."""
+    if view == "numeric,tokens":
+        return encoded.numeric, encoded.tokens
+    return (build_features(view, encoded, frequency_matrix),)
+
+
 def load_training_table(config: RunConfig) -> DataTable:
     schema = load_schema(config.schema_path)
     if config.data_path is not None:
@@ -155,18 +160,71 @@ def load_training_table(config: RunConfig) -> DataTable:
     )
 
 
-def _needs_frequency(config: RunConfig) -> bool:
-    kinds = config.member_kinds()
-    if "baseline" in kinds:
-        return True
-    return "gbdt" in kinds and config.gbdt_feature_view == "numeric+frequency"
+@dataclass(frozen=True)
+class FitJob:
+    """What a member kind's trainer gets: its inputs and its context."""
+
+    x_train: tuple[np.ndarray, ...]
+    y_train: np.ndarray
+    x_val: tuple[np.ndarray, ...]
+    y_val: np.ndarray
+    state: PreprocessState
+    n_classes: int
+    seed: int
+    config: RunConfig
 
 
-@dataclass
-class TrainedMember:
-    member: BundleMember
-    log_name: str
-    log_csv: str
+def _fit_net(model, job: FitJob) -> tuple[object, str]:
+    cfg = replace(job.config.train_config, seed=job.seed)
+    _, log = train(model, job.x_train, job.y_train, job.x_val, job.y_val, cfg)
+    return model, log.to_csv_text()
+
+
+def _fit_fusion(job: FitJob) -> tuple[object, str]:
+    state = job.state
+    model = EmbeddingFusionNet(
+        max(state.total_vocab_size, 1),
+        state.total_padded_width,
+        len(state.numeric_columns),
+        job.n_classes,
+        seed=job.seed,
+    )
+    return _fit_net(model, job)
+
+
+def _fit_baseline(job: FitJob) -> tuple[object, str]:
+    model = BaselineMlp(job.x_train[0].shape[1], job.n_classes, seed=job.seed)
+    return _fit_net(model, job)
+
+
+def _fit_gbdt(job: FitJob) -> tuple[object, str]:
+    model, losses = train_gbdt(
+        job.x_train[0], job.y_train, job.n_classes, job.config.gbdt_config
+    )
+    lines = ["round,train_loss"]
+    lines.extend(f"{r},{loss!r}" for r, loss in enumerate(losses, start=1))
+    return model, "\n".join(lines) + "\n"
+
+
+@dataclass(frozen=True)
+class MemberTrainer:
+    """How the pipeline trains one member kind.
+
+    ``view`` picks the feature view the member trains on and records;
+    ``fit`` builds and trains the model and returns it with its train log.
+    """
+
+    view: Callable[[RunConfig], str]
+    fit: Callable[[FitJob], tuple[object, str]]
+
+
+# A new member kind adds its model class to bundle.MEMBER_CLASSES and its
+# trainer here.
+MEMBER_TRAINERS = {
+    "fusion": MemberTrainer(lambda config: "numeric,tokens", _fit_fusion),
+    "baseline": MemberTrainer(lambda config: "numeric+frequency", _fit_baseline),
+    "gbdt": MemberTrainer(lambda config: config.gbdt_feature_view, _fit_gbdt),
+}
 
 
 @dataclass
@@ -178,104 +236,32 @@ class TrainOutcome:
     test_rows: int
 
 
-def _train_one_member(
-    kind: str,
-    index: int,
-    config: RunConfig,
-    state: PreprocessState,
-    n_classes: int,
-    splits: tuple[EncodedDataset, EncodedDataset, EncodedDataset],
-    frequency_matrix: np.ndarray | None,
-) -> TrainedMember:
-    train_d, val_d, _ = splits
-    member_seed = config.seed + MEMBER_SEED_STRIDE * index
-    fingerprint = state.fingerprint()
-    if kind == "fusion":
-        model = EmbeddingFusionNet(
-            max(state.total_vocab_size, 1),
-            state.total_padded_width,
-            len(state.numeric_columns),
-            n_classes,
-            seed=member_seed,
-            preprocess_fingerprint=fingerprint,
-        )
-        cfg = replace(config.train_config, seed=member_seed)
-        _, log = train(
-            model,
-            (train_d.numeric, train_d.tokens),
-            train_d.labels,
-            (val_d.numeric, val_d.tokens),
-            val_d.labels,
-            cfg,
-        )
-        return TrainedMember(BundleMember(kind, model), "fusion", log.to_csv_text())
-    if kind == "baseline":
-        x_train = build_features("numeric+frequency", train_d, frequency_matrix)
-        x_val = build_features("numeric+frequency", val_d, frequency_matrix)
-        model = BaselineMlp(
-            x_train.shape[1],
-            n_classes,
-            seed=member_seed,
-            preprocess_fingerprint=fingerprint,
-        )
-        cfg = replace(config.train_config, seed=member_seed)
-        _, log = train(model, (x_train,), train_d.labels, (x_val,), val_d.labels, cfg)
-        return TrainedMember(BundleMember(kind, model), "baseline", log.to_csv_text())
-    if kind == "gbdt":
-        view = config.gbdt_feature_view
-        x_train = build_features(view, train_d, frequency_matrix)
-        model, losses = train_gbdt(
-            x_train, train_d.labels, n_classes, config.gbdt_config, seed=member_seed
-        )
-        model.preprocess_fingerprint = fingerprint
-        lines = ["round,train_loss"]
-        lines.extend(f"{r},{loss!r}" for r, loss in enumerate(losses, start=1))
-        return TrainedMember(
-            BundleMember(kind, model, feature_view=view), "gbdt", "\n".join(lines) + "\n"
-        )
-    raise UsageError(f"unknown member kind {kind!r}")
-
-
 def member_probabilities(
     bundle: ModelBundle,
     encoded: EncodedDataset,
     frequency_matrix: np.ndarray | None,
 ) -> list[np.ndarray]:
-    out = []
-    for m in bundle.members:
-        if m.kind == "fusion":
-            out.append(m.model.predict_proba(encoded.numeric, encoded.tokens))
-        elif m.kind == "baseline":
-            x = build_features("numeric+frequency", encoded, frequency_matrix)
-            out.append(m.model.predict_proba(x))
-        elif m.kind == "gbdt":
-            x = build_features(m.feature_view, encoded, frequency_matrix)
-            out.append(m.model.predict_proba(x))
-        else:
-            raise DataError(f"bundle contains unknown member kind {m.kind!r}")
-    return out
+    return [
+        m.model.predict_proba(*member_inputs(m.feature_view, encoded, frequency_matrix))
+        for m in bundle.members
+    ]
 
 
 def combined_probabilities(
-    bundle: ModelBundle,
-    encoded: EncodedDataset,
-    frequency_matrix: np.ndarray | None,
+    bundle: ModelBundle, encoded: EncodedDataset, table: DataTable
 ) -> np.ndarray:
-    members = member_probabilities(bundle, encoded, frequency_matrix)
-    if bundle.kind == "ensemble":
-        return soft_vote(members, bundle.weights)
-    return members[0]
-
-
-def predict_on_table(bundle: ModelBundle, table: DataTable) -> np.ndarray:
-    """Probabilities for every row of a raw table under a loaded bundle."""
-    encoded = transform(table, bundle.state)
+    """Soft-voted probabilities for ``encoded``, the transform of ``table``."""
     freq = (
         bundle.frequency_encoder.encode(table)
         if bundle.frequency_encoder is not None
         else None
     )
-    return combined_probabilities(bundle, encoded, freq)
+    return soft_vote(member_probabilities(bundle, encoded, freq))
+
+
+def predict_on_table(bundle: ModelBundle, table: DataTable) -> np.ndarray:
+    """Probabilities for every row of a raw table under a loaded bundle."""
+    return combined_probabilities(bundle, transform(table, bundle.state), table)
 
 
 def run_training(config: RunConfig) -> TrainOutcome:
@@ -288,57 +274,60 @@ def run_training(config: RunConfig) -> TrainOutcome:
     table = load_training_table(config)
     state = fit(table)
     encoded = transform(table, state)
-    splits = stratified_split(encoded, config.fractions, config.seed)
-    train_d, _, test_d = splits
+    train_d, val_d, test_d = stratified_split(encoded, config.fractions, config.seed)
 
+    kinds = config.member_kinds()
+    views = [MEMBER_TRAINERS[kind].view(config) for kind in kinds]
     frequency_encoder = None
     frequency_matrix = None
-    if _needs_frequency(config):
+    if "numeric+frequency" in views:
         frequency_encoder = FrequencyEncoder.fit(table, state, train_d.row_indices)
         frequency_matrix = frequency_encoder.encode(table)
 
-    kinds = config.member_kinds()
-    n_classes = table.schema.n_classes
-
-    def job(args):
-        index, kind = args
-        return _train_one_member(
-            kind, index, config, state, n_classes, splits, frequency_matrix
+    def train_member(index: int) -> tuple[BundleMember, str]:
+        kind, view = kinds[index], views[index]
+        job = FitJob(
+            member_inputs(view, train_d, frequency_matrix),
+            train_d.labels,
+            member_inputs(view, val_d, frequency_matrix),
+            val_d.labels,
+            state,
+            table.schema.n_classes,
+            config.seed + MEMBER_SEED_STRIDE * index,
+            config,
         )
+        model, log_csv = MEMBER_TRAINERS[kind].fit(job)
+        model.preprocess_fingerprint = state.fingerprint()
+        return BundleMember(kind, model, view), log_csv
 
     if config.parallel_members and len(kinds) > 1:
         with ThreadPoolExecutor(max_workers=len(kinds)) as pool:
-            trained = list(pool.map(job, enumerate(kinds)))
+            trained = list(pool.map(train_member, range(len(kinds))))
     else:
-        trained = [job(item) for item in enumerate(kinds)]
+        trained = [train_member(index) for index in range(len(kinds))]
+    members = [member for member, _ in trained]
 
     bundle = ModelBundle(
         kind=config.model_kind,
         state=state,
-        members=[t.member for t in trained],
-        weights=None,
+        members=members,
         frequency_encoder=frequency_encoder,
-        train_config=config.train_config,
-        gbdt_config=config.gbdt_config,
         run_summary=config.to_json_dict(),
     )
 
     class_labels = table.schema.class_labels
     member_probas = member_probabilities(bundle, test_d, frequency_matrix)
+    report = evaluate(soft_vote(member_probas), test_d.labels, class_labels)
     member_reports = []
     if bundle.kind == "ensemble":
-        probas = soft_vote(member_probas, bundle.weights)
-        for t, p in zip(trained, member_probas):
-            member_reports.append(
-                (t.member.kind, evaluate(p, test_d.labels, class_labels))
-            )
-    else:
-        probas = member_probas[0]
-    report = evaluate(probas, test_d.labels, class_labels)
+        member_reports = [
+            (m.kind, evaluate(p, test_d.labels, class_labels))
+            for m, p in zip(members, member_probas)
+        ]
 
-    logs = []
-    for i, t in enumerate(trained):
-        name = f"train_log_{i}_{t.log_name}" if len(trained) > 1 else "train_log"
-        logs.append((name, t.log_csv))
+    logs = [
+        (f"train_log_{i}_{m.kind}" if len(trained) > 1 else "train_log", log)
+        for i, (m, log) in enumerate(trained)
+    ]
 
     return TrainOutcome(bundle, report, member_reports, logs, test_d.n_rows)

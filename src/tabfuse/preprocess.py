@@ -28,7 +28,6 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -170,19 +169,6 @@ class PreprocessState:
             self.to_json_dict(), sort_keys=True, separators=(",", ":")
         )
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-def save_state(state: PreprocessState, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(state.to_json_dict(), indent=2) + "\n", encoding="utf-8"
-    )
-
-
-def load_state(path: str | Path) -> PreprocessState:
-    p = Path(path)
-    if not p.exists():
-        raise DataError(f"preprocess state file not found: {p}")
-    return PreprocessState.from_json_dict(json.loads(p.read_text(encoding="utf-8")))
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,8 @@ import pytest
 
 from tabfuse.bundle import (
     BUNDLE_FORMAT_VERSION,
+    MEMBER_CLASSES,
+    MODEL_KINDS,
     BundleMember,
     ModelBundle,
     load_bundle,
@@ -13,8 +15,16 @@ from tabfuse.bundle import (
 from tabfuse.errors import DataError
 from tabfuse.gbdt import GbdtConfig, train_gbdt
 from tabfuse.models import BaselineMlp, EmbeddingFusionNet, FrequencyEncoder, TrainConfig
+from tabfuse.pipeline import (
+    MEMBER_TRAINERS,
+    RunConfig,
+    SyntheticSpec,
+    load_training_table,
+    predict_on_table,
+    run_training,
+)
 from tabfuse.preprocess import fit
-from tabfuse.schema import ColumnKind, ColumnSpec, DataTable, TableSchema
+from tabfuse.schema import ColumnKind, ColumnSpec, DataTable, TableSchema, save_schema
 
 
 def fitted_state():
@@ -63,6 +73,92 @@ def gbdt_member(state, seed=0):
     return BundleMember("gbdt", model, feature_view="numeric+tokens")
 
 
+def saved_doc(tmp_path, bundle):
+    path = tmp_path / "b.json"
+    save_bundle(bundle, path)
+    return path, json.loads(path.read_text())
+
+
+def load_doc(path, doc):
+    path.write_text(json.dumps(doc))
+    return load_bundle(path)
+
+
+# The `inspect` line of each member kind trained by `trained_bundles`, as
+# earlier builds printed it.
+INSPECT_LINES = {
+    "fusion": "fusion: embed dim 16, token width 1, numerics 2",
+    "baseline": "baseline: input width 3",
+    "gbdt": "gbdt: 3 rounds x 2 classes, feature view numeric+tokens",
+}
+
+
+@pytest.fixture(scope="module")
+def trained_bundles(tmp_path_factory):
+    """A tiny trained bundle of every model kind, with its training table."""
+    schema = TableSchema(
+        (
+            ColumnSpec("a", ColumnKind.NUMERICAL),
+            ColumnSpec("b", ColumnKind.NUMERICAL),
+            ColumnSpec("tag", ColumnKind.CATEGORICAL),
+            ColumnSpec("y", ColumnKind.CATEGORICAL),
+        ),
+        target="y",
+        class_labels=("low", "high"),
+    )
+    schema_path = tmp_path_factory.mktemp("kinds") / "schema.json"
+    save_schema(schema, schema_path)
+    out = {}
+    for kind in MODEL_KINDS:
+        config = RunConfig(
+            schema_path=str(schema_path),
+            model_kind=kind,
+            synthetic=SyntheticSpec(rows=60),
+            seed=5,
+            train_config=TrainConfig(max_epochs=3, patience=2, batch_size=16),
+            gbdt_config=GbdtConfig(rounds=3, max_depth=2, max_leaves=4),
+            ensemble_members=tuple(MEMBER_CLASSES),
+        )
+        out[kind] = (run_training(config).bundle, load_training_table(config))
+    return out
+
+
+def test_every_member_kind_has_a_trainer():
+    assert set(MEMBER_TRAINERS) == set(MEMBER_CLASSES)
+    assert MODEL_KINDS == (*MEMBER_CLASSES, "ensemble")
+    for kind, cls in MEMBER_CLASSES.items():
+        assert cls.kind == kind and cls.feature_views
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+class TestEveryKindRoundTrip:
+    def test_parameters_and_predictions_bit_exact(self, kind, trained_bundles, tmp_path):
+        bundle, table = trained_bundles[kind]
+        path = tmp_path / "b.json"
+        save_bundle(bundle, path)
+        loaded = load_bundle(path)
+        assert [m.kind for m in loaded.members] == [m.kind for m in bundle.members]
+        for m, n in zip(bundle.members, loaded.members):
+            # repr-level JSON equality is bit equality, -0.0 and subnormals included
+            assert json.dumps(m.to_json_dict()) == json.dumps(n.to_json_dict())
+            assert n.feature_view == m.feature_view
+        assert np.array_equal(predict_on_table(bundle, table), predict_on_table(loaded, table))
+
+    def test_second_save_is_byte_identical(self, kind, trained_bundles, tmp_path):
+        bundle, _ = trained_bundles[kind]
+        first = tmp_path / "first.json"
+        second = tmp_path / "second.json"
+        save_bundle(bundle, first)
+        save_bundle(load_bundle(first), second)
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_describe_gives_the_inspect_line(self, kind, trained_bundles):
+        bundle, _ = trained_bundles[kind]
+        assert [m.describe() for m in bundle.members] == [
+            INSPECT_LINES[m.kind] for m in bundle.members
+        ]
+
+
 class TestRoundTrip:
     def test_fusion_parameters_bit_exact(self, tmp_path):
         state, _ = fitted_state()
@@ -109,7 +205,7 @@ class TestRoundTrip:
     def test_gbdt_round_trip_keeps_feature_view(self, tmp_path):
         state, _ = fitted_state()
         member = gbdt_member(state)
-        bundle = ModelBundle("gbdt", state, [member], gbdt_config=GbdtConfig(rounds=3))
+        bundle = ModelBundle("gbdt", state, [member])
         path = tmp_path / "b.json"
         save_bundle(bundle, path)
         loaded = load_bundle(path)
@@ -126,20 +222,14 @@ class TestRoundTrip:
             "ensemble",
             state,
             [fusion_member(state), gbdt_member(state)],
-            weights=(0.6, 0.4),
             frequency_encoder=enc,
-            train_config=TrainConfig(max_epochs=10, patience=2),
-            gbdt_config=GbdtConfig(rounds=3),
             run_summary={"seed": 3, "rows": 4},
         )
         path = tmp_path / "b.json"
         save_bundle(bundle, path)
         loaded = load_bundle(path)
         assert loaded.kind == "ensemble"
-        assert loaded.weights == (0.6, 0.4)
         assert loaded.frequency_encoder == enc
-        assert loaded.train_config == TrainConfig(max_epochs=10, patience=2)
-        assert loaded.gbdt_config == GbdtConfig(rounds=3)
         assert loaded.run_summary == {"seed": 3, "rows": 4}
         assert [m.kind for m in loaded.members] == ["fusion", "gbdt"]
 
@@ -205,11 +295,6 @@ class TestValidation:
         with pytest.raises(DataError, match="shape"):
             load_bundle(path)
 
-    def test_weight_count_must_match_members(self):
-        state, _ = fitted_state()
-        with pytest.raises(DataError, match="weight count"):
-            ModelBundle("ensemble", state, [fusion_member(state)], weights=(0.5, 0.5))
-
     def test_unknown_kind_rejected(self):
         state, _ = fitted_state()
         with pytest.raises(DataError, match="unknown model kind"):
@@ -230,6 +315,65 @@ class TestValidation:
         path.write_text(json.dumps(doc))
         with pytest.raises(DataError, match="unknown member kind"):
             load_bundle(path)
+
+    def test_member_without_kind_rejected_on_load(self, tmp_path):
+        state, _ = fitted_state()
+        path, doc = saved_doc(tmp_path, ModelBundle("fusion", state, [fusion_member(state)]))
+        del doc["members"][0]["kind"]
+        with pytest.raises(DataError, match="unknown member kind None"):
+            load_doc(path, doc)
+
+    @pytest.mark.parametrize(
+        "kind, view",
+        [("gbdt", "wavelets"), ("gbdt", None), ("fusion", "numeric")],
+        ids=["gbdt-unknown-view", "gbdt-no-view", "fusion-with-view"],
+    )
+    def test_unaccepted_feature_view_rejected_on_load(self, tmp_path, kind, view):
+        state, _ = fitted_state()
+        member = {"fusion": fusion_member, "gbdt": gbdt_member}[kind](state)
+        path, doc = saved_doc(tmp_path, ModelBundle(kind, state, [member]))
+        doc["members"][0].pop("feature_view", None)
+        if view is not None:
+            doc["members"][0]["feature_view"] = view
+        with pytest.raises(DataError, match=f"{kind} member has feature view"):
+            load_doc(path, doc)
+
+    def test_single_model_bundle_needs_one_member_of_its_kind(self, tmp_path):
+        state, _ = fitted_state()
+        with pytest.raises(DataError, match="exactly one fusion member"):
+            ModelBundle("fusion", state, [gbdt_member(state)])
+        with pytest.raises(DataError, match="exactly one fusion member"):
+            ModelBundle("fusion", state, [fusion_member(state), fusion_member(state)])
+        path, doc = saved_doc(tmp_path, ModelBundle("gbdt", state, [gbdt_member(state)]))
+        doc["kind"] = "fusion"
+        with pytest.raises(DataError, match="exactly one fusion member"):
+            load_doc(path, doc)
+
+    @pytest.mark.parametrize("members", [None, {}, "fusion", []])
+    def test_members_must_be_a_non_empty_list(self, tmp_path, members):
+        state, _ = fitted_state()
+        path, doc = saved_doc(tmp_path, ModelBundle("fusion", state, [fusion_member(state)]))
+        doc["members"] = members
+        with pytest.raises(DataError, match="non-empty list"):
+            load_doc(path, doc)
+
+    def test_weights_rejected_on_load(self, tmp_path):
+        state, _ = fitted_state()
+        path, doc = saved_doc(tmp_path, ModelBundle("fusion", state, [fusion_member(state)]))
+        doc["weights"] = [1.0]
+        with pytest.raises(DataError, match="weights"):
+            load_doc(path, doc)
+
+    def test_earlier_documents_still_load(self, tmp_path):
+        """Earlier builds wrote null weights and copies of the run configs."""
+        state, _ = fitted_state()
+        bundle = ModelBundle("gbdt", state, [gbdt_member(state)])
+        path, doc = saved_doc(tmp_path, bundle)
+        doc["weights"] = None
+        doc["train_config"] = TrainConfig().to_json_dict()
+        doc["gbdt_config"] = GbdtConfig().to_json_dict()
+        loaded = load_doc(path, doc)
+        assert loaded.to_json_dict() == bundle.to_json_dict()
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="not found"):

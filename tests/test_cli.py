@@ -154,7 +154,7 @@ class TestTrain:
     def test_config_supplies_training_section(self, tmp_path, schema_path, data_path):
         out_dir = train_quick(tmp_path, schema_path, data_path)
         bundle = load_bundle(out_dir / "bundle.json")
-        assert bundle.train_config.max_epochs == 4
+        assert bundle.run_summary["train"]["max_epochs"] == 4
 
     def test_reports_byte_identical_across_reruns(self, tmp_path, schema_path, data_path):
         dir_a = train_quick(tmp_path, schema_path, data_path, out="run_a")
@@ -320,6 +320,37 @@ class TestInspect:
         assert "classes (2): no, yes" in out
         assert "preprocess fingerprint:" in out
         assert "training seed: 3" in out
+
+
+class TestMalformedBundle:
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda doc: doc["members"][0].pop("kind"),
+            lambda doc: doc["members"][0].update(feature_view="wavelets"),
+            lambda doc: doc["members"][0].pop("feature_view"),
+            lambda doc: doc.update(kind="fusion"),
+            lambda doc: doc.update(members={}),
+            lambda doc: doc.update(weights=[1.0]),
+        ],
+        ids=["no-kind", "bad-view", "no-view", "kind-mismatch", "members-not-list", "weights"],
+    )
+    @pytest.mark.parametrize("command", ["inspect", "predict"])
+    def test_exits_3_without_traceback(
+        self, tmp_path, schema_path, data_path, capsys, corrupt, command
+    ):
+        bundle_path = train_quick(tmp_path, schema_path, data_path, model="gbdt") / "bundle.json"
+        doc = json.loads(bundle_path.read_text())
+        corrupt(doc)
+        bundle_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        argv = [command, "--model", str(bundle_path)]
+        if command == "predict":
+            argv += ["--data", str(data_path), "--out", str(tmp_path / "p.csv")]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error[data]:") and err.count("\n") == 1
+        assert not (tmp_path / "p.csv").exists()
 
 
 class TestParsing:

@@ -193,15 +193,6 @@ class TestTrainGbdt:
             assert tree.n_leaves == 1
         assert all(np.isfinite(l) for l in losses)
 
-    def test_seed_parameter_has_no_effect(self):
-        rng = np.random.default_rng(3)
-        x = rng.normal(size=(40, 2))
-        y = (x[:, 0] > 0).astype(np.int64)
-        cfg = GbdtConfig(rounds=3, max_depth=2, max_leaves=4)
-        a, _ = train_gbdt(x, y, 2, cfg, seed=1)
-        b, _ = train_gbdt(x, y, 2, cfg, seed=99)
-        assert a.to_json_dict() == b.to_json_dict()
-
     def test_deterministic(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(50, 3))

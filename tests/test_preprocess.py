@@ -8,8 +8,6 @@ from tabfuse.preprocess import (
     EncodedDataset,
     PreprocessState,
     fit,
-    load_state,
-    save_state,
     stratified_split,
     tokenize,
     transform,
@@ -224,11 +222,10 @@ class TestTransform:
 
 
 class TestStateSerialization:
-    def test_round_trip(self, tmp_path):
+    def test_round_trip(self):
         state = fit(small_table())
-        path = tmp_path / "state.json"
-        save_state(state, path)
-        loaded = load_state(path)
+        doc = json.loads(json.dumps(state.to_json_dict()))
+        loaded = PreprocessState.from_json_dict(doc)
         assert loaded == state
         assert loaded.fingerprint() == state.fingerprint()
 
@@ -243,14 +240,12 @@ class TestStateSerialization:
         )
         assert state.fingerprint() != other.fingerprint()
 
-    def test_unsupported_version_rejected(self, tmp_path):
+    def test_unsupported_version_rejected(self):
         state = fit(small_table())
         doc = state.to_json_dict()
         doc["format_version"] = 99
-        path = tmp_path / "state.json"
-        path.write_text(json.dumps(doc))
         with pytest.raises(DataError, match="version"):
-            load_state(path)
+            PreprocessState.from_json_dict(doc)
 
 
 def _dataset_with_labels(labels):
