@@ -129,35 +129,39 @@ class ModelBundle:
         Documents from earlier builds may carry ``train_config`` and
         ``gbdt_config`` (copies of ``run_summary``), which are ignored, and
         a null ``weights``; members are always averaged with equal weight.
+        Any structural fault in the document is a DataError.
         """
-        version = doc.get("format_version")
-        if version != BUNDLE_FORMAT_VERSION:
-            raise DataError(
-                f"unsupported bundle version {version!r}; "
-                f"this build reads version {BUNDLE_FORMAT_VERSION}"
+        try:
+            version = doc.get("format_version")
+            if version != BUNDLE_FORMAT_VERSION:
+                raise DataError(
+                    f"unsupported bundle version {version!r}; "
+                    f"this build reads version {BUNDLE_FORMAT_VERSION}"
+                )
+            state = PreprocessState.from_json_dict(doc["preprocess"])
+            stored_fp = doc.get("preprocess_fingerprint", "")
+            if stored_fp and stored_fp != state.fingerprint():
+                raise DataError(
+                    "bundle preprocess fingerprint does not match its state "
+                    "(document was modified or corrupted)"
+                )
+            if doc.get("weights") is not None:
+                raise DataError("bundle sets member weights; this build reads none")
+            member_docs = doc.get("members")
+            if not isinstance(member_docs, list) or not member_docs:
+                raise DataError("bundle 'members' must be a non-empty list")
+            freq_doc = doc.get("frequency_encoder")
+            return cls(
+                kind=doc["kind"],
+                state=state,
+                members=[BundleMember.from_json_dict(m) for m in member_docs],
+                frequency_encoder=(
+                    FrequencyEncoder.from_json_dict(freq_doc) if freq_doc else None
+                ),
+                run_summary=doc.get("run_summary", {}),
             )
-        state = PreprocessState.from_json_dict(doc["preprocess"])
-        stored_fp = doc.get("preprocess_fingerprint", "")
-        if stored_fp and stored_fp != state.fingerprint():
-            raise DataError(
-                "bundle preprocess fingerprint does not match its state "
-                "(document was modified or corrupted)"
-            )
-        if doc.get("weights") is not None:
-            raise DataError("bundle sets member weights; this build reads none")
-        member_docs = doc.get("members")
-        if not isinstance(member_docs, list) or not member_docs:
-            raise DataError("bundle 'members' must be a non-empty list")
-        freq_doc = doc.get("frequency_encoder")
-        return cls(
-            kind=doc["kind"],
-            state=state,
-            members=[BundleMember.from_json_dict(m) for m in member_docs],
-            frequency_encoder=(
-                FrequencyEncoder.from_json_dict(freq_doc) if freq_doc else None
-            ),
-            run_summary=doc.get("run_summary", {}),
-        )
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"malformed bundle document: {exc!r}") from exc
 
 
 def save_bundle(bundle: ModelBundle, path) -> None:

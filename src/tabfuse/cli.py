@@ -126,7 +126,6 @@ def build_run_config(args) -> RunConfig:
         gbdt_config=gbdt_config,
         ensemble_members=tuple(doc.get("ensemble_members", ("fusion", "gbdt"))),
         gbdt_feature_view=str(doc.get("gbdt_feature_view", "numeric+tokens")),
-        parallel_members=bool(doc.get("parallel_members", False)),
     )
 
 

@@ -18,7 +18,7 @@ feature index, then the lowest threshold.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -46,18 +46,7 @@ class GbdtConfig:
             )
 
     def to_json_dict(self) -> dict:
-        return {
-            "rounds": self.rounds,
-            "max_depth": self.max_depth,
-            "max_leaves": self.max_leaves,
-            "shrinkage": self.shrinkage,
-            "l2_reg": self.l2_reg,
-            "min_child_hessian": self.min_child_hessian,
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "GbdtConfig":
-        return cls(**doc)
+        return asdict(self)
 
 
 @dataclass

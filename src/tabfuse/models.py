@@ -17,7 +17,8 @@ validation, and early stopping that restores the best-epoch snapshot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -264,18 +265,7 @@ class TrainConfig:
             raise ValueError("patience must be smaller than max_epochs")
 
     def to_json_dict(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate,
-            "batch_size": self.batch_size,
-            "max_epochs": self.max_epochs,
-            "patience": self.patience,
-            "min_improvement": self.min_improvement,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "TrainConfig":
-        return cls(**doc)
+        return asdict(self)
 
 
 @dataclass
@@ -413,8 +403,11 @@ class FrequencyEncoder:
     def fit(
         cls, table: DataTable, state: PreprocessState, row_indices: np.ndarray
     ) -> "FrequencyEncoder":
-        """Count value frequencies over the given rows (the training split)."""
-        rows = set(int(i) for i in row_indices)
+        """Count value frequencies over the given rows (the training split).
+
+        Each distinct row index counts once, whatever order it comes in.
+        """
+        rows = np.unique(np.asarray(row_indices, dtype=np.int64)).tolist()
         if not rows:
             raise DataError("frequency encoder needs at least one row")
         columns = state.categorical_columns
@@ -423,26 +416,22 @@ class FrequencyEncoder:
         for name in columns:
             mode = state.vocabularies[name].mode_value
             modes[name] = mode
-            counts: dict[str, int] = {}
-            total = 0
-            for r, cell in enumerate(table.column(name)):
-                if r not in rows:
-                    continue
-                value = (cell if cell is not None else mode).lower()
-                counts[value] = counts.get(value, 0) + 1
-                total += 1
-            tables[name] = {v: c / total for v, c in counts.items()}
+            cells = table.column(name)
+            counts = Counter(
+                (mode if cells[r] is None else cells[r]).lower() for r in rows
+            )
+            tables[name] = {v: c / len(rows) for v, c in counts.items()}
         return cls(columns, tables, modes)
 
     def encode(self, table: DataTable) -> np.ndarray:
         """One column per fitted categorical column, shape (rows, C)."""
         out = np.zeros((table.row_count, len(self.columns)), dtype=np.float64)
         for j, name in enumerate(self.columns):
-            freq = self.tables[name]
-            mode = self.modes[name]
-            for r, cell in enumerate(table.column(name)):
-                value = (cell if cell is not None else mode).lower()
-                out[r, j] = freq.get(value, 0.0)
+            freq, mode = self.tables[name], self.modes[name]
+            out[:, j] = [
+                freq.get((mode if c is None else c).lower(), 0.0)
+                for c in table.column(name)
+            ]
         return out
 
     def to_json_dict(self) -> dict:

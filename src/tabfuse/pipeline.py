@@ -20,7 +20,6 @@ Member i of an ensemble trains with seed = run seed + 7919 * i, so member
 from __future__ import annotations
 
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -64,7 +63,6 @@ class RunConfig:
     gbdt_config: GbdtConfig = field(default_factory=GbdtConfig)
     ensemble_members: tuple[str, ...] = ("fusion", "gbdt")
     gbdt_feature_view: str = "numeric+tokens"
-    parallel_members: bool = False
 
     def validate(self) -> None:
         if self.model_kind not in MODEL_KINDS:
@@ -284,8 +282,8 @@ def run_training(config: RunConfig) -> TrainOutcome:
         frequency_encoder = FrequencyEncoder.fit(table, state, train_d.row_indices)
         frequency_matrix = frequency_encoder.encode(table)
 
-    def train_member(index: int) -> tuple[BundleMember, str]:
-        kind, view = kinds[index], views[index]
+    trained = []
+    for index, (kind, view) in enumerate(zip(kinds, views)):
         job = FitJob(
             member_inputs(view, train_d, frequency_matrix),
             train_d.labels,
@@ -298,13 +296,7 @@ def run_training(config: RunConfig) -> TrainOutcome:
         )
         model, log_csv = MEMBER_TRAINERS[kind].fit(job)
         model.preprocess_fingerprint = state.fingerprint()
-        return BundleMember(kind, model, view), log_csv
-
-    if config.parallel_members and len(kinds) > 1:
-        with ThreadPoolExecutor(max_workers=len(kinds)) as pool:
-            trained = list(pool.map(train_member, range(len(kinds))))
-    else:
-        trained = [train_member(index) for index in range(len(kinds))]
+        trained.append((BundleMember(kind, model, view), log_csv))
     members = [member for member, _ in trained]
 
     bundle = ModelBundle(

@@ -49,12 +49,28 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-def _parse_float(text: str) -> float | None:
+def _parse_float(text: str) -> float:
     try:
         value = float(text.strip())
     except ValueError:
-        return None
-    return value if math.isfinite(value) else None
+        return math.nan
+    return value if math.isfinite(value) else math.nan
+
+
+def _parse_numeric(table: DataTable, name: str, outcome: str) -> np.ndarray:
+    """Column ``name`` as floats, NaN where a cell is missing or unparseable.
+
+    Unparseable (or non-finite) cells are counted in one warning that ends
+    with ``outcome``, what the caller does with them.
+    """
+    raw = table.column(name)
+    col = np.array(
+        [math.nan if c is None else _parse_float(c) for c in raw], dtype=np.float64
+    )
+    bad = np.count_nonzero(np.isnan(col)) - raw.count(None)
+    if bad:
+        logger.warning("column %r: %d non-numeric cell(s) %s", name, bad, outcome)
+    return col
 
 
 @dataclass(frozen=True)
@@ -64,10 +80,6 @@ class NumericStats:
     columns: tuple[str, ...]
     means: tuple[float, ...]
     stds: tuple[float, ...]
-
-    @property
-    def constant_columns(self) -> tuple[str, ...]:
-        return tuple(c for c, s in zip(self.columns, self.stds) if s == 0.0)
 
 
 @dataclass(frozen=True)
@@ -215,65 +227,45 @@ def fit(table: DataTable) -> PreprocessState:
     value so fitting is deterministic.
     """
     schema = table.schema
-    num_names = []
     means = []
     stds = []
     for name in schema.numeric_feature_names:
-        raw = table.column(name)
-        values = []
-        bad = 0
-        for cell in raw:
-            if cell is None:
-                continue
-            v = _parse_float(cell)
-            if v is None:
-                bad += 1
-            else:
-                values.append(v)
-        if bad:
-            logger.warning(
-                "column %r: %d non-numeric cell(s) treated as missing", name, bad
-            )
-        if not values:
+        col = _parse_numeric(table, name, "treated as missing")
+        values = col[~np.isnan(col)]
+        if not values.size:
             raise DataError(f"column {name!r} has no usable values to fit on")
-        arr = np.asarray(values, dtype=np.float64)
-        num_names.append(name)
-        means.append(float(arr.mean()))
-        stds.append(float(arr.std()))
+        means.append(float(values.mean()))
+        stds.append(float(values.std()))
 
     vocabularies: dict[str, ColumnVocabulary] = {}
     for name in schema.categorical_feature_names:
-        raw = [c for c in table.column(name) if c is not None]
-        if not raw:
+        counts = Counter(table.column(name))
+        counts.pop(None, None)
+        if not counts:
             raise DataError(f"column {name!r} has no usable values to fit on")
-        counts = Counter(raw)
         top = max(counts.values())
         mode_value = min(v for v, n in counts.items() if n == top)
         tokens: set[str] = set()
         pad_length = 1
-        for cell in raw:
+        for cell in counts:
             cell_tokens = tokenize(cell)
             tokens.update(cell_tokens)
             pad_length = max(pad_length, len(cell_tokens))
         token_to_index = {t: i + 2 for i, t in enumerate(sorted(tokens))}
         vocabularies[name] = ColumnVocabulary(token_to_index, pad_length, mode_value)
 
-    target_cells = [c for c in table.column(schema.target) if c is not None]
-    if not target_cells:
+    if all(c is None for c in table.column(schema.target)):
         raise DataError(f"target column {schema.target!r} is entirely missing")
 
     label_map = {label: i for i, label in enumerate(schema.class_labels)}
-    stats = NumericStats(tuple(num_names), tuple(means), tuple(stds))
+    stats = NumericStats(schema.numeric_feature_names, tuple(means), tuple(stds))
     return PreprocessState(schema, stats, vocabularies, label_map)
 
 
-def _encode_cell(
-    cell: str | None, voc: ColumnVocabulary
-) -> list[int]:
-    if cell is None:
-        cell = voc.mode_value
+def _encode_cell(cell: str, voc: ColumnVocabulary, base: int) -> list[int]:
+    """Global token indices of one cell: column ``base`` + local index, padded."""
     toks = tokenize(cell)[: voc.pad_length]
-    idx = [voc.token_to_index.get(t, UNKNOWN_INDEX) for t in toks]
+    idx = [base + voc.token_to_index.get(t, UNKNOWN_INDEX) for t in toks]
     idx.extend([PAD_INDEX] * (voc.pad_length - len(idx)))
     return idx
 
@@ -284,7 +276,8 @@ def transform(table: DataTable, state: PreprocessState) -> EncodedDataset:
     Missing numerics impute to the fitted mean and standardize to 0;
     constant columns standardize to 0 everywhere. Missing categoricals
     impute to the fitted mode; unseen tokens map to the unknown index.
-    Rows whose target cell is missing get label -1.
+    Each distinct cell of a column is encoded once. Rows whose target cell
+    is missing get label -1.
     """
     if table.schema != state.schema:
         raise SchemaMismatchError(
@@ -292,49 +285,38 @@ def transform(table: DataTable, state: PreprocessState) -> EncodedDataset:
         )
     n_rows = table.row_count
 
-    numeric = np.zeros((n_rows, len(state.numeric_columns)), dtype=np.float64)
+    parsed = np.empty((n_rows, len(state.numeric_columns)), dtype=np.float64)
     for j, name in enumerate(state.numeric_columns):
-        mean = state.numeric_stats.means[j]
-        std = state.numeric_stats.stds[j]
-        raw = table.column(name)
-        bad = 0
-        col = np.empty(n_rows, dtype=np.float64)
-        for r, cell in enumerate(raw):
-            if cell is None:
-                col[r] = mean
-                continue
-            v = _parse_float(cell)
-            if v is None:
-                bad += 1
-                col[r] = mean
-            else:
-                col[r] = v
-        if bad:
-            logger.warning(
-                "column %r: %d non-numeric cell(s) imputed to the mean", name, bad
-            )
-        numeric[:, j] = (col - mean) / std if std > 0.0 else 0.0
+        parsed[:, j] = _parse_numeric(table, name, "imputed to the mean")
+    means = np.array(state.numeric_stats.means, dtype=np.float64)
+    stds = np.array(state.numeric_stats.stds, dtype=np.float64)
+    parsed = np.where(np.isnan(parsed), means, parsed)
+    numeric = np.zeros_like(parsed)  # constant columns stay 0
+    np.divide(parsed - means, stds, out=numeric, where=stds > 0.0)
 
     offsets = state.column_offsets()
-    tokens = np.zeros((n_rows, state.total_padded_width), dtype=np.int64)
-    start = 0
+    blocks = []
     for name in state.categorical_columns:
         voc = state.vocabularies[name]
-        base = offsets[name]
-        raw = table.column(name)
-        block = np.zeros((n_rows, voc.pad_length), dtype=np.int64)
-        for r, cell in enumerate(raw):
-            local = _encode_cell(cell, voc)
-            for s, ix in enumerate(local):
-                block[r, s] = 0 if ix == PAD_INDEX else base + ix
-        tokens[:, start : start + voc.pad_length] = block
-        start += voc.pad_length
+        # Encode each distinct cell once (missing is the mode); rows index the codes.
+        position: dict[str, int] = {}
+        rows = [
+            position.setdefault(voc.mode_value if c is None else c, len(position))
+            for c in table.column(name)
+        ]
+        codes = np.array(
+            [i for cell in position for i in _encode_cell(cell, voc, offsets[name])],
+            dtype=np.int64,
+        ).reshape(len(position), voc.pad_length)
+        blocks.append(codes.take(rows, axis=0))
+    tokens = (
+        np.concatenate(blocks, axis=1) if blocks else np.zeros((n_rows, 0), np.int64)
+    )
 
-    labels = np.full(n_rows, -1, dtype=np.int64)
-    for r, cell in enumerate(table.column(state.schema.target)):
-        if cell is not None:
-            labels[r] = state.label_map[cell]
-
+    target = table.column(state.schema.target)
+    labels = np.array(
+        [-1 if c is None else state.label_map[c] for c in target], dtype=np.int64
+    )
     return EncodedDataset(numeric, tokens, labels, np.arange(n_rows, dtype=np.int64))
 
 

@@ -332,8 +332,16 @@ class TestMalformedBundle:
             lambda doc: doc.update(kind="fusion"),
             lambda doc: doc.update(members={}),
             lambda doc: doc.update(weights=[1.0]),
+            lambda doc: doc["members"][0]["payload"].pop("n_classes"),
+            lambda doc: doc.update(members=["gbdt"]),
+            lambda doc: [doc],
+            lambda doc: doc.pop("preprocess"),
         ],
-        ids=["no-kind", "bad-view", "no-view", "kind-mismatch", "members-not-list", "weights"],
+        ids=[
+            "no-kind", "bad-view", "no-view", "kind-mismatch", "members-not-list",
+            "weights", "payload-without-n-classes", "member-not-object",
+            "top-level-list", "no-preprocess",
+        ],
     )
     @pytest.mark.parametrize("command", ["inspect", "predict"])
     def test_exits_3_without_traceback(
@@ -341,8 +349,9 @@ class TestMalformedBundle:
     ):
         bundle_path = train_quick(tmp_path, schema_path, data_path, model="gbdt") / "bundle.json"
         doc = json.loads(bundle_path.read_text())
-        corrupt(doc)
-        bundle_path.write_text(json.dumps(doc))
+        # A corruption edits the document in place or returns a new top level.
+        replaced = corrupt(doc)
+        bundle_path.write_text(json.dumps(replaced if isinstance(replaced, list) else doc))
         capsys.readouterr()
         argv = [command, "--model", str(bundle_path)]
         if command == "predict":

@@ -274,7 +274,3 @@ class TestGbdtConfig:
             GbdtConfig(shrinkage=0.0)
         with pytest.raises(ValueError):
             GbdtConfig(l2_reg=-1.0)
-
-    def test_json_round_trip(self):
-        cfg = GbdtConfig(rounds=7, max_depth=2, max_leaves=5, shrinkage=0.2)
-        assert GbdtConfig.from_json_dict(cfg.to_json_dict()) == cfg

@@ -189,15 +189,6 @@ class TestRunTraining:
             "train_log_1_gbdt",
         ]
 
-    def test_parallel_matches_sequential_bitwise(self, schema_path):
-        base = dict(model_kind="ensemble", ensemble_members=("fusion", "gbdt"))
-        seq = run_training(quick_run_config(schema_path, **base))
-        par = run_training(
-            quick_run_config(schema_path, **base, parallel_members=True)
-        )
-        assert seq.bundle.to_json_dict() == par.bundle.to_json_dict()
-        assert seq.report.accuracy == par.report.accuracy
-
     def test_run_is_deterministic(self, schema_path):
         a = run_training(quick_run_config(schema_path))
         b = run_training(quick_run_config(schema_path))

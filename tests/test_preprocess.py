@@ -1,8 +1,11 @@
 import json
+import logging
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import tabfuse.preprocess
 from tabfuse.errors import DataError, SchemaMismatchError
 from tabfuse.preprocess import (
     EncodedDataset,
@@ -91,8 +94,15 @@ class TestFit:
                 ("3", "x", "w", "admitted"),
             ),
         )
-        state = fit(t)
+        with caplog.at_level(logging.WARNING, logger="tabfuse.preprocess"):
+            state = fit(t)
         assert state.numeric_stats.means == (2.0,)
+        assert caplog.messages == ["column 'temp': 1 non-numeric cell(s) treated as missing"]
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="tabfuse.preprocess"):
+            enc = transform(t, state)
+        assert enc.numeric[1, 0] == 0.0
+        assert caplog.messages == ["column 'temp': 1 non-numeric cell(s) imputed to the mean"]
 
     def test_all_missing_column_rejected(self):
         schema = small_schema()
@@ -214,6 +224,50 @@ class TestTransform:
         t = DataTable(other, (("1", "home"),))
         with pytest.raises(SchemaMismatchError):
             transform(t, state)
+
+    def test_zero_rows_keep_their_widths(self):
+        state = fit(small_table())
+        enc = transform(DataTable(small_schema(), ()), state)
+        assert enc.numeric.shape == (0, 1)
+        assert enc.tokens.shape == (0, state.total_padded_width)
+        assert enc.labels.shape == (0,)
+
+    def test_no_categorical_features_gives_empty_int_tokens(self):
+        schema = TableSchema(
+            (ColumnSpec("n", "numerical"), ColumnSpec("y", "categorical")),
+            target="y",
+            class_labels=("a", "b"),
+        )
+        t = DataTable(schema, (("1", "a"), ("2", "b"), ("3", "a")))
+        enc = transform(t, fit(t))
+        assert enc.tokens.shape == (3, 0)
+        assert enc.tokens.dtype == np.int64
+
+    def test_each_distinct_cell_is_tokenized_once(self, monkeypatch):
+        complaints = ("chest pain", "Fever", "cough cough", "fever")
+        rows = tuple(
+            (str(r), complaints[r % 4] if r % 5 else None, ("walk", "car")[r % 2], "home")
+            for r in range(40)
+        )
+        table = DataTable(small_schema(), rows)
+        distinct = {
+            (c, cell) for c in ("complaint", "mode") for cell in table.column(c) if cell
+        }
+        calls = Counter()
+        real = tabfuse.preprocess.tokenize
+
+        def counting(text):
+            calls[text] += 1
+            return real(text)
+
+        monkeypatch.setattr(tabfuse.preprocess, "tokenize", counting)
+        state = fit(table)
+        assert sum(calls.values()) == len(distinct) == 6
+        assert max(calls.values()) == 1
+        calls.clear()
+        transform(table, state)
+        assert sum(calls.values()) == len(distinct)
+        assert max(calls.values()) == 1
 
     def test_no_nan_or_inf_in_output(self):
         state = fit(small_table())
