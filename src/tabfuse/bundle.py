@@ -24,6 +24,7 @@ from .errors import DataError
 from .gbdt import GbdtModel
 from .models import BaselineMlp, EmbeddingFusionNet, FrequencyEncoder
 from .preprocess import PreprocessState
+from .schema import load_json
 
 BUNDLE_FORMAT_VERSION = 1
 
@@ -106,6 +107,15 @@ class ModelBundle:
                     f"member {m.kind!r} was trained against a different "
                     f"preprocessing state (fingerprint mismatch)"
                 )
+        # The encoder repeats the state's categorical columns and modes, which
+        # the fingerprint does not cover.
+        enc, state = self.frequency_encoder, self.state
+        if enc is not None and (
+            enc.columns != state.categorical_columns
+            or enc.modes != {c: state.vocabularies[c].mode_value for c in enc.columns}
+            or set(enc.tables) != set(enc.columns)
+        ):
+            raise DataError("frequency encoder columns or modes do not match the state")
 
     def to_json_dict(self) -> dict:
         return {
@@ -171,11 +181,4 @@ def save_bundle(bundle: ModelBundle, path) -> None:
 
 
 def load_bundle(path) -> ModelBundle:
-    p = Path(path)
-    if not p.exists():
-        raise DataError(f"bundle file not found: {p}")
-    try:
-        doc = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
-        raise DataError(f"bundle file is not valid JSON: {p} ({e})") from None
-    return ModelBundle.from_json_dict(doc)
+    return ModelBundle.from_json_dict(load_json(path, "bundle"))

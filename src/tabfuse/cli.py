@@ -13,12 +13,11 @@ rerun with the same seed and data produces byte-identical files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from .bundle import BUNDLE_FORMAT_VERSION, load_bundle, save_bundle
 from .errors import DataError, ToolkitError, UsageError
@@ -28,12 +27,11 @@ from .models import TrainConfig
 from .pipeline import (
     RunConfig,
     SyntheticSpec,
-    TrainOutcome,
     combined_probabilities,
     run_training,
 )
 from .preprocess import transform
-from .schema import load_csv, load_schema, write_csv
+from .schema import load_csv, load_json, load_schema, write_csv
 from .synthetic import generate_synthetic
 
 
@@ -44,115 +42,119 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _parse_imbalance(text: str) -> tuple[float, ...]:
-    try:
-        weights = tuple(float(part) for part in text.split(","))
-    except ValueError:
-        raise UsageError(
-            f"--imbalance must be comma-separated numbers, got {text!r}"
-        ) from None
-    return weights
+def _section(cls, section: str):
+    """Converter that builds ``cls`` from a config section's object."""
+    valid = cls().to_json_dict()
 
-
-def _load_config_file(path: str) -> dict:
-    p = Path(path)
-    if not p.exists():
-        raise DataError(f"config file not found: {p}")
-    try:
-        doc = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
-        raise DataError(f"config file is not valid JSON: {p} ({e})") from None
-    if not isinstance(doc, dict):
-        raise DataError("config file must hold a JSON object")
-    return doc
-
-
-def _build_sub_config(cls, doc: dict, section: str):
-    try:
+    def convert(doc):
+        if isinstance(doc, dict) and not set(doc) <= set(valid):
+            raise UsageError(
+                f"config section {section!r} has unknown keys; valid: {', '.join(valid)}"
+            )
         return cls(**doc)
-    except TypeError:
-        valid = ", ".join(cls().to_json_dict())
-        raise UsageError(
-            f"config section {section!r} has unknown keys; valid: {valid}"
-        ) from None
-    except ValueError as e:
-        raise UsageError(f"config section {section!r}: {e}") from None
+
+    return convert
+
+
+def _weights(value) -> tuple[float, ...]:
+    """Numbers from a list or from comma-separated text."""
+    parts = value.split(",") if isinstance(value, str) else value
+    return tuple(float(w) for w in parts)
+
+
+def _fractions(value) -> tuple[float, ...]:
+    fractions = tuple(float(f) for f in value)
+    if len(fractions) != 3:
+        raise ValueError("must be [train, val, test]")
+    return fractions
+
+
+# Config key -> (field name, converter), for RunConfig and SyntheticSpec.
+# A flag overrides the key of its name; a key set by neither is left out,
+# so the dataclass default applies.
+_RUN_KEYS = {
+    "schema": ("schema_path", str),
+    "model": ("model_kind", str),
+    "data": ("data_path", str),
+    "fractions": ("fractions", _fractions),
+    "seed": ("seed", int),
+    "out": ("out_dir", str),
+    "train": ("train_config", _section(TrainConfig, "train")),
+    "gbdt": ("gbdt_config", _section(GbdtConfig, "gbdt")),
+    "ensemble_members": ("ensemble_members", lambda v: tuple(str(m) for m in v)),
+    "gbdt_feature_view": ("gbdt_feature_view", str),
+}
+_SYNTHETIC_KEYS = {
+    "rows": ("rows", int),
+    "imbalance": ("imbalance", _weights),
+    "missing_fraction": ("missing_fraction", float),
+}
+
+
+def _convert(keys: dict, settings: dict) -> dict:
+    """Convert each key of ``keys`` that ``settings`` sets to a non-null value."""
+    fields = {}
+    for key, (name, convert) in keys.items():
+        value = settings.get(key)
+        if value is not None:
+            try:
+                fields[name] = convert(value)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise UsageError(f"invalid {key} value {value!r}: {exc}") from None
+    return fields
 
 
 def build_run_config(args) -> RunConfig:
-    """Merge defaults, the config file, and CLI flags (flags win)."""
-    doc = _load_config_file(args.config) if args.config else {}
-
-    def pick(flag, key, default):
-        if flag is not None:
-            return flag
-        return doc.get(key, default)
-
-    schema_path = pick(args.schema, "schema", None)
-    if schema_path is None:
+    """Overlay CLI flags on the config file (flags win) and convert each key."""
+    doc = load_json(args.config, "config") if args.config else {}
+    if not isinstance(doc, dict):
+        raise DataError("config file must hold a JSON object")
+    settings = {**doc, **{k: v for k, v in vars(args).items() if v is not None}}
+    if settings.get("schema") is None:
         raise UsageError("a schema is required (--schema or config key 'schema')")
-    data_path = pick(args.data, "data", None)
-    rows = pick(args.rows, "rows", None)
-    imbalance = args.imbalance if args.imbalance is not None else doc.get("imbalance")
-    if isinstance(imbalance, str):
-        imbalance = _parse_imbalance(imbalance)
-    elif imbalance is not None:
-        imbalance = tuple(float(w) for w in imbalance)
-
-    synthetic = None
-    if rows is not None:
-        synthetic = SyntheticSpec(
-            rows=int(rows),
-            imbalance=imbalance,
-            missing_fraction=float(doc.get("missing_fraction", 0.05)),
-        )
-
-    fractions = doc.get("fractions", (0.8, 0.1, 0.1))
-    if len(fractions) != 3:
-        raise UsageError("config key 'fractions' must be [train, val, test]")
-
-    train_config = _build_sub_config(TrainConfig, doc.get("train", {}), "train")
-    gbdt_config = _build_sub_config(GbdtConfig, doc.get("gbdt", {}), "gbdt")
-
-    return RunConfig(
-        schema_path=str(schema_path),
-        model_kind=pick(args.model, "model", "fusion"),
-        data_path=str(data_path) if data_path is not None else None,
-        synthetic=synthetic,
-        fractions=tuple(float(f) for f in fractions),
-        seed=int(pick(args.seed, "seed", 0)),
-        out_dir=str(pick(args.out, "out", "run_out")),
-        train_config=train_config,
-        gbdt_config=gbdt_config,
-        ensemble_members=tuple(doc.get("ensemble_members", ("fusion", "gbdt"))),
-        gbdt_feature_view=str(doc.get("gbdt_feature_view", "numeric+tokens")),
-    )
+    fields = _convert(_RUN_KEYS, settings)
+    synthetic = _convert(_SYNTHETIC_KEYS, settings)
+    if "rows" in synthetic:
+        fields["synthetic"] = SyntheticSpec(**synthetic)
+    return RunConfig(**fields)
 
 
 class _OutputSet:
-    """Tracks files written by one command so failures leave nothing behind."""
+    """Context manager for the files one command writes.
+
+    Register each path before opening it. If the block fails, every
+    registered file is removed, and an OSError becomes a DataError.
+    """
 
     def __init__(self):
         self.paths: list[Path] = []
 
-    def write(self, path: Path, text: str):
-        path.write_text(text, encoding="utf-8")
+    def path(self, path) -> Path:
+        path = Path(path)
+        path.parent.mkdir(parents=True, exist_ok=True)
         self.paths.append(path)
+        return path
 
-    def discard_all(self):
-        for p in self.paths:
-            try:
-                p.unlink()
-            except OSError:
-                pass
+    def write(self, path, text: str):
+        self.path(path).write_text(text, encoding="utf-8")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if exc_type is not None:
+            for p in self.paths:
+                with contextlib.suppress(OSError):
+                    p.unlink()
+        if isinstance(exc, OSError):
+            raise DataError(f"cannot write output: {exc}") from None
 
 
-def _report_text(outcome: TrainOutcome) -> str:
-    parts = [f"model: {outcome.bundle.kind}", "", outcome.report.to_text()]
-    for kind, rep in outcome.member_reports:
-        parts.append(f"\nmember {kind}:\n")
-        parts.append(rep.to_text())
-    return "".join(p if p.endswith("\n") else p + "\n" for p in parts)
+def _report_text(kind: str, report: EvalReport, member_reports) -> str:
+    text = f"model: {kind}\n\n{report.to_text()}"
+    for member_kind, rep in member_reports:
+        text += f"\nmember {member_kind}:\n{rep.to_text()}"
+    return text
 
 
 def _report_json(kind: str, report: EvalReport, member_reports) -> str:
@@ -162,17 +164,26 @@ def _report_json(kind: str, report: EvalReport, member_reports) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _write_reports(outputs, out_dir: Path, kind: str, report, member_reports):
+    outputs.write(out_dir / "report.txt", _report_text(kind, report, member_reports))
+    outputs.write(out_dir / "report.json", _report_json(kind, report, member_reports))
+    outputs.write(out_dir / "confusion.csv", report.confusion_csv_text())
+
+
+def _score(args):
+    """Load ``--model``, read ``--data`` against it, and score every row."""
+    bundle = load_bundle(args.model)
+    table = load_csv(args.data, bundle.state.schema)
+    encoded = transform(table, bundle.state)
+    return bundle, table, encoded, combined_probabilities(bundle, encoded, table)
+
+
 def cmd_generate(args) -> int:
-    schema = load_schema(args.schema)
-    imbalance = _parse_imbalance(args.imbalance) if args.imbalance else None
     table = generate_synthetic(
-        schema,
-        args.rows,
-        seed=args.seed,
-        imbalance=imbalance,
-        missing_fraction=args.missing_fraction,
+        load_schema(args.schema), seed=args.seed, **_convert(_SYNTHETIC_KEYS, vars(args))
     )
-    write_csv(table, args.out)
+    with _OutputSet() as outputs:
+        write_csv(table, outputs.path(args.out))
     print(f"wrote {table.row_count} rows to {args.out}")
     return 0
 
@@ -181,23 +192,13 @@ def cmd_train(args) -> int:
     config = build_run_config(args)
     outcome = run_training(config)
     out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = _OutputSet()
-    try:
-        bundle_path = out_dir / "bundle.json"
-        save_bundle(outcome.bundle, bundle_path)
-        outputs.paths.append(bundle_path)
+    with _OutputSet() as outputs:
+        save_bundle(outcome.bundle, outputs.path(out_dir / "bundle.json"))
         for name, text in outcome.member_logs:
             outputs.write(out_dir / f"{name}.csv", text)
-        outputs.write(out_dir / "report.txt", _report_text(outcome))
-        outputs.write(
-            out_dir / "report.json",
-            _report_json(outcome.bundle.kind, outcome.report, outcome.member_reports),
+        _write_reports(
+            outputs, out_dir, outcome.bundle.kind, outcome.report, outcome.member_reports
         )
-        outputs.write(out_dir / "confusion.csv", outcome.report.confusion_csv_text())
-    except BaseException:
-        outputs.discard_all()
-        raise
     print(f"trained {outcome.bundle.kind} on {config.schema_path}")
     print(f"test accuracy: {outcome.report.accuracy:.6f} ({outcome.test_rows} rows)")
     print(f"outputs in {out_dir}")
@@ -205,45 +206,28 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    bundle = load_bundle(args.model)
-    table = load_csv(args.data, bundle.state.schema)
-    encoded = transform(table, bundle.state)
-    if np.any(encoded.labels < 0):
-        n_bad = int((encoded.labels < 0).sum())
-        raise DataError(
-            f"{n_bad} row(s) have no target label; evaluate needs labeled data"
-        )
-    probas = combined_probabilities(bundle, encoded, table)
+    bundle, _, encoded, probas = _score(args)
+    n_bad = int((encoded.labels < 0).sum())
+    if n_bad:
+        raise DataError(f"{n_bad} row(s) have no target label; evaluate needs labeled data")
     report = evaluate(probas, encoded.labels, bundle.state.schema.class_labels)
-    text = f"model: {bundle.kind}\n\n" + report.to_text()
-    print(text, end="")
+    print(_report_text(bundle.kind, report, []), end="")
     if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        outputs = _OutputSet()
-        try:
-            outputs.write(out_dir / "report.txt", text)
-            outputs.write(out_dir / "report.json", _report_json(bundle.kind, report, []))
-            outputs.write(out_dir / "confusion.csv", report.confusion_csv_text())
-        except BaseException:
-            outputs.discard_all()
-            raise
+        with _OutputSet() as outputs:
+            _write_reports(outputs, Path(args.out), bundle.kind, report, [])
     return 0
 
 
 def cmd_predict(args) -> int:
-    bundle = load_bundle(args.model)
+    bundle, table, _, probas = _score(args)
     schema = bundle.state.schema
-    table = load_csv(args.data, schema)
-    probas = combined_probabilities(bundle, transform(table, bundle.state), table)
     predicted = [schema.class_labels[i] for i in probas.argmax(axis=1)]
 
-    out_path = Path(args.out)
     header = list(schema.column_names)
     header += [f"prob_{label}" for label in schema.class_labels]
     header.append("predicted")
-    try:
-        with out_path.open("w", encoding="utf-8", newline="") as fh:
+    with _OutputSet() as outputs:
+        with outputs.path(args.out).open("w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
             for r, row in enumerate(table.cells):
@@ -251,13 +235,7 @@ def cmd_predict(args) -> int:
                 cells += [repr(float(p)) for p in probas[r]]
                 cells.append(predicted[r])
                 writer.writerow(cells)
-    except BaseException:
-        try:
-            out_path.unlink()
-        except OSError:
-            pass
-        raise
-    print(f"wrote {table.row_count} predictions to {out_path}")
+    print(f"wrote {table.row_count} predictions to {Path(args.out)}")
     return 0
 
 

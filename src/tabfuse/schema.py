@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import csv
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -178,16 +179,31 @@ class DataTable:
         return DataTable(self.schema, rows)
 
 
-def load_schema(path: str | Path) -> TableSchema:
-    """Read a JSON schema document. Raises DataError naming a missing path."""
+@contextmanager
+def open_input(path: str | Path, kind: str):
+    """Open a UTF-8 input; a missing, unreadable or non-UTF-8 file is a DataError."""
     p = Path(path)
     if not p.exists():
-        raise DataError(f"schema file not found: {p}")
+        raise DataError(f"{kind} file not found: {p}")
     try:
-        doc = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DataError(f"schema file {p} is not valid JSON: {exc}") from exc
-    return TableSchema.from_json_dict(doc)
+        with open(p, newline="", encoding="utf-8") as fh:
+            yield fh
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {kind} file {p}: {exc}") from None
+
+
+def load_json(path: str | Path, kind: str):
+    """Parse a JSON input file; every way it can fail is a DataError."""
+    with open_input(path, kind) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{kind} file {path} is not valid JSON: {exc}") from None
+
+
+def load_schema(path: str | Path) -> TableSchema:
+    """Read a JSON schema document. Raises DataError naming a missing path."""
+    return TableSchema.from_json_dict(load_json(path, "schema"))
 
 
 def save_schema(schema: TableSchema, path: str | Path) -> None:
@@ -208,15 +224,14 @@ def load_csv(
     ``missing_values`` become missing.
 
     Raises:
-        DataError: missing file, header mismatch (lists missing and extra
-            columns), row arity mismatch (reports the 1-based data row), or
-            a target cell outside the schema's class labels.
+        DataError: missing, unreadable or non-UTF-8 file, header mismatch
+            (lists missing and extra columns), row arity mismatch (reports
+            the 1-based data row), or a target cell outside the schema's
+            class labels.
     """
     p = Path(path)
-    if not p.exists():
-        raise DataError(f"CSV file not found: {p}")
     missing = set(missing_values)
-    with open(p, newline="", encoding="utf-8") as fh:
+    with open_input(p, "CSV") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

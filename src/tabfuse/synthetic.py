@@ -99,9 +99,11 @@ def _largest_remainder(total: int, weights: np.ndarray) -> np.ndarray:
 def _shuffled_labels(rows: int, counts: np.ndarray, seed: int) -> np.ndarray:
     labels = np.repeat(np.arange(len(counts)), counts)
     # Fisher-Yates keyed off the hash stream; 64-bit modulo bias is
-    # negligible at any realistic row count.
-    for i in range(rows - 1, 0, -1):
-        j = int(_hash(seed, _TAG_LABEL, i) % _U64(i + 1))
+    # negligible at any realistic row count. Swap targets are hashed in one
+    # call; the swaps themselves must stay sequential.
+    positions = np.arange(rows - 1, 0, -1, dtype=_U64)
+    targets = _hash(seed, _TAG_LABEL, positions) % (positions + _U64(1))
+    for i, j in zip(positions.tolist(), targets.tolist()):
         labels[i], labels[j] = labels[j], labels[i]
     return labels
 

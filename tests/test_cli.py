@@ -1,9 +1,16 @@
+import csv
+import errno
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tabfuse.bundle import load_bundle
-from tabfuse.cli import main
+from tabfuse.cli import build_run_config, main, make_parser
+from tabfuse.errors import ToolkitError
 from tabfuse.schema import ColumnKind, ColumnSpec, TableSchema, save_schema
 
 
@@ -324,30 +331,59 @@ class TestInspect:
 
 class TestMalformedBundle:
     @pytest.mark.parametrize(
-        "corrupt",
+        "corrupt, model",
         [
-            lambda doc: doc["members"][0].pop("kind"),
-            lambda doc: doc["members"][0].update(feature_view="wavelets"),
-            lambda doc: doc["members"][0].pop("feature_view"),
-            lambda doc: doc.update(kind="fusion"),
-            lambda doc: doc.update(members={}),
-            lambda doc: doc.update(weights=[1.0]),
-            lambda doc: doc["members"][0]["payload"].pop("n_classes"),
-            lambda doc: doc.update(members=["gbdt"]),
-            lambda doc: [doc],
-            lambda doc: doc.pop("preprocess"),
-        ],
-        ids=[
-            "no-kind", "bad-view", "no-view", "kind-mismatch", "members-not-list",
-            "weights", "payload-without-n-classes", "member-not-object",
-            "top-level-list", "no-preprocess",
+            pytest.param(lambda doc: doc["members"][0].pop("kind"), "gbdt", id="no-kind"),
+            pytest.param(
+                lambda doc: doc["members"][0].update(feature_view="wavelets"),
+                "gbdt",
+                id="bad-view",
+            ),
+            pytest.param(
+                lambda doc: doc["members"][0].pop("feature_view"), "gbdt", id="no-view"
+            ),
+            pytest.param(lambda doc: doc.update(kind="fusion"), "gbdt", id="kind-mismatch"),
+            pytest.param(lambda doc: doc.update(members={}), "gbdt", id="members-not-list"),
+            pytest.param(lambda doc: doc.update(weights=[1.0]), "gbdt", id="weights"),
+            pytest.param(
+                lambda doc: doc["members"][0]["payload"].pop("n_classes"),
+                "gbdt",
+                id="payload-without-n-classes",
+            ),
+            pytest.param(
+                lambda doc: doc.update(members=["gbdt"]), "gbdt", id="member-not-object"
+            ),
+            pytest.param(lambda doc: [doc], "gbdt", id="top-level-list"),
+            pytest.param(lambda doc: doc.pop("preprocess"), "gbdt", id="no-preprocess"),
+            # The frequency encoder must repeat the state's columns and modes.
+            pytest.param(
+                lambda doc: doc["frequency_encoder"]["tables"].pop("note"),
+                "baseline",
+                id="encoder-without-table",
+            ),
+            pytest.param(
+                lambda doc: doc["frequency_encoder"]["modes"].pop("note"),
+                "baseline",
+                id="encoder-without-mode",
+            ),
+            pytest.param(
+                lambda doc: rename_encoder_column(doc["frequency_encoder"], "note", "memo"),
+                "baseline",
+                id="encoder-column-renamed",
+            ),
+            pytest.param(
+                lambda doc: add_encoder_column(doc["frequency_encoder"], "age"),
+                "baseline",
+                id="encoder-column-added",
+            ),
         ],
     )
     @pytest.mark.parametrize("command", ["inspect", "predict"])
     def test_exits_3_without_traceback(
-        self, tmp_path, schema_path, data_path, capsys, corrupt, command
+        self, tmp_path, schema_path, data_path, capsys, corrupt, model, command
     ):
-        bundle_path = train_quick(tmp_path, schema_path, data_path, model="gbdt") / "bundle.json"
+        run = train_quick(tmp_path, schema_path, data_path, model=model)
+        bundle_path = run / "bundle.json"
         doc = json.loads(bundle_path.read_text())
         # A corruption edits the document in place or returns a new top level.
         replaced = corrupt(doc)
@@ -360,6 +396,165 @@ class TestMalformedBundle:
         err = capsys.readouterr().err
         assert err.startswith("error[data]:") and err.count("\n") == 1
         assert not (tmp_path / "p.csv").exists()
+
+
+def rename_encoder_column(encoder: dict, old: str, new: str):
+    encoder["columns"] = [new if c == old else c for c in encoder["columns"]]
+    encoder["tables"][new] = encoder["tables"].pop(old)
+    encoder["modes"][new] = encoder["modes"].pop(old)
+
+
+def add_encoder_column(encoder: dict, name: str):
+    encoder["columns"].append(name)
+    encoder["tables"][name] = {"1.0": 1.0}
+    encoder["modes"][name] = "1.0"
+
+
+NOT_UTF8 = b"\xff\xfe"
+
+# Each case is its exit code and either an argv template, whose fields name
+# the paths below, or the keys of a config document for `train --config`.
+BAD_INPUTS = {
+    "schema-is-directory": (3, "generate --schema {dir} --rows 9 --out {tmp}/g.csv"),
+    "config-is-directory": (3, "train --config {dir} --schema {schema} --data {data}"),
+    "bundle-is-directory": (3, "inspect --model {dir}"),
+    "csv-is-directory": (3, "predict --model {bundle} --data {dir} --out {tmp}/p.csv"),
+    "schema-not-utf8": (3, "generate --schema {bad_json} --rows 9 --out {tmp}/g.csv"),
+    "config-not-utf8": (3, "train --config {bad_json} --schema {schema} --rows 40"),
+    "bundle-not-utf8": (3, "inspect --model {bad_json}"),
+    "csv-not-utf8": (3, "predict --model {bundle} --data {bad_csv} --out {tmp}/p.csv"),
+    "predict-out-is-directory": (3, "predict --model {bundle} --data {data} --out {dir}"),
+    "generate-out-is-directory": (3, "generate --schema {schema} --rows 9 --out {dir}"),
+    "fractions-number": (2, {"fractions": 0.8}),
+    "fractions-text": (2, {"fractions": ["a", "b", "c"]}),
+    "rows-text": (2, {"rows": "many"}),
+    "seed-text": (2, {"seed": "x"}),
+    "ensemble-members-number": (2, {"model": "ensemble", "ensemble_members": 3}),
+    "missing-fraction-text": (2, {"missing_fraction": "lots"}),
+    "imbalance-text-weight": (2, {"imbalance": ["x", 1]}),
+}
+
+
+def files_under(root: Path) -> list[Path]:
+    return sorted(root.rglob("*"))
+
+
+class TestBadInputs:
+    """Inputs that must end in one error line, with nothing left behind."""
+
+    @pytest.mark.parametrize("case", BAD_INPUTS)
+    def test_one_error_line_and_no_output(
+        self, tmp_path, schema_path, data_path, capsys, case
+    ):
+        code, template = BAD_INPUTS[case]
+        run = train_quick(tmp_path, schema_path, data_path, model="gbdt")
+        paths = {
+            "tmp": tmp_path,
+            "schema": schema_path,
+            "data": data_path,
+            "bundle": run / "bundle.json",
+            "dir": tmp_path / "a_directory",
+            "bad_json": tmp_path / "bad.json",
+            "bad_csv": tmp_path / "bad.csv",
+        }
+        paths["dir"].mkdir()
+        paths["bad_json"].write_bytes(b'{"columns": "' + NOT_UTF8 + b'"}')
+        # Valid rows first, so the bad bytes sit well past the first read.
+        header, *rows = data_path.read_bytes().splitlines(keepends=True)
+        paths["bad_csv"].write_bytes(header + b"".join(rows) * 40 + NOT_UTF8)
+        if isinstance(template, dict):
+            doc = {"schema": str(schema_path), "rows": 40, "out": str(tmp_path / "run2")}
+            (tmp_path / "cfg.json").write_text(json.dumps({**doc, **template}))
+            template = "train --config {tmp}/cfg.json"
+        argv = [part.format(**paths) for part in template.split()]
+        before = files_under(tmp_path)
+        capsys.readouterr()
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith(f"error[{'usage' if code == 2 else 'data'}]:")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert files_under(tmp_path) == before
+
+    @pytest.mark.parametrize("command", ["predict", "generate"])
+    def test_writer_failing_partway_leaves_nothing(
+        self, tmp_path, schema_path, data_path, capsys, monkeypatch, command
+    ):
+        run = train_quick(tmp_path, schema_path, data_path, model="gbdt")
+        argv = {
+            "predict": ["predict", "--model", str(run / "bundle.json"), "--data", str(data_path)],
+            "generate": ["generate", "--schema", str(schema_path), "--rows", "30"],
+        }[command]
+        monkeypatch.setattr("csv.writer", FullDiskWriter)
+        before = [p for p in files_under(tmp_path) if p.is_file()]
+        capsys.readouterr()
+        assert main(argv + ["--out", str(tmp_path / "new_dir" / "rows.csv")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error[data]:") and err.count("\n") == 1
+        assert [p for p in files_under(tmp_path) if p.is_file()] == before
+
+
+class FullDiskWriter:
+    """Stands in for csv.writer; the fourth row fails as a full disk would."""
+
+    def __init__(self, fh, *args, **kwargs):
+        self.writer = REAL_CSV_WRITER(fh, *args, **kwargs)
+        self.rows = 0
+
+    def writerow(self, row):
+        if self.rows == 3:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.rows += 1
+        return self.writer.writerow(row)
+
+
+REAL_CSV_WRITER = csv.writer
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+TRAIN_KEYS = ["learning_rate", "batch_size", "max_epochs", "patience", "max_epoch"]
+GBDT_KEYS = ["rounds", "max_depth", "max_leaves", "shrinkage", "l2_reg", "round"]
+# Values each config key takes in real documents; any JSON value may stand in.
+CONFIG_KEYS = {
+    "schema": st.just("schema.json"),
+    "model": st.sampled_from(["fusion", "baseline", "gbdt", "ensemble", "forest"]),
+    "data": st.just("data.csv"),
+    "rows": st.integers(0, 500),
+    "seed": st.integers(),
+    "out": st.just("run"),
+    "imbalance": st.lists(st.floats(0.1, 9), max_size=4) | st.just("1,2"),
+    "missing_fraction": st.floats(0, 1),
+    "fractions": st.lists(st.floats(0, 1), max_size=4),
+    "ensemble_members": st.lists(
+        st.sampled_from(["fusion", "gbdt", "baseline", "knn"]), max_size=3
+    ),
+    "gbdt_feature_view": st.sampled_from(
+        ["numeric", "numeric+tokens", "numeric+frequency", "raw"]
+    ),
+    "train": st.dictionaries(st.sampled_from(TRAIN_KEYS), JSON_VALUES | st.integers(1, 9)),
+    "gbdt": st.dictionaries(st.sampled_from(GBDT_KEYS), JSON_VALUES | st.integers(1, 9)),
+}
+CONFIG_DOCS = st.fixed_dictionaries(
+    {}, optional={key: typical | JSON_VALUES for key, typical in CONFIG_KEYS.items()}
+)
+
+
+class TestConfigDocuments:
+    @settings(max_examples=300, deadline=None)
+    @given(doc=CONFIG_DOCS)
+    def test_any_document_converts_or_fails_cleanly(self, doc):
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "config.json"
+            path.write_text(json.dumps(doc))
+            args = make_parser().parse_args(["train", "--config", str(path)])
+            try:
+                build_run_config(args).validate()
+            except ToolkitError as e:
+                assert e.exit_code in (2, 3)
 
 
 class TestParsing:

@@ -3,7 +3,13 @@ import pytest
 
 from tabfuse.errors import DataError
 from tabfuse.schema import ColumnKind, ColumnSpec, TableSchema
-from tabfuse.synthetic import _largest_remainder, generate_synthetic
+from tabfuse.synthetic import (
+    _TAG_LABEL,
+    _hash,
+    _largest_remainder,
+    _shuffled_labels,
+    generate_synthetic,
+)
 
 
 def schema_k(k=3, numeric=2, categorical=2):
@@ -138,3 +144,22 @@ class TestLargestRemainder:
         # shares 1.5, 1.5, 1.0: one leftover unit, equal remainders
         counts = _largest_remainder(4, np.array([1.5, 1.5, 1.0]))
         assert counts.tolist() == [2, 1, 1]
+
+
+def _shuffled_labels_per_row(rows, counts, seed):
+    """Fisher-Yates with one hash call per row: the reference order."""
+    labels = np.repeat(np.arange(len(counts)), counts)
+    for i in range(rows - 1, 0, -1):
+        j = int(_hash(seed, _TAG_LABEL, i) % np.uint64(i + 1))
+        labels[i], labels[j] = labels[j], labels[i]
+    return labels
+
+
+@pytest.mark.parametrize("rows", [1, 2, 57, 5000])
+@pytest.mark.parametrize("seed", [0, 7, -7, 2**63 + 5])
+def test_shuffled_labels_match_per_row_reference(rows, seed):
+    counts = _largest_remainder(rows, np.array([3.0, 1.0, 1.0]))
+    got = _shuffled_labels(rows, counts, seed)
+    want = _shuffled_labels_per_row(rows, counts, seed)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
