@@ -170,7 +170,7 @@ class ModelBundle:
                 ),
                 run_summary=doc.get("run_summary", {}),
             )
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"malformed bundle document: {exc!r}") from exc
 
 

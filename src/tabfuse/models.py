@@ -17,6 +17,7 @@ validation, and early stopping that restores the best-epoch snapshot.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 
@@ -257,6 +258,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        counts = (self.batch_size, self.max_epochs, self.patience)
+        if not all(isinstance(c, int) for c in counts):
+            raise ValueError("batch_size, max_epochs, and patience must be integers")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if self.batch_size < 1 or self.max_epochs < 1 or self.patience < 1:
@@ -443,8 +447,11 @@ class FrequencyEncoder:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "FrequencyEncoder":
-        return cls(
-            tuple(doc["columns"]),
-            {k: dict(v) for k, v in doc["tables"].items()},
-            dict(doc["modes"]),
-        )
+        """Decode an encoder; raises DataError on a frequency that is not a finite number."""
+        tables = {k: dict(v) for k, v in doc["tables"].items()}
+        for name, table in tables.items():
+            if not all(isinstance(f, (int, float)) and math.isfinite(f) for f in table.values()):
+                raise DataError(
+                    f"frequency table {name!r} holds a value that is not a finite number"
+                )
+        return cls(tuple(doc["columns"]), tables, dict(doc["modes"]))

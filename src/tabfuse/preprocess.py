@@ -333,13 +333,13 @@ def stratified_split(
     the data and the seed.
 
     Raises:
-        DataError: fractions not positive or not summing to 1, rows with
-            missing labels, or a present class with fewer than 3 members.
+        DataError: fractions not positive (NaN included) or not summing to 1,
+            rows with missing labels, or a present class with fewer than 3 members.
     """
     fr = np.asarray(fractions, dtype=np.float64)
     if len(fr) != 3:
         raise DataError("fractions must be (train, val, test)")
-    if np.any(fr <= 0):
+    if not np.all(fr > 0):  # written so that NaN fails too
         raise DataError("split fractions must all be positive")
     if abs(float(fr.sum()) - 1.0) > 1e-9:
         raise DataError(f"split fractions sum to {float(fr.sum())}, expected 1")

@@ -1,6 +1,7 @@
 import csv
 import errno
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -376,6 +377,86 @@ class TestMalformedBundle:
                 "baseline",
                 id="encoder-column-added",
             ),
+            pytest.param(
+                lambda doc: doc["frequency_encoder"]["tables"]["note"].update(
+                    dict.fromkeys(doc["frequency_encoder"]["tables"]["note"], "abc")
+                ),
+                "baseline",
+                id="encoder-frequency-text",
+            ),
+            # Trees must be safe to walk: the packed walk trusts every index.
+            pytest.param(
+                lambda doc: gbdt_payload(doc)["trees"][0]["threshold"].pop(),
+                "gbdt",
+                id="tree-lists-unequal",
+            ),
+            pytest.param(
+                lambda doc: gbdt_payload(doc)["trees"][0].update(
+                    dict.fromkeys(["feature", "threshold", "left", "right", "weight"], [])
+                ),
+                "gbdt",
+                id="tree-lists-empty",
+            ),
+            pytest.param(
+                lambda doc: gbdt_payload(doc)["trees"][0].update(
+                    weight=[[w] for w in gbdt_payload(doc)["trees"][0]["weight"]]
+                ),
+                "gbdt",
+                id="tree-lists-nested",
+            ),
+            pytest.param(
+                lambda doc: edit_split_tree(doc, "feature", gbdt_payload(doc)["feature_count"]),
+                "gbdt",
+                id="tree-feature-too-high",
+            ),
+            pytest.param(
+                lambda doc: edit_split_tree(doc, "feature", -2),
+                "gbdt",
+                id="tree-feature-below-leaf",
+            ),
+            pytest.param(
+                lambda doc: edit_split_tree(doc, "feature", "1"), "gbdt", id="tree-feature-text"
+            ),
+            pytest.param(
+                lambda doc: edit_split_tree(doc, "left", 0), "gbdt", id="tree-child-cycle"
+            ),
+            pytest.param(
+                lambda doc: edit_split_tree(doc, "right", lambda t: len(t["feature"])),
+                "gbdt",
+                id="tree-child-past-end",
+            ),
+            pytest.param(
+                lambda doc: edit_split_tree(doc, "left", 0, at="leaf"),
+                "gbdt",
+                id="tree-leaf-with-child",
+            ),
+            pytest.param(
+                lambda doc: edit_split_tree(doc, "threshold", math.nan),
+                "gbdt",
+                id="tree-threshold-nan",
+            ),
+            pytest.param(
+                lambda doc: edit_split_tree(doc, "weight", math.inf, at="leaf"),
+                "gbdt",
+                id="tree-weight-inf",
+            ),
+            pytest.param(
+                lambda doc: gbdt_payload(doc)["trees"].pop(), "gbdt", id="tree-count-not-multiple"
+            ),
+            pytest.param(lambda doc: gbdt_payload(doc).update(trees=[]), "gbdt", id="no-trees"),
+            pytest.param(
+                lambda doc: gbdt_payload(doc).update(shrinkage=math.nan),
+                "gbdt",
+                id="shrinkage-nan",
+            ),
+            pytest.param(
+                lambda doc: gbdt_payload(doc).update(shrinkage=0.0), "gbdt", id="shrinkage-zero"
+            ),
+            pytest.param(
+                lambda doc: gbdt_payload(doc).update(n_classes=math.inf),
+                "gbdt",
+                id="n-classes-infinite",
+            ),
         ],
     )
     @pytest.mark.parametrize("command", ["inspect", "predict"])
@@ -396,6 +477,20 @@ class TestMalformedBundle:
         err = capsys.readouterr().err
         assert err.startswith("error[data]:") and err.count("\n") == 1
         assert not (tmp_path / "p.csv").exists()
+
+
+def gbdt_payload(doc: dict) -> dict:
+    return doc["members"][0]["payload"]
+
+
+def edit_split_tree(doc: dict, field: str, value, at: str = "root"):
+    """Set one field of the first tree that splits, at its root or its first leaf.
+
+    A callable value is called with the tree to get the value.
+    """
+    tree = next(t for t in gbdt_payload(doc)["trees"] if t["feature"][0] >= 0)
+    node = 0 if at == "root" else tree["feature"].index(-1)
+    tree[field][node] = value(tree) if callable(value) else value
 
 
 def rename_encoder_column(encoder: dict, old: str, new: str):
@@ -432,6 +527,11 @@ BAD_INPUTS = {
     "ensemble-members-number": (2, {"model": "ensemble", "ensemble_members": 3}),
     "missing-fraction-text": (2, {"missing_fraction": "lots"}),
     "imbalance-text-weight": (2, {"imbalance": ["x", 1]}),
+    "rounds-fraction": (2, {"gbdt": {"rounds": 2.5}}),
+    "max-epochs-fraction": (2, {"train": {"max_epochs": 2.5, "patience": 1}}),
+    "batch-size-fraction": (2, {"train": {"batch_size": 1.5}}),
+    "fractions-nan": (3, {"fractions": [0.8, 0.1, math.nan]}),
+    "shrinkage-nan": (2, {"gbdt": {"shrinkage": math.nan}}),
 }
 
 

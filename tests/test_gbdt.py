@@ -3,9 +3,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tabfuse.errors import DataError
-from tabfuse.gbdt import GbdtConfig, GbdtModel, Tree, find_best_split, train_gbdt
+from tabfuse.gbdt import (
+    _ROW_BLOCK,
+    GbdtConfig,
+    GbdtModel,
+    Tree,
+    find_best_split,
+    train_gbdt,
+)
 
 
 def brute_force_split(x, g, h, l2_reg, min_child_hessian):
@@ -274,3 +283,106 @@ class TestGbdtConfig:
             GbdtConfig(shrinkage=0.0)
         with pytest.raises(ValueError):
             GbdtConfig(l2_reg=-1.0)
+        for counts in ({"rounds": 2.5}, {"max_depth": 3.0}, {"max_leaves": "8"}):
+            with pytest.raises(ValueError, match="integers"):
+                GbdtConfig(**counts)
+
+
+def reference_leaf(tree: Tree, row) -> float:
+    """Per-row walk: feature < threshold goes left, anything else (NaN too) right."""
+    node = 0
+    while tree.feature[node] != -1:
+        goes_left = row[tree.feature[node]] < tree.threshold[node]
+        node = tree.left[node] if goes_left else tree.right[node]
+    return tree.weight[node]
+
+
+def reference_margins(model: GbdtModel, x: np.ndarray) -> np.ndarray:
+    """One row, one tree at a time, adding each round's trees in order."""
+    out = np.full((len(x), model.n_classes), model.base_score, dtype=np.float64)
+    for i, row in enumerate(x):
+        for t, tree in enumerate(model.trees):
+            out[i, t % model.n_classes] += model.shrinkage * reference_leaf(tree, row)
+    return out
+
+
+FEATURES = 3
+# Edge values sit beside plain ones; thresholds reuse some so ties occur.
+EDGE_CELLS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1.0, -1.0]
+CELLS = st.sampled_from(EDGE_CELLS) | st.floats(-4, 4)
+ROWS = st.lists(CELLS, min_size=FEATURES, max_size=FEATURES)
+THRESHOLDS = st.sampled_from([-0.0, 0.0, 1.0, -1.0]) | st.floats(-4, 4)
+WEIGHTS = st.floats(-5, 5)
+
+
+@st.composite
+def trees(draw):
+    """Grow a random tree by splitting leaves; children follow their parent."""
+    tree = Tree()
+    leaves = [tree.add_leaf(draw(WEIGHTS))]
+    for _ in range(draw(st.integers(0, 7))):
+        node = leaves.pop(draw(st.integers(0, len(leaves) - 1)))
+        left, right = tree.add_leaf(draw(WEIGHTS)), tree.add_leaf(draw(WEIGHTS))
+        tree.make_split(node, draw(st.integers(0, FEATURES - 1)), draw(THRESHOLDS), left, right)
+        leaves += [left, right]
+    return tree
+
+
+@st.composite
+def models_and_inputs(draw):
+    n_classes = draw(st.integers(1, 3))
+    forest = draw(st.lists(trees(), min_size=0, max_size=3 * n_classes))
+    forest = forest[: len(forest) - len(forest) % n_classes]
+    model = GbdtModel(
+        forest,
+        n_classes,
+        FEATURES,
+        shrinkage=draw(st.floats(0.01, 1.0)),
+        base_score=draw(st.floats(-1, 1)),
+    )
+    pool = np.array(draw(st.lists(ROWS, min_size=1, max_size=6)))
+    # Row counts cover empty and one-row inputs and straddle block boundaries.
+    sizes = [0, 1, 2, 16, _ROW_BLOCK - 1, _ROW_BLOCK + 1, 2 * _ROW_BLOCK + 5]
+    n_rows = draw(st.sampled_from(sizes))
+    picks = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(0, len(pool), n_rows)
+    return model, pool, picks
+
+
+class TestPackedWalk:
+    """The packed level-by-level walk against a per-row reference, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=models_and_inputs())
+    def test_margins_match_reference(self, case):
+        model, pool, picks = case
+        # Each distinct row is walked once by the reference; x repeats them.
+        expected = reference_margins(model, pool)[picks]
+        got = model.margins(pool[picks])
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(tree=trees(), rows=st.lists(ROWS, max_size=8))
+    def test_tree_predict_matches_reference(self, tree, rows):
+        x = np.array(rows, dtype=np.float64).reshape(len(rows), FEATURES)
+        expected = np.array([reference_leaf(tree, row) for row in x], dtype=np.float64)
+        assert tree.predict(x).tobytes() == expected.tobytes()
+
+    def test_small_slices_equal_bulk_rows(self):
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(300, 4))
+        y = rng.integers(0, 3, size=300)
+        model, _ = train_gbdt(x, y, 3, GbdtConfig(rounds=6, max_depth=5, max_leaves=12))
+        heldout = rng.normal(size=(2 * _ROW_BLOCK + 40, 4))
+        heldout[rng.random(heldout.shape) < 0.1] = np.nan
+        bulk = model.margins(heldout)
+        for start in (0, 5, _ROW_BLOCK - 8, _ROW_BLOCK, 2 * _ROW_BLOCK + 24):
+            rows = slice(start, start + 16)
+            assert model.margins(heldout[rows]).tobytes() == bulk[rows].tobytes()
+
+    def test_trees_reading_missing_features_are_rejected(self):
+        tree = Tree()
+        root = tree.add_leaf(0.0)
+        tree.make_split(root, 2, 0.5, tree.add_leaf(1.0), tree.add_leaf(2.0))
+        with pytest.raises(DataError, match="feature 2"):
+            tree.predict(np.zeros((3, 2)))

@@ -146,6 +146,13 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="learning_rate"):
             TrainConfig(learning_rate=0.0)
 
+    @pytest.mark.parametrize(
+        "counts", [{"batch_size": 1.5}, {"max_epochs": 2.5, "patience": 1}, {"patience": "2"}]
+    )
+    def test_counts_must_be_integers(self, counts):
+        with pytest.raises(ValueError, match="integers"):
+            TrainConfig(**counts)
+
 
 class TestEarlyStopper:
     def test_stops_after_patience_consecutive_non_improvements(self):

@@ -368,6 +368,8 @@ class TestStratifiedSplit:
             stratified_split(data, (0.5, 0.2, 0.2))
         with pytest.raises(DataError, match="positive"):
             stratified_split(data, (1.0, 0.0, 0.0))
+        with pytest.raises(DataError, match="positive"):
+            stratified_split(data, (0.8, 0.1, float("nan")))
 
     def test_missing_labels_rejected(self):
         data = _dataset_with_labels([0, 0, 0, -1, 1, 1, 1])
