@@ -11,7 +11,9 @@ Member kinds are decoded through ``MEMBER_CLASSES``. Each class names its
 ``to_json_dict``/``from_json_dict``, ``describe`` and ``predict_proba``.
 
 Every member records the fingerprint of the preprocessing state it was
-trained against; load refuses a bundle whose members and state disagree.
+trained against, and its sizes (class count, input widths, vocabulary)
+must be the ones that state gives; load refuses a bundle whose members and
+state disagree.
 """
 
 from __future__ import annotations
@@ -30,6 +32,23 @@ BUNDLE_FORMAT_VERSION = 1
 
 MEMBER_CLASSES = {cls.kind: cls for cls in (EmbeddingFusionNet, BaselineMlp, GbdtModel)}
 MODEL_KINDS = (*MEMBER_CLASSES, "ensemble")
+
+
+def _state_sizes(state: PreprocessState, view: str) -> dict[str, int]:
+    """The sizes a member reading ``view`` takes from ``state``, by attribute name."""
+    n_numeric = len(state.numeric_columns)
+    width = n_numeric + {
+        "numeric+tokens": state.total_padded_width,
+        "numeric+frequency": len(state.categorical_columns),
+    }.get(view, 0)
+    return {
+        "n_classes": state.schema.n_classes,
+        "n_numeric": n_numeric,
+        "token_width": state.total_padded_width,
+        "vocab_size": max(state.total_vocab_size, 1),
+        "n_features": width,
+        "feature_count": width,
+    }
 
 
 @dataclass
@@ -107,6 +126,14 @@ class ModelBundle:
                     f"member {m.kind!r} was trained against a different "
                     f"preprocessing state (fingerprint mismatch)"
                 )
+            # A model carries only some of these sizes; the rest pass.
+            for name, want in _state_sizes(self.state, m.feature_view).items():
+                got = getattr(m.model, name, want)
+                if got != want:
+                    raise DataError(
+                        f"{m.kind} member has {name} {got}; its preprocessing "
+                        f"state gives {want}"
+                    )
         # The encoder repeats the state's categorical columns and modes, which
         # the fingerprint does not cover.
         enc, state = self.frequency_encoder, self.state

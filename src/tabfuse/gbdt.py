@@ -7,6 +7,13 @@ values with midpoint thresholds; rows with feature < threshold go left.
 Trees grow best-first (highest gain next) under a leaf budget and a depth
 cap. There is no subsampling, so training is fully deterministic.
 
+Each feature is argsorted once per training (stably, so ties keep row
+order). A split partitions its node's per-feature order into its
+children's, keeping the order on each side, which is exactly the stable
+sort of each child's rows: no node sorts again, and every running sum adds
+in the same sequence as a per-node sort would. A node scans all features
+at once, with one running sum per feature.
+
 Split gain, with L2 penalty lambda on leaf weights:
 
     gain = 0.5 * (GL^2/(HL+lam) + GR^2/(HR+lam) - G^2/(H+lam))
@@ -234,46 +241,80 @@ def find_best_split(
     h: np.ndarray,
     l2_reg: float,
     min_child_hessian: float,
+    *,
+    order: np.ndarray | None = None,
 ):
     """Exact greedy split over all features and midpoint thresholds.
 
+    ``order[j]`` lists the rows of ``x`` in stable ascending order of
+    ``x[:, j]``, shape (features, rows); without it each column is argsorted
+    here. All features are scanned at once, each by its own running sum.
+
     Returns (gain, feature, threshold) for the best positive-gain split,
     or None when no candidate is valid. Ties break to the lowest feature
-    index, then the lowest threshold (features scanned in order; within a
-    feature the first argmax is the lowest threshold).
+    index, then the lowest threshold (within a feature the first argmax is
+    the lowest threshold).
     """
     n, n_features = x.shape
     if n < 2:
         return None
+    if order is None:
+        order = np.argsort(x.T, axis=1, kind="stable")
     g_total = g.sum()
     h_total = h.sum()
     parent_score = g_total * g_total / (h_total + l2_reg)
-    best = None
-    for j in range(n_features):
-        order = np.argsort(x[:, j], kind="stable")
-        xs = x[order, j]
-        gl = np.cumsum(g[order])[:-1]
-        hl = np.cumsum(h[order])[:-1]
-        gr = g_total - gl
-        hr = h_total - hl
-        valid = (xs[:-1] < xs[1:]) & (hl >= min_child_hessian) & (hr >= min_child_hessian)
-        if not valid.any():
-            continue
-        gains = 0.5 * (
-            gl * gl / (hl + l2_reg) + gr * gr / (hr + l2_reg) - parent_score
-        )
-        gains[~valid] = -np.inf
-        i = int(np.argmax(gains))
-        gain = float(gains[i])
-        if gain > 0.0 and (best is None or gain > best[0]):
-            best = (gain, j, float((xs[i] + xs[i + 1]) / 2.0))
-    return best
+    xs = x[order, np.arange(n_features)[:, None]]
+    gl = np.cumsum(g.take(order), axis=1)[:, :-1]
+    hl = np.cumsum(h.take(order), axis=1)[:, :-1]
+    gr = g_total - gl
+    hr = h_total - hl
+    valid = (xs[:, :-1] < xs[:, 1:]) & (hl >= min_child_hessian) & (hr >= min_child_hessian)
+    # 0.5 * (gl^2/(hl+lam) + gr^2/(hr+lam) - parent), op for op, in place:
+    # these (features, rows) buffers set the peak memory of training.
+    gl *= gl
+    hl += l2_reg
+    gl /= hl
+    gr *= gr
+    hr += l2_reg
+    gr /= hr
+    gains = gl
+    gains += gr
+    gains -= parent_score
+    gains *= 0.5
+    gains[~valid] = -np.inf
+    at = gains.argmax(axis=1)
+    top = gains[np.arange(n_features), at]
+    positive = top > 0.0
+    if not positive.any():
+        return None
+    j = int(np.argmax(np.where(positive, top, -np.inf)))
+    i = at[j]
+    return float(top[j]), j, float((xs[j, i] + xs[j, i + 1]) / 2.0)
+
+
+def _partition(order: np.ndarray, goes_left: np.ndarray):
+    """The children's per-feature orders, each over its own rows.
+
+    Keeping a parent's order for the rows on one side keeps them sorted;
+    renumbering them by rank on that side makes them the child's rows.
+    """
+    child_row = np.where(goes_left, np.cumsum(goes_left), np.cumsum(~goes_left)) - 1
+    to_left = goes_left[order]
+    n_features = len(order)
+    left = child_row[order[to_left]].reshape(n_features, -1)
+    right = child_row[order[~to_left]].reshape(n_features, -1)
+    return left, right
 
 
 def _grow_tree(
-    x: np.ndarray, g: np.ndarray, h: np.ndarray, config: GbdtConfig
-) -> Tree:
-    """Best-first growth: always expand the pending node with highest gain."""
+    x: np.ndarray, g: np.ndarray, h: np.ndarray, order: np.ndarray, config: GbdtConfig
+) -> tuple[Tree, np.ndarray]:
+    """Best-first growth: always expand the pending node with highest gain.
+
+    ``order`` is each feature's stable argsort over all rows, shape
+    (features, rows). Returns the tree and the value of the leaf each row
+    ends in.
+    """
     tree = Tree()
 
     def leaf_weight(idx):
@@ -281,35 +322,40 @@ def _grow_tree(
 
     all_rows = np.arange(len(x))
     root = tree.add_leaf(leaf_weight(all_rows))
+    leaf_rows = {root: all_rows}  # ascending, so sums keep their order
     heap = []
-    tick = 0  # heap tiebreak: earlier-discovered node first
 
-    def consider(node: int, idx: np.ndarray, depth: int):
-        nonlocal tick
-        if depth >= config.max_depth:
-            return
+    def consider(node: int, node_order: np.ndarray, depth: int):
+        idx = leaf_rows[node]
         found = find_best_split(
-            x[idx], g[idx], h[idx], config.l2_reg, config.min_child_hessian
+            x[idx], g[idx], h[idx], config.l2_reg, config.min_child_hessian, order=node_order
         )
         if found is not None:
             gain, feature, threshold = found
-            heapq.heappush(heap, (-gain, tick, node, feature, threshold, idx, depth))
-            tick += 1
+            # Nodes are numbered as they are found: equal gains pop the earlier.
+            heapq.heappush(heap, (-gain, node, feature, threshold, node_order, depth))
 
-    consider(root, all_rows, 0)
+    consider(root, order, 0)
     n_leaves = 1
     while heap and n_leaves < config.max_leaves:
-        _, _, node, feature, threshold, idx, depth = heapq.heappop(heap)
+        _, node, feature, threshold, node_order, depth = heapq.heappop(heap)
+        idx = leaf_rows.pop(node)
         goes_left = x[idx, feature] < threshold
-        left_idx = idx[goes_left]
-        right_idx = idx[~goes_left]
-        left = tree.add_leaf(leaf_weight(left_idx))
-        right = tree.add_leaf(leaf_weight(right_idx))
+        left_rows, right_rows = idx[goes_left], idx[~goes_left]
+        left = tree.add_leaf(leaf_weight(left_rows))
+        right = tree.add_leaf(leaf_weight(right_rows))
         tree.make_split(node, feature, threshold, left, right)
+        leaf_rows[left], leaf_rows[right] = left_rows, right_rows
         n_leaves += 1
-        consider(left, left_idx, depth + 1)
-        consider(right, right_idx, depth + 1)
-    return tree
+        if depth + 1 < config.max_depth:
+            left_order, right_order = _partition(node_order, goes_left)
+            del node_order  # only the children's orders stay pending
+            consider(left, left_order, depth + 1)
+            consider(right, right_order, depth + 1)
+    values = np.empty(len(x))
+    for node, idx in leaf_rows.items():
+        values[idx] = tree.weight[node]
+    return tree, values
 
 
 @dataclass
@@ -437,14 +483,16 @@ def train_gbdt(
     trees: list[Tree] = []
     losses: list[float] = []
     rows = np.arange(len(y))
+    # x is the same for every tree, so each feature is sorted once.
+    order = np.argsort(x.T, axis=1, kind="stable")
     for _ in range(config.rounds):
         p = softmax(margins)
         for k in range(n_classes):
             g = p[:, k] - onehot[:, k]
             h = p[:, k] * (1.0 - p[:, k])
-            tree = _grow_tree(x, g, h, config)
+            tree, values = _grow_tree(x, g, h, order, config)
             trees.append(tree)
-            margins[:, k] += config.shrinkage * tree.predict(x)
+            margins[:, k] += config.shrinkage * values
         p = softmax(margins)
         losses.append(float(-np.log(p[rows, y]).mean()))
     model = GbdtModel(trees, n_classes, x.shape[1], config.shrinkage)

@@ -141,6 +141,10 @@ class EmbeddingFusionNet:
     def predict_proba(self, numeric: np.ndarray, tokens: np.ndarray) -> np.ndarray:
         return softmax(self.forward(numeric, tokens))
 
+    @property
+    def vocab_size(self) -> int:
+        return self.embedding.vocab_size
+
     def describe(self) -> str:
         return (
             f"embed dim {self.embed_dim}, token width {self.token_width}, "
@@ -149,7 +153,7 @@ class EmbeddingFusionNet:
 
     def to_json_dict(self) -> dict:
         return {
-            "vocab_size": self.embedding.vocab_size,
+            "vocab_size": self.vocab_size,
             "token_width": self.token_width,
             "n_numeric": self.n_numeric,
             "n_classes": self.n_classes,

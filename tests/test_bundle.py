@@ -190,14 +190,15 @@ class TestRoundTrip:
 
     def test_baseline_round_trip(self, tmp_path):
         state, _ = fitted_state()
+        # One numeric column plus one frequency column per categorical column.
         model = BaselineMlp(
-            3, 2, hidden1=6, hidden2=4, seed=1, preprocess_fingerprint=state.fingerprint()
+            2, 2, hidden1=6, hidden2=4, seed=1, preprocess_fingerprint=state.fingerprint()
         )
         bundle = ModelBundle("baseline", state, [BundleMember("baseline", model)])
         path = tmp_path / "b.json"
         save_bundle(bundle, path)
         loaded = load_bundle(path)
-        x = np.random.default_rng(1).normal(size=(4, 3))
+        x = np.random.default_rng(1).normal(size=(4, 2))
         assert np.array_equal(
             model.predict_proba(x), loaded.members[0].model.predict_proba(x)
         )

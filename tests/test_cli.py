@@ -457,6 +457,13 @@ class TestMalformedBundle:
                 "gbdt",
                 id="n-classes-infinite",
             ),
+            # Sizes that agree with the parameters must still agree with the state.
+            pytest.param(
+                lambda doc: gbdt_payload(doc).update(n_classes=1), "gbdt", id="gbdt-n-classes-1"
+            ),
+            pytest.param(
+                lambda doc: grow_fusion_vocab(doc), "fusion", id="fusion-vocab-size-grown"
+            ),
         ],
     )
     @pytest.mark.parametrize("command", ["inspect", "predict"])
@@ -491,6 +498,14 @@ def edit_split_tree(doc: dict, field: str, value, at: str = "root"):
     tree = next(t for t in gbdt_payload(doc)["trees"] if t["feature"][0] >= 0)
     node = 0 if at == "root" else tree["feature"].index(-1)
     tree[field][node] = value(tree) if callable(value) else value
+
+
+def grow_fusion_vocab(doc: dict):
+    """Add one embedding row and count it, so the parameters still fit the sizes."""
+    payload = doc["members"][0]["payload"]
+    payload["vocab_size"] += 1
+    weight = payload["params"]["embedding.weight"]
+    weight.append([0.0] * len(weight[0]))
 
 
 def rename_encoder_column(encoder: dict, old: str, new: str):

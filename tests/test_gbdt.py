@@ -1,3 +1,4 @@
+import heapq
 import json
 import math
 
@@ -12,9 +13,11 @@ from tabfuse.gbdt import (
     GbdtConfig,
     GbdtModel,
     Tree,
+    _partition,
     find_best_split,
     train_gbdt,
 )
+from tabfuse.nn import softmax
 
 
 def brute_force_split(x, g, h, l2_reg, min_child_hessian):
@@ -386,3 +389,128 @@ class TestPackedWalk:
         tree.make_split(root, 2, 0.5, tree.add_leaf(1.0), tree.add_leaf(2.0))
         with pytest.raises(DataError, match="feature 2"):
             tree.predict(np.zeros((3, 2)))
+
+
+def per_node_split(x, g, h, l2_reg, min_child_hessian):
+    """Split search that argsorts each feature of the node's own rows, one at a time."""
+    if len(x) < 2:
+        return None
+    g_total, h_total = g.sum(), h.sum()
+    parent_score = g_total * g_total / (h_total + l2_reg)
+    best = None
+    for j in range(x.shape[1]):
+        order = np.argsort(x[:, j], kind="stable")
+        xs = x[order, j]
+        gl = np.cumsum(g[order])[:-1]
+        hl = np.cumsum(h[order])[:-1]
+        gr, hr = g_total - gl, h_total - hl
+        valid = (xs[:-1] < xs[1:]) & (hl >= min_child_hessian) & (hr >= min_child_hessian)
+        if not valid.any():
+            continue
+        gains = 0.5 * (gl * gl / (hl + l2_reg) + gr * gr / (hr + l2_reg) - parent_score)
+        gains[~valid] = -np.inf
+        i = int(np.argmax(gains))
+        if gains[i] > 0.0 and (best is None or gains[i] > best[0]):
+            best = (float(gains[i]), j, float((xs[i] + xs[i + 1]) / 2.0))
+    return best
+
+
+def per_node_tree(x, g, h, config):
+    """Best-first growth that hands each node's own rows to per_node_split."""
+    tree = Tree()
+
+    def weight(idx):
+        return float(-g[idx].sum() / (h[idx].sum() + config.l2_reg))
+
+    heap = []
+
+    def consider(node, idx, depth):
+        if depth >= config.max_depth:
+            return
+        found = per_node_split(x[idx], g[idx], h[idx], config.l2_reg, config.min_child_hessian)
+        if found is not None:
+            # Nodes are numbered as they are found, so equal gains pop the earlier.
+            heapq.heappush(heap, (-found[0], node, *found[1:], idx, depth))
+
+    rows = np.arange(len(x))
+    consider(tree.add_leaf(weight(rows)), rows, 0)
+    n_leaves = 1
+    while heap and n_leaves < config.max_leaves:
+        _, node, feature, threshold, idx, depth = heapq.heappop(heap)
+        goes_left = x[idx, feature] < threshold
+        left, right = tree.add_leaf(weight(idx[goes_left])), tree.add_leaf(weight(idx[~goes_left]))
+        tree.make_split(node, feature, threshold, left, right)
+        n_leaves += 1
+        consider(left, idx[goes_left], depth + 1)
+        consider(right, idx[~goes_left], depth + 1)
+    return tree
+
+
+def per_node_boost(x, y, n_classes, config):
+    """Boosting with per_node_tree, adding each row's leaf by the per-row walk."""
+    margins = np.zeros((len(y), n_classes))
+    trees = []
+    for _ in range(config.rounds):
+        p = softmax(margins)
+        for k in range(n_classes):
+            g = p[:, k] - (y == k)
+            h = p[:, k] * (1.0 - p[:, k])
+            tree = per_node_tree(x, g, h, config)
+            trees.append(tree)
+            leaves = np.array([reference_leaf(tree, row) for row in x], dtype=np.float64)
+            margins[:, k] += config.shrinkage * leaves
+    return trees
+
+
+# Few distinct values, so duplicates and -0.0 beside 0.0 are common.
+TRAIN_CELLS = st.sampled_from([*EDGE_CELLS, 2.0, 2.0, 0.5]) | st.floats(-4, 4)
+
+
+@st.composite
+def training_sets(draw):
+    n_features = draw(st.integers(1, 3))
+    n_rows = draw(st.integers(2, 24))
+    row = st.lists(TRAIN_CELLS, min_size=n_features, max_size=n_features)
+    x = np.array(draw(st.lists(row, min_size=n_rows, max_size=n_rows)), dtype=np.float64)
+    if draw(st.booleans()):
+        x[:, draw(st.integers(0, n_features - 1))] = x[0, 0]
+    n_classes = draw(st.integers(2, 3))
+    labels = st.lists(st.integers(0, n_classes - 1), min_size=n_rows, max_size=n_rows)
+    y = np.array(draw(labels.filter(lambda v: len(set(v)) > 1)))
+    config = GbdtConfig(
+        rounds=draw(st.integers(1, 3)),
+        max_depth=draw(st.integers(1, 4)),
+        max_leaves=draw(st.integers(2, 8)),
+        min_child_hessian=draw(st.sampled_from([1e-3, 0.05])),
+    )
+    return x, y, n_classes, config
+
+
+class TestPresortedTraining:
+    """Sorting each feature once per training against sorting at every node."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=training_sets())
+    def test_trees_match_per_node_sorting_bit_for_bit(self, case):
+        x, y, n_classes, config = case
+        model, _ = train_gbdt(x, y, n_classes, config)
+        expected = per_node_boost(x, y, n_classes, config)
+        # repr-level JSON tells -0.0 from 0.0 and keeps every bit of a float.
+        assert [json.dumps(t.to_json_dict()) for t in model.trees] == [
+            json.dumps(t.to_json_dict()) for t in expected
+        ]
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=training_sets(), seed=st.integers(0, 2**32 - 1))
+    def test_partitioned_order_gives_the_same_split(self, case, seed):
+        x, _, _, config = case
+        rng = np.random.default_rng(seed)
+        g, h = rng.normal(size=len(x)), rng.uniform(0.01, 0.3, size=len(x))
+        goes_left = rng.random(len(x)) < 0.5
+        children = _partition(np.argsort(x.T, axis=1, kind="stable"), goes_left)
+        for side, order in zip((goes_left, ~goes_left), children):
+            xs, gs, hs = x[side], g[side], h[side]
+            assert order.tobytes() == np.argsort(xs.T, axis=1, kind="stable").tobytes()
+            args = (xs, gs, hs, config.l2_reg, config.min_child_hessian)
+            assert repr(find_best_split(*args, order=order)) == repr(find_best_split(*args))
+            assert repr(find_best_split(*args)) == repr(per_node_split(*args))
