@@ -4,6 +4,9 @@ Each boosting round fits one regression tree per class to the gradient
 g = p - y and diagonal hessian h = p(1 - p) of softmax cross-entropy at
 the current margins. Split finding is exact greedy over sorted feature
 values with midpoint thresholds; rows with feature < threshold go left.
+A threshold is always finite and separates its pair: where the midpoint
+rounds onto the lower value or leaves the pair, the upper value is used,
+and a pair whose upper value is +inf is no candidate.
 Trees grow best-first (highest gain next) under a leaf budget and a depth
 cap. There is no subsampling, so training is fully deterministic.
 
@@ -268,7 +271,9 @@ def find_best_split(
     hl = np.cumsum(h.take(order), axis=1)[:, :-1]
     gr = g_total - gl
     hr = h_total - hl
-    valid = (xs[:, :-1] < xs[:, 1:]) & (hl >= min_child_hessian) & (hr >= min_child_hessian)
+    # A pair whose upper value is +inf has no finite midpoint.
+    valid = (xs[:, :-1] < xs[:, 1:]) & (xs[:, 1:] < np.inf)
+    valid &= (hl >= min_child_hessian) & (hr >= min_child_hessian)
     # 0.5 * (gl^2/(hl+lam) + gr^2/(hr+lam) - parent), op for op, in place:
     # these (features, rows) buffers set the peak memory of training.
     gl *= gl
@@ -288,8 +293,12 @@ def find_best_split(
     if not positive.any():
         return None
     j = int(np.argmax(np.where(positive, top, -np.inf)))
-    i = at[j]
-    return float(top[j]), j, float((xs[j, i] + xs[j, i + 1]) / 2.0)
+    lo, hi = xs[j, at[j]], xs[j, at[j] + 1]
+    # The midpoint equals lo for adjacent floats or lo = -inf, and leaves
+    # [lo, hi] on overflow; hi then still sends lo left and hi right.
+    with np.errstate(over="ignore"):
+        mid = (lo + hi) / 2.0
+    return float(top[j]), j, float(mid if lo < mid <= hi else hi)
 
 
 def _partition(order: np.ndarray, goes_left: np.ndarray):

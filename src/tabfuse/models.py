@@ -29,15 +29,6 @@ from .preprocess import PreprocessState
 from .schema import DataTable
 
 
-def snapshot_params(params: list[Param]) -> list[np.ndarray]:
-    return [p.value.copy() for p in params]
-
-
-def restore_params(params: list[Param], snapshot: list[np.ndarray]) -> None:
-    for p, saved in zip(params, snapshot):
-        p.value[...] = saved
-
-
 def _params_payload(model) -> dict:
     return {p.name: p.value.tolist() for p in model.params()}
 
@@ -52,6 +43,8 @@ def _load_params(model, payload: dict) -> None:
                 f"parameter {p.name!r} has shape {arr.shape}, "
                 f"expected {p.value.shape}"
             )
+        if not np.isfinite(arr).all():
+            raise DataError(f"parameter {p.name!r} holds a value that is not finite")
         p.value[...] = arr
 
 
@@ -334,9 +327,9 @@ def train(
     """Mini-batch Adam with early stopping; restores the best-epoch snapshot.
 
     Inputs are tuples of arrays aligned on axis 0 and splatted into
-    ``model.forward``. The model is mutated in place; on return its
-    parameters are the snapshot from the epoch with the lowest validation
-    loss.
+    ``model.forward``. The model is mutated in place. The snapshot is one
+    copy of the optimizer's flat parameter vector, taken at each epoch that
+    lowers the validation loss; on return the parameters hold the last one.
 
     Returns:
         (model, TrainLog)
@@ -348,12 +341,11 @@ def train(
     n = len(train_labels)
     if n == 0 or len(val_labels) == 0:
         raise DataError("training and validation sets must be non-empty")
-    params = model.params()
-    optimizer = Adam(params, learning_rate=config.learning_rate)
+    optimizer = Adam(model.params(), learning_rate=config.learning_rate)
     stopper = EarlyStopper(config.patience, config.min_improvement)
     rng = np.random.default_rng(config.seed)
     log = TrainLog()
-    best_snapshot = snapshot_params(params)
+    best = optimizer.value.copy()
 
     for epoch in range(1, config.max_epochs + 1):
         perm = rng.permutation(n)
@@ -384,12 +376,12 @@ def train(
 
         should_stop = stopper.update(val_loss, epoch)
         if stopper.improved:
-            best_snapshot = snapshot_params(params)
+            best = optimizer.value.copy()
         log.stopped_epoch = epoch
         if should_stop:
             break
 
-    restore_params(params, best_snapshot)
+    optimizer.value[...] = best
     log.best_epoch = stopper.best_epoch
     return model, log
 

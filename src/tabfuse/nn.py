@@ -4,7 +4,9 @@ Dense layers, PReLU activations, an embedding table, softmax cross-entropy,
 Adam, and a finite-difference gradient checker. Everything is plain numpy
 float64; there is no autodiff graph. Each layer caches its forward input
 and exposes ``backward`` that accumulates into parameter gradients and
-returns the gradient with respect to its input.
+returns the gradient with respect to its input. Adam owns a network's
+parameters as one flat vector, and each Param as a view into it, so an
+update, ``zero_grad`` or snapshot is whole-vector work.
 """
 
 from __future__ import annotations
@@ -170,9 +172,9 @@ def softmax_cross_entropy(
 class Adam:
     """Adam with bias correction over a fixed parameter list.
 
-    Defaults: lr 0.001, beta1 0.9, beta2 0.999, epsilon 1e-8. Parameters
-    with an update_mask have the masked entries' gradients zeroed before
-    the moment updates, which pins those entries at their initial values.
+    Defaults: lr 0.001, beta1 0.9, beta2 0.999, epsilon 1e-8. Each Param's
+    value and grad become views into the flat ``value`` and ``grad`` built
+    here; entries whose update_mask (read here) is zero keep their values.
     """
 
     def __init__(
@@ -189,25 +191,33 @@ class Adam:
         self.beta2 = beta2
         self.epsilon = epsilon
         self.step_count = 0
-        self._m = [np.zeros_like(p.value) for p in self.params]
-        self._v = [np.zeros_like(p.value) for p in self.params]
+        self.value = np.concatenate([p.value.reshape(-1) for p in self.params])
+        self.grad = np.concatenate([p.grad.reshape(-1) for p in self.params])
+        self._mask = np.concatenate([
+            np.ones(p.value.size) if p.update_mask is None else np.ravel(p.update_mask)
+            for p in self.params
+        ])
+        self._m = np.zeros_like(self.value)
+        self._v = np.zeros_like(self.value)
+        offsets = np.cumsum([p.value.size for p in self.params])[:-1]
+        views = zip(np.split(self.value, offsets), np.split(self.grad, offsets))
+        for p, (value, grad) in zip(self.params, views):
+            p.value, p.grad = value.reshape(p.value.shape), grad.reshape(p.value.shape)
 
     def zero_grad(self):
-        for p in self.params:
-            p.zero_grad()
+        self.grad[...] = 0.0
 
     def step(self):
         self.step_count += 1
         t = self.step_count
         c1 = 1.0 - self.beta1**t
         c2 = 1.0 - self.beta2**t
-        for p, m, v in zip(self.params, self._m, self._v):
-            g = p.grad if p.update_mask is None else p.grad * p.update_mask
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.value -= self.learning_rate * (m / c1) / (np.sqrt(v / c2) + self.epsilon)
+        g = self.grad * self._mask
+        self._m *= self.beta1
+        self._m += (1.0 - self.beta1) * g
+        self._v *= self.beta2
+        self._v += (1.0 - self.beta2) * g * g
+        self.value -= self.learning_rate * (self._m / c1) / (np.sqrt(self._v / c2) + self.epsilon)
 
 
 @dataclass

@@ -464,6 +464,17 @@ class TestMalformedBundle:
             pytest.param(
                 lambda doc: grow_fusion_vocab(doc), "fusion", id="fusion-vocab-size-grown"
             ),
+            # NN parameters must be finite, or every probability is NaN.
+            pytest.param(
+                lambda doc: nn_params(doc)["classifier.bias"].__setitem__(0, math.nan),
+                "fusion",
+                id="fusion-param-nan",
+            ),
+            pytest.param(
+                lambda doc: nn_params(doc)["mlp1.weight"][0].__setitem__(0, math.inf),
+                "baseline",
+                id="baseline-param-inf",
+            ),
         ],
     )
     @pytest.mark.parametrize("command", ["inspect", "predict"])
@@ -498,6 +509,10 @@ def edit_split_tree(doc: dict, field: str, value, at: str = "root"):
     tree = next(t for t in gbdt_payload(doc)["trees"] if t["feature"][0] >= 0)
     node = 0 if at == "root" else tree["feature"].index(-1)
     tree[field][node] = value(tree) if callable(value) else value
+
+
+def nn_params(doc: dict) -> dict:
+    return doc["members"][0]["payload"]["params"]
 
 
 def grow_fusion_vocab(doc: dict):

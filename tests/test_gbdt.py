@@ -236,6 +236,40 @@ class TestTrainGbdt:
             train_gbdt(np.zeros((2, 1)), np.array([1, 1]), 2, cfg)
 
 
+class TestSplitThresholds:
+    """A threshold is finite and sends the lower value of its pair left, the upper right."""
+
+    ONE_UP = float(np.nextafter(1.0, 2.0))
+
+    @staticmethod
+    def train_and_reload(column):
+        x = np.array(column)[:, None]
+        model, _ = train_gbdt(x, np.array([0, 0, 1, 1]), 2, GbdtConfig(rounds=2))
+        again = GbdtModel.from_json_dict(json.loads(json.dumps(model.to_json_dict())))
+        assert again.predict_proba(x).tobytes() == model.predict_proba(x).tobytes()
+        return x, model
+
+    @pytest.mark.parametrize(
+        "column",
+        [
+            pytest.param([-math.inf, -math.inf, 1.0, 2.0], id="minus-inf-below-finite"),
+            pytest.param([1.0, 1.0, ONE_UP, ONE_UP], id="adjacent-floats"),
+            pytest.param([1e308, 1e308, 1.7e308, 1.7e308], id="midpoint-overflows"),
+        ],
+    )
+    def test_every_tree_splits_its_rows_two_and_two(self, column):
+        x, model = self.train_and_reload(column)
+        for tree in model.trees:
+            assert tree.feature[0] == 0 and math.isfinite(tree.threshold[0])
+            assert (x[:, 0] < tree.threshold[0]).tolist() == [True, True, False, False]
+            out = tree.predict(x)
+            assert out[0] == out[1] != out[2] == out[3]
+
+    def test_no_candidate_below_plus_inf(self):
+        _, model = self.train_and_reload([-math.inf, -math.inf, math.inf, math.inf])
+        assert all(tree.n_leaves == 1 for tree in model.trees)
+
+
 class TestGbdtModel:
     def test_zero_round_model_is_uniform(self):
         model = GbdtModel(trees=[], n_classes=3, feature_count=2, shrinkage=0.1)
@@ -404,14 +438,17 @@ def per_node_split(x, g, h, l2_reg, min_child_hessian):
         gl = np.cumsum(g[order])[:-1]
         hl = np.cumsum(h[order])[:-1]
         gr, hr = g_total - gl, h_total - hl
-        valid = (xs[:-1] < xs[1:]) & (hl >= min_child_hessian) & (hr >= min_child_hessian)
+        valid = (xs[:-1] < xs[1:]) & (xs[1:] != math.inf)
+        valid &= (hl >= min_child_hessian) & (hr >= min_child_hessian)
         if not valid.any():
             continue
         gains = 0.5 * (gl * gl / (hl + l2_reg) + gr * gr / (hr + l2_reg) - parent_score)
         gains[~valid] = -np.inf
         i = int(np.argmax(gains))
         if gains[i] > 0.0 and (best is None or gains[i] > best[0]):
-            best = (float(gains[i]), j, float((xs[i] + xs[i + 1]) / 2.0))
+            lo, hi = float(xs[i]), float(xs[i + 1])
+            mid = (lo + hi) / 2.0
+            best = (float(gains[i]), j, mid if lo < mid <= hi else hi)
     return best
 
 

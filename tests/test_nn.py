@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from tabfuse.nn import (
     Adam,
@@ -175,6 +178,86 @@ class TestAdam:
             return p.value.copy()
 
         assert np.array_equal(run(), run())
+
+    def test_writes_through_params_reach_the_flat_vectors(self):
+        w = Param(np.array([[1.0, 2.0], [3.0, 4.0]]), "w")
+        s = Param(np.asarray(0.25), "s")
+        opt = Adam([w, s], learning_rate=0.5)
+        w.value[1, 0] = 7.0
+        s.value[...] = -1.0
+        w.grad[0, 1] = 0.5
+        s.grad += 2.0
+        assert opt.value.tolist() == [1.0, 2.0, 7.0, 4.0, -1.0]
+        assert opt.grad.tolist() == [0.0, 0.5, 0.0, 0.0, 2.0]
+        opt.step()
+        # entries with a gradient take a first step of about the learning rate
+        assert w.value[0, 1] == pytest.approx(1.5) and float(s.value) == pytest.approx(-1.5)
+        assert w.value.flat[[0, 2, 3]].tolist() == [1.0, 7.0, 4.0]
+        opt.zero_grad()
+        assert not w.grad.any() and not s.grad.any()
+
+
+class ReferenceAdam:
+    """Adam stepped one parameter at a time over its own arrays, as a loop."""
+
+    def __init__(self, params, learning_rate):
+        self.values = [p.value.copy() for p in params]
+        self.masks = [p.update_mask for p in params]
+        self.m = [np.zeros_like(v) for v in self.values]
+        self.v = [np.zeros_like(v) for v in self.values]
+        self.learning_rate = learning_rate
+        self.t = 0
+
+    def step(self, grads):
+        self.t += 1
+        c1 = 1.0 - 0.9**self.t
+        c2 = 1.0 - 0.999**self.t
+        for value, mask, grad, m, v in zip(self.values, self.masks, grads, self.m, self.v):
+            g = grad if mask is None else grad * mask
+            m *= 0.9
+            m += (1.0 - 0.9) * g
+            v *= 0.999
+            v += (1.0 - 0.999) * g * g
+            value -= self.learning_rate * (m / c1) / (np.sqrt(v / c2) + 1e-8)
+
+
+# Gradients include -0.0, 0.0, tiny and large magnitudes.
+GRAD_CELLS = st.sampled_from([-0.0, 0.0, 1e-300, -1e-12, 1e6]) | st.floats(-10, 10)
+
+
+class TestFlatAdam:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        vocab=st.integers(1, 4),
+        dim=st.integers(1, 3),
+        width=st.integers(1, 3),
+        learning_rate=st.sampled_from([0.001, 0.05, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+        steps=st.integers(1, 6),
+        data=st.data(),
+    )
+    def test_steps_bit_equal_a_per_parameter_loop(
+        self, vocab, dim, width, learning_rate, seed, steps, data
+    ):
+        rng = np.random.default_rng(seed)
+        layers = (PReLU("a"), Linear(dim, width, rng, "l"), Embedding(vocab, dim, rng, "e"))
+        params = [p for layer in layers for p in layer.params()]
+        reference = ReferenceAdam(params, learning_rate)
+        opt = Adam(params, learning_rate=learning_rate)
+        for _ in range(steps):
+            grads = [
+                data.draw(hnp.arrays(np.float64, p.value.shape, elements=GRAD_CELLS))
+                for p in params
+            ]
+            opt.zero_grad()
+            for p, grad in zip(params, grads):
+                p.grad += grad
+            opt.step()
+            reference.step(grads)
+            for p, expected in zip(params, reference.values):
+                assert p.value.shape == expected.shape
+                assert p.value.tobytes() == expected.tobytes()
+        assert not params[-1].value[0].any()  # the pad row never moves
 
 
 class TestGradientCheck:
