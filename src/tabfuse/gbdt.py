@@ -2,20 +2,18 @@
 
 Each boosting round fits one regression tree per class to the gradient
 g = p - y and diagonal hessian h = p(1 - p) of softmax cross-entropy at
-the current margins. Split finding is exact greedy over sorted feature
-values with midpoint thresholds; rows with feature < threshold go left.
-A threshold is always finite and separates its pair: where the midpoint
-rounds onto the lower value or leaves the pair, the upper value is used,
-and a pair whose upper value is +inf is no candidate.
-Trees grow best-first (highest gain next) under a leaf budget and a depth
-cap. There is no subsampling, so training is fully deterministic.
+the current margins. Trees grow best-first (highest gain next) under a leaf
+budget and a depth cap. There is no subsampling, so training is fully
+deterministic.
 
-Each feature is argsorted once per training (stably, so ties keep row
-order). A split partitions its node's per-feature order into its
-children's, keeping the order on each side, which is exactly the stable
-sort of each child's rows: no node sorts again, and every running sum adds
-in the same sequence as a per-node sort would. A node scans all features
-at once, with one running sum per feature.
+Split search runs on histograms. Training bins each feature once, at most
+255 value bins per feature (``_bin_thresholds``), and NaN rows get a top
+bin of their own. Rows with feature < threshold go left, so NaN goes
+right. A node's gradient, hessian and row count per bin come from
+``np.bincount`` over its rows, in row order. When a node splits, the child
+with fewer rows is counted and the other child's histogram is its parent's
+minus its sibling's. A node scans every boundary of every feature at once,
+one running sum per feature.
 
 Split gain, with L2 penalty lambda on leaf weights:
 
@@ -238,91 +236,143 @@ class _PackedTrees:
         return self.value.take(node)
 
 
+# A feature has at most this many value bins; its NaN rows get one more.
+_MAX_BINS = 255
+
+
+def _bin_thresholds(column: np.ndarray) -> np.ndarray:
+    """Ascending, finite thresholds of one feature's bin boundaries.
+
+    Each boundary sits between two neighbouring distinct non-NaN values lo
+    and hi. With at most _MAX_BINS distinct values every neighbouring pair
+    gets one; otherwise the pairs are picked under evenly spaced integer row
+    ranks, at most _MAX_BINS - 1 of them. A boundary's threshold is the
+    midpoint of lo and hi, or hi where the midpoint rounds onto lo or
+    overflows, or the next float above lo where hi is +inf; a pair with no
+    finite threshold gets no boundary.
+    """
+    values, counts = np.unique(column[~np.isnan(column)], return_counts=True)
+    if len(values) <= _MAX_BINS:
+        upper = np.arange(1, len(values))
+    else:
+        ranks = np.arange(1, _MAX_BINS) * counts.sum() // _MAX_BINS
+        upper = np.unique(np.searchsorted(np.cumsum(counts), ranks, side="right"))
+        upper = upper[upper > 0]
+    lo, hi = values[upper - 1], values[upper]
+    # Overflows and -inf + inf give non-finite values that are not used.
+    with np.errstate(over="ignore", invalid="ignore"):
+        mid = (lo + hi) / 2.0
+        above_lo = np.nextafter(lo, np.inf)
+    threshold = np.where((lo < mid) & (mid <= hi), mid, hi)
+    threshold = np.where(hi == np.inf, above_lo, threshold)
+    # -0.0 and 0.0 are one value; + 0.0 stores every zero threshold as 0.0.
+    return threshold[np.isfinite(threshold)] + 0.0
+
+
+@dataclass(frozen=True)
+class _Bins:
+    """Every feature's bin boundaries, fit once per training, and each row's bins.
+
+    Feature j's boundary b has threshold ``thresholds[j, b]``; rows with
+    x < thresholds[j, b] are below it. Value bin k of feature j holds the
+    rows between boundaries k - 1 and k, so a split at boundary b sends
+    bins 0..b left, exactly as the threshold routes rows in prediction.
+    Boundaries a feature does not have hold NaN. NaN rows sit in the top
+    bin, ``width - 1``, above every boundary, so they go right.
+    ``cells[i, j]`` is row i's bin of feature j plus ``j * width``: its cell
+    in a flat (features, width) histogram.
+    """
+
+    thresholds: np.ndarray
+    cells: np.ndarray
+
+    @classmethod
+    def fit(cls, x: np.ndarray) -> "_Bins":
+        per_feature = [_bin_thresholds(column) for column in x.T]
+        width = max((len(t) for t in per_feature), default=0) + 2
+        thresholds = np.full((x.shape[1], width - 1), np.nan)
+        cells = np.empty(x.shape, dtype=np.intp)
+        for j, (column, t) in enumerate(zip(x.T, per_feature)):
+            thresholds[j, : len(t)] = t
+            bin_of = np.searchsorted(t, column, side="right")
+            cells[:, j] = np.where(np.isnan(column), width - 1, bin_of) + j * width
+        return cls(thresholds, cells)
+
+    def histogram(self, rows: np.ndarray, g: np.ndarray, h: np.ndarray) -> np.ndarray:
+        """Sums of g, of h and of rows per bin, shape (3, features, width).
+
+        ``bincount`` adds in the order of ``rows``, so ascending rows give
+        every bin its sums in row order.
+        """
+        n_features, width = self.thresholds.shape[0], self.thresholds.shape[1] + 1
+        cells = self.cells[rows].ravel()
+        size = n_features * width
+        hist = np.empty((3, size))
+        hist[0] = np.bincount(cells, weights=np.repeat(g[rows], n_features), minlength=size)
+        hist[1] = np.bincount(cells, weights=np.repeat(h[rows], n_features), minlength=size)
+        hist[2] = np.bincount(cells, minlength=size)
+        return hist.reshape(3, n_features, width)
+
+
 def find_best_split(
-    x: np.ndarray,
+    x: np.ndarray | None,
     g: np.ndarray,
     h: np.ndarray,
     l2_reg: float,
     min_child_hessian: float,
     *,
-    order: np.ndarray | None = None,
+    bins: _Bins | None = None,
+    hist: np.ndarray | None = None,
 ):
-    """Exact greedy split over all features and midpoint thresholds.
+    """Best split of a node over all features and bin boundaries.
 
-    ``order[j]`` lists the rows of ``x`` in stable ascending order of
-    ``x[:, j]``, shape (features, rows); without it each column is argsorted
-    here. All features are scanned at once, each by its own running sum.
+    ``g`` and ``h`` hold the node's rows. Training passes the ``bins`` it
+    fit on all rows and the node's ``hist`` (``bins.histogram`` of its
+    rows, or its parent's minus its sibling's), and no ``x``. Without them,
+    the rows ``x`` are binned here. A boundary is a candidate where it has
+    a threshold, the bin just below it holds rows of this node (so of the
+    boundaries that split the node alike only the lowest is one), and each
+    side keeps at least ``min_child_hessian``.
 
     Returns (gain, feature, threshold) for the best positive-gain split,
     or None when no candidate is valid. Ties break to the lowest feature
-    index, then the lowest threshold (within a feature the first argmax is
-    the lowest threshold).
+    index, then the lowest threshold.
     """
-    n, n_features = x.shape
+    n = len(g)
     if n < 2:
         return None
-    if order is None:
-        order = np.argsort(x.T, axis=1, kind="stable")
+    if bins is None:
+        bins = _Bins.fit(x)
+        hist = bins.histogram(np.arange(n), g, h)
     g_total = g.sum()
     h_total = h.sum()
     parent_score = g_total * g_total / (h_total + l2_reg)
-    xs = x[order, np.arange(n_features)[:, None]]
-    gl = np.cumsum(g.take(order), axis=1)[:, :-1]
-    hl = np.cumsum(h.take(order), axis=1)[:, :-1]
-    gr = g_total - gl
+    gl, hl, nl = np.cumsum(hist[:, :, :-1], axis=2)
     hr = h_total - hl
-    # A pair whose upper value is +inf has no finite midpoint.
-    valid = (xs[:, :-1] < xs[:, 1:]) & (xs[:, 1:] < np.inf)
+    valid = ~np.isnan(bins.thresholds) & (hist[2, :, :-1] > 0) & (nl < n)
     valid &= (hl >= min_child_hessian) & (hr >= min_child_hessian)
-    # 0.5 * (gl^2/(hl+lam) + gr^2/(hr+lam) - parent), op for op, in place:
-    # these (features, rows) buffers set the peak memory of training.
-    gl *= gl
-    hl += l2_reg
-    gl /= hl
-    gr *= gr
-    hr += l2_reg
-    gr /= hr
-    gains = gl
-    gains += gr
-    gains -= parent_score
-    gains *= 0.5
-    gains[~valid] = -np.inf
-    at = gains.argmax(axis=1)
-    top = gains[np.arange(n_features), at]
-    positive = top > 0.0
-    if not positive.any():
+    # Candidates in (feature, boundary) order: the first largest gain is at
+    # the lowest feature, then the lowest threshold.
+    at = np.flatnonzero(valid)
+    if len(at) == 0:
         return None
-    j = int(np.argmax(np.where(positive, top, -np.inf)))
-    lo, hi = xs[j, at[j]], xs[j, at[j] + 1]
-    # The midpoint equals lo for adjacent floats or lo = -inf, and leaves
-    # [lo, hi] on overflow; hi then still sends lo left and hi right.
-    with np.errstate(over="ignore"):
-        mid = (lo + hi) / 2.0
-    return float(top[j]), j, float(mid if lo < mid <= hi else hi)
-
-
-def _partition(order: np.ndarray, goes_left: np.ndarray):
-    """The children's per-feature orders, each over its own rows.
-
-    Keeping a parent's order for the rows on one side keeps them sorted;
-    renumbering them by rank on that side makes them the child's rows.
-    """
-    child_row = np.where(goes_left, np.cumsum(goes_left), np.cumsum(~goes_left)) - 1
-    to_left = goes_left[order]
-    n_features = len(order)
-    left = child_row[order[to_left]].reshape(n_features, -1)
-    right = child_row[order[~to_left]].reshape(n_features, -1)
-    return left, right
+    gl, hl, hr = gl.ravel()[at], hl.ravel()[at], hr.ravel()[at]
+    gr = g_total - gl
+    gains = 0.5 * (gl * gl / (hl + l2_reg) + gr * gr / (hr + l2_reg) - parent_score)
+    best = int(np.argmax(gains))
+    if not gains[best] > 0.0:
+        return None
+    j, b = divmod(int(at[best]), bins.thresholds.shape[1])
+    return float(gains[best]), j, float(bins.thresholds[j, b])
 
 
 def _grow_tree(
-    x: np.ndarray, g: np.ndarray, h: np.ndarray, order: np.ndarray, config: GbdtConfig
+    x: np.ndarray, bins: _Bins, g: np.ndarray, h: np.ndarray, config: GbdtConfig
 ) -> tuple[Tree, np.ndarray]:
     """Best-first growth: always expand the pending node with highest gain.
 
-    ``order`` is each feature's stable argsort over all rows, shape
-    (features, rows). Returns the tree and the value of the leaf each row
-    ends in.
+    ``bins`` is ``_Bins.fit(x)``. Returns the tree and the value of the
+    leaf each row ends in.
     """
     tree = Tree()
 
@@ -334,20 +384,20 @@ def _grow_tree(
     leaf_rows = {root: all_rows}  # ascending, so sums keep their order
     heap = []
 
-    def consider(node: int, node_order: np.ndarray, depth: int):
+    def consider(node: int, hist: np.ndarray, depth: int):
         idx = leaf_rows[node]
         found = find_best_split(
-            x[idx], g[idx], h[idx], config.l2_reg, config.min_child_hessian, order=node_order
+            None, g[idx], h[idx], config.l2_reg, config.min_child_hessian, bins=bins, hist=hist
         )
         if found is not None:
             gain, feature, threshold = found
             # Nodes are numbered as they are found: equal gains pop the earlier.
-            heapq.heappush(heap, (-gain, node, feature, threshold, node_order, depth))
+            heapq.heappush(heap, (-gain, node, feature, threshold, hist, depth))
 
-    consider(root, order, 0)
+    consider(root, bins.histogram(all_rows, g, h), 0)
     n_leaves = 1
     while heap and n_leaves < config.max_leaves:
-        _, node, feature, threshold, node_order, depth = heapq.heappop(heap)
+        _, node, feature, threshold, hist, depth = heapq.heappop(heap)
         idx = leaf_rows.pop(node)
         goes_left = x[idx, feature] < threshold
         left_rows, right_rows = idx[goes_left], idx[~goes_left]
@@ -357,10 +407,13 @@ def _grow_tree(
         leaf_rows[left], leaf_rows[right] = left_rows, right_rows
         n_leaves += 1
         if depth + 1 < config.max_depth:
-            left_order, right_order = _partition(node_order, goes_left)
-            del node_order  # only the children's orders stay pending
-            consider(left, left_order, depth + 1)
-            consider(right, right_order, depth + 1)
+            # Sum the child with fewer rows (left on a tie); the parent's
+            # buffer becomes the other child's, parent minus sibling.
+            left_smaller = len(left_rows) <= len(right_rows)
+            small = bins.histogram(left_rows if left_smaller else right_rows, g, h)
+            hist -= small
+            consider(left, small if left_smaller else hist, depth + 1)
+            consider(right, hist if left_smaller else small, depth + 1)
     values = np.empty(len(x))
     for node, idx in leaf_rows.items():
         values[idx] = tree.weight[node]
@@ -469,7 +522,9 @@ def train_gbdt(
 ) -> tuple[GbdtModel, list[float]]:
     """Boost for config.rounds rounds; returns the model and per-round log-loss.
 
-    Exact greedy split finding with no subsampling takes no seed.
+    Each feature is binned once, and every tree's split search runs on
+    histograms of those bins. Training has no subsampling, so it takes no
+    seed.
 
     Raises:
         DataError: fewer than 2 rows, labels out of range, or fewer than
@@ -492,14 +547,13 @@ def train_gbdt(
     trees: list[Tree] = []
     losses: list[float] = []
     rows = np.arange(len(y))
-    # x is the same for every tree, so each feature is sorted once.
-    order = np.argsort(x.T, axis=1, kind="stable")
+    bins = _Bins.fit(x)  # x is the same for every tree
     for _ in range(config.rounds):
         p = softmax(margins)
         for k in range(n_classes):
             g = p[:, k] - onehot[:, k]
             h = p[:, k] * (1.0 - p[:, k])
-            tree, values = _grow_tree(x, g, h, order, config)
+            tree, values = _grow_tree(x, bins, g, h, config)
             trees.append(tree)
             margins[:, k] += config.shrinkage * values
         p = softmax(margins)

@@ -128,7 +128,12 @@ class Embedding:
         return self.weight.value[tokens]
 
     def backward(self, dout: np.ndarray) -> None:
-        np.add.at(self.weight.grad, self._tokens, dout)
+        # bincount adds each (token, k) cell's terms in row order, as
+        # np.add.at would, at about half the cost.
+        cells = (self._tokens[..., None] * self.dim + np.arange(self.dim)).ravel()
+        size = self.vocab_size * self.dim
+        summed = np.bincount(cells, weights=dout.ravel(), minlength=size)
+        self.weight.grad += summed.reshape(self.vocab_size, self.dim)
         return None
 
 

@@ -1,19 +1,21 @@
 import heapq
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tabfuse import gbdt
 from tabfuse.errors import DataError
 from tabfuse.gbdt import (
     _ROW_BLOCK,
     GbdtConfig,
+    _Bins,
     GbdtModel,
     Tree,
-    _partition,
     find_best_split,
     train_gbdt,
 )
@@ -255,6 +257,8 @@ class TestSplitThresholds:
             pytest.param([-math.inf, -math.inf, 1.0, 2.0], id="minus-inf-below-finite"),
             pytest.param([1.0, 1.0, ONE_UP, ONE_UP], id="adjacent-floats"),
             pytest.param([1e308, 1e308, 1.7e308, 1.7e308], id="midpoint-overflows"),
+            pytest.param([1.0, 1.0, math.inf, math.inf], id="finite-below-plus-inf"),
+            pytest.param([-math.inf, -math.inf, math.inf, math.inf], id="minus-inf-below-plus-inf"),
         ],
     )
     def test_every_tree_splits_its_rows_two_and_two(self, column):
@@ -264,10 +268,6 @@ class TestSplitThresholds:
             assert (x[:, 0] < tree.threshold[0]).tolist() == [True, True, False, False]
             out = tree.predict(x)
             assert out[0] == out[1] != out[2] == out[3]
-
-    def test_no_candidate_below_plus_inf(self):
-        _, model = self.train_and_reload([-math.inf, -math.inf, math.inf, math.inf])
-        assert all(tree.n_leaves == 1 for tree in model.trees)
 
 
 class TestGbdtModel:
@@ -425,35 +425,78 @@ class TestPackedWalk:
             tree.predict(np.zeros((3, 2)))
 
 
-def per_node_split(x, g, h, l2_reg, min_child_hessian):
-    """Split search that argsorts each feature of the node's own rows, one at a time."""
-    if len(x) < 2:
+def midpoint_rule(lo, hi):
+    """The threshold of neighbouring values lo < hi, or None where none is finite."""
+    if hi == math.inf:
+        t = math.nextafter(lo, math.inf)
+    else:
+        mid = (lo + hi) / 2.0
+        t = mid if lo < mid <= hi else hi
+    return t + 0.0 if math.isfinite(t) else None
+
+
+def reference_bins(x):
+    """Each feature's thresholds, one per neighbouring pair, and every cell's bin.
+
+    A cell's bin is the count of thresholds at or below it; NaN gets the bin
+    above the top value bin. Valid for at most 255 distinct values per feature.
+    """
+    thresholds = []
+    for column in x.T:
+        values = sorted(set(float(v) for v in column if not math.isnan(v)))
+        pairs = (midpoint_rule(lo, hi) for lo, hi in zip(values, values[1:]))
+        thresholds.append([t for t in pairs if t is not None])
+    def bin_of(v, ts):
+        return len(ts) + 1 if math.isnan(v) else sum(t <= v for t in ts)
+
+    bins = np.array(
+        [[bin_of(v, ts) for v, ts in zip(row, thresholds)] for row in x], dtype=np.intp
+    ).reshape(x.shape)
+    return thresholds, bins
+
+
+def reference_histograms(bins, thresholds, rows, g, h):
+    """Per feature, sums of g, h and rows per bin, added one row at a time in row order."""
+    hists = [np.zeros((3, len(ts) + 2)) for ts in thresholds]
+    for i in rows:
+        for j, hist in enumerate(hists):
+            b = bins[i, j]
+            hist[0, b] += g[i]
+            hist[1, b] += h[i]
+            hist[2, b] += 1
+    return hists
+
+
+def reference_split(hists, thresholds, g, h, l2_reg, min_child_hessian):
+    """Scan each feature's boundaries in order; keep the first strictly best gain.
+
+    A boundary is a candidate where the bin below it holds rows, rows remain
+    above it, and each side keeps at least min_child_hessian.
+    """
+    n = len(g)
+    if n < 2:
         return None
     g_total, h_total = g.sum(), h.sum()
     parent_score = g_total * g_total / (h_total + l2_reg)
     best = None
-    for j in range(x.shape[1]):
-        order = np.argsort(x[:, j], kind="stable")
-        xs = x[order, j]
-        gl = np.cumsum(g[order])[:-1]
-        hl = np.cumsum(h[order])[:-1]
-        gr, hr = g_total - gl, h_total - hl
-        valid = (xs[:-1] < xs[1:]) & (xs[1:] != math.inf)
-        valid &= (hl >= min_child_hessian) & (hr >= min_child_hessian)
-        if not valid.any():
-            continue
-        gains = 0.5 * (gl * gl / (hl + l2_reg) + gr * gr / (hr + l2_reg) - parent_score)
-        gains[~valid] = -np.inf
-        i = int(np.argmax(gains))
-        if gains[i] > 0.0 and (best is None or gains[i] > best[0]):
-            lo, hi = float(xs[i]), float(xs[i + 1])
-            mid = (lo + hi) / 2.0
-            best = (float(gains[i]), j, mid if lo < mid <= hi else hi)
+    for j, (hist, ts) in enumerate(zip(hists, thresholds)):
+        gl, hl, nl = (np.cumsum(sums) for sums in hist)
+        for b, t in enumerate(ts):
+            hr = h_total - hl[b]
+            if hist[2, b] == 0 or nl[b] == n or hl[b] < min_child_hessian or hr < min_child_hessian:
+                continue
+            gr = g_total - gl[b]
+            gain = 0.5 * (gl[b] * gl[b] / (hl[b] + l2_reg) + gr * gr / (hr + l2_reg) - parent_score)
+            if gain > 0.0 and (best is None or gain > best[0]):
+                best = (float(gain), j, t)
     return best
 
 
-def per_node_tree(x, g, h, config):
-    """Best-first growth that hands each node's own rows to per_node_split."""
+def reference_tree(x, thresholds, bins, g, h, config, searches):
+    """Best-first growth; the child with fewer rows is summed, the other is parent - sibling.
+
+    Appends each node's split search result to ``searches``.
+    """
     tree = Tree()
 
     def weight(idx):
@@ -461,42 +504,55 @@ def per_node_tree(x, g, h, config):
 
     heap = []
 
-    def consider(node, idx, depth):
-        if depth >= config.max_depth:
-            return
-        found = per_node_split(x[idx], g[idx], h[idx], config.l2_reg, config.min_child_hessian)
+    def consider(node, idx, hists, depth):
+        found = reference_split(
+            hists, thresholds, g[idx], h[idx], config.l2_reg, config.min_child_hessian
+        )
+        searches.append(found)
         if found is not None:
             # Nodes are numbered as they are found, so equal gains pop the earlier.
-            heapq.heappush(heap, (-found[0], node, *found[1:], idx, depth))
+            heapq.heappush(heap, (-found[0], node, *found[1:], idx, hists, depth))
 
     rows = np.arange(len(x))
-    consider(tree.add_leaf(weight(rows)), rows, 0)
+    root_hists = reference_histograms(bins, thresholds, rows, g, h)
+    consider(tree.add_leaf(weight(rows)), rows, root_hists, 0)
     n_leaves = 1
     while heap and n_leaves < config.max_leaves:
-        _, node, feature, threshold, idx, depth = heapq.heappop(heap)
+        _, node, feature, threshold, idx, hists, depth = heapq.heappop(heap)
         goes_left = x[idx, feature] < threshold
-        left, right = tree.add_leaf(weight(idx[goes_left])), tree.add_leaf(weight(idx[~goes_left]))
+        left_rows, right_rows = idx[goes_left], idx[~goes_left]
+        left, right = tree.add_leaf(weight(left_rows)), tree.add_leaf(weight(right_rows))
         tree.make_split(node, feature, threshold, left, right)
         n_leaves += 1
-        consider(left, idx[goes_left], depth + 1)
-        consider(right, idx[~goes_left], depth + 1)
+        if depth + 1 < config.max_depth:
+            left_smaller = len(left_rows) <= len(right_rows)
+            small = reference_histograms(
+                bins, thresholds, left_rows if left_smaller else right_rows, g, h
+            )
+            large = [parent - sibling for parent, sibling in zip(hists, small)]
+            consider(left, left_rows, small if left_smaller else large, depth + 1)
+            consider(right, right_rows, large if left_smaller else small, depth + 1)
     return tree
 
 
-def per_node_boost(x, y, n_classes, config):
-    """Boosting with per_node_tree, adding each row's leaf by the per-row walk."""
+def reference_boost(x, y, n_classes, config):
+    """Boosting with reference_tree, adding each row's leaf by the per-row walk.
+
+    Returns the trees and every split search result, in order.
+    """
+    thresholds, bins = reference_bins(x)
     margins = np.zeros((len(y), n_classes))
-    trees = []
+    trees, searches = [], []
     for _ in range(config.rounds):
         p = softmax(margins)
         for k in range(n_classes):
             g = p[:, k] - (y == k)
             h = p[:, k] * (1.0 - p[:, k])
-            tree = per_node_tree(x, g, h, config)
+            tree = reference_tree(x, thresholds, bins, g, h, config, searches)
             trees.append(tree)
             leaves = np.array([reference_leaf(tree, row) for row in x], dtype=np.float64)
             margins[:, k] += config.shrinkage * leaves
-    return trees
+    return trees, searches
 
 
 # Few distinct values, so duplicates and -0.0 beside 0.0 are common.
@@ -523,31 +579,120 @@ def training_sets(draw):
     return x, y, n_classes, config
 
 
-class TestPresortedTraining:
-    """Sorting each feature once per training against sorting at every node."""
+class TestHistogramTraining:
+    """Histogram split search against a reference that sums every bin in a Python loop."""
 
     @settings(max_examples=200, deadline=None)
     @given(case=training_sets())
-    def test_trees_match_per_node_sorting_bit_for_bit(self, case):
+    def test_trees_match_reference_booster_bit_for_bit(self, case):
         x, y, n_classes, config = case
-        model, _ = train_gbdt(x, y, n_classes, config)
-        expected = per_node_boost(x, y, n_classes, config)
+        searches = []
+
+        def recorded(*args, **kwargs):
+            searches.append(find_best_split(*args, **kwargs))
+            return searches[-1]
+
+        # Gains are in no tree, so the search results are compared too.
+        with mock.patch.object(gbdt, "find_best_split", recorded):
+            model, _ = train_gbdt(x, y, n_classes, config)
+        expected, expected_searches = reference_boost(x, y, n_classes, config)
         # repr-level JSON tells -0.0 from 0.0 and keeps every bit of a float.
         assert [json.dumps(t.to_json_dict()) for t in model.trees] == [
             json.dumps(t.to_json_dict()) for t in expected
         ]
+        assert repr(searches) == repr(expected_searches)
 
     @settings(max_examples=200, deadline=None)
     @given(case=training_sets(), seed=st.integers(0, 2**32 - 1))
-    def test_partitioned_order_gives_the_same_split(self, case, seed):
+    def test_node_split_matches_reference(self, case, seed):
+        """A node's split from the training's bins and a subtracted histogram."""
         x, _, _, config = case
         rng = np.random.default_rng(seed)
         g, h = rng.normal(size=len(x)), rng.uniform(0.01, 0.3, size=len(x))
         goes_left = rng.random(len(x)) < 0.5
-        children = _partition(np.argsort(x.T, axis=1, kind="stable"), goes_left)
-        for side, order in zip((goes_left, ~goes_left), children):
-            xs, gs, hs = x[side], g[side], h[side]
-            assert order.tobytes() == np.argsort(xs.T, axis=1, kind="stable").tobytes()
-            args = (xs, gs, hs, config.l2_reg, config.min_child_hessian)
-            assert repr(find_best_split(*args, order=order)) == repr(find_best_split(*args))
-            assert repr(find_best_split(*args)) == repr(per_node_split(*args))
+        bins = _Bins.fit(x)
+        thresholds, ref_bins = reference_bins(x)
+        every = np.arange(len(x))
+        args = (config.l2_reg, config.min_child_hessian)
+        for side in (goes_left, ~goes_left):
+            rows, others = every[side], every[~side]
+            hist = bins.histogram(every, g, h) - bins.histogram(others, g, h)
+            found = find_best_split(None, g[rows], h[rows], *args, bins=bins, hist=hist)
+            ref_hists = [
+                parent - sibling
+                for parent, sibling in zip(
+                    reference_histograms(ref_bins, thresholds, every, g, h),
+                    reference_histograms(ref_bins, thresholds, others, g, h),
+                )
+            ]
+            expected = reference_split(ref_hists, thresholds, g[rows], h[rows], *args)
+            assert repr(found) == repr(expected)
+
+
+# Columns with duplicates, NaN, both infinities, -0.0 beside 0.0 and
+# neighbouring floats.
+COLUMN_CELLS = (
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1.0, float(np.nextafter(1.0, 2.0))])
+    | st.floats(allow_nan=False)
+)
+
+
+class TestBinning:
+    @settings(max_examples=300, deadline=None)
+    @given(column=st.lists(COLUMN_CELLS, min_size=1, max_size=60))
+    def test_few_values_keep_the_midpoint_rule(self, column):
+        """Each neighbouring pair gets midpoint_rule's threshold.
+
+        Below a finite value that is the old midpoint rule.
+        """
+        x = np.array(column)[:, None]
+        got = _Bins.fit(x).thresholds[0]
+        got = got[~np.isnan(got)]
+        assert np.isfinite(got).all()
+        assert repr(got.tolist()) == repr(reference_bins(x)[0][0])
+
+    def test_residue_in_an_empty_bin_does_not_move_the_threshold(self):
+        """Parent - sibling can leave a rounding residue in a bin the node has no rows in."""
+        bins = _Bins.fit(np.array([[0.0], [1.0], [2.0]]))
+        # The node holds one row in bin 0 and one in bin 2; bin 1's g is a
+        # residue that makes the higher boundary score a hair better.
+        hist = np.array(
+            [[[-1.0, -1e-15, 1.0, 0.0]], [[1.0, 0.0, 1.0, 0.0]], [[1.0, 0.0, 1.0, 0.0]]]
+        )
+        g, h = np.array([-1.0, 1.0]), np.array([1.0, 1.0])
+        _, feature, threshold = find_best_split(None, g, h, 1.0, 1e-3, bins=bins, hist=hist)
+        assert (feature, threshold) == (0, 0.5)
+
+    def test_255_values_get_a_bin_each_and_256_are_cut_by_rank(self):
+        thresholds = _Bins.fit(np.arange(255.0)[:, None]).thresholds[0]
+        assert thresholds[:254].tolist() == (np.arange(254) + 0.5).tolist()
+        assert np.isnan(thresholds[254:]).all()
+        thresholds = _Bins.fit(np.arange(256.0)[:, None]).thresholds[0]
+        assert np.count_nonzero(~np.isnan(thresholds)) <= 254
+
+    @pytest.mark.parametrize("duplicates", [False, True])
+    def test_4000_values_get_at_most_255_bins(self, duplicates):
+        column = np.random.default_rng(0).normal(size=4000)
+        if duplicates:
+            extra = [*[0.25] * 900, *[math.nan] * 50, math.inf, -math.inf]
+            column = np.concatenate([column, extra])
+        values = np.unique(column[~np.isnan(column)])
+        assert len(values) >= 4000
+        bins = _Bins.fit(column[:, None])
+        thresholds = bins.thresholds[0][~np.isnan(bins.thresholds[0])]
+        assert 200 <= len(thresholds) <= 254  # so at most 255 value bins
+        assert np.isfinite(thresholds).all()
+        # Each threshold sits in (lo, hi] of a neighbouring pair, so lo goes left, hi right.
+        upper = np.searchsorted(values, thresholds)
+        assert (upper >= 1).all() and (upper < len(values)).all()
+        assert (values[upper - 1] < thresholds).all() and (thresholds <= values[upper]).all()
+        if not duplicates:
+            # Boundary k (from 1) has floor(k * rows / 255) rows below it.
+            below = np.searchsorted(np.sort(column), thresholds)
+            assert below.tolist() == (np.arange(1, 255) * 4000 // 255).tolist()
+        # Cut by row ranks: every value bin but the one holding the 900
+        # duplicates gets at most twice its share of the rows.
+        finite_rows = np.count_nonzero(~np.isnan(column))
+        counts = np.sort(np.bincount(bins.cells[~np.isnan(column), 0]))
+        assert counts[-1 - duplicates] <= 2 * finite_rows // 255
+        assert counts.sum() == finite_rows

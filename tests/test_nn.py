@@ -92,6 +92,31 @@ class TestEmbedding:
         with pytest.raises(ValueError, match="out of range"):
             emb.forward(np.array([[4]]))
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 4), st.integers(1, 8), st.integers(1, 5), st.integers(1, 4)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_backward_bit_equals_add_at(self, shape, seed):
+        """Into a zeroed gradient, backward equals np.add.at bit for bit."""
+        vocab, batch, width, dim = shape
+        rng = np.random.default_rng(seed)
+        emb = Embedding(vocab, dim, rng, "e")
+        # Few tokens, so cells repeat; edge values beside plain ones.
+        tokens = rng.integers(0, vocab, size=(batch, width))
+        edges = np.array([-0.0, 0.0, 1e-300, -1e-300, 1e6, -1e6])
+        dout = np.where(
+            rng.random((batch, width, dim)) < 0.3,
+            rng.choice(edges, (batch, width, dim)),
+            rng.normal(size=(batch, width, dim)),
+        )
+        emb.weight.grad[...] = 0.0
+        emb.forward(tokens)
+        emb.backward(dout)
+        expected = np.zeros((vocab, dim))
+        np.add.at(expected, tokens, dout)
+        assert emb.weight.grad.tobytes() == expected.tobytes()
+
     def test_pad_row_frozen_under_adam_but_gradient_is_true(self):
         """Backward records the real pad-row gradient; Adam never applies it."""
         emb = Embedding(5, 3, np.random.default_rng(0), "e")
