@@ -2,9 +2,10 @@
 
 Subcommands: generate, train, evaluate, predict, inspect. Options can come
 from a JSON config file (--config); any flag given on the command line
-overrides the corresponding config key. Exit codes: 0 success, 2 usage
-error, 3 data error, 4 numeric failure. Failures print one line to stderr
-in the form ``error[<code>]: <message>``.
+overrides the corresponding config key. Exit codes: 0 success, 1 standard
+output closed early, 2 usage error, 3 data error, 4 numeric failure.
+Failures other than 1 print one line to stderr in the form
+``error[<code>]: <message>``.
 
 Reports written by train/evaluate contain no timestamps or paths, so a
 rerun with the same seed and data produces byte-identical files.
@@ -16,6 +17,7 @@ import argparse
 import contextlib
 import csv
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -33,6 +35,10 @@ from .pipeline import (
 from .preprocess import transform
 from .schema import load_csv, load_json, load_schema, write_csv
 from .synthetic import generate_synthetic
+
+
+# Rows cmd_predict formats before handing them to the CSV writer.
+_WRITE_BLOCK_ROWS = 4096
 
 
 class _Parser(argparse.ArgumentParser):
@@ -221,7 +227,7 @@ def cmd_evaluate(args) -> int:
 def cmd_predict(args) -> int:
     bundle, table, _, probas = _score(args)
     schema = bundle.state.schema
-    predicted = [schema.class_labels[i] for i in probas.argmax(axis=1)]
+    predicted = [schema.class_labels[i] for i in probas.argmax(axis=1).tolist()]
 
     header = list(schema.column_names)
     header += [f"prob_{label}" for label in schema.class_labels]
@@ -230,11 +236,13 @@ def cmd_predict(args) -> int:
         with outputs.path(args.out).open("w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
-            for r, row in enumerate(table.cells):
-                cells = ["" if c is None else c for c in row]
-                cells += [repr(float(p)) for p in probas[r]]
-                cells.append(predicted[r])
-                writer.writerow(cells)
+            # Column by column, a block of rows at a time. csv writes None as
+            # an empty field, and repr of each float as repr(float(p)) would.
+            for start in range(0, table.row_count, _WRITE_BLOCK_ROWS):
+                rows = slice(start, start + _WRITE_BLOCK_ROWS)
+                cells = [column[rows] for column in table.columns]
+                probs = [map(repr, column.tolist()) for column in probas[rows].T]
+                writer.writerows(zip(*cells, *probs, predicted[rows]))
     print(f"wrote {table.row_count} predictions to {Path(args.out)}")
     return 0
 
@@ -315,10 +323,19 @@ def main(argv=None) -> int:
     parser = make_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
     except ToolkitError as e:
         print(f"error[{e.code}]: {e}", file=sys.stderr)
         return e.exit_code
+    except BrokenPipeError:
+        # The reader closed stdout. Point it at devnull, so that the flush at
+        # exit cannot fail again, and exit 1 without a message.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":

@@ -323,16 +323,18 @@ def find_best_split(
     *,
     bins: _Bins | None = None,
     hist: np.ndarray | None = None,
+    totals: tuple[float, float] | None = None,
 ):
     """Best split of a node over all features and bin boundaries.
 
     ``g`` and ``h`` hold the node's rows. Training passes the ``bins`` it
     fit on all rows and the node's ``hist`` (``bins.histogram`` of its
     rows, or its parent's minus its sibling's), and no ``x``. Without them,
-    the rows ``x`` are binned here. A boundary is a candidate where it has
-    a threshold, the bin just below it holds rows of this node (so of the
-    boundaries that split the node alike only the lowest is one), and each
-    side keeps at least ``min_child_hessian``.
+    the rows ``x`` are binned here. ``totals``, when given, are
+    ``(g.sum(), h.sum())``, summed by the caller. A boundary is a candidate
+    where it has a threshold, the bin just below it holds rows of this node
+    (so of the boundaries that split the node alike only the lowest is one),
+    and each side keeps at least ``min_child_hessian``.
 
     Returns (gain, feature, threshold) for the best positive-gain split,
     or None when no candidate is valid. Ties break to the lowest feature
@@ -344,8 +346,7 @@ def find_best_split(
     if bins is None:
         bins = _Bins.fit(x)
         hist = bins.histogram(np.arange(n), g, h)
-    g_total = g.sum()
-    h_total = h.sum()
+    g_total, h_total = (g.sum(), h.sum()) if totals is None else totals
     parent_score = g_total * g_total / (h_total + l2_reg)
     gl, hl, nl = np.cumsum(hist[:, :, :-1], axis=2)
     hr = h_total - hl
@@ -376,35 +377,40 @@ def _grow_tree(
     """
     tree = Tree()
 
-    def leaf_weight(idx):
-        return float(-g[idx].sum() / (h[idx].sum() + config.l2_reg))
+    def add_node(idx):
+        """A leaf for rows ``idx``; its g and h, gathered and summed once, for its split."""
+        g_idx, h_idx = g[idx], h[idx]
+        g_sum, h_sum = g_idx.sum(), h_idx.sum()
+        node = tree.add_leaf(float(-g_sum / (h_sum + config.l2_reg)))
+        leaf_rows[node] = idx  # ascending, so sums keep their order
+        return node, (g_idx, h_idx, (g_sum, h_sum))
 
-    all_rows = np.arange(len(x))
-    root = tree.add_leaf(leaf_weight(all_rows))
-    leaf_rows = {root: all_rows}  # ascending, so sums keep their order
+    leaf_rows = {}
     heap = []
 
-    def consider(node: int, hist: np.ndarray, depth: int):
-        idx = leaf_rows[node]
+    def consider(node: int, sums, hist: np.ndarray, depth: int):
+        g_idx, h_idx, totals = sums
         found = find_best_split(
-            None, g[idx], h[idx], config.l2_reg, config.min_child_hessian, bins=bins, hist=hist
+            None, g_idx, h_idx, config.l2_reg, config.min_child_hessian,
+            bins=bins, hist=hist, totals=totals,
         )
         if found is not None:
             gain, feature, threshold = found
             # Nodes are numbered as they are found: equal gains pop the earlier.
             heapq.heappush(heap, (-gain, node, feature, threshold, hist, depth))
 
-    consider(root, bins.histogram(all_rows, g, h), 0)
+    all_rows = np.arange(len(x))
+    root, root_sums = add_node(all_rows)
+    consider(root, root_sums, bins.histogram(all_rows, g, h), 0)
     n_leaves = 1
     while heap and n_leaves < config.max_leaves:
         _, node, feature, threshold, hist, depth = heapq.heappop(heap)
         idx = leaf_rows.pop(node)
         goes_left = x[idx, feature] < threshold
         left_rows, right_rows = idx[goes_left], idx[~goes_left]
-        left = tree.add_leaf(leaf_weight(left_rows))
-        right = tree.add_leaf(leaf_weight(right_rows))
+        left, left_sums = add_node(left_rows)
+        right, right_sums = add_node(right_rows)
         tree.make_split(node, feature, threshold, left, right)
-        leaf_rows[left], leaf_rows[right] = left_rows, right_rows
         n_leaves += 1
         if depth + 1 < config.max_depth:
             # Sum the child with fewer rows (left on a tie); the parent's
@@ -412,8 +418,8 @@ def _grow_tree(
             left_smaller = len(left_rows) <= len(right_rows)
             small = bins.histogram(left_rows if left_smaller else right_rows, g, h)
             hist -= small
-            consider(left, small if left_smaller else hist, depth + 1)
-            consider(right, hist if left_smaller else small, depth + 1)
+            consider(left, left_sums, small if left_smaller else hist, depth + 1)
+            consider(right, right_sums, hist if left_smaller else small, depth + 1)
     values = np.empty(len(x))
     for node, idx in leaf_rows.items():
         values[idx] = tree.weight[node]
@@ -449,14 +455,21 @@ class GbdtModel:
             raise DataError(
                 f"expected {self.feature_count} features, got shape {x.shape}"
             )
-        out = np.full((len(x), self.n_classes), self.base_score, dtype=np.float64)
+        out = np.empty((len(x), self.n_classes), dtype=np.float64)
         for start in range(0, len(x), _ROW_BLOCK):
-            rows = slice(start, start + _ROW_BLOCK)
-            scaled = self.shrinkage * self._packed.leaf_values(x[rows])
-            block = out[rows]
-            # Add round by round, as one tree at a time would, for the same bits.
-            for r in range(self.rounds):
-                block += scaled[:, r * self.n_classes : (r + 1) * self.n_classes]
+            block = x[start : start + _ROW_BLOCK]
+            # Slot 0 holds the base score and slot r + 1 round r's leaves. The
+            # accumulate adds them left to right, as one tree at a time would,
+            # for the same bits.
+            sums = np.empty((len(block), self.rounds + 1, self.n_classes), dtype=np.float64)
+            sums[:, 0] = self.base_score
+            np.multiply(
+                self.shrinkage,
+                self._packed.leaf_values(block).reshape(len(block), self.rounds, self.n_classes),
+                out=sums[:, 1:],
+            )
+            np.add.accumulate(sums, axis=1, out=sums)
+            out[start : start + _ROW_BLOCK] = sums[:, -1]
         return out
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:

@@ -28,6 +28,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,6 +44,12 @@ _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
 STATE_FORMAT_VERSION = 1
 
+# Distinct cells whose codes one categorical column remembers across
+# transform calls. An entry measured about 260 bytes at pad length 3 (the
+# key, a tuple of codes above 256 and the dict slot), so a full column
+# holds about 4 MiB. Cells past the bound are encoded on every call.
+_MEMO_ENTRIES = 16_384
+
 
 def tokenize(text: str) -> list[str]:
     """Lowercase, then split on runs of non-letter/non-digit characters."""
@@ -57,20 +64,47 @@ def _parse_float(text: str) -> float:
     return value if math.isfinite(value) else math.nan
 
 
-def _parse_numeric(table: DataTable, name: str, outcome: str) -> np.ndarray:
-    """Column ``name`` as floats, NaN where a cell is missing or unparseable.
+def _parse_cells(columns: list[tuple[str | None, ...]]) -> np.ndarray:
+    """``_parse_float`` of each cell, NaN where a cell is None; shape (columns, rows).
 
-    Unparseable (or non-finite) cells are counted in one warning that ends
-    with ``outcome``, what the caller does with them.
+    ``float`` parses every cell in one pass. It rejects some text that
+    ``str.strip`` makes parseable, such as a number after ``"\\x1c"``. When
+    it rejects a cell, each column is parsed on its own, and a column with
+    such a cell cell by cell.
     """
-    raw = table.column(name)
-    col = np.array(
-        [math.nan if c is None else _parse_float(c) for c in raw], dtype=np.float64
-    )
-    bad = np.count_nonzero(np.isnan(col)) - raw.count(None)
-    if bad:
-        logger.warning("column %r: %d non-numeric cell(s) %s", name, bad, outcome)
-    return col
+    n_rows = len(columns[0]) if columns else 0
+    try:
+        parsed = np.array(
+            [math.nan if c is None else float(c) for col in columns for c in col],
+            dtype=np.float64,
+        )
+    except ValueError:
+        if len(columns) > 1:
+            return np.concatenate([_parse_cells([col]) for col in columns])
+        return np.array(
+            [[math.nan if c is None else _parse_float(c) for c in columns[0]]],
+            dtype=np.float64,
+        )
+    parsed = parsed.reshape(len(columns), n_rows)
+    parsed[~np.isfinite(parsed)] = math.nan  # as _parse_float, -nan and inf included
+    return parsed
+
+
+def _parse_numeric(table: DataTable, names: tuple[str, ...], outcome: str) -> np.ndarray:
+    """Columns ``names`` as floats, shape (columns, rows), NaN where a cell
+    is missing or unparseable.
+
+    Unparseable (or non-finite) cells are counted in one warning per column
+    that ends with ``outcome``, what the caller does with them.
+    """
+    raws = [table.column(name) for name in names]
+    parsed = _parse_cells(raws).reshape(len(names), table.row_count)  # names may be empty
+    n_nan = np.count_nonzero(np.isnan(parsed), axis=1).tolist()
+    for name, raw, nan_count in zip(names, raws, n_nan):
+        bad = nan_count - raw.count(None)
+        if bad:
+            logger.warning("column %r: %d non-numeric cell(s) %s", name, bad, outcome)
+    return parsed
 
 
 @dataclass(frozen=True)
@@ -101,22 +135,53 @@ class ColumnVocabulary:
         return len(self.token_to_index) + 2
 
 
+class _TransformPlan:
+    """What ``transform`` reads from a state, built once per state.
+
+    Each categorical column has a memo from raw cell text to its padded
+    global codes, which stops growing at _MEMO_ENTRIES cells.
+    """
+
+    def __init__(self, state: "PreprocessState"):
+        self.numeric = state.schema.numeric_feature_names
+        self.categorical = state.schema.categorical_feature_names
+        self.means = np.array(state.numeric_stats.means, dtype=np.float64)
+        self.stds = np.array(state.numeric_stats.stds, dtype=np.float64)
+        self.scaled = self.stds > 0.0  # constant columns stay 0
+        # Per categorical column: name, vocabulary, base offset of its
+        # disjoint global index block, and memo.
+        self.encoders: list[tuple[str, ColumnVocabulary, int, dict]] = []
+        base = 0
+        for name in self.categorical:
+            voc = state.vocabularies[name]
+            self.encoders.append((name, voc, base, {}))
+            base += voc.size
+
+
 @dataclass(frozen=True)
 class PreprocessState:
-    """Everything needed to transform unseen rows of a fitted schema."""
+    """Everything needed to transform unseen rows of a fitted schema.
+
+    A state is not edited after it is built: its transform plan, built on
+    first use, is kept beside the fields, outside equality and the JSON form.
+    """
 
     schema: TableSchema
     numeric_stats: NumericStats
     vocabularies: dict[str, ColumnVocabulary]
     label_map: dict[str, int]
 
+    @cached_property
+    def _plan(self) -> _TransformPlan:
+        return _TransformPlan(self)
+
     @property
     def categorical_columns(self) -> tuple[str, ...]:
-        return self.schema.categorical_feature_names
+        return self._plan.categorical
 
     @property
     def numeric_columns(self) -> tuple[str, ...]:
-        return self.schema.numeric_feature_names
+        return self._plan.numeric
 
     @property
     def total_padded_width(self) -> int:
@@ -124,12 +189,7 @@ class PreprocessState:
 
     def column_offsets(self) -> dict[str, int]:
         """Base offset of each column's disjoint global index block."""
-        offsets = {}
-        base = 0
-        for name in self.categorical_columns:
-            offsets[name] = base
-            base += self.vocabularies[name].size
-        return offsets
+        return {name: base for name, _, base, _ in self._plan.encoders}
 
     @property
     def total_vocab_size(self) -> int:
@@ -229,8 +289,8 @@ def fit(table: DataTable) -> PreprocessState:
     schema = table.schema
     means = []
     stds = []
-    for name in schema.numeric_feature_names:
-        col = _parse_numeric(table, name, "treated as missing")
+    parsed = _parse_numeric(table, schema.numeric_feature_names, "treated as missing")
+    for name, col in zip(schema.numeric_feature_names, parsed):
         values = col[~np.isnan(col)]
         if not values.size:
             raise DataError(f"column {name!r} has no usable values to fit on")
@@ -270,45 +330,55 @@ def _encode_cell(cell: str, voc: ColumnVocabulary, base: int) -> list[int]:
     return idx
 
 
+def _encode_column(
+    cells: tuple[str | None, ...], voc: ColumnVocabulary, base: int, memo: dict
+) -> np.ndarray:
+    """Padded global codes of each cell, shape (rows, pad_length).
+
+    A missing cell is the mode. Each distinct cell is looked up once; one
+    not in ``memo`` is encoded and remembered while the memo has room.
+    """
+    mode = voc.mode_value
+    position: dict[str, int] = {}
+    rows = [position.setdefault(mode if c is None else c, len(position)) for c in cells]
+    codes = []
+    for cell in position:
+        code = memo.get(cell)
+        if code is None:
+            code = tuple(_encode_cell(cell, voc, base))
+            if len(memo) < _MEMO_ENTRIES:
+                memo[cell] = code
+        codes.append(code)
+    codes = np.array(codes, dtype=np.int64).reshape(len(position), voc.pad_length)
+    return codes.take(rows, axis=0)
+
+
 def transform(table: DataTable, state: PreprocessState) -> EncodedDataset:
     """Apply a fitted state to a table; rows are processed independently.
 
     Missing numerics impute to the fitted mean and standardize to 0;
     constant columns standardize to 0 everywhere. Missing categoricals
     impute to the fitted mode; unseen tokens map to the unknown index.
-    Each distinct cell of a column is encoded once. Rows whose target cell
-    is missing get label -1.
+    Each distinct cell of a column is encoded once, and the state keeps
+    its codes for later calls while its memo has room. Rows whose target
+    cell is missing get label -1.
     """
     if table.schema != state.schema:
         raise SchemaMismatchError(
             "table schema differs from the schema the state was fitted on"
         )
+    plan = state._plan
     n_rows = table.row_count
 
-    parsed = np.empty((n_rows, len(state.numeric_columns)), dtype=np.float64)
-    for j, name in enumerate(state.numeric_columns):
-        parsed[:, j] = _parse_numeric(table, name, "imputed to the mean")
-    means = np.array(state.numeric_stats.means, dtype=np.float64)
-    stds = np.array(state.numeric_stats.stds, dtype=np.float64)
-    parsed = np.where(np.isnan(parsed), means, parsed)
+    parsed = _parse_numeric(table, plan.numeric, "imputed to the mean").T.copy()
+    parsed = np.where(np.isnan(parsed), plan.means, parsed)
     numeric = np.zeros_like(parsed)  # constant columns stay 0
-    np.divide(parsed - means, stds, out=numeric, where=stds > 0.0)
+    np.divide(parsed - plan.means, plan.stds, out=numeric, where=plan.scaled)
 
-    offsets = state.column_offsets()
-    blocks = []
-    for name in state.categorical_columns:
-        voc = state.vocabularies[name]
-        # Encode each distinct cell once (missing is the mode); rows index the codes.
-        position: dict[str, int] = {}
-        rows = [
-            position.setdefault(voc.mode_value if c is None else c, len(position))
-            for c in table.column(name)
-        ]
-        codes = np.array(
-            [i for cell in position for i in _encode_cell(cell, voc, offsets[name])],
-            dtype=np.int64,
-        ).reshape(len(position), voc.pad_length)
-        blocks.append(codes.take(rows, axis=0))
+    blocks = [
+        _encode_column(table.column(name), voc, base, memo)
+        for name, voc, base, memo in plan.encoders
+    ]
     tokens = (
         np.concatenate(blocks, axis=1) if blocks else np.zeros((n_rows, 0), np.int64)
     )

@@ -205,8 +205,4 @@ def generate_synthetic(
             cells = [None if drop[r] else cells[r] for r in range(rows)]
         columns.append(cells)
 
-    grid = tuple(
-        tuple(columns[j][r] for j in range(len(schema.columns)))
-        for r in range(rows)
-    )
-    return DataTable(schema, grid)
+    return DataTable.from_columns(schema, columns)

@@ -1,7 +1,11 @@
 import csv
 import errno
+import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -9,10 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tabfuse
+import tabfuse.cli
 from tabfuse.bundle import load_bundle
 from tabfuse.cli import build_run_config, main, make_parser
 from tabfuse.errors import ToolkitError
-from tabfuse.schema import ColumnKind, ColumnSpec, TableSchema, save_schema
+from tabfuse.pipeline import predict_on_table
+from tabfuse.schema import ColumnKind, ColumnSpec, TableSchema, load_csv, save_schema
 
 
 @pytest.fixture
@@ -316,6 +323,34 @@ class TestPredict:
         assert len(pred_path.read_text().strip().split("\n")) == 2
 
 
+    def test_blocks_write_what_one_row_at_a_time_wrote(
+        self, tmp_path, schema_path, data_path, monkeypatch
+    ):
+        out_dir = train_quick(tmp_path, schema_path, data_path, model="ensemble")
+        monkeypatch.setattr(tabfuse.cli, "_WRITE_BLOCK_ROWS", 7)
+        pred_path = tmp_path / "preds.csv"
+        bundle_path = out_dir / "bundle.json"
+        argv = ["predict", "--model", str(bundle_path), "--data", str(data_path)]
+        assert main(argv + ["--out", str(pred_path)]) == 0
+        # The row loop this writer replaced.
+        bundle = load_bundle(bundle_path)
+        schema = bundle.state.schema
+        table = load_csv(data_path, schema)
+        probas = predict_on_table(bundle, table)
+        text = io.StringIO()
+        writer = csv.writer(text)
+        writer.writerow(
+            [*schema.column_names, *(f"prob_{c}" for c in schema.class_labels), "predicted"]
+        )
+        for r, row in enumerate(table.cells):
+            cells = ["" if c is None else c for c in row]
+            cells += [repr(float(p)) for p in probas[r]]
+            cells.append(schema.class_labels[int(probas[r].argmax())])
+            writer.writerow(cells)
+        assert any(c is None for row in table.cells for c in row)
+        assert pred_path.read_bytes() == text.getvalue().encode("utf-8")
+
+
 class TestInspect:
     def test_prints_bundle_summary(self, tmp_path, schema_path, data_path, capsys):
         out_dir = train_quick(tmp_path, schema_path, data_path)
@@ -328,6 +363,22 @@ class TestInspect:
         assert "classes (2): no, yes" in out
         assert "preprocess fingerprint:" in out
         assert "training seed: 3" in out
+
+    def test_closed_stdout_exits_1_without_a_message(self, tmp_path, schema_path, data_path):
+        out_dir = train_quick(tmp_path, schema_path, data_path, model="ensemble")
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # every write to stdout now fails with EPIPE
+        src = str(Path(tabfuse.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "tabfuse.cli", "inspect", "--model", str(out_dir / "bundle.json")],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert done.returncode == 1
+        assert done.stderr == b""
 
 
 class TestMalformedBundle:
@@ -635,6 +686,10 @@ class FullDiskWriter:
             raise OSError(errno.ENOSPC, "No space left on device")
         self.rows += 1
         return self.writer.writerow(row)
+
+    def writerows(self, rows):
+        for row in rows:
+            self.writerow(row)
 
 
 REAL_CSV_WRITER = csv.writer

@@ -417,6 +417,22 @@ class TestPackedWalk:
             rows = slice(start, start + 16)
             assert model.margins(heldout[rows]).tobytes() == bulk[rows].tobytes()
 
+    @pytest.mark.parametrize("n_rows", [0, 1, _ROW_BLOCK + 3])
+    def test_margins_equal_the_per_round_loop(self, n_rows):
+        """One accumulate over (rows, rounds + 1, classes) against adding round by round."""
+        rng = np.random.default_rng(n_rows)
+        x = rng.normal(size=(200, 3))
+        y = rng.integers(0, 3, size=200)
+        model, _ = train_gbdt(x, y, 3, GbdtConfig(rounds=7, max_depth=4, max_leaves=8))
+        model.base_score = 0.3
+        rows = rng.normal(size=(n_rows, 3))
+        rows[rng.random(rows.shape) < 0.1] = np.nan
+        expected = np.full((n_rows, 3), model.base_score)
+        scaled = model.shrinkage * np.column_stack([t.predict(rows) for t in model.trees])
+        for r in range(model.rounds):
+            expected += scaled[:, 3 * r : 3 * (r + 1)]
+        assert model.margins(rows).tobytes() == expected.tobytes()
+
     def test_trees_reading_missing_features_are_rejected(self):
         tree = Tree()
         root = tree.add_leaf(0.0)

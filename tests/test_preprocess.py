@@ -1,15 +1,20 @@
 import json
 import logging
+import math
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tabfuse.preprocess
 from tabfuse.errors import DataError, SchemaMismatchError
 from tabfuse.preprocess import (
     EncodedDataset,
     PreprocessState,
+    _parse_cells,
+    _parse_float,
     fit,
     stratified_split,
     tokenize,
@@ -273,6 +278,77 @@ class TestTransform:
         state = fit(small_table())
         enc = transform(small_table(), state)
         assert np.all(np.isfinite(enc.numeric))
+
+
+# Text float() and str.strip() treat differently, or that parses to a
+# non-finite value: \x1c-\x1f are stripped but rejected by float().
+PAD = st.sampled_from(["", " ", "\t", "\n", "\x1c", "\x1d", "\x1e", "\x1f", "\xa0", "\u2007"])
+CORE = st.sampled_from(
+    ["1", "-2.5", "1_000", "1__0", "\u0661\u0662", "\uff13", "nan", "-nan", "inf",
+     "-Infinity", "1e999", "-1e999", "1e-400", "0x1", "abc", "", "1,5", ".", "-0"]
+) | st.floats().map(repr) | st.text(max_size=4)
+CELLS = st.none() | st.builds(lambda a, b, c: a + b + c, PAD, CORE, PAD)
+
+
+class TestNumericParsing:
+    @settings(max_examples=300, deadline=None)
+    @given(columns=st.integers(0, 5).flatmap(
+        lambda n: st.lists(st.lists(CELLS, min_size=n, max_size=n), max_size=4)
+    ))
+    def test_one_pass_equals_parse_float_bit_for_bit(self, columns):
+        columns = [tuple(c) for c in columns]
+        expected = np.array(
+            [[math.nan if c is None else _parse_float(c) for c in col] for col in columns],
+            dtype=np.float64,
+        ).reshape(len(columns), len(columns[0]) if columns else 0)
+        got = _parse_cells(columns)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+
+class TestTransformPlan:
+    def test_warm_and_cold_memo_give_the_same_bits(self):
+        table = small_table()
+        state = fit(table)
+        cold = transform(table, state)
+        warm = transform(table, state)
+        loaded = PreprocessState.from_json_dict(state.to_json_dict())
+        for enc in (warm, transform(table, loaded)):
+            assert enc.numeric.tobytes() == cold.numeric.tobytes()
+            assert enc.tokens.tobytes() == cold.tokens.tobytes()
+            assert enc.labels.tobytes() == cold.labels.tobytes()
+        # The plan is no part of equality, the JSON form or the fingerprint.
+        assert loaded == state
+        assert loaded.to_json_dict() == state.to_json_dict()
+        assert state.fingerprint() == loaded.fingerprint()
+
+    def test_memo_stops_at_its_bound(self, monkeypatch):
+        monkeypatch.setattr(tabfuse.preprocess, "_MEMO_ENTRIES", 3)
+        state = fit(small_table())
+        rows = [(str(r), f"chest pain {r}", "walk", None) for r in range(10)]
+        table = DataTable(small_schema(), rows)
+        first = transform(table, state)
+        memos = [memo for *_, memo in state._plan.encoders]
+        assert [len(m) for m in memos] == [3, 1]
+        again = transform(table, state)
+        assert [len(m) for m in memos] == [3, 1]
+        assert again.tokens.tobytes() == first.tokens.tobytes()
+        cold = transform(table, PreprocessState.from_json_dict(state.to_json_dict()))
+        assert cold.tokens.tobytes() == first.tokens.tobytes()
+
+    def test_tables_without_numeric_or_categorical_features(self):
+        for kind in (ColumnKind.NUMERICAL, ColumnKind.CATEGORICAL):
+            schema = TableSchema(
+                (ColumnSpec("x", kind), ColumnSpec("outcome", ColumnKind.CATEGORICAL)),
+                target="outcome",
+                class_labels=("home", "admitted"),
+            )
+            table = DataTable(schema, (("1", "home"), ("2", "admitted"), ("3", None)))
+            enc = transform(table, fit(table))
+            numeric = 1 if kind is ColumnKind.NUMERICAL else 0
+            assert enc.numeric.shape == (3, numeric)
+            assert enc.tokens.shape == (3, 1 - numeric)
+            assert enc.labels.tolist() == [0, 1, -1]
 
 
 class TestStateSerialization:

@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import tabfuse.schema
 from tabfuse.errors import DataError
 from tabfuse.schema import (
     ColumnKind,
@@ -97,6 +100,47 @@ class TestDataTable:
         assert t.column("complaint") == ("a", "b")
         assert t.subset([1]).column("temperature") == ("2",)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.none() | st.text(max_size=4),
+                st.none() | st.text(max_size=4),
+                st.sampled_from([None, "home", "admitted"]),
+            ),
+            max_size=6,
+        ),
+        picks=st.lists(st.integers(0, 5), max_size=8),
+    )
+    def test_rows_and_columns_build_the_same_table(self, rows, picks):
+        """0, 1 and more rows; a subset may repeat, reorder or drop rows."""
+        s = make_schema()
+        by_rows = DataTable(s, rows)
+        columns = [[row[j] for row in rows] for j in range(3)]
+        by_columns = DataTable.from_columns(s, columns)
+        assert by_rows == by_columns
+        assert by_rows.row_count == by_columns.row_count == len(rows)
+        assert by_rows.cells == by_columns.cells == tuple(rows)
+        for j, name in enumerate(s.column_names):
+            assert by_rows.column(name) == by_columns.column(name) == tuple(columns[j])
+        picks = [i for i in picks if i < len(rows)]
+        sub = by_columns.subset(picks)
+        assert sub == by_rows.subset(iter(picks)) == DataTable(s, [rows[i] for i in picks])
+        assert sub.cells == tuple(rows[i] for i in picks)
+
+    def test_columns_checked_like_rows(self):
+        s = make_schema()
+        with pytest.raises(DataError, match="expected 3 columns, got 2"):
+            DataTable.from_columns(s, [("1",), ("x",)])
+        with pytest.raises(DataError, match="differ in length"):
+            DataTable.from_columns(s, [("1", "2"), ("x",), ("home", "home")])
+        with pytest.raises(DataError, match="row 2: target value 'discharged'"):
+            DataTable.from_columns(s, [("1", "2"), ("x", "y"), ("home", "discharged")])
+
+    def test_unknown_column_named(self):
+        with pytest.raises(DataError, match="no column named 'pulse'"):
+            DataTable(make_schema()).column("pulse")
+
 
 class TestCsvIo:
     def test_round_trip(self, tmp_path):
@@ -135,6 +179,18 @@ class TestCsvIo:
         path = tmp_path / "t.csv"
         path.write_text("temperature,complaint,outcome\n1,x,home\n2,y\n")
         with pytest.raises(DataError, match="row 2"):
+            load_csv(path, s)
+
+    def test_blocks_of_rows_load_as_one_table(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tabfuse.schema, "_CSV_BLOCK_ROWS", 2)
+        s = make_schema()
+        rows = [(str(r), None if r % 3 else f"c{r}", ("home", "admitted")[r % 2]) for r in range(7)]
+        path = tmp_path / "t.csv"
+        write_csv(DataTable(s, rows), path)
+        assert load_csv(path, s).cells == tuple(rows)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("8,x\n")
+        with pytest.raises(DataError, match="row 8 has 2 cells"):
             load_csv(path, s)
 
     def test_missing_file(self, tmp_path):
