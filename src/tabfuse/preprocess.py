@@ -44,12 +44,6 @@ _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
 STATE_FORMAT_VERSION = 1
 
-# Distinct cells whose codes one categorical column remembers across
-# transform calls. An entry measured about 260 bytes at pad length 3 (the
-# key, a tuple of codes above 256 and the dict slot), so a full column
-# holds about 4 MiB. Cells past the bound are encoded on every call.
-_MEMO_ENTRIES = 16_384
-
 
 def tokenize(text: str) -> list[str]:
     """Lowercase, then split on runs of non-letter/non-digit characters."""
@@ -136,11 +130,7 @@ class ColumnVocabulary:
 
 
 class _TransformPlan:
-    """What ``transform`` reads from a state, built once per state.
-
-    Each categorical column has a memo from raw cell text to its padded
-    global codes, which stops growing at _MEMO_ENTRIES cells.
-    """
+    """What ``transform`` reads from a state, built once per state."""
 
     def __init__(self, state: "PreprocessState"):
         self.numeric = state.schema.numeric_feature_names
@@ -148,13 +138,13 @@ class _TransformPlan:
         self.means = np.array(state.numeric_stats.means, dtype=np.float64)
         self.stds = np.array(state.numeric_stats.stds, dtype=np.float64)
         self.scaled = self.stds > 0.0  # constant columns stay 0
-        # Per categorical column: name, vocabulary, base offset of its
-        # disjoint global index block, and memo.
-        self.encoders: list[tuple[str, ColumnVocabulary, int, dict]] = []
+        # Per categorical column: name, vocabulary, and base offset of its
+        # disjoint global index block.
+        self.encoders: list[tuple[str, ColumnVocabulary, int]] = []
         base = 0
         for name in self.categorical:
             voc = state.vocabularies[name]
-            self.encoders.append((name, voc, base, {}))
+            self.encoders.append((name, voc, base))
             base += voc.size
 
 
@@ -189,7 +179,7 @@ class PreprocessState:
 
     def column_offsets(self) -> dict[str, int]:
         """Base offset of each column's disjoint global index block."""
-        return {name: base for name, _, base, _ in self._plan.encoders}
+        return {name: base for name, _, base in self._plan.encoders}
 
     @property
     def total_vocab_size(self) -> int:
@@ -331,24 +321,16 @@ def _encode_cell(cell: str, voc: ColumnVocabulary, base: int) -> list[int]:
 
 
 def _encode_column(
-    cells: tuple[str | None, ...], voc: ColumnVocabulary, base: int, memo: dict
+    cells: tuple[str | None, ...], voc: ColumnVocabulary, base: int
 ) -> np.ndarray:
     """Padded global codes of each cell, shape (rows, pad_length).
 
-    A missing cell is the mode. Each distinct cell is looked up once; one
-    not in ``memo`` is encoded and remembered while the memo has room.
+    A missing cell is the mode. Each distinct cell is encoded once.
     """
     mode = voc.mode_value
     position: dict[str, int] = {}
     rows = [position.setdefault(mode if c is None else c, len(position)) for c in cells]
-    codes = []
-    for cell in position:
-        code = memo.get(cell)
-        if code is None:
-            code = tuple(_encode_cell(cell, voc, base))
-            if len(memo) < _MEMO_ENTRIES:
-                memo[cell] = code
-        codes.append(code)
+    codes = [_encode_cell(cell, voc, base) for cell in position]
     codes = np.array(codes, dtype=np.int64).reshape(len(position), voc.pad_length)
     return codes.take(rows, axis=0)
 
@@ -359,9 +341,8 @@ def transform(table: DataTable, state: PreprocessState) -> EncodedDataset:
     Missing numerics impute to the fitted mean and standardize to 0;
     constant columns standardize to 0 everywhere. Missing categoricals
     impute to the fitted mode; unseen tokens map to the unknown index.
-    Each distinct cell of a column is encoded once, and the state keeps
-    its codes for later calls while its memo has room. Rows whose target
-    cell is missing get label -1.
+    Each distinct cell of a column is encoded once per call. Rows whose
+    target cell is missing get label -1.
     """
     if table.schema != state.schema:
         raise SchemaMismatchError(
@@ -376,8 +357,8 @@ def transform(table: DataTable, state: PreprocessState) -> EncodedDataset:
     np.divide(parsed - plan.means, plan.stds, out=numeric, where=plan.scaled)
 
     blocks = [
-        _encode_column(table.column(name), voc, base, memo)
-        for name, voc, base, memo in plan.encoders
+        _encode_column(table.column(name), voc, base)
+        for name, voc, base in plan.encoders
     ]
     tokens = (
         np.concatenate(blocks, axis=1) if blocks else np.zeros((n_rows, 0), np.int64)

@@ -159,9 +159,13 @@ class DataTable:
     def __init__(self, schema: TableSchema, cells: Iterable[Sequence[str | None]] = ()):
         rows = [tuple(row) for row in cells]
         width = len(schema.columns)
+        target = schema.column_index(schema.target)
+        allowed = {*schema.class_labels, None}
         for r, row in enumerate(rows):
             if len(row) != width:
                 raise DataError(f"row {r + 1}: expected {width} cells, got {len(row)}")
+            if row[target] not in allowed:
+                raise _target_error(r, row[target])
         self._store(schema, tuple(zip(*rows)) if rows else ((),) * width)
 
     @classmethod
@@ -174,21 +178,15 @@ class DataTable:
             raise DataError(f"expected {len(schema.columns)} columns, got {len(columns)}")
         if len({len(c) for c in columns}) > 1:
             raise DataError("columns differ in length")
+        target = columns[schema.column_index(schema.target)]
+        allowed = {*schema.class_labels, None}
+        if set(target).difference(allowed):
+            raise _target_error(*next((r, c) for r, c in enumerate(target) if c not in allowed))
         table = cls.__new__(cls)
         table._store(schema, columns)
         return table
 
     def _store(self, schema: TableSchema, columns: tuple) -> None:
-        """Set the fields once every target cell is missing or a class label."""
-        target = columns[schema.column_index(schema.target)]
-        if set(target).difference(schema.class_labels, (None,)):
-            labels = set(schema.class_labels)
-            r, cell = next(
-                (r, c) for r, c in enumerate(target) if c is not None and c not in labels
-            )
-            raise DataError(
-                f"row {r + 1}: target value {cell!r} is not one of the schema class labels"
-            )
         object.__setattr__(self, "schema", schema)
         object.__setattr__(self, "columns", columns)
 
@@ -209,6 +207,12 @@ class DataTable:
         return DataTable.from_columns(
             self.schema, [tuple(map(c.__getitem__, pick)) for c in self.columns]
         )
+
+
+def _target_error(r: int, cell: str) -> DataError:
+    return DataError(
+        f"row {r + 1}: target value {cell!r} is not one of the schema class labels"
+    )
 
 
 @contextmanager

@@ -307,7 +307,7 @@ class TestNumericParsing:
 
 
 class TestTransformPlan:
-    def test_warm_and_cold_memo_give_the_same_bits(self):
+    def test_warm_and_cold_plan_give_the_same_bits(self):
         table = small_table()
         state = fit(table)
         cold = transform(table, state)
@@ -321,20 +321,6 @@ class TestTransformPlan:
         assert loaded == state
         assert loaded.to_json_dict() == state.to_json_dict()
         assert state.fingerprint() == loaded.fingerprint()
-
-    def test_memo_stops_at_its_bound(self, monkeypatch):
-        monkeypatch.setattr(tabfuse.preprocess, "_MEMO_ENTRIES", 3)
-        state = fit(small_table())
-        rows = [(str(r), f"chest pain {r}", "walk", None) for r in range(10)]
-        table = DataTable(small_schema(), rows)
-        first = transform(table, state)
-        memos = [memo for *_, memo in state._plan.encoders]
-        assert [len(m) for m in memos] == [3, 1]
-        again = transform(table, state)
-        assert [len(m) for m in memos] == [3, 1]
-        assert again.tokens.tobytes() == first.tokens.tobytes()
-        cold = transform(table, PreprocessState.from_json_dict(state.to_json_dict()))
-        assert cold.tokens.tobytes() == first.tokens.tobytes()
 
     def test_tables_without_numeric_or_categorical_features(self):
         for kind in (ColumnKind.NUMERICAL, ColumnKind.CATEGORICAL):

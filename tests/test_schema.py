@@ -88,6 +88,15 @@ class TestDataTable:
         with pytest.raises(DataError, match="discharged"):
             DataTable(s, (("1", "x", "discharged"),))
 
+    def test_first_bad_row_named_whatever_its_fault(self):
+        s = make_schema()
+        bad_target_first = (("1", "x", "home"), ("1", "x", "discharged"), ("1", "x"))
+        with pytest.raises(DataError, match="row 2: target value 'discharged'"):
+            DataTable(s, bad_target_first)
+        short_row_first = (("1", "x"), ("1", "x", "discharged"))
+        with pytest.raises(DataError, match="row 1: expected 3 cells"):
+            DataTable(s, short_row_first)
+
     def test_missing_target_allowed(self):
         """Rows without a label are legal; they are prediction-only input."""
         s = make_schema()
