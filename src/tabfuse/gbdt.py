@@ -23,8 +23,9 @@ and a leaf's weight is -G/(H+lam). Ties in gain break to the lowest
 feature index, then the lowest threshold.
 
 A model packs all its trees into flat node arrays once, when it is built,
-and predicts by walking every tree for a block of rows at once, one level
-per step, with no per-node Python work.
+and checks them there in one pass over all nodes, trained or loaded. It
+predicts by walking every tree for a block of rows at once, one level per
+step, with no per-node Python work.
 """
 
 from __future__ import annotations
@@ -111,51 +112,25 @@ class Tree:
     def to_json_dict(self) -> dict:
         return {name: getattr(self, name) for name in _TREE_FIELDS}
 
-    @classmethod
-    def from_json_dict(cls, doc: dict, feature_count: int) -> "Tree":
-        """Decode one tree, rejecting any structure the packed walk cannot trust.
 
-        Raises:
-            DataError: field lists empty or of unequal length; a feature,
-                left or right that is not an integer; a non-finite threshold
-                or weight; a feature outside [-1, feature_count); a leaf with
-                children; an internal node's child not after it and inside
-                the tree (this rules out cycles).
-        """
-        lists = [doc[name] for name in _TREE_FIELDS]
-        n = len(lists[0]) if isinstance(lists[0], list) else 0
-        if n == 0 or not all(isinstance(v, list) and len(v) == n for v in lists):
-            raise DataError("field lists must be non-empty and of equal length")
-        feature, threshold, left, right, weight = arrays = [np.array(v) for v in lists]
-        if any(a.ndim != 1 for a in arrays) or any(
-            a.dtype.kind != "i" for a in (feature, left, right)
-        ):
-            raise DataError("feature, left and right must be lists of integers")
-        threshold, weight = threshold.astype(np.float64), weight.astype(np.float64)
-        if not (np.isfinite(threshold).all() and np.isfinite(weight).all()):
-            raise DataError("thresholds and weights must be finite")
-        node = np.arange(n)
-        leaf = feature == _NO_CHILD
-        faults = (
-            (feature < _NO_CHILD) | (feature >= feature_count),
-            leaf & ((left != _NO_CHILD) | (right != _NO_CHILD)),
-            ~leaf & ((np.minimum(left, right) <= node) | (np.maximum(left, right) >= n)),
-        )
-        problems = (
-            f"a feature outside -1 (a leaf) to {feature_count - 1}",
-            "a leaf with children",
-            f"a child not after it and below {n}",
-        )
-        for bad, problem in zip(faults, problems):
-            if bad.any():
-                i = int(np.argmax(bad))
-                raise DataError(
-                    f"node {i} (feature {feature[i]}, children {left[i]} and "
-                    f"{right[i]}) has {problem}"
-                )
-        return cls(
-            feature.tolist(), threshold.tolist(), left.tolist(), right.tolist(), weight.tolist()
-        )
+def _joined(trees: list[Tree], name: str) -> np.ndarray:
+    """Field ``name`` of every tree end to end: float64 for threshold and weight, else integers."""
+    kinds = "fi" if name in ("threshold", "weight") else "i"
+
+    def as_array(values):
+        try:
+            array = np.array(values) if len(values) else np.empty(0, dtype=np.intp)
+        except ValueError:  # nested lists of unequal lengths
+            return None
+        return array if array.ndim == 1 and array.dtype.kind in kinds else None
+
+    array = as_array([v for t in trees for v in getattr(t, name)])
+    if array is None:
+        # Only on a fault: find the first tree that holds it.
+        t = next(t for t, tree in enumerate(trees) if as_array(getattr(tree, name)) is None)
+        what = "numbers" if "f" in kinds else "integers"
+        raise DataError(f"gbdt tree {t}: {name} must hold only {what}")
+    return array.astype(np.float64) if "f" in kinds else array
 
 
 # Rows per block in GbdtModel.margins: enough to amortise each numpy call
@@ -185,19 +160,50 @@ class _PackedTrees:
 
     @classmethod
     def pack(cls, trees: list[Tree]) -> "_PackedTrees":
-        sizes = np.array([len(t.feature) for t in trees], dtype=np.intp)
+        """Lay ``trees`` end to end, rejecting any structure the walk cannot trust.
+
+        Raises:
+            DataError: a tree's field lists empty or of unequal length; a
+                feature, left or right that is not an integer; a threshold or
+                weight that is not a finite number; a feature below -1; a
+                leaf with children; an internal node's child not after it
+                and inside its tree (this rules out cycles).
+        """
+        sizes = [len(t.feature) for t in trees]
+        for t, (tree, n) in enumerate(zip(trees, sizes)):
+            if n == 0 or any(len(getattr(tree, name)) != n for name in _TREE_FIELDS):
+                raise DataError(
+                    f"gbdt tree {t}: field lists must be non-empty and of equal length"
+                )
+        feature, threshold, left, right, weight = (_joined(trees, n) for n in _TREE_FIELDS)
+        sizes = np.array(sizes, dtype=np.intp)
         roots = np.cumsum(sizes) - sizes
-        offsets = np.repeat(roots, sizes)
-
-        def joined(name, dtype):
-            return np.array([v for t in trees for v in getattr(t, name)], dtype=dtype)
-
-        feature = joined("feature", np.intp)
-        is_leaf = feature == _NO_CHILD
+        tree_of = np.repeat(np.arange(len(trees)), sizes)
+        offsets = roots[tree_of]
         own = np.arange(len(feature), dtype=np.intp)
+        node = own - offsets  # index within its tree
+        size = sizes[tree_of]  # of its tree
+        is_leaf = feature == _NO_CHILD
+        faults = (
+            (~(np.isfinite(threshold) & np.isfinite(weight)), "a non-finite threshold or weight"),
+            (feature < _NO_CHILD, "a feature below -1 (a leaf)"),
+            (is_leaf & ((left != _NO_CHILD) | (right != _NO_CHILD)), "a leaf with children"),
+            (
+                ~is_leaf & ((np.minimum(left, right) <= node) | (np.maximum(left, right) >= size)),
+                "a child not after it and inside its tree",
+            ),
+        )
+        bad = np.logical_or.reduce([fault for fault, _ in faults])
+        if bad.any():
+            i = int(np.argmax(bad))
+            problem = next(problem for fault, problem in faults if fault[i])
+            raise DataError(
+                f"gbdt tree {tree_of[i]}: node {node[i]} (feature {feature[i]}, children "
+                f"{left[i]} and {right[i]}) has {problem}"
+            )
         child = np.empty(2 * len(feature), dtype=np.intp)
-        child[0::2] = np.where(is_leaf, own, joined("left", np.intp) + offsets)
-        child[1::2] = np.where(is_leaf, own, joined("right", np.intp) + offsets)
+        child[0::2] = np.where(is_leaf, own, left + offsets)
+        child[1::2] = np.where(is_leaf, own, right + offsets)
         width = int(feature.max(initial=_NO_CHILD)) + 1
         feature[is_leaf] = 0
         # Count the levels of split nodes. A mask holds each level, so a node
@@ -208,15 +214,7 @@ class _PackedTrees:
             reached = np.zeros(len(feature), dtype=bool)
             reached[child[2 * level]] = reached[child[2 * level + 1]] = True
             level = np.flatnonzero(reached & ~is_leaf)
-        return cls(
-            feature,
-            joined("threshold", np.float64),
-            joined("weight", np.float64),
-            child,
-            roots,
-            steps,
-            width,
-        )
+        return cls(feature, threshold, weight, child, roots, steps, width)
 
     def leaf_values(self, x: np.ndarray) -> np.ndarray:
         """Value of the leaf each row of ``x`` reaches in each tree, shape (rows, trees).
@@ -439,11 +437,16 @@ class GbdtModel:
     shrinkage: float
     base_score: float = 0.0
     preprocess_fingerprint: str = ""
-    # Packed from ``trees`` when the model is built; edit no tree afterwards.
+    # Packed and checked from ``trees`` when the model is built; edit no tree after.
     _packed: _PackedTrees = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._packed = _PackedTrees.pack(self.trees)
+        if self._packed.width > self.feature_count:
+            raise DataError(
+                f"gbdt trees read feature {self._packed.width - 1}; "
+                f"the model has {self.feature_count} features"
+            )
 
     @property
     def rounds(self) -> int:
@@ -490,23 +493,18 @@ class GbdtModel:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "GbdtModel":
-        """Decode a model and pack its trees.
+        """Decode a model; building it packs and checks its trees.
 
         Raises:
-            DataError: a tree that Tree.from_json_dict rejects; a tree count
-                that is not a positive multiple of n_classes; a shrinkage
-                that is not finite and positive; a non-finite base score.
+            DataError: a tree count that is not a positive multiple of
+                n_classes; a shrinkage that is not finite and positive; a
+                non-finite base score; a tree that ``__post_init__`` rejects.
         """
         n_classes = int(doc["n_classes"])
         feature_count = int(doc["feature_count"])
         shrinkage = float(doc["shrinkage"])
         base_score = float(doc["base_score"])
-        trees = []
-        for i, tree_doc in enumerate(doc["trees"]):
-            try:
-                trees.append(Tree.from_json_dict(tree_doc, feature_count))
-            except DataError as exc:
-                raise DataError(f"gbdt tree {i}: {exc}") from None
+        trees = [Tree(*(list(t[name]) for name in _TREE_FIELDS)) for t in doc["trees"]]
         if n_classes < 1 or not trees or len(trees) % n_classes:
             raise DataError(
                 f"gbdt holds {len(trees)} trees; expected a positive multiple "

@@ -116,7 +116,7 @@ class EmbeddingFusionNet:
     def forward(self, numeric: np.ndarray, tokens: np.ndarray) -> np.ndarray:
         emb = self.embedding.forward(tokens)
         self._shape = emb.shape
-        flat = emb.reshape(emb.shape[0], -1)
+        flat = emb.reshape(emb.shape[0], self.token_width * self.embed_dim)
         c = self.cat_act1.forward(self.cat_linear1.forward(flat))
         c = self.cat_act2.forward(self.cat_linear2.forward(c))
         n = self.num_act.forward(self.num_linear.forward(numeric))

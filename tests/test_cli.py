@@ -322,6 +322,23 @@ class TestPredict:
         assert code == 0
         assert len(pred_path.read_text().strip().split("\n")) == 2
 
+    @pytest.mark.parametrize("model", ["fusion", "gbdt", "ensemble"])
+    def test_header_only_csv(self, tmp_path, schema_path, data_path, capsys, model):
+        """predict writes only the header; evaluate has nothing to score and exits 3."""
+        out_dir = train_quick(tmp_path, schema_path, data_path, model=model)
+        empty = tmp_path / "empty.csv"
+        empty.write_text(data_path.read_text().split("\n")[0] + "\n")
+        pred_path = tmp_path / "p.csv"
+        argv = ["--model", str(out_dir / "bundle.json"), "--data", str(empty)]
+        assert main(["predict", *argv, "--out", str(pred_path)]) == 0
+        assert pred_path.read_text().split("\n") == [
+            "age,score,note,outcome,prob_no,prob_yes,predicted", ""
+        ]
+        capsys.readouterr()
+        assert main(["evaluate", *argv]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error[data]:") and err.count("\n") == 1
+
 
     def test_blocks_write_what_one_row_at_a_time_wrote(
         self, tmp_path, schema_path, data_path, monkeypatch

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tabfuse import gbdt
+from tabfuse.bundle import load_bundle, save_bundle
 from tabfuse.errors import DataError
 from tabfuse.gbdt import (
     _ROW_BLOCK,
@@ -20,6 +21,8 @@ from tabfuse.gbdt import (
     train_gbdt,
 )
 from tabfuse.nn import softmax
+from tabfuse.pipeline import RunConfig, SyntheticSpec, run_training
+from tabfuse.schema import ColumnKind, ColumnSpec, TableSchema, save_schema
 
 
 def brute_force_split(x, g, h, l2_reg, min_child_hessian):
@@ -439,6 +442,104 @@ class TestPackedWalk:
         tree.make_split(root, 2, 0.5, tree.add_leaf(1.0), tree.add_leaf(2.0))
         with pytest.raises(DataError, match="feature 2"):
             tree.predict(np.zeros((3, 2)))
+
+
+def split_tree() -> Tree:
+    """Root splits on feature 0 at 0.5 into leaves 1 and 2."""
+    tree = Tree()
+    root = tree.add_leaf(0.0)
+    tree.make_split(root, 0, 0.5, tree.add_leaf(1.0), tree.add_leaf(2.0))
+    return tree
+
+
+def set_at(name: str, node: int, value):
+    return lambda tree: getattr(tree, name).__setitem__(node, value)
+
+
+# Each edits the second tree of a one-feature model into one the walk cannot trust.
+TREE_FAULTS = {
+    "cycle": (set_at("left", 0, 0), "tree 1: node 0 .* has a child not after it"),
+    "child-past-end": (set_at("right", 0, 3), "tree 1: node 0 .* has a child not after it"),
+    "leaf-with-child": (set_at("left", 1, 2), "tree 1: node 1 .* has a leaf with children"),
+    "feature-minus-2": (set_at("feature", 0, -2), "tree 1: node 0 .* has a feature below -1"),
+    "threshold-nan": (set_at("threshold", 0, math.nan), "tree 1: node 0 .* has a non-finite"),
+    "feature-past-count": (set_at("feature", 0, 1), "trees read feature 1; the model has 1"),
+    "feature-float": (set_at("feature", 0, 0.0), "tree 1: feature must hold only integers"),
+    "weight-text": (set_at("weight", 2, "1"), "tree 1: weight must hold only numbers"),
+    "lists-unequal": (lambda tree: tree.right.pop(), "tree 1: field lists must be non-empty"),
+}
+
+
+@pytest.fixture(scope="module")
+def gbdt_bundle(tmp_path_factory):
+    """A small trained gbdt bundle's text, a file to load edits of it from, and rows to score."""
+    schema = TableSchema(
+        (
+            ColumnSpec("a", ColumnKind.NUMERICAL),
+            ColumnSpec("b", ColumnKind.NUMERICAL),
+            ColumnSpec("tag", ColumnKind.CATEGORICAL),
+            ColumnSpec("y", ColumnKind.CATEGORICAL),
+        ),
+        target="y",
+        class_labels=("low", "high"),
+    )
+    root = tmp_path_factory.mktemp("gbdt_bundle")
+    save_schema(schema, root / "schema.json")
+    config = RunConfig(
+        schema_path=str(root / "schema.json"),
+        model_kind="gbdt",
+        synthetic=SyntheticSpec(rows=80),
+        seed=5,
+        gbdt_config=GbdtConfig(rounds=3, max_depth=3, max_leaves=5),
+    )
+    path = root / "bundle.json"
+    bundle = run_training(config).bundle
+    save_bundle(bundle, path)
+    width = bundle.members[0].model.feature_count
+    rng = np.random.default_rng(0)
+    x = rng.normal(scale=2.0, size=(64, width))
+    x[32:] = rng.integers(0, 6, size=(32, width))  # token codes
+    x[rng.random(x.shape) < 0.1] = np.nan
+    return path.read_text(), root / "edited.json", x
+
+
+class TestTreeChecks:
+    """Every model, built or loaded, walks only trees the pack has checked."""
+
+    @pytest.mark.parametrize("fault", TREE_FAULTS)
+    def test_built_model_rejects_a_faulty_tree(self, fault):
+        edit, message = TREE_FAULTS[fault]
+        bad = split_tree()
+        edit(bad)
+        with pytest.raises(DataError, match=f"gbdt {message}"):
+            GbdtModel([split_tree(), bad], 2, 1, 0.1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_what_loads_walks_like_the_reference(self, gbdt_bundle, data):
+        text, path, x = gbdt_bundle
+        doc = json.loads(text)
+        trees = doc["members"][0]["payload"]["trees"]
+        tree = trees[data.draw(st.integers(0, len(trees) - 1), label="tree")]
+        values = tree[data.draw(st.sampled_from(gbdt._TREE_FIELDS), label="field")]
+        n = len(values)
+        i = data.draw(st.integers(0, n - 1), label="node")
+        # Another node's index, -2, past the end, NaN, inf, text, a nested list or a pop.
+        edit = data.draw(
+            st.integers(0, n - 1)
+            | st.sampled_from([-2, n, math.nan, math.inf, -math.inf, "1", "x", [values[i]], "pop"]),
+            label="edit",
+        )
+        if edit == "pop":
+            values.pop(i)
+        else:
+            values[i] = edit
+        path.write_text(json.dumps(doc))
+        try:
+            model = load_bundle(path).members[0].model
+        except DataError:
+            return
+        assert model.margins(x).tobytes() == reference_margins(model, x).tobytes()
 
 
 def midpoint_rule(lo, hi):

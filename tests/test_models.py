@@ -36,6 +36,11 @@ class TestEmbeddingFusionNet:
         logits = net.forward(rng.normal(size=(7, 3)), rng.integers(0, 8, size=(7, 4)))
         assert logits.shape == (7, 3)
 
+    def test_no_rows_give_no_probabilities(self):
+        net = small_fusion_net()
+        p = net.predict_proba(np.zeros((0, 3)), np.zeros((0, 4), dtype=np.int64))
+        assert p.shape == (0, 3)
+
     def test_all_zero_params_give_uniform_probabilities(self):
         net = small_fusion_net()
         for p in net.params():
