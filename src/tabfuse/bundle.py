@@ -1,19 +1,19 @@
 """Versioned on-disk model format.
 
-A bundle is a single JSON document holding the fitted preprocessing state,
-one or more member model parameter sets, the frequency encoder when a
-member needs one, and the run configuration it was trained with. Floats
-serialize through Python's shortest round-trip repr, so save/load
-reproduces every parameter bit for bit.
+A bundle is a single JSON document holding the fitted preprocessing state
+and its fingerprint, one or more member model parameter sets, the frequency
+encoder when a member needs one, and the run configuration it was trained
+with. Floats serialize through Python's shortest round-trip repr, so
+save/load reproduces every parameter bit for bit.
 
-Member kinds are decoded through ``MEMBER_CLASSES``. Each class names its
-``kind`` and the ``feature_views`` it can read, and provides
-``to_json_dict``/``from_json_dict``, ``describe`` and ``predict_proba``.
-
-Every member records the fingerprint of the preprocessing state it was
-trained against, and its sizes (class count, input widths, vocabulary)
-must be the ones that state gives; load refuses a bundle whose members and
-state disagree.
+Each fact is stored once. The state gives every size (class count, input
+widths, vocabulary), so members are decoded against it, through
+``MEMBER_CLASSES``. Each class names its ``kind``, the ``feature_views`` it
+can read and its ``payload_fields``, and provides ``to_json_dict``,
+``from_json_dict(payload, state, view)``, ``describe`` and ``predict_proba``.
+Every member records the fingerprint of the state it was trained against,
+which must be the state's. A document of another format version, or with
+fields the format does not define, is refused.
 """
 
 from __future__ import annotations
@@ -28,27 +28,34 @@ from .models import BaselineMlp, EmbeddingFusionNet, FrequencyEncoder
 from .preprocess import PreprocessState
 from .schema import load_json
 
-BUNDLE_FORMAT_VERSION = 1
+BUNDLE_FORMAT_VERSION = 2
 
 MEMBER_CLASSES = {cls.kind: cls for cls in (EmbeddingFusionNet, BaselineMlp, GbdtModel)}
 MODEL_KINDS = (*MEMBER_CLASSES, "ensemble")
 
+_BUNDLE_FIELDS = (
+    "format_version", "kind", "preprocess", "preprocess_fingerprint",
+    "members", "frequency_encoder", "run_summary",
+)
 
-def _state_sizes(state: PreprocessState, view: str) -> dict[str, int]:
-    """The sizes a member reading ``view`` takes from ``state``, by attribute name."""
-    n_numeric = len(state.numeric_columns)
-    width = n_numeric + {
-        "numeric+tokens": state.total_padded_width,
-        "numeric+frequency": len(state.categorical_columns),
-    }.get(view, 0)
-    return {
-        "n_classes": state.schema.n_classes,
-        "n_numeric": n_numeric,
-        "token_width": state.total_padded_width,
-        "vocab_size": max(state.total_vocab_size, 1),
-        "n_features": width,
-        "feature_count": width,
-    }
+
+def _check_fields(doc: dict, fields: tuple[str, ...], what: str) -> None:
+    unknown = sorted(set(doc) - set(fields))
+    missing = [f for f in fields if f not in doc]
+    if unknown or missing:
+        raise DataError(f"{what} fields: unknown {unknown}, missing {missing}")
+
+
+def _feature_view(kind: str, view: str) -> str:
+    """``view``, or the only view of ``kind`` when ``view`` is empty."""
+    views = MEMBER_CLASSES[kind].feature_views
+    if not view and len(views) == 1:
+        return views[0]
+    if view not in views:
+        raise DataError(
+            f"{kind} member has feature view {view!r}; pick one of {', '.join(views)}"
+        )
+    return view
 
 
 @dataclass
@@ -64,21 +71,11 @@ class BundleMember:
     feature_view: str = ""
 
     def __post_init__(self):
-        views = MEMBER_CLASSES[self.kind].feature_views
-        if not self.feature_view and len(views) == 1:
-            self.feature_view = views[0]
-        if self.feature_view not in views:
-            raise DataError(
-                f"{self.kind} member has feature view {self.feature_view!r}; "
-                f"pick one of {', '.join(views)}"
-            )
+        self.feature_view = _feature_view(self.kind, self.feature_view)
 
     @property
     def records_view(self) -> bool:
         return len(MEMBER_CLASSES[self.kind].feature_views) > 1
-
-    def fingerprint(self) -> str:
-        return self.model.preprocess_fingerprint
 
     def describe(self) -> str:
         view = f", feature view {self.feature_view}" if self.records_view else ""
@@ -91,12 +88,15 @@ class BundleMember:
         return doc
 
     @classmethod
-    def from_json_dict(cls, doc: dict) -> "BundleMember":
+    def from_json_dict(cls, doc: dict, state: PreprocessState) -> "BundleMember":
         kind = doc.get("kind")
         if not isinstance(kind, str) or kind not in MEMBER_CLASSES:
             raise DataError(f"bundle contains unknown member kind {kind!r}")
-        model = MEMBER_CLASSES[kind].from_json_dict(doc["payload"])
-        return cls(kind, model, doc.get("feature_view", ""))
+        model_cls = MEMBER_CLASSES[kind]
+        view = _feature_view(kind, doc.get("feature_view", ""))
+        payload = doc["payload"]
+        _check_fields(payload, model_cls.payload_fields, f"{kind} payload")
+        return cls(kind, model_cls.from_json_dict(payload, state, view), view)
 
 
 @dataclass
@@ -121,28 +121,11 @@ class ModelBundle:
             )
         fp = self.state.fingerprint()
         for m in self.members:
-            if m.fingerprint() and m.fingerprint() != fp:
+            if m.model.preprocess_fingerprint != fp:
                 raise DataError(
                     f"member {m.kind!r} was trained against a different "
                     f"preprocessing state (fingerprint mismatch)"
                 )
-            # A model carries only some of these sizes; the rest pass.
-            for name, want in _state_sizes(self.state, m.feature_view).items():
-                got = getattr(m.model, name, want)
-                if got != want:
-                    raise DataError(
-                        f"{m.kind} member has {name} {got}; its preprocessing "
-                        f"state gives {want}"
-                    )
-        # The encoder repeats the state's categorical columns and modes, which
-        # the fingerprint does not cover.
-        enc, state = self.frequency_encoder, self.state
-        if enc is not None and (
-            enc.columns != state.categorical_columns
-            or enc.modes != {c: state.vocabularies[c].mode_value for c in enc.columns}
-            or set(enc.tables) != set(enc.columns)
-        ):
-            raise DataError("frequency encoder columns or modes do not match the state")
 
     def to_json_dict(self) -> dict:
         return {
@@ -161,41 +144,36 @@ class ModelBundle:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ModelBundle":
-        """Decode a bundle document.
-
-        Documents from earlier builds may carry ``train_config`` and
-        ``gbdt_config`` (copies of ``run_summary``), which are ignored, and
-        a null ``weights``; members are always averaged with equal weight.
-        Any structural fault in the document is a DataError.
-        """
+        """Decode a bundle document; any structural fault in it is a DataError."""
         try:
             version = doc.get("format_version")
             if version != BUNDLE_FORMAT_VERSION:
                 raise DataError(
-                    f"unsupported bundle version {version!r}; "
-                    f"this build reads version {BUNDLE_FORMAT_VERSION}"
+                    f"unsupported bundle version {version!r}; this build reads version "
+                    f"{BUNDLE_FORMAT_VERSION}, so retrain the model with this build"
                 )
+            _check_fields(doc, _BUNDLE_FIELDS, "bundle")
             state = PreprocessState.from_json_dict(doc["preprocess"])
-            stored_fp = doc.get("preprocess_fingerprint", "")
-            if stored_fp and stored_fp != state.fingerprint():
+            if doc["preprocess_fingerprint"] != state.fingerprint():
                 raise DataError(
                     "bundle preprocess fingerprint does not match its state "
                     "(document was modified or corrupted)"
                 )
-            if doc.get("weights") is not None:
-                raise DataError("bundle sets member weights; this build reads none")
-            member_docs = doc.get("members")
+            member_docs = doc["members"]
             if not isinstance(member_docs, list) or not member_docs:
                 raise DataError("bundle 'members' must be a non-empty list")
-            freq_doc = doc.get("frequency_encoder")
+            encoder = doc["frequency_encoder"]
+            if encoder is not None:
+                _check_fields(encoder, ("tables",), "frequency encoder")
+                encoder = FrequencyEncoder.from_json_dict(encoder, state)
+            if not isinstance(doc["run_summary"], dict):
+                raise DataError("bundle 'run_summary' must be an object")
             return cls(
                 kind=doc["kind"],
                 state=state,
-                members=[BundleMember.from_json_dict(m) for m in member_docs],
-                frequency_encoder=(
-                    FrequencyEncoder.from_json_dict(freq_doc) if freq_doc else None
-                ),
-                run_summary=doc.get("run_summary", {}),
+                members=[BundleMember.from_json_dict(m, state) for m in member_docs],
+                frequency_encoder=encoder,
+                run_summary=doc["run_summary"],
             )
         except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"malformed bundle document: {exc!r}") from exc

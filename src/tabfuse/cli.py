@@ -329,6 +329,11 @@ def main(argv=None) -> int:
     except ToolkitError as e:
         print(f"error[{e.code}]: {e}", file=sys.stderr)
         return e.exit_code
+    except MemoryError as e:
+        # An input that asks for more memory than there is, such as a bundle
+        # whose pad length gives a vast token matrix, fails like bad data.
+        print(f"error[data]: not enough memory for this input ({e!r})", file=sys.stderr)
+        return DataError.exit_code
     except BrokenPipeError:
         # The reader closed stdout. Point it at devnull, so that the flush at
         # exit cannot fail again, and exit 1 without a message.

@@ -1,4 +1,4 @@
-"""Soft voting: weighted averaging of member class-probability matrices."""
+"""Soft voting: the equal-weight average of member class-probability matrices."""
 
 from __future__ import annotations
 
@@ -7,20 +7,18 @@ import numpy as np
 from .errors import DataError
 
 
-def soft_vote(member_probas, weights=None) -> np.ndarray:
-    """Weighted average of member probability matrices.
+def soft_vote(member_probas) -> np.ndarray:
+    """Average of member probability matrices.
 
     Args:
         member_probas: sequence of M arrays, each (B, K), rows summing to 1.
-        weights: M non-negative reals, not all zero. None means uniform.
 
     Returns:
-        (B, K) array. With weights None the result is the members' running
-        sum divided by M, i.e. the plain average, computed so that the
-        uniform case is bit-identical to sum(members) / M.
+        (B, K) array: the members' running sum divided by M, so it is
+        bit-identical to sum(members) / M.
 
     Raises:
-        DataError: no members, inconsistent shapes, or bad weights.
+        DataError: no members or inconsistent shapes.
     """
     members = [np.asarray(p, dtype=np.float64) for p in member_probas]
     if not members:
@@ -33,21 +31,8 @@ def soft_vote(member_probas, weights=None) -> np.ndarray:
             raise DataError(
                 f"member {i} has shape {p.shape}, expected {shape}"
             )
-    if weights is None:
-        w = [1.0] * len(members)
-    else:
-        w = [float(v) for v in weights]
-        if len(w) != len(members):
-            raise DataError(
-                f"{len(w)} weights for {len(members)} members"
-            )
-        if any(v < 0 for v in w) or not all(np.isfinite(w)):
-            raise DataError("weights must be non-negative and finite")
-        if sum(w) <= 0:
-            raise DataError("weights must not all be zero")
-
     out = np.zeros(shape, dtype=np.float64)
-    for wi, p in zip(w, members):
-        out += wi * p
-    out /= sum(w)
+    for p in members:
+        out += p
+    out /= len(members)
     return out

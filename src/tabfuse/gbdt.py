@@ -426,7 +426,16 @@ def _grow_tree(
 
 @dataclass
 class GbdtModel:
-    """Round-major list of trees: trees[r * n_classes + k] is round r, class k."""
+    """Round-major list of trees: trees[r * n_classes + k] is round r, class k.
+
+    Building a model checks it, trained, built in code or loaded.
+
+    Raises:
+        DataError: a tree count that is not a multiple of ``n_classes`` (no
+            trees is allowed); a shrinkage that is not finite and positive;
+            a non-finite base score; a tree that ``_PackedTrees.pack``
+            rejects or that reads a feature past ``feature_count``.
+    """
 
     kind = "gbdt"
     feature_views = ("numeric+tokens", "numeric+frequency", "numeric")
@@ -441,6 +450,17 @@ class GbdtModel:
     _packed: _PackedTrees = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.n_classes < 1 or len(self.trees) % self.n_classes:
+            raise DataError(
+                f"gbdt holds {len(self.trees)} trees; expected a multiple "
+                f"of its {self.n_classes} classes"
+            )
+        shrinkage, base_score = self.shrinkage, self.base_score
+        if not (math.isfinite(shrinkage) and shrinkage > 0 and math.isfinite(base_score)):
+            raise DataError(
+                f"gbdt shrinkage {shrinkage} must be finite and positive, "
+                f"base score {base_score} finite"
+            )
         self._packed = _PackedTrees.pack(self.trees)
         if self._packed.width > self.feature_count:
             raise DataError(
@@ -481,10 +501,10 @@ class GbdtModel:
     def describe(self) -> str:
         return f"{self.rounds} rounds x {self.n_classes} classes"
 
+    payload_fields = ("shrinkage", "base_score", "preprocess_fingerprint", "trees")
+
     def to_json_dict(self) -> dict:
         return {
-            "n_classes": self.n_classes,
-            "feature_count": self.feature_count,
             "shrinkage": self.shrinkage,
             "base_score": self.base_score,
             "preprocess_fingerprint": self.preprocess_fingerprint,
@@ -492,36 +512,23 @@ class GbdtModel:
         }
 
     @classmethod
-    def from_json_dict(cls, doc: dict) -> "GbdtModel":
-        """Decode a model; building it packs and checks its trees.
+    def from_json_dict(cls, doc: dict, state, view: str) -> "GbdtModel":
+        """Decode a model reading ``view`` of the preprocessing ``state``,
+        which gives its class count and feature count.
 
         Raises:
-            DataError: a tree count that is not a positive multiple of
-                n_classes; a shrinkage that is not finite and positive; a
-                non-finite base score; a tree that ``__post_init__`` rejects.
+            DataError: no trees, or what building the model rejects.
         """
-        n_classes = int(doc["n_classes"])
-        feature_count = int(doc["feature_count"])
-        shrinkage = float(doc["shrinkage"])
-        base_score = float(doc["base_score"])
         trees = [Tree(*(list(t[name]) for name in _TREE_FIELDS)) for t in doc["trees"]]
-        if n_classes < 1 or not trees or len(trees) % n_classes:
-            raise DataError(
-                f"gbdt holds {len(trees)} trees; expected a positive multiple "
-                f"of its {n_classes} classes"
-            )
-        if not (math.isfinite(shrinkage) and shrinkage > 0 and math.isfinite(base_score)):
-            raise DataError(
-                f"gbdt shrinkage {shrinkage} must be finite and positive, "
-                f"base score {base_score} finite"
-            )
+        if not trees:
+            raise DataError("gbdt holds no trees")
         return cls(
             trees,
-            n_classes,
-            feature_count,
-            shrinkage,
-            base_score,
-            doc.get("preprocess_fingerprint", ""),
+            state.schema.n_classes,
+            state.view_width(view),
+            float(doc["shrinkage"]),
+            float(doc["base_score"]),
+            doc["preprocess_fingerprint"],
         )
 
 

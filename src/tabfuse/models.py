@@ -11,6 +11,10 @@ Two classifiers share one training interface:
   standardized numerics concatenated with one frequency-encoded value per
   categorical column.
 
+Both are sized from the preprocessing state by ``from_state``, for training
+and for decoding, so a payload holds only their layer ``widths`` and
+parameters.
+
 Training is mini-batch Adam with a seeded shuffle per epoch, epoch-level
 validation, and early stopping that restores the best-epoch snapshot.
 """
@@ -29,8 +33,24 @@ from .preprocess import PreprocessState
 from .schema import DataTable
 
 
-def _params_payload(model) -> dict:
-    return {p.name: p.value.tolist() for p in model.params()}
+def _net_payload(model) -> dict:
+    """A network's JSON payload: its ``widths``, its fingerprint and its parameters."""
+    return {
+        **{name: getattr(model, name) for name in model.widths},
+        "preprocess_fingerprint": model.preprocess_fingerprint,
+        "params": {p.name: p.value.tolist() for p in model.params()},
+    }
+
+
+def _net_from_payload(cls, doc: dict, state: PreprocessState):
+    """A network of ``cls`` sized for ``state``, with the payload's widths and parameters."""
+    model = cls.from_state(
+        state,
+        **{name: int(doc[name]) for name in cls.widths},
+        preprocess_fingerprint=doc["preprocess_fingerprint"],
+    )
+    _load_params(model, doc["params"])
+    return model
 
 
 def _load_params(model, payload: dict) -> None:
@@ -93,7 +113,7 @@ class EmbeddingFusionNet:
         self.token_width = token_width
         self.n_numeric = n_numeric
         self.n_classes = n_classes
-        self.embed_dim = embed_dim
+        self.embed_dim, self.hidden_width, self.fused_width = embed_dim, hidden_width, fused_width
         self.preprocess_fingerprint = preprocess_fingerprint
         self._shape = None
 
@@ -134,9 +154,11 @@ class EmbeddingFusionNet:
     def predict_proba(self, numeric: np.ndarray, tokens: np.ndarray) -> np.ndarray:
         return softmax(self.forward(numeric, tokens))
 
-    @property
-    def vocab_size(self) -> int:
-        return self.embedding.vocab_size
+    @classmethod
+    def from_state(cls, state: PreprocessState, **kwargs) -> "EmbeddingFusionNet":
+        """A net sized for ``state``; ``kwargs`` are the other constructor arguments."""
+        sizes = state.total_vocab_size, state.total_padded_width, len(state.numeric_columns)
+        return cls(*sizes, state.schema.n_classes, **kwargs)
 
     def describe(self) -> str:
         return (
@@ -144,33 +166,15 @@ class EmbeddingFusionNet:
             f"numerics {self.n_numeric}"
         )
 
+    widths = ("embed_dim", "hidden_width", "fused_width")
+    payload_fields = (*widths, "preprocess_fingerprint", "params")
+
     def to_json_dict(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size,
-            "token_width": self.token_width,
-            "n_numeric": self.n_numeric,
-            "n_classes": self.n_classes,
-            "embed_dim": self.embed_dim,
-            "hidden_width": self.cat_linear1.out_dim,
-            "fused_width": self.cat_linear2.out_dim,
-            "preprocess_fingerprint": self.preprocess_fingerprint,
-            "params": _params_payload(self),
-        }
+        return _net_payload(self)
 
     @classmethod
-    def from_json_dict(cls, doc: dict) -> "EmbeddingFusionNet":
-        model = cls(
-            int(doc["vocab_size"]),
-            int(doc["token_width"]),
-            int(doc["n_numeric"]),
-            int(doc["n_classes"]),
-            embed_dim=int(doc["embed_dim"]),
-            hidden_width=int(doc["hidden_width"]),
-            fused_width=int(doc["fused_width"]),
-            preprocess_fingerprint=doc["preprocess_fingerprint"],
-        )
-        _load_params(model, doc["params"])
-        return model
+    def from_json_dict(cls, doc: dict, state: PreprocessState, view: str) -> "EmbeddingFusionNet":
+        return _net_from_payload(cls, doc, state)
 
 
 class BaselineMlp:
@@ -198,6 +202,7 @@ class BaselineMlp:
         self.linear3 = Linear(hidden2, n_classes, rng, "mlp3")
         self.n_features = n_features
         self.n_classes = n_classes
+        self.hidden1, self.hidden2 = hidden1, hidden2
         self.preprocess_fingerprint = preprocess_fingerprint
 
     def params(self) -> list[Param]:
@@ -219,30 +224,23 @@ class BaselineMlp:
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
         return softmax(self.forward(features))
 
+    @classmethod
+    def from_state(cls, state: PreprocessState, **kwargs) -> "BaselineMlp":
+        """An MLP sized for ``state``; ``kwargs`` are the other constructor arguments."""
+        return cls(state.view_width(cls.feature_views[0]), state.schema.n_classes, **kwargs)
+
     def describe(self) -> str:
         return f"input width {self.n_features}"
 
+    widths = ("hidden1", "hidden2")
+    payload_fields = (*widths, "preprocess_fingerprint", "params")
+
     def to_json_dict(self) -> dict:
-        return {
-            "n_features": self.n_features,
-            "n_classes": self.n_classes,
-            "hidden1": self.linear1.out_dim,
-            "hidden2": self.linear2.out_dim,
-            "preprocess_fingerprint": self.preprocess_fingerprint,
-            "params": _params_payload(self),
-        }
+        return _net_payload(self)
 
     @classmethod
-    def from_json_dict(cls, doc: dict) -> "BaselineMlp":
-        model = cls(
-            int(doc["n_features"]),
-            int(doc["n_classes"]),
-            hidden1=int(doc["hidden1"]),
-            hidden2=int(doc["hidden2"]),
-            preprocess_fingerprint=doc["preprocess_fingerprint"],
-        )
-        _load_params(model, doc["params"])
-        return model
+    def from_json_dict(cls, doc: dict, state: PreprocessState, view: str) -> "BaselineMlp":
+        return _net_from_payload(cls, doc, state)
 
 
 @dataclass(frozen=True)
@@ -388,16 +386,15 @@ def train(
 
 @dataclass(frozen=True)
 class FrequencyEncoder:
-    """Per categorical column, maps a raw value to its training frequency.
+    """Per categorical column of ``state``, maps a raw value to its training frequency.
 
-    Values are imputed with the fitted mode, then lowercased, so casing
+    Values are imputed with the state's mode, then lowercased, so casing
     differences collapse to one category. Values unseen in the training
     split encode to 0.0. Frequencies over a fitted column sum to 1.
     """
 
-    columns: tuple[str, ...]
+    state: PreprocessState
     tables: dict[str, dict[str, float]]
-    modes: dict[str, str]
 
     @classmethod
     def fit(
@@ -410,24 +407,22 @@ class FrequencyEncoder:
         rows = np.unique(np.asarray(row_indices, dtype=np.int64)).tolist()
         if not rows:
             raise DataError("frequency encoder needs at least one row")
-        columns = state.categorical_columns
         tables = {}
-        modes = {}
-        for name in columns:
+        for name in state.categorical_columns:
             mode = state.vocabularies[name].mode_value
-            modes[name] = mode
             cells = table.column(name)
             counts = Counter(
                 (mode if cells[r] is None else cells[r]).lower() for r in rows
             )
             tables[name] = {v: c / len(rows) for v, c in counts.items()}
-        return cls(columns, tables, modes)
+        return cls(state, tables)
 
     def encode(self, table: DataTable) -> np.ndarray:
-        """One column per fitted categorical column, shape (rows, C)."""
-        out = np.zeros((table.row_count, len(self.columns)), dtype=np.float64)
-        for j, name in enumerate(self.columns):
-            freq, mode = self.tables[name], self.modes[name]
+        """One column per categorical column of the state, shape (rows, C)."""
+        columns = self.state.categorical_columns
+        out = np.zeros((table.row_count, len(columns)), dtype=np.float64)
+        for j, name in enumerate(columns):
+            freq, mode = self.tables[name], self.state.vocabularies[name].mode_value
             out[:, j] = [
                 freq.get((mode if c is None else c).lower(), 0.0)
                 for c in table.column(name)
@@ -435,19 +430,22 @@ class FrequencyEncoder:
         return out
 
     def to_json_dict(self) -> dict:
-        return {
-            "columns": list(self.columns),
-            "tables": self.tables,
-            "modes": self.modes,
-        }
+        return {"tables": self.tables}
 
     @classmethod
-    def from_json_dict(cls, doc: dict) -> "FrequencyEncoder":
-        """Decode an encoder; raises DataError on a frequency that is not a finite number."""
+    def from_json_dict(cls, doc: dict, state: PreprocessState) -> "FrequencyEncoder":
+        """Decode an encoder of ``state``.
+
+        Raises:
+            DataError: tables not keyed by the state's categorical columns, or
+                a frequency that is not a finite number.
+        """
         tables = {k: dict(v) for k, v in doc["tables"].items()}
+        if list(tables) != list(state.categorical_columns):
+            raise DataError("frequency tables must follow the state's categorical columns")
         for name, table in tables.items():
             if not all(isinstance(f, (int, float)) and math.isfinite(f) for f in table.values()):
                 raise DataError(
                     f"frequency table {name!r} holds a value that is not a finite number"
                 )
-        return cls(tuple(doc["columns"]), tables, dict(doc["modes"]))
+        return cls(state, tables)

@@ -167,7 +167,6 @@ class FitJob:
     x_val: tuple[np.ndarray, ...]
     y_val: np.ndarray
     state: PreprocessState
-    n_classes: int
     seed: int
     config: RunConfig
 
@@ -179,25 +178,16 @@ def _fit_net(model, job: FitJob) -> tuple[object, str]:
 
 
 def _fit_fusion(job: FitJob) -> tuple[object, str]:
-    state = job.state
-    model = EmbeddingFusionNet(
-        max(state.total_vocab_size, 1),
-        state.total_padded_width,
-        len(state.numeric_columns),
-        job.n_classes,
-        seed=job.seed,
-    )
-    return _fit_net(model, job)
+    return _fit_net(EmbeddingFusionNet.from_state(job.state, seed=job.seed), job)
 
 
 def _fit_baseline(job: FitJob) -> tuple[object, str]:
-    model = BaselineMlp(job.x_train[0].shape[1], job.n_classes, seed=job.seed)
-    return _fit_net(model, job)
+    return _fit_net(BaselineMlp.from_state(job.state, seed=job.seed), job)
 
 
 def _fit_gbdt(job: FitJob) -> tuple[object, str]:
     model, losses = train_gbdt(
-        job.x_train[0], job.y_train, job.n_classes, job.config.gbdt_config
+        job.x_train[0], job.y_train, job.state.schema.n_classes, job.config.gbdt_config
     )
     lines = ["round,train_loss"]
     lines.extend(f"{r},{loss!r}" for r, loss in enumerate(losses, start=1))
@@ -290,7 +280,6 @@ def run_training(config: RunConfig) -> TrainOutcome:
             member_inputs(view, val_d, frequency_matrix),
             val_d.labels,
             state,
-            table.schema.n_classes,
             config.seed + MEMBER_SEED_STRIDE * index,
             config,
         )

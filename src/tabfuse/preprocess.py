@@ -17,6 +17,12 @@ shifted by a per-column offset, giving disjoint index ranges across columns
 so a single embedding table can serve every column; padding stays index 0
 globally. Cells longer than the fitted pad length are truncated to the
 first ``pad_length`` tokens.
+
+A state's JSON form holds only what its schema does not give: the means
+and standard deviations in the schema's numeric column order, and per
+categorical column its token list (indices 2..n+1 in list order), pad
+length and mode. Class indices follow the schema's class labels. Building
+a state checks every fact the schema does not give.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ UNKNOWN_INDEX = 1
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
-STATE_FORMAT_VERSION = 1
+STATE_FORMAT_VERSION = 2
 
 
 def tokenize(text: str) -> list[str]:
@@ -103,30 +109,46 @@ def _parse_numeric(table: DataTable, names: tuple[str, ...], outcome: str) -> np
 
 @dataclass(frozen=True)
 class NumericStats:
-    """Per numeric column: fitted mean and population standard deviation."""
+    """Per numeric column, in schema order: fitted mean and population standard deviation."""
 
-    columns: tuple[str, ...]
     means: tuple[float, ...]
     stds: tuple[float, ...]
 
 
 @dataclass(frozen=True)
 class ColumnVocabulary:
-    """Per categorical column: token index map, pad length, and mode.
+    """Per categorical column: token list, pad length, and mode.
 
-    ``token_to_index`` maps lowercase tokens to local indices starting at 2;
-    0 is padding and 1 means unknown. ``pad_length`` is the maximum token
-    count observed in a cell at fit time, at least 1.
+    Token ``tokens[i]`` has local index i + 2; 0 is padding and 1 means
+    unknown. ``pad_length`` is the maximum token count observed in a cell
+    at fit time, at least 1.
+
+    Raises:
+        DataError: tokens that are not distinct strings, a pad length that
+            is not an integer of at least 1, or a mode that is not a string.
     """
 
-    token_to_index: dict[str, int]
+    tokens: tuple[str, ...]
     pad_length: int
     mode_value: str
+
+    def __post_init__(self):
+        tokens = self.tokens
+        if not all(type(t) is str for t in tokens) or len(set(tokens)) != len(tokens):
+            raise DataError("vocabulary tokens must be distinct strings")
+        if type(self.pad_length) is not int or self.pad_length < 1:
+            raise DataError(f"vocabulary pad length {self.pad_length!r} must be an integer >= 1")
+        if type(self.mode_value) is not str:
+            raise DataError(f"vocabulary mode {self.mode_value!r} must be a string")
+
+    @cached_property
+    def token_to_index(self) -> dict[str, int]:
+        return {t: i for i, t in enumerate(self.tokens, start=2)}
 
     @property
     def size(self) -> int:
         """Local index range: pad + unknown + vocabulary."""
-        return len(self.token_to_index) + 2
+        return len(self.tokens) + 2
 
 
 class _TransformPlan:
@@ -138,6 +160,7 @@ class _TransformPlan:
         self.means = np.array(state.numeric_stats.means, dtype=np.float64)
         self.stds = np.array(state.numeric_stats.stds, dtype=np.float64)
         self.scaled = self.stds > 0.0  # constant columns stay 0
+        self.labels = {label: i for i, label in enumerate(state.schema.class_labels)}
         # Per categorical column: name, vocabulary, and base offset of its
         # disjoint global index block.
         self.encoders: list[tuple[str, ColumnVocabulary, int]] = []
@@ -152,14 +175,32 @@ class _TransformPlan:
 class PreprocessState:
     """Everything needed to transform unseen rows of a fitted schema.
 
-    A state is not edited after it is built: its transform plan, built on
-    first use, is kept beside the fields, outside equality and the JSON form.
+    ``vocabularies`` is keyed by the schema's categorical features, in
+    schema order. A state is not edited after it is built: its transform
+    plan, built on first use, is kept beside the fields, outside equality
+    and the JSON form.
+
+    Raises:
+        DataError: means or stds that are not one finite number per numeric
+            column, a negative std, or vocabularies not keyed by the
+            categorical features in schema order.
     """
 
     schema: TableSchema
     numeric_stats: NumericStats
     vocabularies: dict[str, ColumnVocabulary]
-    label_map: dict[str, int]
+
+    def __post_init__(self):
+        n = len(self.schema.numeric_feature_names)
+        stats = self.numeric_stats
+        for name, values in (("means", stats.means), ("stds", stats.stds)):
+            finite = all(type(v) in (int, float) and math.isfinite(v) for v in values)
+            if len(values) != n or not finite:
+                raise DataError(f"preprocess state needs {n} finite {name}, one per numeric column")
+        if any(s < 0 for s in stats.stds):
+            raise DataError("preprocess state holds a negative standard deviation")
+        if list(self.vocabularies) != list(self.schema.categorical_feature_names):
+            raise DataError("preprocess state vocabularies must follow the categorical features")
 
     @cached_property
     def _plan(self) -> _TransformPlan:
@@ -177,32 +218,33 @@ class PreprocessState:
     def total_padded_width(self) -> int:
         return sum(v.pad_length for v in self.vocabularies.values())
 
-    def column_offsets(self) -> dict[str, int]:
-        """Base offset of each column's disjoint global index block."""
-        return {name: base for name, _, base in self._plan.encoders}
-
     @property
     def total_vocab_size(self) -> int:
         return sum(v.size for v in self.vocabularies.values())
+
+    def view_width(self, view: str) -> int:
+        """Columns of the flat feature matrix of ``view``: the numerics, then
+        every token position, one frequency per categorical column, or nothing."""
+        extra = {"numeric": 0, "numeric+tokens": self.total_padded_width,
+                 "numeric+frequency": len(self.categorical_columns)}
+        return len(self.numeric_columns) + extra[view]
 
     def to_json_dict(self) -> dict:
         return {
             "format_version": STATE_FORMAT_VERSION,
             "schema": self.schema.to_json_dict(),
             "numeric_stats": {
-                "columns": list(self.numeric_stats.columns),
                 "means": list(self.numeric_stats.means),
                 "stds": list(self.numeric_stats.stds),
             },
             "vocabularies": {
                 name: {
-                    "token_to_index": voc.token_to_index,
+                    "tokens": list(voc.tokens),
                     "pad_length": voc.pad_length,
                     "mode_value": voc.mode_value,
                 }
                 for name, voc in self.vocabularies.items()
             },
-            "label_map": self.label_map,
         }
 
     @classmethod
@@ -213,18 +255,13 @@ class PreprocessState:
                 f"unsupported preprocess state version {version!r}; "
                 f"this build reads version {STATE_FORMAT_VERSION}"
             )
-        schema = TableSchema.from_json_dict(doc["schema"])
         ns = doc["numeric_stats"]
-        stats = NumericStats(
-            tuple(ns["columns"]), tuple(ns["means"]), tuple(ns["stds"])
-        )
         vocabularies = {
-            name: ColumnVocabulary(
-                dict(v["token_to_index"]), int(v["pad_length"]), v["mode_value"]
-            )
+            name: ColumnVocabulary(tuple(v["tokens"]), v["pad_length"], v["mode_value"])
             for name, v in doc["vocabularies"].items()
         }
-        return cls(schema, stats, vocabularies, dict(doc["label_map"]))
+        stats = NumericStats(tuple(ns["means"]), tuple(ns["stds"]))
+        return cls(TableSchema.from_json_dict(doc["schema"]), stats, vocabularies)
 
     def fingerprint(self) -> str:
         canonical = json.dumps(
@@ -301,15 +338,12 @@ def fit(table: DataTable) -> PreprocessState:
             cell_tokens = tokenize(cell)
             tokens.update(cell_tokens)
             pad_length = max(pad_length, len(cell_tokens))
-        token_to_index = {t: i + 2 for i, t in enumerate(sorted(tokens))}
-        vocabularies[name] = ColumnVocabulary(token_to_index, pad_length, mode_value)
+        vocabularies[name] = ColumnVocabulary(tuple(sorted(tokens)), pad_length, mode_value)
 
     if all(c is None for c in table.column(schema.target)):
         raise DataError(f"target column {schema.target!r} is entirely missing")
 
-    label_map = {label: i for i, label in enumerate(schema.class_labels)}
-    stats = NumericStats(schema.numeric_feature_names, tuple(means), tuple(stds))
-    return PreprocessState(schema, stats, vocabularies, label_map)
+    return PreprocessState(schema, NumericStats(tuple(means), tuple(stds)), vocabularies)
 
 
 def _encode_cell(cell: str, voc: ColumnVocabulary, base: int) -> list[int]:
@@ -366,7 +400,7 @@ def transform(table: DataTable, state: PreprocessState) -> EncodedDataset:
 
     target = table.column(state.schema.target)
     labels = np.array(
-        [-1 if c is None else state.label_map[c] for c in target], dtype=np.int64
+        [-1 if c is None else plan.labels[c] for c in target], dtype=np.int64
     )
     return EncodedDataset(numeric, tokens, labels, np.arange(n_rows, dtype=np.int64))
 

@@ -159,6 +159,21 @@ class TestEveryKindRoundTrip:
         ]
 
 
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_payloads_hold_no_size_the_state_gives(kind, trained_bundles):
+    bundle, _ = trained_bundles[kind]
+    doc = bundle.to_json_dict()
+    sizes = {"n_classes", "feature_count", "n_features", "vocab_size", "token_width", "n_numeric"}
+    for member in doc["members"]:
+        payload = member["payload"]
+        assert list(payload) == list(MEMBER_CLASSES[member["kind"]].payload_fields)
+        assert not sizes & set(payload)
+    encoder = doc["frequency_encoder"]
+    assert encoder is None or list(encoder) == ["tables"]
+    assert "label_map" not in doc["preprocess"]
+    assert "columns" not in doc["preprocess"]["numeric_stats"]
+
+
 class TestRoundTrip:
     def test_fusion_parameters_bit_exact(self, tmp_path):
         state, _ = fitted_state()
@@ -365,16 +380,38 @@ class TestValidation:
         with pytest.raises(DataError, match="weights"):
             load_doc(path, doc)
 
-    def test_earlier_documents_still_load(self, tmp_path):
+    def test_fields_of_earlier_builds_rejected(self, tmp_path):
         """Earlier builds wrote null weights and copies of the run configs."""
         state, _ = fitted_state()
-        bundle = ModelBundle("gbdt", state, [gbdt_member(state)])
-        path, doc = saved_doc(tmp_path, bundle)
-        doc["weights"] = None
-        doc["train_config"] = TrainConfig().to_json_dict()
-        doc["gbdt_config"] = GbdtConfig().to_json_dict()
-        loaded = load_doc(path, doc)
-        assert loaded.to_json_dict() == bundle.to_json_dict()
+        path, doc = saved_doc(tmp_path, ModelBundle("gbdt", state, [gbdt_member(state)]))
+        legacy = {
+            "weights": None,
+            "train_config": TrainConfig().to_json_dict(),
+            "gbdt_config": GbdtConfig().to_json_dict(),
+        }
+        for name, value in legacy.items():
+            with pytest.raises(DataError, match=rf"bundle fields: unknown \['{name}'\]"):
+                load_doc(path, {**doc, name: value})
+
+    def test_version_1_document_asks_for_retraining(self, tmp_path):
+        state, _ = fitted_state()
+        path, doc = saved_doc(tmp_path, ModelBundle("fusion", state, [fusion_member(state)]))
+        doc["format_version"] = 1
+        with pytest.raises(DataError, match="unsupported bundle version 1; .* retrain"):
+            load_doc(path, doc)
+
+    def test_fingerprints_required(self, tmp_path):
+        state, _ = fitted_state()
+        path, doc = saved_doc(tmp_path, ModelBundle("gbdt", state, [gbdt_member(state)]))
+        with pytest.raises(DataError, match="preprocess_fingerprint"):
+            load_doc(path, {k: v for k, v in doc.items() if k != "preprocess_fingerprint"})
+        doc["members"][0]["payload"]["preprocess_fingerprint"] = ""
+        with pytest.raises(DataError, match="fingerprint mismatch"):
+            load_doc(path, doc)
+        member = gbdt_member(state)
+        member.model.preprocess_fingerprint = ""
+        with pytest.raises(DataError, match="fingerprint mismatch"):
+            ModelBundle("gbdt", state, [member])
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="not found"):

@@ -1,5 +1,6 @@
 import csv
 import errno
+import hashlib
 import io
 import json
 import math
@@ -374,7 +375,7 @@ class TestInspect:
         code = main(["inspect", "--model", str(out_dir / "bundle.json")])
         assert code == 0
         out = capsys.readouterr().out
-        assert "format version: 1" in out
+        assert "format version: 2" in out
         assert "model kind: fusion" in out
         assert "target: outcome" in out
         assert "classes (2): no, yes" in out
@@ -414,34 +415,39 @@ class TestMalformedBundle:
             pytest.param(lambda doc: doc.update(kind="fusion"), "gbdt", id="kind-mismatch"),
             pytest.param(lambda doc: doc.update(members={}), "gbdt", id="members-not-list"),
             pytest.param(lambda doc: doc.update(weights=[1.0]), "gbdt", id="weights"),
+            pytest.param(lambda doc: doc.update(format_version=1), "gbdt", id="format-version-1"),
+            pytest.param(lambda doc: doc.update(run_summary=5), "gbdt", id="run-summary-not-object"),
+            # The class count comes from the state's class labels: a payload
+            # that does not fit them fails the parameter shape check.
             pytest.param(
-                lambda doc: doc["members"][0]["payload"].pop("n_classes"),
-                "gbdt",
-                id="payload-without-n-classes",
+                lambda doc: edit_state(doc, lambda s: s["schema"]["class_labels"].append("maybe")),
+                "fusion",
+                id="state-class-label-added",
             ),
             pytest.param(
                 lambda doc: doc.update(members=["gbdt"]), "gbdt", id="member-not-object"
             ),
             pytest.param(lambda doc: [doc], "gbdt", id="top-level-list"),
             pytest.param(lambda doc: doc.pop("preprocess"), "gbdt", id="no-preprocess"),
-            # The frequency encoder must repeat the state's columns and modes.
+            # The frequency tables must be keyed by the state's categorical
+            # columns, and the encoder reads each column's mode from the state.
             pytest.param(
                 lambda doc: doc["frequency_encoder"]["tables"].pop("note"),
                 "baseline",
                 id="encoder-without-table",
             ),
             pytest.param(
-                lambda doc: doc["frequency_encoder"]["modes"].pop("note"),
+                lambda doc: edit_state(doc, lambda s: s["vocabularies"]["note"].pop("mode_value")),
                 "baseline",
                 id="encoder-without-mode",
             ),
             pytest.param(
-                lambda doc: rename_encoder_column(doc["frequency_encoder"], "note", "memo"),
+                lambda doc: rename_encoder_table(doc["frequency_encoder"], "note", "memo"),
                 "baseline",
                 id="encoder-column-renamed",
             ),
             pytest.param(
-                lambda doc: add_encoder_column(doc["frequency_encoder"], "age"),
+                lambda doc: doc["frequency_encoder"]["tables"].update(age={"1.0": 1.0}),
                 "baseline",
                 id="encoder-column-added",
             ),
@@ -473,7 +479,7 @@ class TestMalformedBundle:
                 id="tree-lists-nested",
             ),
             pytest.param(
-                lambda doc: edit_split_tree(doc, "feature", gbdt_payload(doc)["feature_count"]),
+                lambda doc: edit_split_tree(doc, "feature", gbdt_feature_count(doc)),
                 "gbdt",
                 id="tree-feature-too-high",
             ),
@@ -525,12 +531,46 @@ class TestMalformedBundle:
                 "gbdt",
                 id="n-classes-infinite",
             ),
-            # Sizes that agree with the parameters must still agree with the state.
+            # A payload holds no size the state gives, and must fit the state.
             pytest.param(
                 lambda doc: gbdt_payload(doc).update(n_classes=1), "gbdt", id="gbdt-n-classes-1"
             ),
             pytest.param(
-                lambda doc: grow_fusion_vocab(doc), "fusion", id="fusion-vocab-size-grown"
+                lambda doc: add_embedding_row(doc), "fusion", id="fusion-vocab-size-grown"
+            ),
+            # What the schema does not give is checked, with fingerprints
+            # recomputed so that the edit reaches the state's own checks.
+            pytest.param(
+                lambda doc: edit_state(doc, lambda s: s["numeric_stats"]["means"].append(0.0)),
+                "gbdt",
+                id="state-extra-mean",
+            ),
+            pytest.param(
+                lambda doc: edit_state(doc, lambda s: set_stat(s, "means", math.nan)),
+                "gbdt",
+                id="state-mean-nan",
+            ),
+            pytest.param(
+                lambda doc: edit_state(doc, lambda s: set_stat(s, "stds", -1.0)),
+                "gbdt",
+                id="state-std-negative",
+            ),
+            pytest.param(
+                lambda doc: edit_state(doc, lambda s: s["vocabularies"]["note"].update(mode_value=7)),
+                "baseline",
+                id="state-mode-not-text",
+            ),
+            # A pad length far past any memory: the fusion net cannot be built.
+            pytest.param(
+                lambda doc: edit_state(doc, lambda s: vocab_of(s).update(pad_length=10**15)),
+                "fusion",
+                id="state-pad-length-past-memory",
+            ),
+            pytest.param(lambda doc: strip_fingerprints(doc), "gbdt", id="fingerprints-stripped"),
+            pytest.param(
+                lambda doc: gbdt_payload(doc).update(preprocess_fingerprint=""),
+                "gbdt",
+                id="member-fingerprint-blank",
             ),
             # NN parameters must be finite, or every probability is NaN.
             pytest.param(
@@ -565,6 +605,22 @@ class TestMalformedBundle:
         assert not (tmp_path / "p.csv").exists()
 
 
+def test_pad_length_past_memory_fails_predict_like_bad_data(
+    tmp_path, schema_path, data_path, capsys
+):
+    """A gbdt bundle loads with any pad length; its token matrix cannot be built."""
+    run = train_quick(tmp_path, schema_path, data_path, model="gbdt")
+    doc = json.loads((run / "bundle.json").read_text())
+    edit_state(doc, lambda s: vocab_of(s).update(pad_length=10**15))
+    (run / "bundle.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    argv = ["predict", "--model", str(run / "bundle.json"), "--data", str(data_path)]
+    assert main([*argv, "--out", str(tmp_path / "p.csv")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error[data]: not enough memory") and err.count("\n") == 1
+    assert not (tmp_path / "p.csv").exists()
+
+
 def gbdt_payload(doc: dict) -> dict:
     return doc["members"][0]["payload"]
 
@@ -583,24 +639,45 @@ def nn_params(doc: dict) -> dict:
     return doc["members"][0]["payload"]["params"]
 
 
-def grow_fusion_vocab(doc: dict):
-    """Add one embedding row and count it, so the parameters still fit the sizes."""
-    payload = doc["members"][0]["payload"]
-    payload["vocab_size"] += 1
-    weight = payload["params"]["embedding.weight"]
+def gbdt_feature_count(doc: dict) -> int:
+    """The width of the default gbdt view, numeric+tokens, that the state gives."""
+    state = doc["preprocess"]
+    pads = [v["pad_length"] for v in state["vocabularies"].values()]
+    return len(state["numeric_stats"]["means"]) + sum(pads)
+
+
+def add_embedding_row(doc: dict):
+    """One more embedding row than the state's vocabulary has."""
+    weight = doc["members"][0]["payload"]["params"]["embedding.weight"]
     weight.append([0.0] * len(weight[0]))
 
 
-def rename_encoder_column(encoder: dict, old: str, new: str):
-    encoder["columns"] = [new if c == old else c for c in encoder["columns"]]
+def rename_encoder_table(encoder: dict, old: str, new: str):
     encoder["tables"][new] = encoder["tables"].pop(old)
-    encoder["modes"][new] = encoder["modes"].pop(old)
 
 
-def add_encoder_column(encoder: dict, name: str):
-    encoder["columns"].append(name)
-    encoder["tables"][name] = {"1.0": 1.0}
-    encoder["modes"][name] = "1.0"
+def edit_state(doc: dict, edit):
+    """Apply ``edit`` to the preprocessing state and recompute every fingerprint."""
+    edit(doc["preprocess"])
+    canonical = json.dumps(doc["preprocess"], sort_keys=True, separators=(",", ":"))
+    fingerprint = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    doc["preprocess_fingerprint"] = fingerprint
+    for member in doc["members"]:
+        member["payload"]["preprocess_fingerprint"] = fingerprint
+
+
+def vocab_of(state: dict) -> dict:
+    return state["vocabularies"]["note"]
+
+
+def set_stat(state: dict, name: str, value: float):
+    state["numeric_stats"][name][0] = value
+
+
+def strip_fingerprints(doc: dict):
+    del doc["preprocess_fingerprint"]
+    for member in doc["members"]:
+        member["payload"]["preprocess_fingerprint"] = ""
 
 
 NOT_UTF8 = b"\xff\xfe"

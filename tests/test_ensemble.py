@@ -19,21 +19,10 @@ class TestSoftVote:
         b = np.array([[0.4, 0.6]])
         assert np.array_equal(soft_vote([a, b]), [[0.5, 0.5]])
 
-    def test_weighted_hand_average(self):
-        a = np.array([[1.0, 0.0]])
-        b = np.array([[0.0, 1.0]])
-        out = soft_vote([a, b], weights=[2.0, 1.0])
-        assert np.array_equal(out, [[2.0 / 3.0, 1.0 / 3.0]])
-
     def test_single_member_is_identity(self):
         rng = np.random.default_rng(0)
         (p,) = random_members(rng, 1, 5, 3)
         assert np.array_equal(soft_vote([p]), p)
-
-    def test_zero_weight_member_is_ignored_exactly(self):
-        rng = np.random.default_rng(1)
-        a, b = random_members(rng, 2, 4, 3)
-        assert np.array_equal(soft_vote([a, b], weights=[1.0, 0.0]), a)
 
     def test_uniform_matches_running_mean_bitwise(self):
         rng = np.random.default_rng(2)
@@ -47,16 +36,9 @@ class TestSoftVote:
     def test_rows_still_sum_to_one(self):
         rng = np.random.default_rng(3)
         members = random_members(rng, 4, 20, 5)
-        out = soft_vote(members, weights=[0.3, 1.2, 0.0, 2.5])
+        out = soft_vote(members)
         assert np.all(np.abs(out.sum(axis=1) - 1.0) < 1e-9)
         assert np.all(out >= 0.0)
-
-    def test_weight_scale_invariance(self):
-        rng = np.random.default_rng(4)
-        members = random_members(rng, 3, 6, 2)
-        a = soft_vote(members, weights=[1.0, 2.0, 3.0])
-        b = soft_vote(members, weights=[2.0, 4.0, 6.0])
-        assert np.allclose(a, b, atol=1e-15)
 
 
 class TestSoftVoteValidation:
@@ -73,23 +55,3 @@ class TestSoftVoteValidation:
         b = np.full((3, 2), 0.5)
         with pytest.raises(DataError, match="member 1"):
             soft_vote([a, b])
-
-    def test_weight_count_mismatch(self):
-        a = np.full((1, 2), 0.5)
-        with pytest.raises(DataError, match="2 weights for 1 members"):
-            soft_vote([a], weights=[1.0, 1.0])
-
-    def test_negative_weight(self):
-        a = np.full((1, 2), 0.5)
-        with pytest.raises(DataError, match="non-negative"):
-            soft_vote([a, a], weights=[1.0, -0.1])
-
-    def test_non_finite_weight(self):
-        a = np.full((1, 2), 0.5)
-        with pytest.raises(DataError, match="finite"):
-            soft_vote([a, a], weights=[1.0, np.inf])
-
-    def test_all_zero_weights(self):
-        a = np.full((1, 2), 0.5)
-        with pytest.raises(DataError, match="not all be zero"):
-            soft_vote([a, a], weights=[0.0, 0.0])

@@ -1,6 +1,7 @@
 import heapq
 import json
 import math
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -241,6 +242,16 @@ class TestTrainGbdt:
             train_gbdt(np.zeros((2, 1)), np.array([1, 1]), 2, cfg)
 
 
+def reloaded(model: GbdtModel) -> GbdtModel:
+    """``model`` through its JSON payload, decoded against a state that gives its sizes."""
+    state = SimpleNamespace(
+        schema=SimpleNamespace(n_classes=model.n_classes),
+        view_width=lambda view: model.feature_count,
+    )
+    doc = json.loads(json.dumps(model.to_json_dict()))
+    return GbdtModel.from_json_dict(doc, state, "numeric")
+
+
 class TestSplitThresholds:
     """A threshold is finite and sends the lower value of its pair left, the upper right."""
 
@@ -250,7 +261,7 @@ class TestSplitThresholds:
     def train_and_reload(column):
         x = np.array(column)[:, None]
         model, _ = train_gbdt(x, np.array([0, 0, 1, 1]), 2, GbdtConfig(rounds=2))
-        again = GbdtModel.from_json_dict(json.loads(json.dumps(model.to_json_dict())))
+        again = reloaded(model)
         assert again.predict_proba(x).tobytes() == model.predict_proba(x).tobytes()
         return x, model
 
@@ -290,8 +301,7 @@ class TestGbdtModel:
         y = (x[:, 0] * x[:, 1] > 0).astype(np.int64)
         cfg = GbdtConfig(rounds=5, max_depth=3, max_leaves=6)
         model, _ = train_gbdt(x, y, 2, cfg)
-        doc = json.loads(json.dumps(model.to_json_dict()))
-        again = GbdtModel.from_json_dict(doc)
+        again = reloaded(model)
         assert np.array_equal(model.predict_proba(x), again.predict_proba(x))
 
     def test_probability_rows_sum_to_one(self):
@@ -513,6 +523,23 @@ class TestTreeChecks:
         edit(bad)
         with pytest.raises(DataError, match=f"gbdt {message}"):
             GbdtModel([split_tree(), bad], 2, 1, 0.1)
+
+    @pytest.mark.parametrize(
+        "n_classes, shrinkage, base_score, message",
+        [
+            (2, 0.1, 0.0, "1 trees; expected a multiple of its 2 classes"),
+            (0, 0.1, 0.0, "expected a multiple of its 0 classes"),
+            (1, math.nan, 0.0, "shrinkage nan must be finite and positive"),
+            (1, 0.0, 0.0, "shrinkage 0.0 must be finite and positive"),
+            (1, 0.1, math.inf, "base score inf finite"),
+        ],
+        ids=["tree-count-not-multiple", "no-classes", "shrinkage-nan", "shrinkage-zero", "base-inf"],
+    )
+    def test_built_model_rejects_what_it_cannot_predict_with(
+        self, n_classes, shrinkage, base_score, message
+    ):
+        with pytest.raises(DataError, match=message):
+            GbdtModel([split_tree()], n_classes, 1, shrinkage, base_score)
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())

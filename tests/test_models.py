@@ -373,5 +373,5 @@ class TestFrequencyEncoder:
         table = color_table()
         state = fit(table)
         enc = FrequencyEncoder.fit(table, state, np.arange(5))
-        again = FrequencyEncoder.from_json_dict(enc.to_json_dict())
+        again = FrequencyEncoder.from_json_dict(enc.to_json_dict(), state)
         assert again == enc

@@ -120,10 +120,11 @@ class TestFit:
 
     def test_column_offsets_are_disjoint(self):
         state = fit(small_table())
-        offsets = state.column_offsets()
-        assert offsets["complaint"] == 0
-        # complaint holds pad + unknown + 2 tokens = 4 indices
-        assert offsets["mode"] == 4
+        tokens = transform(small_table(), state).tokens
+        # complaint's block: pad, unknown, chest 2, pain 3, over 3 positions
+        assert tokens[:, :3].tolist() == [[2, 3, 0], [3, 2, 2], [2, 3, 0], [2, 3, 0]]
+        # mode's block starts after complaint's 4 indices: ambulance 4 + 2, walk 4 + 3
+        assert tokens[:, 3].tolist() == [4 + 3, 4 + 3, 4 + 2, 4 + 3]
         assert state.total_vocab_size == 4 + 4
 
 
@@ -362,6 +363,48 @@ class TestStateSerialization:
         doc["format_version"] = 99
         with pytest.raises(DataError, match="version"):
             PreprocessState.from_json_dict(doc)
+
+    def test_stores_only_what_the_schema_does_not_give(self):
+        doc = fit(small_table()).to_json_dict()
+        assert doc["numeric_stats"] == {"means": [2.5], "stds": [1.118033988749895]}
+        assert doc["vocabularies"]["complaint"] == {
+            "tokens": ["chest", "pain"], "pad_length": 3, "mode_value": "chest pain"
+        }
+        assert set(doc) == {"format_version", "schema", "numeric_stats", "vocabularies"}
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d["numeric_stats"]["means"].append(0.0), "1 finite means"),
+            (lambda d: d["numeric_stats"]["stds"].clear(), "1 finite stds"),
+            (lambda d: d["numeric_stats"]["means"].__setitem__(0, math.nan), "finite means"),
+            (lambda d: d["numeric_stats"]["stds"].__setitem__(0, math.inf), "finite stds"),
+            (lambda d: d["numeric_stats"]["means"].__setitem__(0, "2.5"), "finite means"),
+            (lambda d: d["numeric_stats"]["stds"].__setitem__(0, -1.0), "negative"),
+            (lambda d: vocab(d).update(pad_length=0), "pad length 0"),
+            (lambda d: vocab(d).update(pad_length=2.5), "pad length 2.5"),
+            (lambda d: vocab(d).update(pad_length="3"), "pad length '3'"),
+            (lambda d: vocab(d).update(tokens=["chest", "chest"]), "distinct strings"),
+            (lambda d: vocab(d).update(tokens=["chest", 3]), "distinct strings"),
+            (lambda d: vocab(d).update(mode_value=None), "mode None"),
+            (lambda d: d["vocabularies"].pop("mode"), "follow the categorical features"),
+            (lambda d: d["vocabularies"].update(extra=vocab(d)), "follow the categorical"),
+        ],
+        ids=[
+            "extra-mean", "no-stds", "nan-mean", "inf-std", "text-mean", "negative-std",
+            "pad-0", "pad-fraction", "pad-text", "token-twice", "token-number",
+            "mode-none", "vocabulary-missing", "vocabulary-extra",
+        ],
+    )
+    def test_decode_checks_what_the_schema_does_not_give(self, edit, message):
+        doc = json.loads(json.dumps(fit(small_table()).to_json_dict()))
+        edit(doc)
+        with pytest.raises(DataError, match=message):
+            PreprocessState.from_json_dict(doc)
+
+
+def vocab(doc: dict) -> dict:
+    return doc["vocabularies"]["complaint"]
 
 
 def _dataset_with_labels(labels):
