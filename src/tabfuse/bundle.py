@@ -7,13 +7,14 @@ with. Floats serialize through Python's shortest round-trip repr, so
 save/load reproduces every parameter bit for bit.
 
 Each fact is stored once. The state gives every size (class count, input
-widths, vocabulary), so members are decoded against it, through
-``MEMBER_CLASSES``. Each class names its ``kind``, the ``feature_views`` it
-can read and its ``payload_fields``, and provides ``to_json_dict``,
-``from_json_dict(payload, state, view)``, ``describe`` and ``predict_proba``.
-Every member records the fingerprint of the state it was trained against,
-which must be the state's. A document of another format version, or with
-fields the format does not define, is refused.
+widths, vocabulary) and a net's stored weights give its layer widths, so a
+member payload is only a net's parameters or a booster's trees, and members
+are decoded against the state through ``MEMBER_CLASSES``. Each class names
+its ``kind``, the ``feature_views`` it can read and its ``payload_fields``,
+and provides ``to_json_dict``, ``from_json_dict(payload, state, view)``,
+``describe`` and ``predict_proba``. The fingerprint covers the state only
+and is stored once, beside it. A document of another format version, or
+with fields the format does not define, is refused.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .models import BaselineMlp, EmbeddingFusionNet, FrequencyEncoder
 from .preprocess import PreprocessState
 from .schema import load_json
 
-BUNDLE_FORMAT_VERSION = 2
+BUNDLE_FORMAT_VERSION = 3
 
 MEMBER_CLASSES = {cls.kind: cls for cls in (EmbeddingFusionNet, BaselineMlp, GbdtModel)}
 MODEL_KINDS = (*MEMBER_CLASSES, "ensemble")
@@ -119,13 +120,6 @@ class ModelBundle:
                 f"a {self.kind} bundle must hold exactly one {self.kind} member, "
                 f"not {', '.join(m.kind for m in self.members)}"
             )
-        fp = self.state.fingerprint()
-        for m in self.members:
-            if m.model.preprocess_fingerprint != fp:
-                raise DataError(
-                    f"member {m.kind!r} was trained against a different "
-                    f"preprocessing state (fingerprint mismatch)"
-                )
 
     def to_json_dict(self) -> dict:
         return {

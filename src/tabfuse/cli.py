@@ -21,6 +21,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .bundle import BUNDLE_FORMAT_VERSION, load_bundle, save_bundle
 from .errors import DataError, ToolkitError, UsageError
 from .gbdt import GbdtConfig
@@ -180,8 +182,11 @@ def _score(args):
     """Load ``--model``, read ``--data`` against it, and score every row."""
     bundle = load_bundle(args.model)
     table = load_csv(args.data, bundle.state.schema)
-    encoded = transform(table, bundle.state)
-    return bundle, table, encoded, combined_probabilities(bundle, encoded, table)
+    # A number past float range ends in the one error[numeric] line, not in
+    # numpy warnings first.
+    with np.errstate(all="ignore"):
+        encoded = transform(table, bundle.state)
+        return bundle, table, encoded, combined_probabilities(bundle, encoded, table)
 
 
 def cmd_generate(args) -> int:

@@ -445,7 +445,6 @@ class GbdtModel:
     feature_count: int
     shrinkage: float
     base_score: float = 0.0
-    preprocess_fingerprint: str = ""
     # Packed and checked from ``trees`` when the model is built; edit no tree after.
     _packed: _PackedTrees = field(init=False, repr=False, compare=False)
 
@@ -501,13 +500,12 @@ class GbdtModel:
     def describe(self) -> str:
         return f"{self.rounds} rounds x {self.n_classes} classes"
 
-    payload_fields = ("shrinkage", "base_score", "preprocess_fingerprint", "trees")
+    payload_fields = ("shrinkage", "base_score", "trees")
 
     def to_json_dict(self) -> dict:
         return {
             "shrinkage": self.shrinkage,
             "base_score": self.base_score,
-            "preprocess_fingerprint": self.preprocess_fingerprint,
             "trees": [t.to_json_dict() for t in self.trees],
         }
 
@@ -528,7 +526,6 @@ class GbdtModel:
             state.view_width(view),
             float(doc["shrinkage"]),
             float(doc["base_score"]),
-            doc["preprocess_fingerprint"],
         )
 
 

@@ -12,8 +12,8 @@ Two classifiers share one training interface:
   categorical column.
 
 Both are sized from the preprocessing state by ``from_state``, for training
-and for decoding, so a payload holds only their layer ``widths`` and
-parameters.
+and for decoding. A payload holds only their parameters: each layer width is
+read from the shape of a stored weight.
 
 Training is mini-batch Adam with a seeded shuffle per epoch, epoch-level
 validation, and early stopping that restores the best-epoch snapshot.
@@ -33,42 +33,71 @@ from .preprocess import PreprocessState
 from .schema import DataTable
 
 
-def _net_payload(model) -> dict:
-    """A network's JSON payload: its ``widths``, its fingerprint and its parameters."""
-    return {
-        **{name: getattr(model, name) for name in model.widths},
-        "preprocess_fingerprint": model.preprocess_fingerprint,
-        "params": {p.name: p.value.tolist() for p in model.params()},
-    }
+def _param(params: dict, name: str) -> np.ndarray:
+    if name not in params:
+        raise DataError(f"bundle is missing parameter {name!r}")
+    return params[name]
 
 
-def _net_from_payload(cls, doc: dict, state: PreprocessState):
-    """A network of ``cls`` sized for ``state``, with the payload's widths and parameters."""
-    model = cls.from_state(
-        state,
-        **{name: int(doc[name]) for name in cls.widths},
-        preprocess_fingerprint=doc["preprocess_fingerprint"],
-    )
-    _load_params(model, doc["params"])
-    return model
+def _width(params: dict, name: str, axis: int, size: int) -> int:
+    """The other axis of 2-d weight ``name``, once its ``axis`` is checked to be ``size``."""
+    shape = _param(params, name).shape
+    if len(shape) != 2 or shape[axis] != size:
+        raise DataError(
+            f"parameter {name!r} has shape {shape}, expected 2 axes with {size} along axis {axis}"
+        )
+    return shape[1 - axis]
 
 
-def _load_params(model, payload: dict) -> None:
-    for p in model.params():
-        if p.name not in payload:
-            raise DataError(f"bundle is missing parameter {p.name!r}")
-        arr = np.asarray(payload[p.name], dtype=np.float64)
-        if arr.shape != p.value.shape:
-            raise DataError(
-                f"parameter {p.name!r} has shape {arr.shape}, "
-                f"expected {p.value.shape}"
-            )
-        if not np.isfinite(arr).all():
-            raise DataError(f"parameter {p.name!r} holds a value that is not finite")
-        p.value[...] = arr
+class _Net:
+    """What both networks share: their parameters, gathered from ``layers``,
+    softmax probabilities, and a payload that is only those parameters.
+
+    A payload gives no width: each is read from a stored weight whose other
+    axis the state or an earlier width fixes (``widths_from``), so a net is
+    never built larger than the weights the document holds. Each subclass
+    names ``predict_proba`` in its own namespace, so a profiler that wraps
+    class attributes can time each kind.
+    """
+
+    payload_fields = ("params",)
+
+    def params(self) -> list[Param]:
+        return [p for layer in self.layers for p in layer.params()]
+
+    def predict_proba(self, *inputs: np.ndarray) -> np.ndarray:
+        return softmax(self.forward(*inputs))
+
+    def to_json_dict(self) -> dict:
+        return {"params": {p.name: p.value.tolist() for p in self.params()}}
+
+    @classmethod
+    def from_json_dict(cls, doc: dict, state: PreprocessState, view: str):
+        """Decode a net of ``state`` from its parameters.
+
+        Raises:
+            DataError: a missing or unknown parameter, a shape that does not
+                fit the state or the other weights, or a value that is not
+                finite.
+        """
+        params = {name: np.asarray(v, dtype=np.float64) for name, v in doc["params"].items()}
+        model = cls.from_state(state, **cls.widths_from(params, state))
+        unknown = sorted(set(params) - {p.name for p in model.params()})
+        if unknown:
+            raise DataError(f"{cls.kind} payload holds unknown parameters {unknown}")
+        for p in model.params():
+            arr = _param(params, p.name)
+            if arr.shape != p.value.shape:
+                raise DataError(
+                    f"parameter {p.name!r} has shape {arr.shape}, expected {p.value.shape}"
+                )
+            if not np.isfinite(arr).all():
+                raise DataError(f"parameter {p.name!r} holds a value that is not finite")
+            p.value[...] = arr
+        return model
 
 
-class EmbeddingFusionNet:
+class EmbeddingFusionNet(_Net):
     """Token-embedding branch fused with a numeric branch by addition.
 
     Args:
@@ -80,7 +109,6 @@ class EmbeddingFusionNet:
         hidden_width: width of the first categorical dense layer, default 32.
         fused_width: width both branches are projected to, default 16.
         seed: initialization seed.
-        preprocess_fingerprint: fingerprint of the state this model expects.
     """
 
     kind = "fusion"
@@ -96,7 +124,6 @@ class EmbeddingFusionNet:
         hidden_width: int = 32,
         fused_width: int = 16,
         seed: int = 0,
-        preprocess_fingerprint: str = "",
     ):
         if n_classes < 2:
             raise ValueError("need at least 2 classes")
@@ -110,28 +137,13 @@ class EmbeddingFusionNet:
         self.num_act = PReLU("num.act")
         self.fusion_act = PReLU("fusion.act")
         self.classifier = Linear(fused_width, n_classes, rng, "classifier")
+        self.layers = (
+            self.embedding, self.cat_linear1, self.cat_act1, self.cat_linear2, self.cat_act2,
+            self.num_linear, self.num_act, self.fusion_act, self.classifier,
+        )
         self.token_width = token_width
-        self.n_numeric = n_numeric
-        self.n_classes = n_classes
-        self.embed_dim, self.hidden_width, self.fused_width = embed_dim, hidden_width, fused_width
-        self.preprocess_fingerprint = preprocess_fingerprint
+        self.embed_dim = embed_dim
         self._shape = None
-
-    def params(self) -> list[Param]:
-        out = []
-        for layer in (
-            self.embedding,
-            self.cat_linear1,
-            self.cat_act1,
-            self.cat_linear2,
-            self.cat_act2,
-            self.num_linear,
-            self.num_act,
-            self.fusion_act,
-            self.classifier,
-        ):
-            out.extend(layer.params())
-        return out
 
     def forward(self, numeric: np.ndarray, tokens: np.ndarray) -> np.ndarray:
         emb = self.embedding.forward(tokens)
@@ -151,8 +163,7 @@ class EmbeddingFusionNet:
         d_flat = self.cat_linear1.backward(self.cat_act1.backward(d_c))
         self.embedding.backward(d_flat.reshape(self._shape))
 
-    def predict_proba(self, numeric: np.ndarray, tokens: np.ndarray) -> np.ndarray:
-        return softmax(self.forward(numeric, tokens))
+    predict_proba = _Net.predict_proba
 
     @classmethod
     def from_state(cls, state: PreprocessState, **kwargs) -> "EmbeddingFusionNet":
@@ -160,24 +171,21 @@ class EmbeddingFusionNet:
         sizes = state.total_vocab_size, state.total_padded_width, len(state.numeric_columns)
         return cls(*sizes, state.schema.n_classes, **kwargs)
 
+    @staticmethod
+    def widths_from(params: dict, state: PreprocessState) -> dict:
+        embed_dim = _width(params, "embedding.weight", 0, max(state.total_vocab_size, 1))
+        hidden_width = _width(params, "cat1.weight", 1, state.total_padded_width * embed_dim)
+        fused_width = _width(params, "cat2.weight", 1, hidden_width)
+        return {"embed_dim": embed_dim, "hidden_width": hidden_width, "fused_width": fused_width}
+
     def describe(self) -> str:
         return (
             f"embed dim {self.embed_dim}, token width {self.token_width}, "
-            f"numerics {self.n_numeric}"
+            f"numerics {self.num_linear.in_dim}"
         )
 
-    widths = ("embed_dim", "hidden_width", "fused_width")
-    payload_fields = (*widths, "preprocess_fingerprint", "params")
 
-    def to_json_dict(self) -> dict:
-        return _net_payload(self)
-
-    @classmethod
-    def from_json_dict(cls, doc: dict, state: PreprocessState, view: str) -> "EmbeddingFusionNet":
-        return _net_from_payload(cls, doc, state)
-
-
-class BaselineMlp:
+class BaselineMlp(_Net):
     """Plain MLP over numerics plus per-column frequency-encoded categoricals."""
 
     kind = "baseline"
@@ -190,7 +198,6 @@ class BaselineMlp:
         hidden1: int = 64,
         hidden2: int = 32,
         seed: int = 0,
-        preprocess_fingerprint: str = "",
     ):
         if n_classes < 2:
             raise ValueError("need at least 2 classes")
@@ -200,16 +207,7 @@ class BaselineMlp:
         self.linear2 = Linear(hidden1, hidden2, rng, "mlp2")
         self.act2 = PReLU("mlp2.act")
         self.linear3 = Linear(hidden2, n_classes, rng, "mlp3")
-        self.n_features = n_features
-        self.n_classes = n_classes
-        self.hidden1, self.hidden2 = hidden1, hidden2
-        self.preprocess_fingerprint = preprocess_fingerprint
-
-    def params(self) -> list[Param]:
-        out = []
-        for layer in (self.linear1, self.act1, self.linear2, self.act2, self.linear3):
-            out.extend(layer.params())
-        return out
+        self.layers = (self.linear1, self.act1, self.linear2, self.act2, self.linear3)
 
     def forward(self, features: np.ndarray) -> np.ndarray:
         h = self.act1.forward(self.linear1.forward(features))
@@ -221,26 +219,20 @@ class BaselineMlp:
         d = self.act1.backward(self.linear2.backward(d))
         self.linear1.backward(d)
 
-    def predict_proba(self, features: np.ndarray) -> np.ndarray:
-        return softmax(self.forward(features))
+    predict_proba = _Net.predict_proba
 
     @classmethod
     def from_state(cls, state: PreprocessState, **kwargs) -> "BaselineMlp":
         """An MLP sized for ``state``; ``kwargs`` are the other constructor arguments."""
         return cls(state.view_width(cls.feature_views[0]), state.schema.n_classes, **kwargs)
 
+    @staticmethod
+    def widths_from(params: dict, state: PreprocessState) -> dict:
+        hidden1 = _width(params, "mlp1.weight", 1, state.view_width("numeric+frequency"))
+        return {"hidden1": hidden1, "hidden2": _width(params, "mlp2.weight", 1, hidden1)}
+
     def describe(self) -> str:
-        return f"input width {self.n_features}"
-
-    widths = ("hidden1", "hidden2")
-    payload_fields = (*widths, "preprocess_fingerprint", "params")
-
-    def to_json_dict(self) -> dict:
-        return _net_payload(self)
-
-    @classmethod
-    def from_json_dict(cls, doc: dict, state: PreprocessState, view: str) -> "BaselineMlp":
-        return _net_from_payload(cls, doc, state)
+        return f"input width {self.linear1.in_dim}"
 
 
 @dataclass(frozen=True)

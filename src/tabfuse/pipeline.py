@@ -26,7 +26,7 @@ import numpy as np
 
 from .bundle import MODEL_KINDS, BundleMember, ModelBundle
 from .ensemble import soft_vote
-from .errors import DataError, UsageError
+from .errors import DataError, NumericError, UsageError
 from .gbdt import GbdtConfig, GbdtModel, train_gbdt
 from .metrics import EvalReport, evaluate
 from .models import (
@@ -238,13 +238,23 @@ def member_probabilities(
 def combined_probabilities(
     bundle: ModelBundle, encoded: EncodedDataset, table: DataTable
 ) -> np.ndarray:
-    """Soft-voted probabilities for ``encoded``, the transform of ``table``."""
+    """Soft-voted probabilities for ``encoded``, the transform of ``table``.
+
+    Raises:
+        NumericError: a probability that is not finite, as finite parameters
+            or inputs at the edge of float range can give.
+    """
     freq = (
         bundle.frequency_encoder.encode(table)
         if bundle.frequency_encoder is not None
         else None
     )
-    return soft_vote(member_probabilities(bundle, encoded, freq))
+    probas = soft_vote(member_probabilities(bundle, encoded, freq))
+    finite = np.isfinite(probas)
+    if not finite.all():
+        bad = int((~finite.all(axis=1)).sum())
+        raise NumericError(f"probabilities are not finite in {bad} of {len(probas)} rows")
+    return probas
 
 
 def predict_on_table(bundle: ModelBundle, table: DataTable) -> np.ndarray:
@@ -284,7 +294,6 @@ def run_training(config: RunConfig) -> TrainOutcome:
             config,
         )
         model, log_csv = MEMBER_TRAINERS[kind].fit(job)
-        model.preprocess_fingerprint = state.fingerprint()
         trained.append((BundleMember(kind, model, view), log_csv))
     members = [member for member, _ in trained]
 

@@ -59,7 +59,6 @@ def fusion_member(state, seed=0):
         hidden_width=6,
         fused_width=5,
         seed=seed,
-        preprocess_fingerprint=state.fingerprint(),
     )
     return BundleMember("fusion", model)
 
@@ -69,7 +68,6 @@ def gbdt_member(state, seed=0):
     x = rng.normal(size=(30, 3))
     y = (x[:, 0] > 0).astype(np.int64)
     model, _ = train_gbdt(x, y, 2, GbdtConfig(rounds=3, max_depth=2, max_leaves=4))
-    model.preprocess_fingerprint = state.fingerprint()
     return BundleMember("gbdt", model, feature_view="numeric+tokens")
 
 
@@ -164,6 +162,9 @@ def test_payloads_hold_no_size_the_state_gives(kind, trained_bundles):
     bundle, _ = trained_bundles[kind]
     doc = bundle.to_json_dict()
     sizes = {"n_classes", "feature_count", "n_features", "vocab_size", "token_width", "n_numeric"}
+    # Nor a layer width, which the stored weights give, nor the state's fingerprint.
+    sizes |= {"embed_dim", "hidden_width", "fused_width", "hidden1", "hidden2"}
+    sizes.add("preprocess_fingerprint")
     for member in doc["members"]:
         payload = member["payload"]
         assert list(payload) == list(MEMBER_CLASSES[member["kind"]].payload_fields)
@@ -206,9 +207,7 @@ class TestRoundTrip:
     def test_baseline_round_trip(self, tmp_path):
         state, _ = fitted_state()
         # One numeric column plus one frequency column per categorical column.
-        model = BaselineMlp(
-            2, 2, hidden1=6, hidden2=4, seed=1, preprocess_fingerprint=state.fingerprint()
-        )
+        model = BaselineMlp(2, 2, hidden1=6, hidden2=4, seed=1)
         bundle = ModelBundle("baseline", state, [BundleMember("baseline", model)])
         path = tmp_path / "b.json"
         save_bundle(bundle, path)
@@ -260,13 +259,6 @@ class TestRoundTrip:
 
 
 class TestValidation:
-    def test_fingerprint_mismatch_rejected_on_build(self):
-        state, _ = fitted_state()
-        member = fusion_member(state)
-        member.model.preprocess_fingerprint = "0" * 64
-        with pytest.raises(DataError, match="fingerprint mismatch"):
-            ModelBundle("fusion", state, [member])
-
     def test_tampered_state_rejected_on_load(self, tmp_path):
         state, _ = fitted_state()
         bundle = ModelBundle("fusion", state, [fusion_member(state)])
@@ -401,17 +393,14 @@ class TestValidation:
             load_doc(path, doc)
 
     def test_fingerprints_required(self, tmp_path):
+        """The state's fingerprint is required at the top level, and nowhere else."""
         state, _ = fitted_state()
         path, doc = saved_doc(tmp_path, ModelBundle("gbdt", state, [gbdt_member(state)]))
-        with pytest.raises(DataError, match="preprocess_fingerprint"):
+        with pytest.raises(DataError, match=r"bundle fields: .*missing \['preprocess_fingerprint'\]"):
             load_doc(path, {k: v for k, v in doc.items() if k != "preprocess_fingerprint"})
-        doc["members"][0]["payload"]["preprocess_fingerprint"] = ""
-        with pytest.raises(DataError, match="fingerprint mismatch"):
+        doc["members"][0]["payload"]["preprocess_fingerprint"] = state.fingerprint()
+        with pytest.raises(DataError, match=r"gbdt payload fields: unknown \['preprocess_fingerprint'\]"):
             load_doc(path, doc)
-        member = gbdt_member(state)
-        member.model.preprocess_fingerprint = ""
-        with pytest.raises(DataError, match="fingerprint mismatch"):
-            ModelBundle("gbdt", state, [member])
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="not found"):

@@ -8,6 +8,8 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
@@ -375,7 +377,7 @@ class TestInspect:
         code = main(["inspect", "--model", str(out_dir / "bundle.json")])
         assert code == 0
         out = capsys.readouterr().out
-        assert "format version: 2" in out
+        assert "format version: 3" in out
         assert "model kind: fusion" in out
         assert "target: outcome" in out
         assert "classes (2): no, yes" in out
@@ -400,194 +402,255 @@ class TestInspect:
 
 
 class TestMalformedBundle:
+    # Each case is an edit of the document, the kind of bundle it edits, and a
+    # fragment of the message of the check it targets.
     @pytest.mark.parametrize(
-        "corrupt, model",
+        "corrupt, model, fragment",
         [
-            pytest.param(lambda doc: doc["members"][0].pop("kind"), "gbdt", id="no-kind"),
+            pytest.param(
+                lambda doc: doc["members"][0].pop("kind"), "gbdt", "unknown member kind None",
+                id="no-kind",
+            ),
             pytest.param(
                 lambda doc: doc["members"][0].update(feature_view="wavelets"),
-                "gbdt",
+                "gbdt", "gbdt member has feature view 'wavelets'",
                 id="bad-view",
             ),
             pytest.param(
-                lambda doc: doc["members"][0].pop("feature_view"), "gbdt", id="no-view"
+                lambda doc: doc["members"][0].pop("feature_view"),
+                "gbdt", "gbdt member has feature view ''",
+                id="no-view",
             ),
-            pytest.param(lambda doc: doc.update(kind="fusion"), "gbdt", id="kind-mismatch"),
-            pytest.param(lambda doc: doc.update(members={}), "gbdt", id="members-not-list"),
-            pytest.param(lambda doc: doc.update(weights=[1.0]), "gbdt", id="weights"),
-            pytest.param(lambda doc: doc.update(format_version=1), "gbdt", id="format-version-1"),
-            pytest.param(lambda doc: doc.update(run_summary=5), "gbdt", id="run-summary-not-object"),
+            pytest.param(
+                lambda doc: doc.update(kind="fusion"), "gbdt", "exactly one fusion member",
+                id="kind-mismatch",
+            ),
+            pytest.param(
+                lambda doc: doc.update(members={}), "gbdt", "'members' must be a non-empty list",
+                id="members-not-list",
+            ),
+            pytest.param(
+                lambda doc: doc.update(weights=[1.0]), "gbdt", "fields: unknown ['weights']",
+                id="weights",
+            ),
+            pytest.param(
+                lambda doc: doc.update(format_version=1), "gbdt", "unsupported bundle version 1;",
+                id="format-version-1",
+            ),
+            pytest.param(
+                lambda doc: doc.update(format_version=2), "fusion", "unsupported bundle version 2;",
+                id="format-version-2",
+            ),
+            pytest.param(
+                lambda doc: doc.update(run_summary=5), "gbdt", "'run_summary' must be an object",
+                id="run-summary-not-object",
+            ),
             # The class count comes from the state's class labels: a payload
             # that does not fit them fails the parameter shape check.
             pytest.param(
                 lambda doc: edit_state(doc, lambda s: s["schema"]["class_labels"].append("maybe")),
-                "fusion",
+                "fusion", "parameter 'classifier.weight' has shape (2, 16), expected (3, 16)",
                 id="state-class-label-added",
             ),
             pytest.param(
-                lambda doc: doc.update(members=["gbdt"]), "gbdt", id="member-not-object"
+                lambda doc: doc.update(members=["gbdt"]), "gbdt", "AttributeError",
+                id="member-not-object",
             ),
-            pytest.param(lambda doc: [doc], "gbdt", id="top-level-list"),
-            pytest.param(lambda doc: doc.pop("preprocess"), "gbdt", id="no-preprocess"),
+            pytest.param(lambda doc: [doc], "gbdt", "AttributeError", id="top-level-list"),
+            pytest.param(
+                lambda doc: doc.pop("preprocess"), "gbdt", "missing ['preprocess']",
+                id="no-preprocess",
+            ),
             # The frequency tables must be keyed by the state's categorical
             # columns, and the encoder reads each column's mode from the state.
             pytest.param(
                 lambda doc: doc["frequency_encoder"]["tables"].pop("note"),
-                "baseline",
+                "baseline", "frequency tables must follow the state's categorical columns",
                 id="encoder-without-table",
             ),
             pytest.param(
                 lambda doc: edit_state(doc, lambda s: s["vocabularies"]["note"].pop("mode_value")),
-                "baseline",
+                "baseline", "KeyError('mode_value')",
                 id="encoder-without-mode",
             ),
             pytest.param(
                 lambda doc: rename_encoder_table(doc["frequency_encoder"], "note", "memo"),
-                "baseline",
+                "baseline", "frequency tables must follow the state's categorical columns",
                 id="encoder-column-renamed",
             ),
             pytest.param(
                 lambda doc: doc["frequency_encoder"]["tables"].update(age={"1.0": 1.0}),
-                "baseline",
+                "baseline", "frequency tables must follow the state's categorical columns",
                 id="encoder-column-added",
             ),
             pytest.param(
                 lambda doc: doc["frequency_encoder"]["tables"]["note"].update(
                     dict.fromkeys(doc["frequency_encoder"]["tables"]["note"], "abc")
                 ),
-                "baseline",
+                "baseline", "frequency table 'note' holds a value that is not a finite number",
                 id="encoder-frequency-text",
             ),
             # Trees must be safe to walk: the packed walk trusts every index.
             pytest.param(
-                lambda doc: gbdt_payload(doc)["trees"][0]["threshold"].pop(),
-                "gbdt",
+                lambda doc: member_payload(doc)["trees"][0]["threshold"].pop(),
+                "gbdt", "field lists must be non-empty and of equal length",
                 id="tree-lists-unequal",
             ),
             pytest.param(
-                lambda doc: gbdt_payload(doc)["trees"][0].update(
+                lambda doc: member_payload(doc)["trees"][0].update(
                     dict.fromkeys(["feature", "threshold", "left", "right", "weight"], [])
                 ),
-                "gbdt",
+                "gbdt", "field lists must be non-empty and of equal length",
                 id="tree-lists-empty",
             ),
             pytest.param(
-                lambda doc: gbdt_payload(doc)["trees"][0].update(
-                    weight=[[w] for w in gbdt_payload(doc)["trees"][0]["weight"]]
+                lambda doc: member_payload(doc)["trees"][0].update(
+                    weight=[[w] for w in member_payload(doc)["trees"][0]["weight"]]
                 ),
-                "gbdt",
+                "gbdt", "weight must hold only numbers",
                 id="tree-lists-nested",
             ),
             pytest.param(
                 lambda doc: edit_split_tree(doc, "feature", gbdt_feature_count(doc)),
-                "gbdt",
+                "gbdt", "gbdt trees read feature 5; the model has 5 features",
                 id="tree-feature-too-high",
             ),
             pytest.param(
-                lambda doc: edit_split_tree(doc, "feature", -2),
-                "gbdt",
+                lambda doc: edit_split_tree(doc, "feature", -2), "gbdt", "has a feature below -1",
                 id="tree-feature-below-leaf",
             ),
             pytest.param(
-                lambda doc: edit_split_tree(doc, "feature", "1"), "gbdt", id="tree-feature-text"
+                lambda doc: edit_split_tree(doc, "feature", "1"),
+                "gbdt", "feature must hold only integers",
+                id="tree-feature-text",
             ),
             pytest.param(
-                lambda doc: edit_split_tree(doc, "left", 0), "gbdt", id="tree-child-cycle"
+                lambda doc: edit_split_tree(doc, "left", 0), "gbdt", "has a child not after it",
+                id="tree-child-cycle",
             ),
             pytest.param(
                 lambda doc: edit_split_tree(doc, "right", lambda t: len(t["feature"])),
-                "gbdt",
+                "gbdt", "has a child not after it",
                 id="tree-child-past-end",
             ),
             pytest.param(
                 lambda doc: edit_split_tree(doc, "left", 0, at="leaf"),
-                "gbdt",
+                "gbdt", "has a leaf with children",
                 id="tree-leaf-with-child",
             ),
             pytest.param(
                 lambda doc: edit_split_tree(doc, "threshold", math.nan),
-                "gbdt",
+                "gbdt", "has a non-finite threshold or weight",
                 id="tree-threshold-nan",
             ),
             pytest.param(
                 lambda doc: edit_split_tree(doc, "weight", math.inf, at="leaf"),
-                "gbdt",
+                "gbdt", "has a non-finite threshold or weight",
                 id="tree-weight-inf",
             ),
             pytest.param(
-                lambda doc: gbdt_payload(doc)["trees"].pop(), "gbdt", id="tree-count-not-multiple"
+                lambda doc: member_payload(doc)["trees"].pop(),
+                "gbdt", "gbdt holds 9 trees; expected a multiple of its 2 classes",
+                id="tree-count-not-multiple",
             ),
-            pytest.param(lambda doc: gbdt_payload(doc).update(trees=[]), "gbdt", id="no-trees"),
             pytest.param(
-                lambda doc: gbdt_payload(doc).update(shrinkage=math.nan),
-                "gbdt",
+                lambda doc: member_payload(doc).update(trees=[]), "gbdt", "gbdt holds no trees",
+                id="no-trees",
+            ),
+            pytest.param(
+                lambda doc: member_payload(doc).update(shrinkage=math.nan),
+                "gbdt", "gbdt shrinkage nan must be finite and positive",
                 id="shrinkage-nan",
             ),
             pytest.param(
-                lambda doc: gbdt_payload(doc).update(shrinkage=0.0), "gbdt", id="shrinkage-zero"
-            ),
-            pytest.param(
-                lambda doc: gbdt_payload(doc).update(n_classes=math.inf),
-                "gbdt",
-                id="n-classes-infinite",
+                lambda doc: member_payload(doc).update(shrinkage=0.0),
+                "gbdt", "gbdt shrinkage 0.0 must be finite and positive",
+                id="shrinkage-zero",
             ),
             # A payload holds no size the state gives, and must fit the state.
             pytest.param(
-                lambda doc: gbdt_payload(doc).update(n_classes=1), "gbdt", id="gbdt-n-classes-1"
+                lambda doc: member_payload(doc).update(n_classes=math.inf),
+                "gbdt", "gbdt payload fields: unknown ['n_classes']",
+                id="n-classes-infinite",
             ),
             pytest.param(
-                lambda doc: add_embedding_row(doc), "fusion", id="fusion-vocab-size-grown"
+                lambda doc: member_payload(doc).update(n_classes=1),
+                "gbdt", "gbdt payload fields: unknown ['n_classes']",
+                id="gbdt-n-classes-1",
             ),
-            # What the schema does not give is checked, with fingerprints
+            pytest.param(
+                lambda doc: add_embedding_row(doc),
+                "fusion", "parameter 'embedding.weight' has shape (15, 16)",
+                id="fusion-vocab-size-grown",
+            ),
+            # What the schema does not give is checked, with the fingerprint
             # recomputed so that the edit reaches the state's own checks.
             pytest.param(
                 lambda doc: edit_state(doc, lambda s: s["numeric_stats"]["means"].append(0.0)),
-                "gbdt",
+                "gbdt", "preprocess state needs 2 finite means",
                 id="state-extra-mean",
             ),
             pytest.param(
                 lambda doc: edit_state(doc, lambda s: set_stat(s, "means", math.nan)),
-                "gbdt",
+                "gbdt", "preprocess state needs 2 finite means",
                 id="state-mean-nan",
             ),
             pytest.param(
                 lambda doc: edit_state(doc, lambda s: set_stat(s, "stds", -1.0)),
-                "gbdt",
+                "gbdt", "preprocess state holds a negative standard deviation",
                 id="state-std-negative",
             ),
             pytest.param(
                 lambda doc: edit_state(doc, lambda s: s["vocabularies"]["note"].update(mode_value=7)),
-                "baseline",
+                "baseline", "vocabulary mode 7 must be a string",
                 id="state-mode-not-text",
             ),
-            # A pad length far past any memory: the fusion net cannot be built.
+            # A pad length far past any memory: the stored first categorical
+            # weight does not fit it, so no net is built.
             pytest.param(
                 lambda doc: edit_state(doc, lambda s: vocab_of(s).update(pad_length=10**15)),
-                "fusion",
+                "fusion", "parameter 'cat1.weight' has shape (32, 48)",
                 id="state-pad-length-past-memory",
             ),
-            pytest.param(lambda doc: strip_fingerprints(doc), "gbdt", id="fingerprints-stripped"),
             pytest.param(
-                lambda doc: gbdt_payload(doc).update(preprocess_fingerprint=""),
-                "gbdt",
+                lambda doc: strip_fingerprints(doc), "gbdt", "missing ['preprocess_fingerprint']",
+                id="fingerprints-stripped",
+            ),
+            # A member payload is only its parameters or trees: no fingerprint
+            # and no layer width, as version 2 stored.
+            pytest.param(
+                lambda doc: member_payload(doc).update(
+                    preprocess_fingerprint=state_fingerprint(doc)
+                ),
+                "gbdt", "gbdt payload fields: unknown ['preprocess_fingerprint']",
                 id="member-fingerprint-blank",
+            ),
+            pytest.param(
+                lambda doc: member_payload(doc).update(hidden_width=32),
+                "fusion", "fusion payload fields: unknown ['hidden_width']",
+                id="net-payload-width",
+            ),
+            pytest.param(
+                lambda doc: nn_params(doc).update({"hidden_width": [[0.5]] * 3}),
+                "fusion", "fusion payload holds unknown parameters ['hidden_width']",
+                id="net-param-unknown",
             ),
             # NN parameters must be finite, or every probability is NaN.
             pytest.param(
                 lambda doc: nn_params(doc)["classifier.bias"].__setitem__(0, math.nan),
-                "fusion",
+                "fusion", "parameter 'classifier.bias' holds a value that is not finite",
                 id="fusion-param-nan",
             ),
             pytest.param(
                 lambda doc: nn_params(doc)["mlp1.weight"][0].__setitem__(0, math.inf),
-                "baseline",
+                "baseline", "parameter 'mlp1.weight' holds a value that is not finite",
                 id="baseline-param-inf",
             ),
         ],
     )
     @pytest.mark.parametrize("command", ["inspect", "predict"])
     def test_exits_3_without_traceback(
-        self, tmp_path, schema_path, data_path, capsys, corrupt, model, command
+        self, tmp_path, schema_path, data_path, capsys, corrupt, model, fragment, command
     ):
         run = train_quick(tmp_path, schema_path, data_path, model=model)
         bundle_path = run / "bundle.json"
@@ -602,6 +665,7 @@ class TestMalformedBundle:
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert err.startswith("error[data]:") and err.count("\n") == 1
+        assert fragment in err
         assert not (tmp_path / "p.csv").exists()
 
 
@@ -621,7 +685,70 @@ def test_pad_length_past_memory_fails_predict_like_bad_data(
     assert not (tmp_path / "p.csv").exists()
 
 
-def gbdt_payload(doc: dict) -> dict:
+@pytest.mark.parametrize("model, weight", [("fusion", "cat1.weight"), ("baseline", "mlp1.weight")])
+def test_stored_weight_wider_than_the_state_builds_no_net(
+    tmp_path, schema_path, data_path, capsys, model, weight
+):
+    """A layer width is read from a weight whose other axis is checked first,
+    so 200,000 one-value rows are refused before a net that wide is built."""
+    run = train_quick(tmp_path, schema_path, data_path, model=model)
+    doc = json.loads((run / "bundle.json").read_text())
+    nn_params(doc)[weight] = [[0.5]] * 200_000
+    (run / "bundle.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    argv = ["predict", "--model", str(run / "bundle.json"), "--data", str(data_path)]
+    tracemalloc.start()
+    try:
+        code = main([*argv, "--out", str(tmp_path / "p.csv")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error[data]: parameter '{weight}' has shape (200000, 1)")
+    assert err.count("\n") == 1
+    assert peak < 64 * 2**20
+    assert not (tmp_path / "p.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(
+            lambda doc: nn_params(doc).update(
+                {"num.weight": [[1e308] * len(row) for row in nn_params(doc)["num.weight"]]}
+            ),
+            id="weights-1e308",
+        ),
+        pytest.param(
+            lambda doc: edit_state(doc, lambda s: set_stat(s, "stds", 5e-324)), id="std-subnormal"
+        ),
+    ],
+)
+@pytest.mark.parametrize("command", ["predict", "evaluate"])
+def test_probabilities_past_float_range_exit_4(
+    tmp_path, schema_path, data_path, capsys, edit, command
+):
+    """Finite numbers at the edge of float range give no NaN probabilities and no
+    numpy warning: one error[numeric] line, and nothing written."""
+    run = train_quick(tmp_path, schema_path, data_path, model="fusion")
+    doc = json.loads((run / "bundle.json").read_text())
+    edit(doc)
+    (run / "bundle.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    out = tmp_path / ("p.csv" if command == "predict" else "report")
+    argv = [command, "--model", str(run / "bundle.json"), "--data", str(data_path)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*argv, "--out", str(out)]) == 4
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error[numeric]: ") and captured.err.count("\n") == 1
+    assert "not finite" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def member_payload(doc: dict) -> dict:
     return doc["members"][0]["payload"]
 
 
@@ -630,13 +757,13 @@ def edit_split_tree(doc: dict, field: str, value, at: str = "root"):
 
     A callable value is called with the tree to get the value.
     """
-    tree = next(t for t in gbdt_payload(doc)["trees"] if t["feature"][0] >= 0)
+    tree = next(t for t in member_payload(doc)["trees"] if t["feature"][0] >= 0)
     node = 0 if at == "root" else tree["feature"].index(-1)
     tree[field][node] = value(tree) if callable(value) else value
 
 
 def nn_params(doc: dict) -> dict:
-    return doc["members"][0]["payload"]["params"]
+    return member_payload(doc)["params"]
 
 
 def gbdt_feature_count(doc: dict) -> int:
@@ -656,14 +783,15 @@ def rename_encoder_table(encoder: dict, old: str, new: str):
     encoder["tables"][new] = encoder["tables"].pop(old)
 
 
-def edit_state(doc: dict, edit):
-    """Apply ``edit`` to the preprocessing state and recompute every fingerprint."""
-    edit(doc["preprocess"])
+def state_fingerprint(doc: dict) -> str:
     canonical = json.dumps(doc["preprocess"], sort_keys=True, separators=(",", ":"))
-    fingerprint = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-    doc["preprocess_fingerprint"] = fingerprint
-    for member in doc["members"]:
-        member["payload"]["preprocess_fingerprint"] = fingerprint
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def edit_state(doc: dict, edit):
+    """Apply ``edit`` to the preprocessing state and recompute its fingerprint."""
+    edit(doc["preprocess"])
+    doc["preprocess_fingerprint"] = state_fingerprint(doc)
 
 
 def vocab_of(state: dict) -> dict:
@@ -676,8 +804,6 @@ def set_stat(state: dict, name: str, value: float):
 
 def strip_fingerprints(doc: dict):
     del doc["preprocess_fingerprint"]
-    for member in doc["members"]:
-        member["payload"]["preprocess_fingerprint"] = ""
 
 
 NOT_UTF8 = b"\xff\xfe"
