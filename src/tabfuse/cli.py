@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import json
 import os
 import sys
@@ -35,12 +34,8 @@ from .pipeline import (
     run_training,
 )
 from .preprocess import transform
-from .schema import load_csv, load_json, load_schema, write_csv
+from .schema import _write_csv_rows, load_csv, load_json, load_schema, write_csv
 from .synthetic import generate_synthetic
-
-
-# Rows cmd_predict formats before handing them to the CSV writer.
-_WRITE_BLOCK_ROWS = 4096
 
 
 class _Parser(argparse.ArgumentParser):
@@ -234,20 +229,9 @@ def cmd_predict(args) -> int:
     schema = bundle.state.schema
     predicted = [schema.class_labels[i] for i in probas.argmax(axis=1).tolist()]
 
-    header = list(schema.column_names)
-    header += [f"prob_{label}" for label in schema.class_labels]
-    header.append("predicted")
+    header = [*schema.column_names, *(f"prob_{c}" for c in schema.class_labels), "predicted"]
     with _OutputSet() as outputs:
-        with outputs.path(args.out).open("w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            # Column by column, a block of rows at a time. csv writes None as
-            # an empty field, and repr of each float as repr(float(p)) would.
-            for start in range(0, table.row_count, _WRITE_BLOCK_ROWS):
-                rows = slice(start, start + _WRITE_BLOCK_ROWS)
-                cells = [column[rows] for column in table.columns]
-                probs = [map(repr, column.tolist()) for column in probas[rows].T]
-                writer.writerows(zip(*cells, *probs, predicted[rows]))
+        _write_csv_rows(outputs.path(args.out), header, [*table.columns, *probas.T, predicted])
     print(f"wrote {table.row_count} predictions to {Path(args.out)}")
     return 0
 

@@ -142,12 +142,14 @@ _ROW_BLOCK = 512
 class _PackedTrees:
     """Trees laid end to end in flat node arrays, walked level by level.
 
-    Tree t's node i is packed node ``roots[t] + i``. From packed node n a
-    row moves to ``child[2*n + goes_right]``, where goes_right is
-    ``not x[feature[n]] < threshold[n]``, so NaN goes right. A leaf points
-    at itself and reads feature 0, so steps past a leaf leave it in place,
-    and ``steps`` (the deepest tree's depth) steps reach every leaf.
-    ``width`` is one more than the highest feature an internal node reads.
+    Tree t's node i is packed node n = ``roots[t] // 2 + i``, held at index
+    2n of every array. From index k = 2n a row moves to
+    ``child[k + (x[feature[k]] < threshold[k])]``: ``child[k]`` is the
+    right child's index and ``child[k + 1]`` the left's, so NaN goes right.
+    A leaf points at itself and reads feature 0, so steps past a leaf leave
+    it in place, and ``steps`` (the deepest tree's depth) steps reach every
+    leaf. ``width`` is one more than the highest feature an internal node
+    reads.
     """
 
     feature: np.ndarray
@@ -201,9 +203,8 @@ class _PackedTrees:
                 f"gbdt tree {tree_of[i]}: node {node[i]} (feature {feature[i]}, children "
                 f"{left[i]} and {right[i]}) has {problem}"
             )
-        child = np.empty(2 * len(feature), dtype=np.intp)
-        child[0::2] = np.where(is_leaf, own, left + offsets)
-        child[1::2] = np.where(is_leaf, own, right + offsets)
+        left = np.where(is_leaf, own, left + offsets)
+        right = np.where(is_leaf, own, right + offsets)
         width = int(feature.max(initial=_NO_CHILD)) + 1
         feature[is_leaf] = 0
         # Count the levels of split nodes. A mask holds each level, so a node
@@ -212,9 +213,11 @@ class _PackedTrees:
         while len(level):
             steps += 1
             reached = np.zeros(len(feature), dtype=bool)
-            reached[child[2 * level]] = reached[child[2 * level + 1]] = True
+            reached[left[level]] = reached[right[level]] = True
             level = np.flatnonzero(reached & ~is_leaf)
-        return cls(feature, threshold, weight, child, roots, steps, width)
+        child = 2 * np.column_stack((right, left)).reshape(-1)
+        feature, threshold, weight = (np.repeat(a, 2) for a in (feature, threshold, weight))
+        return cls(feature, threshold, weight, child, 2 * roots, steps, width)
 
     def leaf_values(self, x: np.ndarray) -> np.ndarray:
         """Value of the leaf each row of ``x`` reaches in each tree, shape (rows, trees).
@@ -229,8 +232,7 @@ class _PackedTrees:
         node = np.repeat(self.roots[None, :], n_rows, axis=0)
         for _ in range(self.steps):
             value = flat.take(row_start + self.feature.take(node))
-            goes_right = ~(value < self.threshold.take(node))
-            node = self.child.take(2 * node + goes_right)
+            node = self.child.take(node + (value < self.threshold.take(node)))
         return self.value.take(node)
 
 

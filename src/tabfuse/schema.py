@@ -19,19 +19,24 @@ Schema files are JSON documents::
 CSV files are RFC 4180: comma separated, first row is the header, UTF-8,
 quoted fields where needed. Header order does not have to match schema
 order. Empty cells and any configured missing sentinel (default ``""`` and
-``"NA"``) load as missing.
+``"NA"``) load as missing. Files are written a block of rows at a time,
+each block formatted column by column and joined into one string, with
+the bytes ``csv.writer``'s default dialect would write.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
 from pathlib import Path
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import DataError
 
@@ -41,6 +46,15 @@ DEFAULT_MISSING_VALUES = ("", "NA")
 # block's row lists reuse the memory the last block's freed; 4096-row
 # blocks left 3 MiB more resident after loading 20k rows of 11 columns.
 _CSV_BLOCK_ROWS = 256
+
+# Rows that write_csv and the predictions write format, column by column,
+# and write as one string. Per block, not per table, so no string of the
+# whole file is built. Writing 20k predictions took the same time with
+# 1024- and 4096-row blocks, and peaked (tracemalloc) at 1 and 3.2 MiB.
+_WRITE_BLOCK_ROWS = 1024
+
+# A cell holding one of these is quoted, as csv.QUOTE_MINIMAL quotes it.
+_NEEDS_QUOTES = re.compile('[,"\r\n]')
 
 
 class ColumnKind(str, Enum):
@@ -296,10 +310,7 @@ def load_csv(
     for name in schema.column_names:
         i = header.index(name)
         cells, by_header[i] = by_header[i], None  # freed once its tuple is built
-        for r, cell in enumerate(cells):
-            if cell in missing:
-                cells[r] = None
-        columns.append(tuple(cells))
+        columns.append(tuple([None if c in missing else c for c in cells]))
     return DataTable.from_columns(schema, columns)
 
 
@@ -313,9 +324,53 @@ def write_csv(
     round trip; callers that need the distinction must pick a sentinel that
     cannot occur as data.
     """
+    _write_csv_rows(path, table.schema.column_names, table.columns, missing_value)
+
+
+def _write_csv_rows(
+    path: str | Path,
+    header: Sequence[str],
+    columns: Sequence[Sequence[str | None] | np.ndarray],
+    missing_value: str = "",
+) -> None:
+    """Write ``header`` and then the rows of ``columns`` as csv.writer would.
+
+    A column is a sequence of text cells, where ``None`` is written as
+    ``missing_value``, or a 1-D float array, whose numbers are written as
+    their ``repr``. Each block of ``_WRITE_BLOCK_ROWS`` rows is formatted
+    column by column and written as one string.
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(table.schema.column_names)
-        writer.writerows(
-            zip(*([missing_value if c is None else c for c in col] for col in table.columns))
-        )
+        fh.write(_csv_lines([_quoted([name]) for name in header]))
+        for start in range(0, len(columns[0]), _WRITE_BLOCK_ROWS):
+            rows = slice(start, start + _WRITE_BLOCK_ROWS)
+            fh.write(_csv_lines([_column_text(column[rows], missing_value) for column in columns]))
+
+
+def _column_text(cells: Sequence[str | None] | np.ndarray, missing_value: str) -> list[str]:
+    if isinstance(cells, np.ndarray):
+        return list(map(repr, cells.tolist()))  # no float's repr needs quotes
+    return _quoted([missing_value if c is None else c for c in cells])
+
+
+def _quoted(cells: list[str]) -> list[str]:
+    """``cells`` as csv.QUOTE_MINIMAL writes them.
+
+    A cell holding a comma, a quote or a line break is quoted, its quotes
+    doubled. A check of the joined cells skips the per-cell test where no
+    cell needs it.
+    """
+    text = "".join(cells)
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return ['"' + c.replace('"', '""') + '"' if _NEEDS_QUOTES.search(c) else c for c in cells]
+    return cells
+
+
+def _csv_lines(columns: list[list[str]]) -> str:
+    """The rows across ``columns`` as CSV lines, each ending in CRLF.
+
+    Like csv.writer, a row that is one empty cell is written ``""``.
+    """
+    if len(columns) == 1:
+        columns = [['""' if c == "" else c for c in columns[0]]]
+    return "\r\n".join(map(",".join, zip(*columns))) + "\r\n"

@@ -18,11 +18,19 @@ from hypothesis import strategies as st
 
 import tabfuse
 import tabfuse.cli
+import tabfuse.schema
 from tabfuse.bundle import load_bundle
 from tabfuse.cli import build_run_config, main, make_parser
 from tabfuse.errors import ToolkitError
 from tabfuse.pipeline import predict_on_table
-from tabfuse.schema import ColumnKind, ColumnSpec, TableSchema, load_csv, save_schema
+from tabfuse.schema import (
+    ColumnKind,
+    ColumnSpec,
+    TableSchema,
+    load_csv,
+    load_schema,
+    save_schema,
+)
 
 
 @pytest.fixture
@@ -343,18 +351,30 @@ class TestPredict:
         assert err.startswith("error[data]:") and err.count("\n") == 1
 
 
-    def test_blocks_write_what_one_row_at_a_time_wrote(
-        self, tmp_path, schema_path, data_path, monkeypatch
-    ):
+    def test_blocks_write_what_one_row_at_a_time_wrote(self, tmp_path, schema_path, monkeypatch):
+        # A class label and some note cells that csv must quote.
+        schema = load_schema(schema_path)
+        schema = TableSchema(schema.columns, schema.target, ("no", 'yes, "sure"'))
+        save_schema(schema, schema_path)
+        data_path = tmp_path / "quoted.csv"
+        generated = tmp_path / "generated.csv"
+        argv = ["generate", "--schema", str(schema_path), "--rows", "80", "--out", str(generated)]
+        assert main(argv) == 0
+        with open(generated, newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        note = header.index("note")
+        for r, row in enumerate(rows[::5]):
+            row[note] = ['say "ah"', "a, b", "line\r\nbreak", '"'][r % 4] + " " + row[note]
+        with open(data_path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([header, *rows])
         out_dir = train_quick(tmp_path, schema_path, data_path, model="ensemble")
-        monkeypatch.setattr(tabfuse.cli, "_WRITE_BLOCK_ROWS", 7)
+        monkeypatch.setattr(tabfuse.schema, "_WRITE_BLOCK_ROWS", 7)
         pred_path = tmp_path / "preds.csv"
         bundle_path = out_dir / "bundle.json"
         argv = ["predict", "--model", str(bundle_path), "--data", str(data_path)]
         assert main(argv + ["--out", str(pred_path)]) == 0
         # The row loop this writer replaced.
         bundle = load_bundle(bundle_path)
-        schema = bundle.state.schema
         table = load_csv(data_path, schema)
         probas = predict_on_table(bundle, table)
         text = io.StringIO()
@@ -368,7 +388,9 @@ class TestPredict:
             cells.append(schema.class_labels[int(probas[r].argmax())])
             writer.writerow(cells)
         assert any(c is None for row in table.cells for c in row)
-        assert pred_path.read_bytes() == text.getvalue().encode("utf-8")
+        written = pred_path.read_bytes()
+        assert written == text.getvalue().encode("utf-8")
+        assert b'"yes, ""sure"""' in written and b'"line\r\nbreak' in written
 
 
 class TestInspect:
@@ -885,34 +907,44 @@ class TestBadInputs:
             "predict": ["predict", "--model", str(run / "bundle.json"), "--data", str(data_path)],
             "generate": ["generate", "--schema", str(schema_path), "--rows", "30"],
         }[command]
-        monkeypatch.setattr("csv.writer", FullDiskWriter)
+        monkeypatch.setattr(tabfuse.schema, "_WRITE_BLOCK_ROWS", 7)
+        opened = []
+
+        def full_disk_open(path, mode="r", **kwargs):
+            fh = open(path, mode, **kwargs)
+            if mode == "r":
+                return fh
+            opened.append(FullDiskFile(fh))
+            return opened[-1]
+
+        monkeypatch.setattr(tabfuse.schema, "open", full_disk_open, raising=False)
         before = [p for p in files_under(tmp_path) if p.is_file()]
         capsys.readouterr()
         assert main(argv + ["--out", str(tmp_path / "new_dir" / "rows.csv")]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error[data]:") and err.count("\n") == 1
         assert [p for p in files_under(tmp_path) if p.is_file()] == before
+        assert [f.writes for f in opened] == [3]
 
 
-class FullDiskWriter:
-    """Stands in for csv.writer; the fourth row fails as a full disk would."""
+class FullDiskFile:
+    """An output file whose writes fail, as on a full disk, after the header and one block."""
 
-    def __init__(self, fh, *args, **kwargs):
-        self.writer = REAL_CSV_WRITER(fh, *args, **kwargs)
-        self.rows = 0
+    def __init__(self, fh):
+        self.fh = fh
+        self.writes = 0
 
-    def writerow(self, row):
-        if self.rows == 3:
+    def write(self, text):
+        self.writes += 1
+        if self.writes > 2:
             raise OSError(errno.ENOSPC, "No space left on device")
-        self.rows += 1
-        return self.writer.writerow(row)
+        return self.fh.write(text)
 
-    def writerows(self, rows):
-        for row in rows:
-            self.writerow(row)
+    def __enter__(self):
+        return self
 
-
-REAL_CSV_WRITER = csv.writer
+    def __exit__(self, *exc):
+        return self.fh.__exit__(*exc)
 
 
 JSON_VALUES = st.recursive(

@@ -1,3 +1,10 @@
+import csv
+import io
+import sys
+import tempfile
+from pathlib import Path
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,6 +12,7 @@ from hypothesis import strategies as st
 import tabfuse.schema
 from tabfuse.errors import DataError
 from tabfuse.schema import (
+    DEFAULT_MISSING_VALUES,
     ColumnKind,
     ColumnSpec,
     DataTable,
@@ -14,6 +22,18 @@ from tabfuse.schema import (
     save_schema,
     write_csv,
 )
+
+# Python 3.10's csv module can neither write nor read NUL.
+NUL_OK = sys.version_info >= (3, 11)
+# Text that CSV quoting and line handling treat specially.
+AWKWARD = [",", '"', "\r", "\n", "\r\n", " ", "NA", "a", "\u00e9", "\U0001F600"]
+AWKWARD += ["\x00"] if NUL_OK else []
+CELLS = (
+    st.none()
+    | st.lists(st.sampled_from(AWKWARD), max_size=4).map("".join)
+    | st.text(max_size=3).filter(lambda text: NUL_OK or "\x00" not in text)
+)
+QUOTED_LABELS = ("home", 'admitted, "ward 3"\r\n')
 
 
 def make_schema():
@@ -26,6 +46,32 @@ def make_schema():
         target="outcome",
         class_labels=("home", "admitted"),
     )
+
+
+def quoting_schema():
+    """A schema whose second column name and second class label csv must quote."""
+    return TableSchema(
+        columns=(
+            ColumnSpec("temperature", ColumnKind.NUMERICAL),
+            ColumnSpec('complaint, "free text"', ColumnKind.CATEGORICAL),
+            ColumnSpec("outcome", ColumnKind.CATEGORICAL),
+        ),
+        target="outcome",
+        class_labels=QUOTED_LABELS,
+    )
+
+
+QUOTING_ROWS = st.lists(
+    st.tuples(CELLS, CELLS, st.sampled_from([None, *QUOTED_LABELS])), max_size=12
+)
+
+
+def csv_writer_bytes(header, rows) -> bytes:
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return text.getvalue().encode("utf-8")
 
 
 class TestTableSchema:
@@ -212,3 +258,50 @@ class TestCsvIo:
         path = tmp_path / "t.csv"
         write_csv(t, path)
         assert load_csv(path, s).column("complaint") == ("nausea, vomiting",)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=QUOTING_ROWS,
+        missing_value=st.sampled_from(["", "NA", "?", 'n/a, "none"']),
+        block=st.integers(1, 5),
+    )
+    def test_writes_the_bytes_csv_writer_wrote(self, rows, missing_value, block):
+        s = quoting_schema()
+        expected = [[missing_value if c is None else c for c in row] for row in rows]
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+            tabfuse.schema, "_WRITE_BLOCK_ROWS", block
+        ):
+            path = Path(tmp) / "t.csv"
+            write_csv(DataTable(s, rows), path, missing_value=missing_value)
+            assert path.read_bytes() == csv_writer_bytes(s.column_names, expected)
+
+    @pytest.mark.parametrize(
+        "columns, rows",
+        [
+            (("outcome",), [(None,), ("home",), (None,)]),
+            (("temperature", 'complaint, "free text"', "outcome"), []),
+        ],
+        ids=["one-column", "header-only"],
+    )
+    def test_one_column_and_header_only_tables(self, tmp_path, columns, rows):
+        """A row that is one empty field is written as two quotes, as csv.writer does."""
+        s = quoting_schema()
+        s = TableSchema(tuple(c for c in s.columns if c.name in columns), "outcome", QUOTED_LABELS)
+        t = DataTable(s, rows)
+        path = tmp_path / "t.csv"
+        write_csv(t, path)
+        expected = [["" if c is None else c for c in row] for row in rows]
+        assert path.read_bytes() == csv_writer_bytes(columns, expected)
+        assert load_csv(path, s) == t
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=QUOTING_ROWS)
+    def test_load_reads_back_what_write_wrote(self, rows):
+        """Every cell but a missing sentinel, which loads as missing, comes back."""
+        rows = [tuple(None if c in DEFAULT_MISSING_VALUES else c for c in row) for row in rows]
+        s = quoting_schema()
+        t = DataTable(s, rows)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.csv"
+            write_csv(t, path)
+            assert load_csv(path, s) == t
