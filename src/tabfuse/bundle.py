@@ -31,6 +31,8 @@ from .schema import load_json
 
 BUNDLE_FORMAT_VERSION = 3
 
+# The one table of member kinds: loading decodes through it, and the pipeline
+# trains and validates ensemble members from it.
 MEMBER_CLASSES = {cls.kind: cls for cls in (EmbeddingFusionNet, BaselineMlp, GbdtModel)}
 MODEL_KINDS = (*MEMBER_CLASSES, "ensemble")
 
@@ -63,16 +65,20 @@ def _feature_view(kind: str, view: str) -> str:
 class BundleMember:
     """One trained model plus the feature view it reads.
 
-    A kind with a single feature view leaves it out of the document and
-    gets it filled in here; a kind with a choice of views records its view.
+    Its kind is its model's class's ``kind``. A kind with a single feature
+    view leaves it out of the document and gets it filled in here; a kind
+    with a choice of views records its view.
     """
 
-    kind: str
     model: object
     feature_view: str = ""
 
     def __post_init__(self):
         self.feature_view = _feature_view(self.kind, self.feature_view)
+
+    @property
+    def kind(self) -> str:
+        return self.model.kind
 
     @property
     def records_view(self) -> bool:
@@ -97,12 +103,16 @@ class BundleMember:
         view = _feature_view(kind, doc.get("feature_view", ""))
         payload = doc["payload"]
         _check_fields(payload, model_cls.payload_fields, f"{kind} payload")
-        return cls(kind, model_cls.from_json_dict(payload, state, view), view)
+        return cls(model_cls.from_json_dict(payload, state, view), view)
 
 
 @dataclass
 class ModelBundle:
-    """Everything needed to predict on new rows of the fitted schema."""
+    """Everything needed to predict on new rows of the fitted schema.
+
+    It holds a frequency encoder exactly when some member reads
+    ``numeric+frequency``, checked when it is built or loaded.
+    """
 
     kind: str
     state: PreprocessState
@@ -119,6 +129,13 @@ class ModelBundle:
             raise DataError(
                 f"a {self.kind} bundle must hold exactly one {self.kind} member, "
                 f"not {', '.join(m.kind for m in self.members)}"
+            )
+        reads_frequency = any(m.feature_view == "numeric+frequency" for m in self.members)
+        if reads_frequency != (self.frequency_encoder is not None):
+            raise DataError(
+                "a member reads numeric+frequency but the bundle has no frequency encoder"
+                if reads_frequency
+                else "the bundle has a frequency encoder but no member reads numeric+frequency"
             )
 
     def to_json_dict(self) -> dict:

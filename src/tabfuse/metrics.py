@@ -15,7 +15,7 @@ Conventions, applied uniformly:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -91,29 +91,7 @@ class EvalReport:
         return tuple(c.label for c in self.per_class)
 
     def to_json_dict(self) -> dict:
-        return {
-            "n_samples": self.n_samples,
-            "accuracy": self.accuracy,
-            "precision_macro": self.precision_macro,
-            "recall_macro": self.recall_macro,
-            "f1_macro": self.f1_macro,
-            "precision_weighted": self.precision_weighted,
-            "recall_weighted": self.recall_weighted,
-            "f1_weighted": self.f1_weighted,
-            "auroc_macro": self.auroc_macro,
-            "per_class": [
-                {
-                    "label": c.label,
-                    "support": c.support,
-                    "precision": c.precision,
-                    "recall": c.recall,
-                    "f1": c.f1,
-                    "auroc": c.auroc,
-                }
-                for c in self.per_class
-            ],
-            "confusion": self.confusion.tolist(),
-        }
+        return {**asdict(self), "confusion": self.confusion.tolist()}
 
     def to_text(self) -> str:
         lines = [

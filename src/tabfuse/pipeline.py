@@ -1,8 +1,11 @@
 """End-to-end orchestration: data -> preprocessing -> members -> evaluation.
 
 This is the layer the CLI drives. It owns the run configuration, the
-mapping from model kind to the features that kind consumes, deterministic
-per-member seeding, and the bundle assembly after training.
+features each member's view reads, deterministic per-member seeding, the
+training of every member through one function, and the bundle assembly
+after training. Member kinds are declared once, in ``bundle.MEMBER_CLASSES``:
+``_train_member`` boosts the GBDT and trains every other class as a network,
+built with ``from_state`` and fitted with ``models.train``.
 
 Feature views:
 
@@ -19,23 +22,16 @@ Member i of an ensemble trains with seed = run seed + 7919 * i, so member
 
 from __future__ import annotations
 
-from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .bundle import MODEL_KINDS, BundleMember, ModelBundle
+from .bundle import MEMBER_CLASSES, MODEL_KINDS, BundleMember, ModelBundle
 from .ensemble import soft_vote
 from .errors import DataError, NumericError, UsageError
 from .gbdt import GbdtConfig, GbdtModel, train_gbdt
 from .metrics import EvalReport, evaluate
-from .models import (
-    BaselineMlp,
-    EmbeddingFusionNet,
-    FrequencyEncoder,
-    TrainConfig,
-    train,
-)
+from .models import FrequencyEncoder, TrainConfig, train
 from .preprocess import EncodedDataset, PreprocessState, fit, stratified_split, transform
 from .schema import DataTable, load_csv, load_schema
 from .synthetic import generate_synthetic
@@ -79,7 +75,7 @@ class RunConfig:
         if self.model_kind == "ensemble":
             if not self.ensemble_members:
                 raise UsageError("ensemble needs at least one member")
-            bad = [m for m in self.ensemble_members if m not in MEMBER_TRAINERS]
+            bad = [m for m in self.ensemble_members if m not in MEMBER_CLASSES]
             if bad:
                 raise UsageError(f"invalid ensemble members: {', '.join(bad)}")
 
@@ -93,19 +89,7 @@ class RunConfig:
             "schema": self.schema_path,
             "model": self.model_kind,
             "data": self.data_path,
-            "synthetic": (
-                {
-                    "rows": self.synthetic.rows,
-                    "imbalance": (
-                        list(self.synthetic.imbalance)
-                        if self.synthetic.imbalance is not None
-                        else None
-                    ),
-                    "missing_fraction": self.synthetic.missing_fraction,
-                }
-                if self.synthetic is not None
-                else None
-            ),
+            "synthetic": asdict(self.synthetic) if self.synthetic is not None else None,
             "fractions": list(self.fractions),
             "seed": self.seed,
             "out_dir": self.out_dir,
@@ -158,61 +142,40 @@ def load_training_table(config: RunConfig) -> DataTable:
     )
 
 
-@dataclass(frozen=True)
-class FitJob:
-    """What a member kind's trainer gets: its inputs and its context."""
+def _train_member(
+    cls: type,
+    view: str,
+    seed: int,
+    state: PreprocessState,
+    train_d: EncodedDataset,
+    val_d: EncodedDataset,
+    frequency_matrix: np.ndarray | None,
+    config: RunConfig,
+) -> tuple[object, str]:
+    """Build and train one member of model class ``cls`` on feature ``view``.
 
-    x_train: tuple[np.ndarray, ...]
-    y_train: np.ndarray
-    x_val: tuple[np.ndarray, ...]
-    y_val: np.ndarray
-    state: PreprocessState
-    seed: int
-    config: RunConfig
+    The GBDT boosts on its one feature matrix and logs its per-round loss.
+    Every other member class is a network: built from the state with the
+    member's seed, then trained with the run's train config at that seed.
 
-
-def _fit_net(model, job: FitJob) -> tuple[object, str]:
-    cfg = replace(job.config.train_config, seed=job.seed)
-    _, log = train(model, job.x_train, job.y_train, job.x_val, job.y_val, cfg)
-    return model, log.to_csv_text()
-
-
-def _fit_fusion(job: FitJob) -> tuple[object, str]:
-    return _fit_net(EmbeddingFusionNet.from_state(job.state, seed=job.seed), job)
-
-
-def _fit_baseline(job: FitJob) -> tuple[object, str]:
-    return _fit_net(BaselineMlp.from_state(job.state, seed=job.seed), job)
-
-
-def _fit_gbdt(job: FitJob) -> tuple[object, str]:
-    model, losses = train_gbdt(
-        job.x_train[0], job.y_train, job.state.schema.n_classes, job.config.gbdt_config
-    )
-    lines = ["round,train_loss"]
-    lines.extend(f"{r},{loss!r}" for r, loss in enumerate(losses, start=1))
-    return model, "\n".join(lines) + "\n"
-
-
-@dataclass(frozen=True)
-class MemberTrainer:
-    """How the pipeline trains one member kind.
-
-    ``view`` picks the feature view the member trains on and records;
-    ``fit`` builds and trains the model and returns it with its train log.
+    Returns:
+        (model, train log CSV text)
     """
-
-    view: Callable[[RunConfig], str]
-    fit: Callable[[FitJob], tuple[object, str]]
-
-
-# A new member kind adds its model class to bundle.MEMBER_CLASSES and its
-# trainer here.
-MEMBER_TRAINERS = {
-    "fusion": MemberTrainer(lambda config: "numeric,tokens", _fit_fusion),
-    "baseline": MemberTrainer(lambda config: "numeric+frequency", _fit_baseline),
-    "gbdt": MemberTrainer(lambda config: config.gbdt_feature_view, _fit_gbdt),
-}
+    x_train = member_inputs(view, train_d, frequency_matrix)
+    if cls is GbdtModel:
+        model, losses = train_gbdt(
+            x_train[0], train_d.labels, state.schema.n_classes, config.gbdt_config
+        )
+        lines = ["round,train_loss"]
+        lines.extend(f"{r},{loss!r}" for r, loss in enumerate(losses, start=1))
+        return model, "\n".join(lines) + "\n"
+    model = cls.from_state(state, seed=seed)
+    x_val = member_inputs(view, val_d, frequency_matrix)
+    _, log = train(
+        model, x_train, train_d.labels, x_val, val_d.labels,
+        replace(config.train_config, seed=seed),
+    )
+    return model, log.to_csv_text()
 
 
 @dataclass
@@ -274,8 +237,12 @@ def run_training(config: RunConfig) -> TrainOutcome:
     encoded = transform(table, state)
     train_d, val_d, test_d = stratified_split(encoded, config.fractions, config.seed)
 
-    kinds = config.member_kinds()
-    views = [MEMBER_TRAINERS[kind].view(config) for kind in kinds]
+    classes = [MEMBER_CLASSES[kind] for kind in config.member_kinds()]
+    # Only the GBDT offers a choice of view; every other class reads its one view.
+    views = [
+        config.gbdt_feature_view if cls is GbdtModel else cls.feature_views[0]
+        for cls in classes
+    ]
     frequency_encoder = None
     frequency_matrix = None
     if "numeric+frequency" in views:
@@ -283,18 +250,12 @@ def run_training(config: RunConfig) -> TrainOutcome:
         frequency_matrix = frequency_encoder.encode(table)
 
     trained = []
-    for index, (kind, view) in enumerate(zip(kinds, views)):
-        job = FitJob(
-            member_inputs(view, train_d, frequency_matrix),
-            train_d.labels,
-            member_inputs(view, val_d, frequency_matrix),
-            val_d.labels,
-            state,
-            config.seed + MEMBER_SEED_STRIDE * index,
-            config,
+    for index, (cls, view) in enumerate(zip(classes, views)):
+        seed = config.seed + MEMBER_SEED_STRIDE * index
+        model, log_csv = _train_member(
+            cls, view, seed, state, train_d, val_d, frequency_matrix, config
         )
-        model, log_csv = MEMBER_TRAINERS[kind].fit(job)
-        trained.append((BundleMember(kind, model, view), log_csv))
+        trained.append((BundleMember(model, view), log_csv))
     members = [member for member, _ in trained]
 
     bundle = ModelBundle(

@@ -276,36 +276,41 @@ def load_csv(
     Raises:
         DataError: missing, unreadable or non-UTF-8 file, header mismatch
             (lists missing and extra columns), row arity mismatch (reports
-            the 1-based data row), or a target cell outside the schema's
-            class labels.
+            the 1-based data row), a line ``csv.reader`` cannot parse, such
+            as one with a cell past its field size limit (reports the line),
+            or a target cell outside the schema's class labels.
     """
     p = Path(path)
     missing = set(missing_values)
     with open_input(p, "CSV") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{p}: empty file, expected a header row") from None
-        expected = set(schema.column_names)
-        got = set(header)
-        if got != expected or len(header) != len(set(header)):
-            lacking = sorted(expected - got)
-            extra = sorted(got - expected)
-            raise DataError(
-                f"{p}: header mismatch; missing columns {lacking}, "
-                f"unexpected columns {extra}"
-            )
-        width = len(header)
-        by_header: list[list | None] = [[] for _ in header]
-        start = 1
-        while rows := list(islice(reader, _CSV_BLOCK_ROWS)):
-            for r, raw in enumerate(rows, start=start):
-                if len(raw) != width:
-                    raise DataError(f"{p}: row {r} has {len(raw)} cells, expected {width}")
-            for cells, block in zip(by_header, zip(*rows)):
-                cells.extend(block)
-            start += len(rows)
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"{p}: empty file, expected a header row")
+            expected = set(schema.column_names)
+            got = set(header)
+            if got != expected or len(header) != len(set(header)):
+                lacking = sorted(expected - got)
+                extra = sorted(got - expected)
+                raise DataError(
+                    f"{p}: header mismatch; missing columns {lacking}, "
+                    f"unexpected columns {extra}"
+                )
+            width = len(header)
+            by_header: list[list | None] = [[] for _ in header]
+            start = 1
+            while rows := list(islice(reader, _CSV_BLOCK_ROWS)):
+                for r, raw in enumerate(rows, start=start):
+                    if len(raw) != width:
+                        raise DataError(f"{p}: row {r} has {len(raw)} cells, expected {width}")
+                for cells, block in zip(by_header, zip(*rows)):
+                    cells.extend(block)
+                start += len(rows)
+        except csv.Error as exc:
+            # A cell past the reader's field size limit, or (before Python
+            # 3.11) a NUL byte.
+            raise DataError(f"{p}: line {reader.line_num}: {exc}") from None
     columns = []
     for name in schema.column_names:
         i = header.index(name)

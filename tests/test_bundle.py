@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -16,7 +17,6 @@ from tabfuse.errors import DataError
 from tabfuse.gbdt import GbdtConfig, train_gbdt
 from tabfuse.models import BaselineMlp, EmbeddingFusionNet, FrequencyEncoder, TrainConfig
 from tabfuse.pipeline import (
-    MEMBER_TRAINERS,
     RunConfig,
     SyntheticSpec,
     load_training_table,
@@ -60,15 +60,15 @@ def fusion_member(state, seed=0):
         fused_width=5,
         seed=seed,
     )
-    return BundleMember("fusion", model)
+    return BundleMember(model)
 
 
-def gbdt_member(state, seed=0):
+def gbdt_member(state, seed=0, view="numeric+tokens"):
     rng = np.random.default_rng(seed)
-    x = rng.normal(size=(30, 3))
+    x = rng.normal(size=(30, state.view_width(view)))
     y = (x[:, 0] > 0).astype(np.int64)
     model, _ = train_gbdt(x, y, 2, GbdtConfig(rounds=3, max_depth=2, max_leaves=4))
-    return BundleMember("gbdt", model, feature_view="numeric+tokens")
+    return BundleMember(model, feature_view=view)
 
 
 def saved_doc(tmp_path, bundle):
@@ -122,10 +122,18 @@ def trained_bundles(tmp_path_factory):
 
 
 def test_every_member_kind_has_a_trainer():
-    assert set(MEMBER_TRAINERS) == set(MEMBER_CLASSES)
     assert MODEL_KINDS == (*MEMBER_CLASSES, "ensemble")
     for kind, cls in MEMBER_CLASSES.items():
         assert cls.kind == kind and cls.feature_views
+
+
+def test_a_member_is_of_its_models_kind(trained_bundles):
+    """A member stores no kind of its own, so it cannot name another."""
+    assert "kind" not in {f.name for f in dataclasses.fields(BundleMember)}
+    bundle, _ = trained_bundles["ensemble"]
+    assert [m.kind for m in bundle.members] == list(MEMBER_CLASSES)
+    for m in bundle.members:
+        assert BundleMember(m.model, m.feature_view).kind == type(m.model).kind
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
@@ -205,10 +213,11 @@ class TestRoundTrip:
         )
 
     def test_baseline_round_trip(self, tmp_path):
-        state, _ = fitted_state()
+        state, table = fitted_state()
         # One numeric column plus one frequency column per categorical column.
         model = BaselineMlp(2, 2, hidden1=6, hidden2=4, seed=1)
-        bundle = ModelBundle("baseline", state, [BundleMember("baseline", model)])
+        enc = FrequencyEncoder.fit(table, state, np.arange(4))
+        bundle = ModelBundle("baseline", state, [BundleMember(model)], frequency_encoder=enc)
         path = tmp_path / "b.json"
         save_bundle(bundle, path)
         loaded = load_bundle(path)
@@ -236,7 +245,7 @@ class TestRoundTrip:
         bundle = ModelBundle(
             "ensemble",
             state,
-            [fusion_member(state), gbdt_member(state)],
+            [fusion_member(state), gbdt_member(state, view="numeric+frequency")],
             frequency_encoder=enc,
             run_summary={"seed": 3, "rows": 4},
         )
@@ -247,6 +256,7 @@ class TestRoundTrip:
         assert loaded.frequency_encoder == enc
         assert loaded.run_summary == {"seed": 3, "rows": 4}
         assert [m.kind for m in loaded.members] == ["fusion", "gbdt"]
+        assert loaded.members[1].feature_view == "numeric+frequency"
 
     def test_save_twice_is_byte_identical(self, tmp_path):
         state, _ = fitted_state()
@@ -307,6 +317,14 @@ class TestValidation:
         state, _ = fitted_state()
         with pytest.raises(DataError, match="unknown model kind"):
             ModelBundle("tree_soup", state, [fusion_member(state)])
+
+    def test_frequency_encoder_exactly_when_a_member_reads_it(self):
+        state, table = fitted_state()
+        enc = FrequencyEncoder.fit(table, state, np.arange(4))
+        with pytest.raises(DataError, match="bundle has no frequency encoder"):
+            ModelBundle("gbdt", state, [gbdt_member(state, view="numeric+frequency")])
+        with pytest.raises(DataError, match=r"no member reads numeric\+frequency"):
+            ModelBundle("gbdt", state, [gbdt_member(state)], frequency_encoder=enc)
 
     def test_empty_members_rejected(self):
         state, _ = fitted_state()

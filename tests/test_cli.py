@@ -350,7 +350,6 @@ class TestPredict:
         err = capsys.readouterr().err
         assert err.startswith("error[data]:") and err.count("\n") == 1
 
-
     def test_blocks_write_what_one_row_at_a_time_wrote(self, tmp_path, schema_path, monkeypatch):
         # A class label and some note cells that csv must quote.
         schema = load_schema(schema_path)
@@ -511,6 +510,18 @@ class TestMalformedBundle:
                 ),
                 "baseline", "frequency table 'note' holds a value that is not a finite number",
                 id="encoder-frequency-text",
+            ),
+            # A bundle holds a frequency encoder exactly when a member reads
+            # numeric+frequency.
+            pytest.param(
+                lambda doc: doc.update(frequency_encoder=None),
+                "baseline", "a member reads numeric+frequency but the bundle has no frequency encoder",
+                id="encoder-missing",
+            ),
+            pytest.param(
+                lambda doc: doc.update(frequency_encoder={"tables": {"note": {"cough": 1.0}}}),
+                "gbdt", "the bundle has a frequency encoder but no member reads numeric+frequency",
+                id="encoder-unread",
             ),
             # Trees must be safe to walk: the packed walk trusts every index.
             pytest.param(
@@ -841,6 +852,7 @@ BAD_INPUTS = {
     "config-not-utf8": (3, "train --config {bad_json} --schema {schema} --rows 40"),
     "bundle-not-utf8": (3, "inspect --model {bad_json}"),
     "csv-not-utf8": (3, "predict --model {bundle} --data {bad_csv} --out {tmp}/p.csv"),
+    "csv-cell-past-reader-limit": (3, "predict --model {bundle} --data {long_csv} --out {tmp}/p.csv"),
     "predict-out-is-directory": (3, "predict --model {bundle} --data {data} --out {dir}"),
     "generate-out-is-directory": (3, "generate --schema {schema} --rows 9 --out {dir}"),
     "fractions-number": (2, {"fractions": 0.8}),
@@ -879,12 +891,15 @@ class TestBadInputs:
             "dir": tmp_path / "a_directory",
             "bad_json": tmp_path / "bad.json",
             "bad_csv": tmp_path / "bad.csv",
+            "long_csv": tmp_path / "long.csv",
         }
         paths["dir"].mkdir()
         paths["bad_json"].write_bytes(b'{"columns": "' + NOT_UTF8 + b'"}')
         # Valid rows first, so the bad bytes sit well past the first read.
         header, *rows = data_path.read_bytes().splitlines(keepends=True)
         paths["bad_csv"].write_bytes(header + b"".join(rows) * 40 + NOT_UTF8)
+        # csv.reader refuses a cell of more than 131,072 characters.
+        paths["long_csv"].write_bytes(header + b"x" * 200_000 + rows[0])
         if isinstance(template, dict):
             doc = {"schema": str(schema_path), "rows": 40, "out": str(tmp_path / "run2")}
             (tmp_path / "cfg.json").write_text(json.dumps({**doc, **template}))

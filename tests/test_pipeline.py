@@ -109,6 +109,10 @@ class TestRunConfigValidation:
         )
         with pytest.raises(UsageError, match="invalid ensemble members"):
             cfg.validate()
+        # Members are checked against bundle.MEMBER_CLASSES, the one member table.
+        unknown = quick_run_config(schema_path, model_kind="ensemble", ensemble_members=("nope",))
+        with pytest.raises(UsageError, match="invalid ensemble members: nope"):
+            unknown.validate()
         empty = quick_run_config(
             schema_path, model_kind="ensemble", ensemble_members=()
         )

@@ -252,6 +252,16 @@ class TestCsvIo:
         with pytest.raises(DataError, match="not found"):
             load_csv(tmp_path / "no.csv", make_schema())
 
+    @pytest.mark.parametrize("line", [1, 3])
+    def test_line_the_reader_cannot_parse_is_named(self, tmp_path, line):
+        """csv.reader refuses a cell of more than 131,072 characters."""
+        lines = ["temperature,complaint,outcome", "1,x,home", "2,y,admitted"]
+        lines[line - 1] = "x" * 200_000 + lines[line - 1]
+        path = tmp_path / "t.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=f"t.csv: line {line}: field larger than field limit"):
+            load_csv(path, make_schema())
+
     def test_quoted_cells_with_commas(self, tmp_path):
         s = make_schema()
         t = DataTable(s, (("1.0", "nausea, vomiting", "home"),))
