@@ -1,10 +1,11 @@
 """Versioned on-disk model format.
 
-A bundle is a single JSON document holding the fitted preprocessing state
-and its fingerprint, one or more member model parameter sets, the frequency
-encoder when a member needs one, and the run configuration it was trained
-with. Floats serialize through Python's shortest round-trip repr, so
-save/load reproduces every parameter bit for bit.
+A bundle is a single compact JSON document holding the fitted preprocessing
+state, one or more member model parameter sets, the frequency encoder when a
+member needs one, the run configuration it was trained with, and one
+fingerprint. Every numeric array is packed (``packed.pack``): its dtype,
+shape and base64 little-endian bytes, so save/load reproduces every
+parameter bit for bit.
 
 Each fact is stored once. The state gives every size (class count, input
 widths, vocabulary) and a net's stored weights give its layer widths, so a
@@ -12,13 +13,17 @@ member payload is only a net's parameters or a booster's trees, and members
 are decoded against the state through ``MEMBER_CLASSES``. Each class names
 its ``kind``, the ``feature_views`` it can read and its ``payload_fields``,
 and provides ``to_json_dict``, ``from_json_dict(payload, state, view)``,
-``describe`` and ``predict_proba``. The fingerprint covers the state only
-and is stored once, beside it. A document of another format version, or
-with fields the format does not define, is refused.
+``describe`` and ``predict_proba``.
+
+The fingerprint is the sha256 of the canonical JSON of every other field of
+the document, so it covers everything. Loading checks it before it decodes
+any section. A document of another format version, or with fields the
+format does not define, is refused.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -29,7 +34,7 @@ from .models import BaselineMlp, EmbeddingFusionNet, FrequencyEncoder
 from .preprocess import PreprocessState
 from .schema import load_json
 
-BUNDLE_FORMAT_VERSION = 3
+BUNDLE_FORMAT_VERSION = 4
 
 # The one table of member kinds: loading decodes through it, and the pipeline
 # trains and validates ensemble members from it.
@@ -37,9 +42,16 @@ MEMBER_CLASSES = {cls.kind: cls for cls in (EmbeddingFusionNet, BaselineMlp, Gbd
 MODEL_KINDS = (*MEMBER_CLASSES, "ensemble")
 
 _BUNDLE_FIELDS = (
-    "format_version", "kind", "preprocess", "preprocess_fingerprint",
-    "members", "frequency_encoder", "run_summary",
+    "format_version", "kind", "preprocess", "members", "frequency_encoder", "run_summary",
+    "fingerprint",
 )
+
+
+def _fingerprint(doc: dict) -> str:
+    """sha256 of the canonical JSON of every field of ``doc`` but its fingerprint."""
+    rest = {name: value for name, value in doc.items() if name != "fingerprint"}
+    canonical = json.dumps(rest, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def _check_fields(doc: dict, fields: tuple[str, ...], what: str) -> None:
@@ -139,11 +151,10 @@ class ModelBundle:
             )
 
     def to_json_dict(self) -> dict:
-        return {
+        doc = {
             "format_version": BUNDLE_FORMAT_VERSION,
             "kind": self.kind,
             "preprocess": self.state.to_json_dict(),
-            "preprocess_fingerprint": self.state.fingerprint(),
             "members": [m.to_json_dict() for m in self.members],
             "frequency_encoder": (
                 self.frequency_encoder.to_json_dict()
@@ -152,6 +163,7 @@ class ModelBundle:
             ),
             "run_summary": self.run_summary,
         }
+        return {**doc, "fingerprint": _fingerprint(doc)}
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ModelBundle":
@@ -164,12 +176,12 @@ class ModelBundle:
                     f"{BUNDLE_FORMAT_VERSION}, so retrain the model with this build"
                 )
             _check_fields(doc, _BUNDLE_FIELDS, "bundle")
-            state = PreprocessState.from_json_dict(doc["preprocess"])
-            if doc["preprocess_fingerprint"] != state.fingerprint():
+            if doc["fingerprint"] != _fingerprint(doc):
                 raise DataError(
-                    "bundle preprocess fingerprint does not match its state "
+                    "bundle fingerprint does not match its contents "
                     "(document was modified or corrupted)"
                 )
+            state = PreprocessState.from_json_dict(doc["preprocess"])
             member_docs = doc["members"]
             if not isinstance(member_docs, list) or not member_docs:
                 raise DataError("bundle 'members' must be a non-empty list")
@@ -192,7 +204,7 @@ class ModelBundle:
 
 def save_bundle(bundle: ModelBundle, path) -> None:
     Path(path).write_text(
-        json.dumps(bundle.to_json_dict(), indent=2) + "\n", encoding="utf-8"
+        json.dumps(bundle.to_json_dict(), separators=(",", ":")) + "\n", encoding="utf-8"
     )
 
 

@@ -33,14 +33,17 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import asdict, dataclass, field
+from itertools import chain
 
 import numpy as np
 
 from .errors import DataError
 from .nn import softmax
+from .packed import FLOAT, INT, pack, unpack
 
 _NO_CHILD = -1
-_TREE_FIELDS = ("feature", "threshold", "left", "right", "weight")
+# Each node field of a tree and the dtype it is stored with.
+_TREE_DTYPES = {"feature": INT, "threshold": FLOAT, "left": INT, "right": INT, "weight": FLOAT}
 
 
 @dataclass(frozen=True)
@@ -109,13 +112,10 @@ class Tree:
         x = np.ascontiguousarray(x, dtype=np.float64)
         return _PackedTrees.pack([self]).leaf_values(x)[:, 0]
 
-    def to_json_dict(self) -> dict:
-        return {name: getattr(self, name) for name in _TREE_FIELDS}
-
 
 def _joined(trees: list[Tree], name: str) -> np.ndarray:
     """Field ``name`` of every tree end to end: float64 for threshold and weight, else integers."""
-    kinds = "fi" if name in ("threshold", "weight") else "i"
+    kinds = "fi" if _TREE_DTYPES[name] == FLOAT else "i"
 
     def as_array(values):
         try:
@@ -124,7 +124,7 @@ def _joined(trees: list[Tree], name: str) -> np.ndarray:
             return None
         return array if array.ndim == 1 and array.dtype.kind in kinds else None
 
-    array = as_array([v for t in trees for v in getattr(t, name)])
+    array = as_array(list(chain.from_iterable(getattr(t, name) for t in trees)))
     if array is None:
         # Only on a fault: find the first tree that holds it.
         t = next(t for t, tree in enumerate(trees) if as_array(getattr(tree, name)) is None)
@@ -173,11 +173,11 @@ class _PackedTrees:
         """
         sizes = [len(t.feature) for t in trees]
         for t, (tree, n) in enumerate(zip(trees, sizes)):
-            if n == 0 or any(len(getattr(tree, name)) != n for name in _TREE_FIELDS):
+            if n == 0 or any(len(getattr(tree, name)) != n for name in _TREE_DTYPES):
                 raise DataError(
                     f"gbdt tree {t}: field lists must be non-empty and of equal length"
                 )
-        feature, threshold, left, right, weight = (_joined(trees, n) for n in _TREE_FIELDS)
+        feature, threshold, left, right, weight = (_joined(trees, n) for n in _TREE_DTYPES)
         sizes = np.array(sizes, dtype=np.intp)
         roots = np.cumsum(sizes) - sizes
         tree_of = np.repeat(np.arange(len(trees)), sizes)
@@ -412,7 +412,9 @@ def _grow_tree(
         right, right_sums = add_node(right_rows)
         tree.make_split(node, feature, threshold, left, right)
         n_leaves += 1
-        if depth + 1 < config.max_depth:
+        # Children that the depth cap or the spent leaf budget keep as leaves
+        # are not searched.
+        if depth + 1 < config.max_depth and n_leaves < config.max_leaves:
             # Sum the child with fewer rows (left on a tie); the parent's
             # buffer becomes the other child's, parent minus sibling.
             left_smaller = len(left_rows) <= len(right_rows)
@@ -505,11 +507,12 @@ class GbdtModel:
     payload_fields = ("shrinkage", "base_score", "trees")
 
     def to_json_dict(self) -> dict:
-        return {
-            "shrinkage": self.shrinkage,
-            "base_score": self.base_score,
-            "trees": [t.to_json_dict() for t in self.trees],
-        }
+        """The trees as their node fields joined end to end, plus each tree's size."""
+        trees = {"sizes": pack([len(t.feature) for t in self.trees], INT)}
+        for name, dtype in _TREE_DTYPES.items():
+            nodes = chain.from_iterable(getattr(t, name) for t in self.trees)
+            trees[name] = pack(list(nodes), dtype)
+        return {"shrinkage": self.shrinkage, "base_score": self.base_score, "trees": trees}
 
     @classmethod
     def from_json_dict(cls, doc: dict, state, view: str) -> "GbdtModel":
@@ -517,11 +520,31 @@ class GbdtModel:
         which gives its class count and feature count.
 
         Raises:
-            DataError: no trees, or what building the model rejects.
+            DataError: no trees, a size below 1, a node field that ``unpack``
+                refuses or whose length is not the sum of the sizes, or what
+                building the model rejects.
         """
-        trees = [Tree(*(list(t[name]) for name in _TREE_FIELDS)) for t in doc["trees"]]
-        if not trees:
+        fields = doc["trees"]
+        if not isinstance(fields, dict) or set(fields) != {"sizes", *_TREE_DTYPES}:
+            raise DataError(f"gbdt trees must hold the fields sizes, {', '.join(_TREE_DTYPES)}")
+        sizes = unpack(fields["sizes"], INT, "gbdt tree sizes", ndim=1)
+        if not len(sizes):
             raise DataError("gbdt holds no trees")
+        if sizes.min() < 1:
+            t = int(np.argmin(sizes))
+            raise DataError(f"gbdt tree {t} has {sizes[t]} nodes; a tree needs at least 1")
+        ends = np.cumsum(sizes, dtype=np.int64).tolist()
+        bounds = list(zip([0, *ends[:-1]], ends))
+        columns = []
+        for name, dtype in _TREE_DTYPES.items():
+            values = unpack(fields[name], dtype, f"gbdt tree {name}", ndim=1).tolist()
+            if len(values) != ends[-1]:
+                raise DataError(
+                    f"gbdt tree {name} holds {len(values)} nodes; "
+                    f"the tree sizes add up to {ends[-1]}"
+                )
+            columns.append([values[start:end] for start, end in bounds])
+        trees = [Tree(*parts) for parts in zip(*columns)]
         return cls(
             trees,
             state.schema.n_classes,

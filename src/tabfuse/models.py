@@ -21,7 +21,6 @@ validation, and early stopping that restores the best-epoch snapshot.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 
@@ -29,6 +28,7 @@ import numpy as np
 
 from .errors import DataError, NumericError
 from .nn import Adam, Embedding, Linear, Param, PReLU, softmax, softmax_cross_entropy
+from .packed import FLOAT, pack, unpack
 from .preprocess import PreprocessState
 from .schema import DataTable
 
@@ -69,18 +69,20 @@ class _Net:
         return softmax(self.forward(*inputs))
 
     def to_json_dict(self) -> dict:
-        return {"params": {p.name: p.value.tolist() for p in self.params()}}
+        return {"params": {p.name: pack(p.value, FLOAT) for p in self.params()}}
 
     @classmethod
     def from_json_dict(cls, doc: dict, state: PreprocessState, view: str):
         """Decode a net of ``state`` from its parameters.
 
         Raises:
-            DataError: a missing or unknown parameter, a shape that does not
-                fit the state or the other weights, or a value that is not
-                finite.
+            DataError: a missing or unknown parameter, one that ``unpack``
+                refuses, or a shape that does not fit the state or the other
+                weights.
         """
-        params = {name: np.asarray(v, dtype=np.float64) for name, v in doc["params"].items()}
+        params = {
+            name: unpack(v, FLOAT, f"parameter {name!r}") for name, v in doc["params"].items()
+        }
         model = cls.from_state(state, **cls.widths_from(params, state))
         unknown = sorted(set(params) - {p.name for p in model.params()})
         if unknown:
@@ -91,8 +93,6 @@ class _Net:
                 raise DataError(
                     f"parameter {p.name!r} has shape {arr.shape}, expected {p.value.shape}"
                 )
-            if not np.isfinite(arr).all():
-                raise DataError(f"parameter {p.name!r} holds a value that is not finite")
             p.value[...] = arr
         return model
 
@@ -422,22 +422,35 @@ class FrequencyEncoder:
         return out
 
     def to_json_dict(self) -> dict:
-        return {"tables": self.tables}
+        """Each table as its key list and one packed array of frequencies."""
+        return {
+            "tables": {
+                name: {"keys": list(table), "values": pack(list(table.values()), FLOAT)}
+                for name, table in self.tables.items()
+            }
+        }
 
     @classmethod
     def from_json_dict(cls, doc: dict, state: PreprocessState) -> "FrequencyEncoder":
         """Decode an encoder of ``state``.
 
         Raises:
-            DataError: tables not keyed by the state's categorical columns, or
-                a frequency that is not a finite number.
+            DataError: tables not keyed by the state's categorical columns,
+                keys that are not distinct strings, values that ``unpack``
+                refuses, or a key count that is not the value count.
         """
-        tables = {k: dict(v) for k, v in doc["tables"].items()}
+        tables = doc["tables"]
         if list(tables) != list(state.categorical_columns):
             raise DataError("frequency tables must follow the state's categorical columns")
+        decoded = {}
         for name, table in tables.items():
-            if not all(isinstance(f, (int, float)) and math.isfinite(f) for f in table.values()):
-                raise DataError(
-                    f"frequency table {name!r} holds a value that is not a finite number"
-                )
-        return cls(state, tables)
+            what = f"frequency table {name!r}"
+            if set(table) != {"keys", "values"}:
+                raise DataError(f"{what} must hold exactly the fields keys and values")
+            keys, values = table["keys"], unpack(table["values"], FLOAT, what, ndim=1)
+            if not (isinstance(keys, list) and set(map(type, keys)) <= {str}):
+                raise DataError(f"{what} keys must be a list of strings")
+            if len(set(keys)) != len(keys) or len(keys) != len(values):
+                raise DataError(f"{what} needs distinct keys, one per value")
+            decoded[name] = dict(zip(keys, values.tolist()))
+        return cls(state, decoded)

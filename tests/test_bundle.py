@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from bundle_docs import fingerprint, pack, unpacked, write_doc
 
 from tabfuse.bundle import (
     BUNDLE_FORMAT_VERSION,
@@ -78,7 +79,8 @@ def saved_doc(tmp_path, bundle):
 
 
 def load_doc(path, doc):
-    path.write_text(json.dumps(doc))
+    """Load ``doc`` with its fingerprint recomputed, so the edit reaches the deeper checks."""
+    write_doc(path, doc)
     return load_bundle(path)
 
 
@@ -170,9 +172,9 @@ def test_payloads_hold_no_size_the_state_gives(kind, trained_bundles):
     bundle, _ = trained_bundles[kind]
     doc = bundle.to_json_dict()
     sizes = {"n_classes", "feature_count", "n_features", "vocab_size", "token_width", "n_numeric"}
-    # Nor a layer width, which the stored weights give, nor the state's fingerprint.
+    # Nor a layer width, which the stored weights give, nor a fingerprint.
     sizes |= {"embed_dim", "hidden_width", "fused_width", "hidden1", "hidden2"}
-    sizes.add("preprocess_fingerprint")
+    sizes |= {"fingerprint", "preprocess_fingerprint"}
     for member in doc["members"]:
         payload = member["payload"]
         assert list(payload) == list(MEMBER_CLASSES[member["kind"]].payload_fields)
@@ -183,19 +185,77 @@ def test_payloads_hold_no_size_the_state_gives(kind, trained_bundles):
     assert "columns" not in doc["preprocess"]["numeric_stats"]
 
 
+class TestFormat:
+    def test_document_is_compact_json_under_one_fingerprint(self, trained_bundles, tmp_path):
+        bundle, _ = trained_bundles["ensemble"]
+        path, doc = saved_doc(tmp_path, bundle)
+        assert path.read_text() == json.dumps(doc, separators=(",", ":")) + "\n"
+        assert doc["format_version"] == 4
+        assert doc["fingerprint"] == fingerprint(doc)
+
+    def test_every_member_and_encoder_array_is_packed(self, trained_bundles, tmp_path):
+        bundle, _ = trained_bundles["ensemble"]
+        _, doc = saved_doc(tmp_path, bundle)
+        fusion, baseline, gbdt = (m.model for m in bundle.members)
+        docs = [m["payload"] for m in doc["members"]]
+        for net, payload in ((fusion, docs[0]), (baseline, docs[1])):
+            for p in net.params():
+                assert payload["params"][p.name]["dtype"] == "<f8"
+                assert unpacked(payload["params"][p.name]).tobytes() == p.value.tobytes()
+        trees = docs[2]["trees"]
+        assert unpacked(trees["sizes"]).tolist() == [len(t.feature) for t in gbdt.trees]
+        for name in ("feature", "threshold", "left", "right", "weight"):
+            assert trees[name]["dtype"] == ("<f8" if name in ("threshold", "weight") else "<i4")
+            joined = [v for t in gbdt.trees for v in getattr(t, name)]
+            assert repr(unpacked(trees[name]).tolist()) == repr(joined)
+        for name, table in doc["frequency_encoder"]["tables"].items():
+            assert table["keys"] == list(bundle.frequency_encoder.tables[name])
+            expected = list(bundle.frequency_encoder.tables[name].values())
+            assert repr(unpacked(table["values"]).tolist()) == repr(expected)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda doc: doc.update(kind="fusion"), id="kind"),
+            pytest.param(lambda doc: doc["preprocess"]["numeric_stats"]["means"].pop(), id="state"),
+            pytest.param(
+                lambda doc: doc["members"][1]["payload"]["params"]["mlp3.bias"].update(
+                    pack([0.5, 0.5])
+                ),
+                id="net-parameter",
+            ),
+            pytest.param(
+                lambda doc: doc["members"][2]["payload"].update(base_score=0.25), id="gbdt-scalar"
+            ),
+            pytest.param(
+                lambda doc: doc["frequency_encoder"]["tables"]["tag"]["keys"].append("new"),
+                id="encoder-keys",
+            ),
+            pytest.param(lambda doc: doc["run_summary"].update(seed=6), id="run-summary"),
+        ],
+    )
+    def test_an_edit_of_any_section_fails_the_fingerprint(self, edit, trained_bundles, tmp_path):
+        path, doc = saved_doc(tmp_path, trained_bundles["ensemble"][0])
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="bundle fingerprint does not match its contents"):
+            load_bundle(path)
+
+
 class TestRoundTrip:
     def test_fusion_parameters_bit_exact(self, tmp_path):
         state, _ = fitted_state()
         member = fusion_member(state)
-        # plant awkward values: irrational, repeating binary, subnormal
+        # plant awkward values: irrational, repeating binary, subnormal, -0.0
         member.model.classifier.bias.value[...] = [np.pi, 1.0 / 3.0]
         member.model.cat_act1.slope.value[...] = 5e-324
+        member.model.num_act.slope.value[...] = -0.0
         bundle = ModelBundle("fusion", state, [member])
         path = tmp_path / "bundle.json"
         save_bundle(bundle, path)
         loaded = load_bundle(path)
         for p, q in zip(member.model.params(), loaded.members[0].model.params()):
-            assert np.array_equal(p.value, q.value), p.name
+            assert p.value.tobytes() == q.value.tobytes(), p.name
 
     def test_fusion_predictions_survive_round_trip(self, tmp_path):
         state, _ = fitted_state()
@@ -298,9 +358,8 @@ class TestValidation:
         save_bundle(bundle, path)
         doc = json.loads(path.read_text())
         del doc["members"][0]["payload"]["params"]["classifier.bias"]
-        path.write_text(json.dumps(doc))
         with pytest.raises(DataError, match="missing parameter"):
-            load_bundle(path)
+            load_doc(path, doc)
 
     def test_wrong_parameter_shape_rejected(self, tmp_path):
         state, _ = fitted_state()
@@ -308,10 +367,9 @@ class TestValidation:
         path = tmp_path / "b.json"
         save_bundle(bundle, path)
         doc = json.loads(path.read_text())
-        doc["members"][0]["payload"]["params"]["classifier.bias"] = [1.0, 2.0, 3.0]
-        path.write_text(json.dumps(doc))
+        doc["members"][0]["payload"]["params"]["classifier.bias"] = pack([1.0, 2.0, 3.0])
         with pytest.raises(DataError, match="shape"):
-            load_bundle(path)
+            load_doc(path, doc)
 
     def test_unknown_kind_rejected(self):
         state, _ = fitted_state()
@@ -338,9 +396,8 @@ class TestValidation:
         save_bundle(bundle, path)
         doc = json.loads(path.read_text())
         doc["members"][0]["kind"] = "mystery"
-        path.write_text(json.dumps(doc))
         with pytest.raises(DataError, match="unknown member kind"):
-            load_bundle(path)
+            load_doc(path, doc)
 
     def test_member_without_kind_rejected_on_load(self, tmp_path):
         state, _ = fitted_state()
@@ -411,13 +468,13 @@ class TestValidation:
             load_doc(path, doc)
 
     def test_fingerprints_required(self, tmp_path):
-        """The state's fingerprint is required at the top level, and nowhere else."""
+        """The document's fingerprint is required at the top level, and nowhere else."""
         state, _ = fitted_state()
         path, doc = saved_doc(tmp_path, ModelBundle("gbdt", state, [gbdt_member(state)]))
-        with pytest.raises(DataError, match=r"bundle fields: .*missing \['preprocess_fingerprint'\]"):
-            load_doc(path, {k: v for k, v in doc.items() if k != "preprocess_fingerprint"})
-        doc["members"][0]["payload"]["preprocess_fingerprint"] = state.fingerprint()
-        with pytest.raises(DataError, match=r"gbdt payload fields: unknown \['preprocess_fingerprint'\]"):
+        with pytest.raises(DataError, match=r"bundle fields: .*missing \['fingerprint'\]"):
+            load_doc(path, {k: v for k, v in doc.items() if k != "fingerprint"})
+        doc["members"][0]["payload"]["fingerprint"] = doc["fingerprint"]
+        with pytest.raises(DataError, match=r"gbdt payload fields: unknown \['fingerprint'\]"):
             load_doc(path, doc)
 
     def test_missing_file(self, tmp_path):

@@ -1,6 +1,6 @@
+import contextlib
 import csv
 import errno
-import hashlib
 import io
 import json
 import math
@@ -12,8 +12,10 @@ import tracemalloc
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from bundle_docs import edit_packed, pack, refingerprint, unpacked, write_doc
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import tabfuse
@@ -33,8 +35,7 @@ from tabfuse.schema import (
 )
 
 
-@pytest.fixture
-def schema_path(tmp_path):
+def save_schema_to(path: Path) -> Path:
     schema = TableSchema(
         (
             ColumnSpec("age", ColumnKind.NUMERICAL),
@@ -45,9 +46,13 @@ def schema_path(tmp_path):
         target="outcome",
         class_labels=("no", "yes"),
     )
-    path = tmp_path / "schema.json"
     save_schema(schema, path)
     return path
+
+
+@pytest.fixture
+def schema_path(tmp_path):
+    return save_schema_to(tmp_path / "schema.json")
 
 
 @pytest.fixture
@@ -398,7 +403,7 @@ class TestInspect:
         code = main(["inspect", "--model", str(out_dir / "bundle.json")])
         assert code == 0
         out = capsys.readouterr().out
-        assert "format version: 3" in out
+        assert "format version: 4" in out
         assert "model kind: fusion" in out
         assert "target: outcome" in out
         assert "classes (2): no, yes" in out
@@ -505,11 +510,19 @@ class TestMalformedBundle:
                 id="encoder-column-added",
             ),
             pytest.param(
-                lambda doc: doc["frequency_encoder"]["tables"]["note"].update(
-                    dict.fromkeys(doc["frequency_encoder"]["tables"]["note"], "abc")
-                ),
-                "baseline", "frequency table 'note' holds a value that is not a finite number",
+                lambda doc: encoder_table(doc).update(values="abc"),
+                "baseline", "frequency table 'note' must be a packed array",
                 id="encoder-frequency-text",
+            ),
+            pytest.param(
+                lambda doc: edit_packed(encoder_values(doc), lambda v: v.__setitem__(0, math.nan)),
+                "baseline", "frequency table 'note' holds a value that is not finite",
+                id="encoder-frequency-nan",
+            ),
+            pytest.param(
+                lambda doc: encoder_table(doc)["keys"].append("new"),
+                "baseline", "frequency table 'note' needs distinct keys, one per value",
+                id="encoder-key-without-value",
             ),
             # A bundle holds a frequency encoder exactly when a member reads
             # numeric+frequency.
@@ -519,28 +532,26 @@ class TestMalformedBundle:
                 id="encoder-missing",
             ),
             pytest.param(
-                lambda doc: doc.update(frequency_encoder={"tables": {"note": {"cough": 1.0}}}),
+                lambda doc: doc.update(
+                    frequency_encoder={"tables": {"note": {"keys": ["a"], "values": pack([1.0])}}}
+                ),
                 "gbdt", "the bundle has a frequency encoder but no member reads numeric+frequency",
                 id="encoder-unread",
             ),
             # Trees must be safe to walk: the packed walk trusts every index.
             pytest.param(
-                lambda doc: member_payload(doc)["trees"][0]["threshold"].pop(),
-                "gbdt", "field lists must be non-empty and of equal length",
+                lambda doc: edit_packed(tree_field(doc, "threshold"), lambda v: v[:-1]),
+                "gbdt", "gbdt tree threshold holds 85 nodes; the tree sizes add up to 86",
                 id="tree-lists-unequal",
             ),
             pytest.param(
-                lambda doc: member_payload(doc)["trees"][0].update(
-                    dict.fromkeys(["feature", "threshold", "left", "right", "weight"], [])
-                ),
-                "gbdt", "field lists must be non-empty and of equal length",
+                lambda doc: edit_packed(tree_field(doc, "sizes"), lambda v: v.__setitem__(0, 0)),
+                "gbdt", "gbdt tree 0 has 0 nodes; a tree needs at least 1",
                 id="tree-lists-empty",
             ),
             pytest.param(
-                lambda doc: member_payload(doc)["trees"][0].update(
-                    weight=[[w] for w in member_payload(doc)["trees"][0]["weight"]]
-                ),
-                "gbdt", "weight must hold only numbers",
+                lambda doc: edit_packed(tree_field(doc, "weight"), lambda v: v[:, None]),
+                "gbdt", "gbdt tree weight has shape [86, 1]; expected a list of 1 whole numbers",
                 id="tree-lists-nested",
             ),
             pytest.param(
@@ -553,8 +564,8 @@ class TestMalformedBundle:
                 id="tree-feature-below-leaf",
             ),
             pytest.param(
-                lambda doc: edit_split_tree(doc, "feature", "1"),
-                "gbdt", "feature must hold only integers",
+                lambda doc: tree_field(doc, "feature").update(dtype="<U1"),
+                "gbdt", "gbdt tree feature has dtype '<U1', expected '<i4'",
                 id="tree-feature-text",
             ),
             pytest.param(
@@ -562,7 +573,7 @@ class TestMalformedBundle:
                 id="tree-child-cycle",
             ),
             pytest.param(
-                lambda doc: edit_split_tree(doc, "right", lambda t: len(t["feature"])),
+                lambda doc: edit_split_tree(doc, "right", lambda size: size),
                 "gbdt", "has a child not after it",
                 id="tree-child-past-end",
             ),
@@ -573,22 +584,28 @@ class TestMalformedBundle:
             ),
             pytest.param(
                 lambda doc: edit_split_tree(doc, "threshold", math.nan),
-                "gbdt", "has a non-finite threshold or weight",
+                "gbdt", "gbdt tree threshold holds a value that is not finite",
                 id="tree-threshold-nan",
             ),
             pytest.param(
                 lambda doc: edit_split_tree(doc, "weight", math.inf, at="leaf"),
-                "gbdt", "has a non-finite threshold or weight",
+                "gbdt", "gbdt tree weight holds a value that is not finite",
                 id="tree-weight-inf",
             ),
             pytest.param(
-                lambda doc: member_payload(doc)["trees"].pop(),
+                lambda doc: drop_last_tree(doc),
                 "gbdt", "gbdt holds 9 trees; expected a multiple of its 2 classes",
                 id="tree-count-not-multiple",
             ),
             pytest.param(
-                lambda doc: member_payload(doc).update(trees=[]), "gbdt", "gbdt holds no trees",
+                lambda doc: member_payload(doc)["trees"].update(sizes=pack([], "<i4")),
+                "gbdt", "gbdt holds no trees",
                 id="no-trees",
+            ),
+            pytest.param(
+                lambda doc: member_payload(doc)["trees"].pop("left"),
+                "gbdt", "gbdt trees must hold the fields sizes, feature",
+                id="tree-field-missing",
             ),
             pytest.param(
                 lambda doc: member_payload(doc).update(shrinkage=math.nan),
@@ -646,16 +663,14 @@ class TestMalformedBundle:
                 id="state-pad-length-past-memory",
             ),
             pytest.param(
-                lambda doc: strip_fingerprints(doc), "gbdt", "missing ['preprocess_fingerprint']",
+                lambda doc: strip_fingerprints(doc), "gbdt", "missing ['fingerprint']",
                 id="fingerprints-stripped",
             ),
             # A member payload is only its parameters or trees: no fingerprint
             # and no layer width, as version 2 stored.
             pytest.param(
-                lambda doc: member_payload(doc).update(
-                    preprocess_fingerprint=state_fingerprint(doc)
-                ),
-                "gbdt", "gbdt payload fields: unknown ['preprocess_fingerprint']",
+                lambda doc: member_payload(doc).update(fingerprint=doc["fingerprint"]),
+                "gbdt", "gbdt payload fields: unknown ['fingerprint']",
                 id="member-fingerprint-blank",
             ),
             pytest.param(
@@ -664,20 +679,54 @@ class TestMalformedBundle:
                 id="net-payload-width",
             ),
             pytest.param(
-                lambda doc: nn_params(doc).update({"hidden_width": [[0.5]] * 3}),
+                lambda doc: nn_params(doc).update({"hidden_width": pack([[0.5]] * 3)}),
                 "fusion", "fusion payload holds unknown parameters ['hidden_width']",
                 id="net-param-unknown",
             ),
             # NN parameters must be finite, or every probability is NaN.
             pytest.param(
-                lambda doc: nn_params(doc)["classifier.bias"].__setitem__(0, math.nan),
+                lambda doc: edit_param(doc, "classifier.bias", lambda v: v.fill(math.nan)),
                 "fusion", "parameter 'classifier.bias' holds a value that is not finite",
                 id="fusion-param-nan",
             ),
             pytest.param(
-                lambda doc: nn_params(doc)["mlp1.weight"][0].__setitem__(0, math.inf),
+                lambda doc: edit_param(doc, "mlp1.weight", lambda v: v.__setitem__(0, math.inf)),
                 "baseline", "parameter 'mlp1.weight' holds a value that is not finite",
                 id="baseline-param-inf",
+            ),
+            # A packed array has its field's dtype, strict base64 data, whole
+            # values and a shape that holds them all.
+            pytest.param(
+                lambda doc: nn_params(doc)["classifier.bias"].update(dtype=">f8"),
+                "fusion", "parameter 'classifier.bias' has dtype '>f8', expected '<f8'",
+                id="packed-dtype-big-endian",
+            ),
+            pytest.param(
+                lambda doc: nn_params(doc)["classifier.bias"].update(pack([0.5] * 4, "<f4")),
+                "fusion", "parameter 'classifier.bias' has dtype '<f4', expected '<f8'",
+                id="packed-dtype-float32",
+            ),
+            pytest.param(
+                lambda doc: nn_params(doc)["classifier.bias"].update(
+                    data="\n" + nn_params(doc)["classifier.bias"]["data"]
+                ),
+                "fusion", "parameter 'classifier.bias' data is not strict base64",
+                id="packed-base64-not-strict",
+            ),
+            pytest.param(
+                lambda doc: nn_params(doc)["classifier.bias"].update(data="AAAAAAAAAAAAAAAA"),
+                "fusion", "parameter 'classifier.bias' holds 12 bytes, not a whole number of 8-byte",
+                id="packed-bytes-not-whole-values",
+            ),
+            pytest.param(
+                lambda doc: nn_params(doc)["classifier.bias"].update(shape=[3]),
+                "fusion", "parameter 'classifier.bias' has shape [3] but holds 2 values",
+                id="packed-shape-product",
+            ),
+            pytest.param(
+                lambda doc: edit_packed(encoder_values(doc), lambda v: v[None, :]),
+                "baseline", "frequency table 'note' has shape [1, ",
+                id="packed-shape-ndim",
             ),
         ],
     )
@@ -689,8 +738,9 @@ class TestMalformedBundle:
         bundle_path = run / "bundle.json"
         doc = json.loads(bundle_path.read_text())
         # A corruption edits the document in place or returns a new top level.
+        # The fingerprint is recomputed, so the edit reaches the check it targets.
         replaced = corrupt(doc)
-        bundle_path.write_text(json.dumps(replaced if isinstance(replaced, list) else doc))
+        write_doc(bundle_path, replaced if isinstance(replaced, list) else doc)
         capsys.readouterr()
         argv = [command, "--model", str(bundle_path)]
         if command == "predict":
@@ -709,7 +759,7 @@ def test_pad_length_past_memory_fails_predict_like_bad_data(
     run = train_quick(tmp_path, schema_path, data_path, model="gbdt")
     doc = json.loads((run / "bundle.json").read_text())
     edit_state(doc, lambda s: vocab_of(s).update(pad_length=10**15))
-    (run / "bundle.json").write_text(json.dumps(doc))
+    write_doc(run / "bundle.json", doc)
     capsys.readouterr()
     argv = ["predict", "--model", str(run / "bundle.json"), "--data", str(data_path)]
     assert main([*argv, "--out", str(tmp_path / "p.csv")]) == 3
@@ -726,8 +776,8 @@ def test_stored_weight_wider_than_the_state_builds_no_net(
     so 200,000 one-value rows are refused before a net that wide is built."""
     run = train_quick(tmp_path, schema_path, data_path, model=model)
     doc = json.loads((run / "bundle.json").read_text())
-    nn_params(doc)[weight] = [[0.5]] * 200_000
-    (run / "bundle.json").write_text(json.dumps(doc))
+    nn_params(doc)[weight] = pack(np.full((200_000, 1), 0.5))
+    write_doc(run / "bundle.json", doc)
     capsys.readouterr()
     argv = ["predict", "--model", str(run / "bundle.json"), "--data", str(data_path)]
     tracemalloc.start()
@@ -748,10 +798,7 @@ def test_stored_weight_wider_than_the_state_builds_no_net(
     "edit",
     [
         pytest.param(
-            lambda doc: nn_params(doc).update(
-                {"num.weight": [[1e308] * len(row) for row in nn_params(doc)["num.weight"]]}
-            ),
-            id="weights-1e308",
+            lambda doc: edit_param(doc, "num.weight", lambda w: w.fill(1e308)), id="weights-1e308"
         ),
         pytest.param(
             lambda doc: edit_state(doc, lambda s: set_stat(s, "stds", 5e-324)), id="std-subnormal"
@@ -767,7 +814,7 @@ def test_probabilities_past_float_range_exit_4(
     run = train_quick(tmp_path, schema_path, data_path, model="fusion")
     doc = json.loads((run / "bundle.json").read_text())
     edit(doc)
-    (run / "bundle.json").write_text(json.dumps(doc))
+    write_doc(run / "bundle.json", doc)
     capsys.readouterr()
     out = tmp_path / ("p.csv" if command == "predict" else "report")
     argv = [command, "--model", str(run / "bundle.json"), "--data", str(data_path)]
@@ -785,18 +832,48 @@ def member_payload(doc: dict) -> dict:
     return doc["members"][0]["payload"]
 
 
+def tree_field(doc: dict, name: str) -> dict:
+    """The packed array of one node field of every tree, or of the tree sizes."""
+    return member_payload(doc)["trees"][name]
+
+
 def edit_split_tree(doc: dict, field: str, value, at: str = "root"):
     """Set one field of the first tree that splits, at its root or its first leaf.
 
-    A callable value is called with the tree to get the value.
+    A callable value is called with the tree's size to get the value, which
+    is an index within the tree for ``left`` and ``right``.
     """
-    tree = next(t for t in member_payload(doc)["trees"] if t["feature"][0] >= 0)
-    node = 0 if at == "root" else tree["feature"].index(-1)
-    tree[field][node] = value(tree) if callable(value) else value
+    sizes, feature = unpacked(tree_field(doc, "sizes")), unpacked(tree_field(doc, "feature"))
+    roots = np.cumsum(sizes) - sizes
+    t = next(t for t, root in enumerate(roots) if feature[root] >= 0)
+    tree_nodes = feature[roots[t] : roots[t] + sizes[t]].tolist()
+    node = roots[t] + (0 if at == "root" else tree_nodes.index(-1))
+    value = value(sizes[t]) if callable(value) else value
+    edit_packed(tree_field(doc, field), lambda v: v.__setitem__(node, value))
+
+
+def drop_last_tree(doc: dict):
+    """Remove the last tree's size and nodes."""
+    last = int(unpacked(tree_field(doc, "sizes"))[-1])
+    edit_packed(tree_field(doc, "sizes"), lambda v: v[:-1])
+    for name in ("feature", "threshold", "left", "right", "weight"):
+        edit_packed(tree_field(doc, name), lambda v: v[:-last])
 
 
 def nn_params(doc: dict) -> dict:
     return member_payload(doc)["params"]
+
+
+def edit_param(doc: dict, name: str, edit):
+    edit_packed(nn_params(doc)[name], edit)
+
+
+def encoder_table(doc: dict) -> dict:
+    return doc["frequency_encoder"]["tables"]["note"]
+
+
+def encoder_values(doc: dict) -> dict:
+    return encoder_table(doc)["values"]
 
 
 def gbdt_feature_count(doc: dict) -> int:
@@ -808,23 +885,16 @@ def gbdt_feature_count(doc: dict) -> int:
 
 def add_embedding_row(doc: dict):
     """One more embedding row than the state's vocabulary has."""
-    weight = doc["members"][0]["payload"]["params"]["embedding.weight"]
-    weight.append([0.0] * len(weight[0]))
+    edit_param(doc, "embedding.weight", lambda w: np.vstack([w, np.zeros_like(w[:1])]))
 
 
 def rename_encoder_table(encoder: dict, old: str, new: str):
     encoder["tables"][new] = encoder["tables"].pop(old)
 
 
-def state_fingerprint(doc: dict) -> str:
-    canonical = json.dumps(doc["preprocess"], sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
 def edit_state(doc: dict, edit):
-    """Apply ``edit`` to the preprocessing state and recompute its fingerprint."""
+    """Apply ``edit`` to the preprocessing state."""
     edit(doc["preprocess"])
-    doc["preprocess_fingerprint"] = state_fingerprint(doc)
 
 
 def vocab_of(state: dict) -> dict:
@@ -836,7 +906,7 @@ def set_stat(state: dict, name: str, value: float):
 
 
 def strip_fingerprints(doc: dict):
-    del doc["preprocess_fingerprint"]
+    del doc["fingerprint"]
 
 
 NOT_UTF8 = b"\xff\xfe"
@@ -1007,6 +1077,96 @@ class TestConfigDocuments:
                 build_run_config(args).validate()
             except ToolkitError as e:
                 assert e.exit_code in (2, 3)
+
+
+@pytest.fixture(scope="module")
+def ensemble_run(tmp_path_factory):
+    """A trained fusion+gbdt+baseline bundle, so every section is present, and rows to score."""
+    root = tmp_path_factory.mktemp("bundle_edits")
+    schema = save_schema_to(root / "schema.json")
+    data = root / "data.csv"
+    assert main(["generate", "--schema", str(schema), "--rows", "80", "--seed", "11", "--out", str(data)]) == 0
+    config = quick_config(root, ensemble_members=["fusion", "gbdt", "baseline"])
+    argv = ["--config", str(config), "--schema", str(schema), "--data", str(data)]
+    assert main(["train", *argv, "--model", "ensemble", "--out", str(root / "run")]) == 0
+    return json.loads((root / "run" / "bundle.json").read_text()), data, root
+
+
+def paths_in(value, path: tuple):
+    """The path of ``value`` and of every value nested in it."""
+    yield path
+    if isinstance(value, (dict, list)):
+        for key, inner in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from paths_in(inner, (*path, key))
+
+
+BASE64_ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+
+
+@st.composite
+def bundle_edits(draw, doc: dict) -> dict:
+    """A copy of ``doc`` with one field of one section replaced or removed, or
+    one base64 character of a packed array changed."""
+    doc = json.loads(json.dumps(doc))
+    section = draw(st.sampled_from(list(doc)), label="section")
+    path = draw(st.sampled_from(list(paths_in(doc[section], (section,)))), label="path")
+    *parents, key = path
+    parent = doc
+    for step in parents:
+        parent = parent[step]
+    value = parent[key]
+    edits = ["replace", "remove"] + (["flip"] if key == "data" and isinstance(value, str) else [])
+    edit = draw(st.sampled_from(edits), label="edit")
+    if edit == "remove":
+        del parent[key]
+    elif edit == "flip" and value:
+        i = draw(st.integers(0, len(value) - 1), label="character")
+        others = BASE64_ALPHABET.replace(value[i], "")
+        parent[key] = value[:i] + draw(st.sampled_from(others)) + value[i + 1 :]
+    else:
+        parent[key] = draw(JSON_VALUES, label="value")
+    return doc
+
+
+def predict_with(doc: dict, data: Path, root: Path) -> tuple[int, str, Path]:
+    """Exit code and standard error of ``predict`` with ``doc`` as the bundle."""
+    bundle, out = root / "edited.json", root / "predictions.csv"
+    bundle.write_text(json.dumps(doc))
+    out.unlink(missing_ok=True)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["predict", "--model", str(bundle), "--data", str(data), "--out", str(out)])
+    return code, err.getvalue(), out
+
+
+class TestBundleEdits:
+    """One edit of a bundle through ``tabfuse predict``: the fingerprint turns any
+    edit into one error line, and an edit signed again reaches the deeper checks,
+    which end in a result or one error line, never in a traceback."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_an_edit_without_its_fingerprint_exits_3(self, ensemble_run, data):
+        doc, rows, root = ensemble_run
+        edited = data.draw(bundle_edits(doc))
+        assume(json.dumps(edited, sort_keys=True) != json.dumps(doc, sort_keys=True))
+        code, err, out = predict_with(edited, rows, root)
+        assert code == 3, err
+        assert err.startswith("error[data]: ") and err.count("\n") == 1, err
+        assert not out.exists()
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_a_signed_edit_exits_0_3_or_4(self, ensemble_run, data):
+        doc, rows, root = ensemble_run
+        code, err, out = predict_with(refingerprint(data.draw(bundle_edits(doc))), rows, root)
+        assert code in (0, 3, 4), err
+        if code:
+            assert err.startswith(f"error[{'data' if code == 3 else 'numeric'}]: "), err
+            assert err.count("\n") == 1, err
+            assert not out.exists()
+        else:
+            assert err == "" and out.exists()
 
 
 class TestParsing:

@@ -1,11 +1,13 @@
 import heapq
 import json
 import math
+from dataclasses import astuple
 from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
+from bundle_docs import pack, unpacked, write_doc
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -544,24 +546,26 @@ class TestTreeChecks:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_what_loads_walks_like_the_reference(self, gbdt_bundle, data):
+        """Any one edit of the packed trees, fingerprint recomputed, loads and
+        walks like the reference walk, or ends in DataError."""
         text, path, x = gbdt_bundle
         doc = json.loads(text)
         trees = doc["members"][0]["payload"]["trees"]
-        tree = trees[data.draw(st.integers(0, len(trees) - 1), label="tree")]
-        values = tree[data.draw(st.sampled_from(gbdt._TREE_FIELDS), label="field")]
+        name = data.draw(st.sampled_from(["sizes", *gbdt._TREE_DTYPES]), label="field")
+        values = unpacked(trees[name])
         n = len(values)
         i = data.draw(st.integers(0, n - 1), label="node")
-        # Another node's index, -2, past the end, NaN, inf, text, a nested list or a pop.
-        edit = data.draw(
-            st.integers(0, n - 1)
-            | st.sampled_from([-2, n, math.nan, math.inf, -math.inf, "1", "x", [values[i]], "pop"]),
-            label="edit",
-        )
-        if edit == "pop":
-            values.pop(i)
+        # Another node's index, -2, past the end, the non-finite floats or a drop.
+        edits = [-2, n, "drop"]
+        if values.dtype.kind == "f":
+            edits += [math.nan, math.inf, -math.inf]
+        edit = data.draw(st.integers(0, n - 1) | st.sampled_from(edits), label="edit")
+        if edit == "drop":
+            values = np.delete(values, i)
         else:
             values[i] = edit
-        path.write_text(json.dumps(doc))
+        trees[name] = pack(values, trees[name]["dtype"])
+        write_doc(path, doc)
         try:
             model = load_bundle(path).members[0].model
         except DataError:
@@ -639,6 +643,7 @@ def reference_split(hists, thresholds, g, h, l2_reg, min_child_hessian):
 def reference_tree(x, thresholds, bins, g, h, config, searches):
     """Best-first growth; the child with fewer rows is summed, the other is parent - sibling.
 
+    Children of the split that spends the leaf budget are not searched.
     Appends each node's split search result to ``searches``.
     """
     tree = Tree()
@@ -668,7 +673,7 @@ def reference_tree(x, thresholds, bins, g, h, config, searches):
         left, right = tree.add_leaf(weight(left_rows)), tree.add_leaf(weight(right_rows))
         tree.make_split(node, feature, threshold, left, right)
         n_leaves += 1
-        if depth + 1 < config.max_depth:
+        if depth + 1 < config.max_depth and n_leaves < config.max_leaves:
             left_smaller = len(left_rows) <= len(right_rows)
             small = reference_histograms(
                 bins, thresholds, left_rows if left_smaller else right_rows, g, h
@@ -740,10 +745,8 @@ class TestHistogramTraining:
         with mock.patch.object(gbdt, "find_best_split", recorded):
             model, _ = train_gbdt(x, y, n_classes, config)
         expected, expected_searches = reference_boost(x, y, n_classes, config)
-        # repr-level JSON tells -0.0 from 0.0 and keeps every bit of a float.
-        assert [json.dumps(t.to_json_dict()) for t in model.trees] == [
-            json.dumps(t.to_json_dict()) for t in expected
-        ]
+        # repr tells -0.0 from 0.0 and keeps every bit of a float.
+        assert [repr(astuple(t)) for t in model.trees] == [repr(astuple(t)) for t in expected]
         assert repr(searches) == repr(expected_searches)
 
     @settings(max_examples=200, deadline=None)
