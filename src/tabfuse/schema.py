@@ -249,6 +249,8 @@ def load_json(path: str | Path, kind: str):
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise DataError(f"{kind} file {path} is not valid JSON: {exc}") from None
+        except RecursionError:
+            raise DataError(f"{kind} file {path} is nested too deeply to parse") from None
 
 
 def load_schema(path: str | Path) -> TableSchema:

@@ -2,7 +2,8 @@
 
 Every cell is a pure function of ``(seed, row, column, purpose)`` through a
 64-bit SplitMix64 mix, so generation is bitwise reproducible across runs,
-platforms, and row subsets. No global RNG state is involved.
+platforms, and row subsets. No global RNG state is involved. Cells are built
+column by column: a column's text is made from its whole hash arrays at once.
 
 Signal structure, so that models can actually learn from the output:
 
@@ -108,6 +109,11 @@ def _shuffled_labels(rows: int, counts: np.ndarray, seed: int) -> np.ndarray:
     return labels
 
 
+def _four_decimals(values: np.ndarray) -> list[str]:
+    """``f"{v:.4f}"`` of every value, by one %-format over the whole array."""
+    return ("%.4f\x00" * len(values) % tuple(values.tolist())).split("\x00")[:-1]
+
+
 def generate_synthetic(
     schema: TableSchema,
     rows: int,
@@ -160,7 +166,7 @@ def generate_synthetic(
     columns: list[list[str | None]] = []
     for j, col in enumerate(schema.columns):
         if j == target_idx:
-            columns.append([schema.class_labels[k_] for k_ in labels])
+            columns.append([schema.class_labels[k_] for k_ in labels.tolist()])
             continue
         if col.kind is ColumnKind.NUMERICAL:
             offset = 10.0 * (_u01(_hash(seed, _TAG_OFFSET, j)) - 0.5)
@@ -176,7 +182,7 @@ def generate_synthetic(
                 _hash(seed, _TAG_NUM, row_ids, j, 1),
             )
             values = offset + centers[labels] + noise
-            cells = [f"{v:.4f}" for v in values]
+            cells = _four_decimals(values)
         else:
             pool_size = min(max(12, 2 * k), len(_WORDS))
             block = pool_size // k
@@ -196,13 +202,12 @@ def generate_synthetic(
                         np.int64
                     )
                 )
-            cells = [
-                " ".join(f"{_WORDS[slot[r]]}{j}" for slot in slots)
-                for r in range(rows)
-            ]
+            words = [f"{w}{j}" for w in _WORDS]
+            picked = [list(map(words.__getitem__, slot.tolist())) for slot in slots]
+            cells = list(map(" ".join, zip(*picked)))
         if missing_fraction > 0.0:
             drop = _u01(_hash(seed, _TAG_MISS, row_ids, j)) < missing_fraction
-            cells = [None if drop[r] else cells[r] for r in range(rows)]
+            cells = [None if d else c for d, c in zip(drop.tolist(), cells)]
         columns.append(cells)
 
     return DataTable.from_columns(schema, columns)

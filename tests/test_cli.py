@@ -1011,6 +1011,28 @@ class TestBadInputs:
         assert [p for p in files_under(tmp_path) if p.is_file()] == before
         assert [f.writes for f in opened] == [3]
 
+    @pytest.mark.parametrize(
+        "kind,template",
+        [
+            ("bundle", "inspect --model {deep}"),
+            ("bundle", "predict --model {deep} --data {data} --out {tmp}/p.csv"),
+            ("config", "train --config {deep} --schema {schema} --data {data}"),
+            ("schema", "generate --schema {deep} --rows 9 --out {tmp}/g.csv"),
+        ],
+    )
+    def test_json_nested_past_recursion_limit(
+        self, tmp_path, schema_path, data_path, capsys, kind, template
+    ):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        argv = template.format(deep=deep, data=data_path, schema=schema_path, tmp=tmp_path)
+        before = files_under(tmp_path)
+        capsys.readouterr()
+        assert main(argv.split()) == 3
+        err = capsys.readouterr().err
+        assert err == f"error[data]: {kind} file {deep} is nested too deeply to parse\n"
+        assert files_under(tmp_path) == before
+
 
 class FullDiskFile:
     """An output file whose writes fail, as on a full disk, after the header and one block."""

@@ -4,10 +4,23 @@ import pytest
 from tabfuse.errors import DataError
 from tabfuse.schema import ColumnKind, ColumnSpec, TableSchema
 from tabfuse.synthetic import (
+    _TAG_CENTER,
     _TAG_LABEL,
+    _TAG_MISS,
+    _TAG_NOISE,
+    _TAG_NUM,
+    _TAG_OFFSET,
+    _TAG_PICK,
+    _TAG_SIG,
+    _TAG_WIDTH,
+    _U64,
+    _WORDS,
+    _four_decimals,
+    _gauss,
     _hash,
     _largest_remainder,
     _shuffled_labels,
+    _u01,
     generate_synthetic,
 )
 
@@ -163,3 +176,99 @@ def test_shuffled_labels_match_per_row_reference(rows, seed):
     want = _shuffled_labels_per_row(rows, counts, seed)
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
+
+
+def _generate_per_row(
+    schema, rows, seed, imbalance=None, missing_fraction=0.05,
+    numeric_signal=2.0, token_signal=0.8,
+):
+    """The generator with its cell text built row by row: the reference cells."""
+    k = schema.n_classes
+    weights = np.ones(k) if imbalance is None else np.asarray(imbalance, dtype=np.float64)
+    counts = _largest_remainder(rows, weights)
+    labels = _shuffled_labels(rows, counts, seed)
+    row_ids = np.arange(rows)
+
+    target_idx = schema.column_index(schema.target)
+    columns = []
+    for j, col in enumerate(schema.columns):
+        if j == target_idx:
+            columns.append([schema.class_labels[k_] for k_ in labels])
+            continue
+        if col.kind is ColumnKind.NUMERICAL:
+            offset = 10.0 * (_u01(_hash(seed, _TAG_OFFSET, j)) - 0.5)
+            sign = 1.0 if int(_hash(seed, _TAG_CENTER, j) % _U64(2)) == 0 else -1.0
+            scale = 0.5 + _u01(_hash(seed, _TAG_CENTER, j, 1))
+            ladder = np.arange(k, dtype=np.float64) - (k - 1) / 2.0
+            centers = sign * scale * numeric_signal * ladder
+            noise = _gauss(
+                _hash(seed, _TAG_NUM, row_ids, j),
+                _hash(seed, _TAG_NUM, row_ids, j, 1),
+            )
+            values = offset + centers[labels] + noise
+            cells = [f"{v:.4f}" for v in values]
+        else:
+            pool_size = min(max(12, 2 * k), len(_WORDS))
+            block = pool_size // k
+            width = 1 + int(_hash(seed, _TAG_WIDTH, j) % _U64(3))
+            first = np.where(
+                _u01(_hash(seed, _TAG_SIG, row_ids, j)) < token_signal,
+                labels * block
+                + (_hash(seed, _TAG_PICK, row_ids, j) % _U64(block)).astype(np.int64),
+                (_hash(seed, _TAG_PICK, row_ids, j, 1) % _U64(pool_size)).astype(
+                    np.int64
+                ),
+            )
+            slots = [first]
+            for s in range(1, width):
+                slots.append(
+                    (_hash(seed, _TAG_NOISE, row_ids, j, s) % _U64(pool_size)).astype(
+                        np.int64
+                    )
+                )
+            cells = [
+                " ".join(f"{_WORDS[slot[r]]}{j}" for slot in slots)
+                for r in range(rows)
+            ]
+        if missing_fraction > 0.0:
+            drop = _u01(_hash(seed, _TAG_MISS, row_ids, j)) < missing_fraction
+            cells = [None if drop[r] else cells[r] for r in range(rows)]
+        columns.append(cells)
+    return columns
+
+
+def schema_with_target_inside(k, numeric, categorical):
+    """Features on both sides of the target, so its index is not the last."""
+    cols = [ColumnSpec(f"num{i}", ColumnKind.NUMERICAL) for i in range(numeric)]
+    cols += [ColumnSpec(f"cat{i}", ColumnKind.CATEGORICAL) for i in range(categorical)]
+    cols.insert(len(cols) // 2, ColumnSpec("label", ColumnKind.CATEGORICAL))
+    return TableSchema(
+        tuple(cols), target="label", class_labels=tuple(f"c{i}" for i in range(k))
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 7, -7, 2**63 + 5])
+@pytest.mark.parametrize("numeric,categorical", [(2, 4), (3, 0), (0, 4)])
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_columns_match_per_row_reference(seed, numeric, categorical, k):
+    schema = schema_with_target_inside(k, numeric, categorical)
+    uneven = [float(i + 1) ** 2 for i in range(k)]
+    for rows in (k, 1000):
+        for missing_fraction, imbalance in ((0.0, uneven), (0.05, None), (0.9, uneven)):
+            got = generate_synthetic(
+                schema, rows, seed, imbalance=imbalance, missing_fraction=missing_fraction
+            ).columns
+            want = _generate_per_row(
+                schema, rows, seed, imbalance=imbalance, missing_fraction=missing_fraction
+            )
+            assert got == tuple(map(tuple, want))
+            assert {type(c) for col in got for c in col} <= {str, type(None)}
+
+
+@pytest.mark.parametrize(
+    "value",
+    [-0.0, -4e-5, 5e-5, 1.5e-4, -123.45675, 1e15, np.nextafter(0.0, 1.0)],
+)
+def test_four_decimals_matches_format_spec(value):
+    values = np.array([value, -value, value])
+    assert _four_decimals(values) == [f"{v:.4f}" for v in values]
