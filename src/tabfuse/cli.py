@@ -108,10 +108,18 @@ def _convert(keys: dict, settings: dict) -> dict:
 
 
 def build_run_config(args) -> RunConfig:
-    """Overlay CLI flags on the config file (flags win) and convert each key."""
+    """Overlay CLI flags on the config file (flags win) and convert each key.
+
+    A file key that is neither a run nor a synthetic key is a usage error.
+    """
     doc = load_json(args.config, "config") if args.config else {}
     if not isinstance(doc, dict):
         raise DataError("config file must hold a JSON object")
+    valid = [*_RUN_KEYS, *_SYNTHETIC_KEYS]
+    unknown = [key for key in doc if key not in valid]
+    if unknown:
+        names = ", ".join(map(repr, unknown))
+        raise UsageError(f"config file has unknown keys {names}; valid: {', '.join(valid)}")
     settings = {**doc, **{k: v for k, v in vars(args).items() if v is not None}}
     if settings.get("schema") is None:
         raise UsageError("a schema is required (--schema or config key 'schema')")

@@ -228,6 +228,20 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "config section 'train'" in err
 
+    @pytest.mark.parametrize("doc", [{"seeds": 3}, {"seed": 3, "parallel_members": True}])
+    def test_unknown_top_level_config_key_is_usage_error(
+        self, tmp_path, schema_path, data_path, capsys, doc
+    ):
+        cfg = tmp_path / "typo.json"
+        cfg.write_text(json.dumps(doc))
+        argv = ["--schema", str(schema_path), "--data", str(data_path), "--out", str(tmp_path / "x")]
+        assert main(["train", "--config", str(cfg), *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error[usage]: config file has unknown keys")
+        assert repr(next(k for k in doc if k != "seed")) in err
+        assert "valid: schema, model, data, fractions, seed," in err
+        assert not (tmp_path / "x").exists()
+
     def test_failure_discards_partial_outputs(
         self, tmp_path, schema_path, data_path, monkeypatch
     ):

@@ -1,20 +1,27 @@
 import json
 import logging
 import math
+import sys
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tabfuse.preprocess
 from tabfuse.errors import DataError, SchemaMismatchError
 from tabfuse.preprocess import (
+    _TOKEN_RE,
+    PAD_INDEX,
+    UNKNOWN_INDEX,
+    ColumnVocabulary,
     EncodedDataset,
     PreprocessState,
+    _encode_column,
     _parse_cells,
     _parse_float,
+    _tokenize_cells,
     fit,
     stratified_split,
     tokenize,
@@ -250,7 +257,7 @@ class TestTransform:
         assert enc.tokens.dtype == np.int64
 
     def test_each_distinct_cell_is_tokenized_once(self, monkeypatch):
-        complaints = ("chest pain", "Fever", "cough cough", "fever")
+        complaints = ("chest pain", "Fever", "cough, cough", "fever")
         rows = tuple(
             (str(r), complaints[r % 4] if r % 5 else None, ("walk", "car")[r % 2], "home")
             for r in range(40)
@@ -259,26 +266,100 @@ class TestTransform:
         distinct = {
             (c, cell) for c in ("complaint", "mode") for cell in table.column(c) if cell
         }
-        calls = Counter()
-        real = tabfuse.preprocess.tokenize
+        cells, calls = Counter(), Counter()
+        real_cells, real = tabfuse.preprocess._tokenize_cells, tabfuse.preprocess.tokenize
+
+        def counting_cells(column):
+            cells.update(column)
+            return real_cells(column)
 
         def counting(text):
             calls[text] += 1
             return real(text)
 
+        monkeypatch.setattr(tabfuse.preprocess, "_tokenize_cells", counting_cells)
         monkeypatch.setattr(tabfuse.preprocess, "tokenize", counting)
         state = fit(table)
-        assert sum(calls.values()) == len(distinct) == 6
-        assert max(calls.values()) == 1
+        assert sum(cells.values()) == len(distinct) == 6
+        assert max(cells.values()) == 1
+        # Only the cell with punctuation goes through the regular expression.
+        assert calls == {"cough, cough": 1}
+        cells.clear()
         calls.clear()
         transform(table, state)
-        assert sum(calls.values()) == len(distinct)
-        assert max(calls.values()) == 1
+        assert sum(cells.values()) == len(distinct)
+        assert max(cells.values()) == 1
+        assert calls == {"cough, cough": 1}
 
     def test_no_nan_or_inf_in_output(self):
         state = fit(small_table())
         enc = transform(small_table(), state)
         assert np.all(np.isfinite(enc.numeric))
+
+
+def _encode_cell(cell: str, voc: ColumnVocabulary, base: int) -> list[int]:
+    """Reference: global token indices of one cell, column ``base`` + local
+    index, truncated and padded to the pad length."""
+    toks = tokenize(cell)[: voc.pad_length]
+    idx = [base + voc.token_to_index.get(t, UNKNOWN_INDEX) for t in toks]
+    idx.extend([PAD_INDEX] * (voc.pad_length - len(idx)))
+    return idx
+
+
+# Plain words and text the whitespace split must not take at face value:
+# final sigma, İ (its lowercase adds a combining mark), NUL, combining marks,
+# underscore, punctuation, whitespace that only str.split or only the regular
+# expression might see, Arabic-Indic digits, and empty or blank cells.
+WORDS = st.sampled_from(["chest", "Pain", "FEVER", "ember0", "x", "ΟΔΟΣ", "ὈΔΥΣΣΕΎΣ", "straße"])
+TRAPS = st.sampled_from(
+    ["Σ", "ΑΣ'", "ΣΑ", "İ", "İzmir", "\x00", "a\x00b", "e\u0301", "\u0301", "_", "left_arm",
+     "Chest-Pain", "!", ",", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2007",
+     "\u0661\u0662", "ǅ", "", " ", " \t\n "]
+)
+SEPARATORS = st.sampled_from([" ", "  ", "\t", "", "\x85", "\xa0"])
+TEXT_CELLS = (
+    st.lists(st.tuples(WORDS | WORDS | TRAPS, SEPARATORS), max_size=4).map(
+        lambda pairs: "".join(word + sep for word, sep in pairs)
+    )
+    | st.text(max_size=6)
+)
+
+
+class TestColumnTokenizer:
+    def test_fast_path_character_classes(self):
+        """The fast path rests on two facts about every code point."""
+        chars = "".join(map(chr, range(sys.maxunicode + 1)))
+        assert "".join(_TOKEN_RE.findall(chars)) == "".join(filter(str.isalnum, chars))
+        assert not [c for c in chars if c.isspace() and c.isalnum()]
+
+    @settings(max_examples=200, deadline=None)
+    @given(cells=st.lists(TEXT_CELLS, max_size=12))
+    @example(cells=["ΟΔΟΣ plain", "İzmir", "left_arm words", "Chest-Pain"])
+    @example(cells=["plain", "a\x00b", "ΣΑΣ"])
+    @example(cells=["plain", "a \x00 b"])
+    @example(cells=["", " ", "ember0 gale0"])
+    def test_equals_tokenize_per_cell(self, cells):
+        assert _tokenize_cells(cells) == [tokenize(cell) for cell in cells]
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_encode_column_equals_per_cell_reference(self, data):
+        cells = data.draw(st.lists(st.none() | TEXT_CELLS, min_size=1, max_size=16), label="cells")
+        known = data.draw(st.lists(TEXT_CELLS, max_size=6), label="known")
+        tokens = sorted({t for cell in known for t in tokenize(cell)})
+        voc = ColumnVocabulary(
+            tuple(tokens),
+            data.draw(st.integers(1, 4), label="pad_length"),
+            data.draw(TEXT_CELLS, label="mode"),
+        )
+        base = data.draw(st.integers(0, 50), label="base")
+        expected = np.array(
+            [_encode_cell(voc.mode_value if c is None else c, voc, base) for c in cells],
+            dtype=np.int64,
+        )
+        got = _encode_column(tuple(cells), voc, base)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
 
 
 # Text float() and str.strip() treat differently, or that parses to a
