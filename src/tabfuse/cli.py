@@ -45,15 +45,22 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _check_keys(doc: dict, valid, where: str) -> None:
+    """Raise a usage error naming each key of ``doc`` outside ``valid``."""
+    unknown = [key for key in doc if key not in valid]
+    if unknown:
+        keys = "keys" if len(unknown) > 1 else "key"
+        names = ", ".join(map(repr, unknown))
+        raise UsageError(f"{where} has unknown {keys} {names}; valid: {', '.join(valid)}")
+
+
 def _section(cls, section: str):
     """Converter that builds ``cls`` from a config section's object."""
     valid = cls().to_json_dict()
 
     def convert(doc):
-        if isinstance(doc, dict) and not set(doc) <= set(valid):
-            raise UsageError(
-                f"config section {section!r} has unknown keys; valid: {', '.join(valid)}"
-            )
+        if isinstance(doc, dict):
+            _check_keys(doc, valid, f"config section {section!r}")
         return cls(**doc)
 
     return convert
@@ -115,11 +122,7 @@ def build_run_config(args) -> RunConfig:
     doc = load_json(args.config, "config") if args.config else {}
     if not isinstance(doc, dict):
         raise DataError("config file must hold a JSON object")
-    valid = [*_RUN_KEYS, *_SYNTHETIC_KEYS]
-    unknown = [key for key in doc if key not in valid]
-    if unknown:
-        names = ", ".join(map(repr, unknown))
-        raise UsageError(f"config file has unknown keys {names}; valid: {', '.join(valid)}")
+    _check_keys(doc, [*_RUN_KEYS, *_SYNTHETIC_KEYS], "config file")
     settings = {**doc, **{k: v for k, v in vars(args).items() if v is not None}}
     if settings.get("schema") is None:
         raise UsageError("a schema is required (--schema or config key 'schema')")

@@ -10,15 +10,14 @@ model-ready arrays:
   lowercase tokens, and the maximum token count seen (pad length).
 
 Tokenization is lowercase followed by splitting on any run of characters
-that is not a letter or a digit (underscore counts as a delimiter). A
-column's distinct cells are lowercased and split on whitespace together, in
-one pass; a cell with anything but letters, digits and whitespace falls back
-to the regular expression, with the same tokens either way. Index 0
-is reserved for padding and index 1 for tokens unseen at fit time, so
-vocabulary indices start at 2. At transform time each column's indices are
-shifted by a per-column offset, giving disjoint index ranges across columns
-so a single embedding table can serve every column; padding stays index 0
-globally. Cells longer than the fitted pad length are truncated to the
+that is not a letter or a digit (underscore counts as a delimiter). A cell
+is first split on whitespace; a cell with anything but letters, digits and
+whitespace falls back to the regular expression, with the same tokens
+either way. Index 0 is reserved for padding and index 1 for tokens unseen
+at fit time, so vocabulary indices start at 2. At transform time each
+column's indices are shifted by a per-column offset, giving disjoint index
+ranges across columns so a single embedding table can serve every column;
+padding stays index 0 globally. Cells longer than the fitted pad length are truncated to the
 first ``pad_length`` tokens.
 
 A state's JSON form holds only what its schema does not give: the means
@@ -55,32 +54,15 @@ STATE_FORMAT_VERSION = 2
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercase, then split on runs of non-letter/non-digit characters."""
-    return _TOKEN_RE.findall(text.lower())
+    """Lowercase, then split on runs of non-letter/non-digit characters.
 
-
-def _tokenize_cells(cells: list[str]) -> list[list[str]]:
-    """``[tokenize(cell) for cell in cells]``, from one whitespace split.
-
-    The cells are joined with ``" \\x00 "``, lowercased, split once and cut
-    at the markers. A cell whose parts are all ``str.isalnum``, which is
-    ``[^\\W_]`` and never whitespace, has them as its tokens. Any other cell,
-    and every cell when one holds NUL, goes through ``tokenize``. A marker's
-    spaces end final sigma's context, so each cell lowercases as on its own.
+    ``re`` defines ``[^\\W_]`` by ``str.isalnum``, and no whitespace is
+    alphanumeric, so whitespace-split parts that are all alphanumeric are
+    the regular expression's tokens; the split is several times cheaper.
     """
-    text = " \x00 ".join(cells).lower()
-    if text.count("\x00") != len(cells) - 1:  # a cell holds NUL
-        return [tokenize(cell) for cell in cells]
-    parts = text.split()
-    cut: list[list[str]] = [[]]
-    for part in parts:
-        if part == "\x00":
-            cut.append([])
-        else:
-            cut[-1].append(part)
-    if "".join(parts).replace("\x00", "").isalnum():
-        return cut
-    return [t if all(map(str.isalnum, t)) else tokenize(c) for c, t in zip(cells, cut)]
+    low = text.lower()
+    parts = low.split()
+    return parts if all(map(str.isalnum, parts)) else _TOKEN_RE.findall(low)
 
 
 def _parse_float(text: str) -> float:
@@ -359,9 +341,12 @@ def fit(table: DataTable) -> PreprocessState:
             raise DataError(f"column {name!r} has no usable values to fit on")
         top = max(counts.values())
         mode_value = min(v for v, n in counts.items() if n == top)
-        cell_tokens = _tokenize_cells(list(counts))
-        tokens = set().union(*cell_tokens)
-        pad_length = max(1, max(map(len, cell_tokens)))
+        tokens: set[str] = set()
+        pad_length = 1
+        for cell in counts:
+            cell_tokens = tokenize(cell)
+            tokens.update(cell_tokens)
+            pad_length = max(pad_length, len(cell_tokens))
         vocabularies[name] = ColumnVocabulary(tuple(sorted(tokens)), pad_length, mode_value)
 
     if all(c is None for c in table.column(schema.target)):
@@ -376,8 +361,7 @@ def _encode_column(
     """Padded global codes of each cell, shape (rows, pad_length): column
     ``base`` + local index, truncated to the pad length.
 
-    A missing cell is the mode. The distinct cells are tokenized together,
-    once each.
+    A missing cell is the mode. Each distinct cell is tokenized once.
     """
     mode = voc.mode_value
     pad = voc.pad_length
@@ -385,11 +369,9 @@ def _encode_column(
     rows = [position.setdefault(mode if c is None else c, len(position)) for c in cells]
     lookup = voc.token_to_index.get
     codes = [PAD_INDEX] * (len(position) * pad)
-    start = 0
-    for tokens in _tokenize_cells(list(position)):
-        for i, token in enumerate(tokens[:pad], start):
+    for start, cell in zip(range(0, len(codes), pad), position):
+        for i, token in enumerate(tokenize(cell)[:pad], start):
             codes[i] = base + lookup(token, UNKNOWN_INDEX)
-        start += pad
     return np.array(codes, dtype=np.int64).reshape(len(position), pad).take(rows, axis=0)
 
 

@@ -21,7 +21,6 @@ from tabfuse.preprocess import (
     _encode_column,
     _parse_cells,
     _parse_float,
-    _tokenize_cells,
     fit,
     stratified_split,
     tokenize,
@@ -257,7 +256,7 @@ class TestTransform:
         assert enc.tokens.dtype == np.int64
 
     def test_each_distinct_cell_is_tokenized_once(self, monkeypatch):
-        complaints = ("chest pain", "Fever", "cough, cough", "fever")
+        complaints = ("chest pain", "Fever", "cough cough", "fever")
         rows = tuple(
             (str(r), complaints[r % 4] if r % 5 else None, ("walk", "car")[r % 2], "home")
             for r in range(40)
@@ -266,30 +265,21 @@ class TestTransform:
         distinct = {
             (c, cell) for c in ("complaint", "mode") for cell in table.column(c) if cell
         }
-        cells, calls = Counter(), Counter()
-        real_cells, real = tabfuse.preprocess._tokenize_cells, tabfuse.preprocess.tokenize
-
-        def counting_cells(column):
-            cells.update(column)
-            return real_cells(column)
+        calls = Counter()
+        real = tabfuse.preprocess.tokenize
 
         def counting(text):
             calls[text] += 1
             return real(text)
 
-        monkeypatch.setattr(tabfuse.preprocess, "_tokenize_cells", counting_cells)
         monkeypatch.setattr(tabfuse.preprocess, "tokenize", counting)
         state = fit(table)
-        assert sum(cells.values()) == len(distinct) == 6
-        assert max(cells.values()) == 1
-        # Only the cell with punctuation goes through the regular expression.
-        assert calls == {"cough, cough": 1}
-        cells.clear()
+        assert sum(calls.values()) == len(distinct) == 6
+        assert max(calls.values()) == 1
         calls.clear()
         transform(table, state)
-        assert sum(cells.values()) == len(distinct)
-        assert max(cells.values()) == 1
-        assert calls == {"cough, cough": 1}
+        assert sum(calls.values()) == len(distinct)
+        assert max(calls.values()) == 1
 
     def test_no_nan_or_inf_in_output(self):
         state = fit(small_table())
@@ -299,8 +289,9 @@ class TestTransform:
 
 def _encode_cell(cell: str, voc: ColumnVocabulary, base: int) -> list[int]:
     """Reference: global token indices of one cell, column ``base`` + local
-    index, truncated and padded to the pad length."""
-    toks = tokenize(cell)[: voc.pad_length]
+    index, truncated and padded to the pad length, from the regular
+    expression alone."""
+    toks = _TOKEN_RE.findall(cell.lower())[: voc.pad_length]
     idx = [base + voc.token_to_index.get(t, UNKNOWN_INDEX) for t in toks]
     idx.extend([PAD_INDEX] * (voc.pad_length - len(idx)))
     return idx
@@ -325,28 +316,28 @@ TEXT_CELLS = (
 )
 
 
-class TestColumnTokenizer:
+class TestTokenizeFastPath:
     def test_fast_path_character_classes(self):
         """The fast path rests on two facts about every code point."""
         chars = "".join(map(chr, range(sys.maxunicode + 1)))
         assert "".join(_TOKEN_RE.findall(chars)) == "".join(filter(str.isalnum, chars))
         assert not [c for c in chars if c.isspace() and c.isalnum()]
 
-    @settings(max_examples=200, deadline=None)
-    @given(cells=st.lists(TEXT_CELLS, max_size=12))
-    @example(cells=["ΟΔΟΣ plain", "İzmir", "left_arm words", "Chest-Pain"])
-    @example(cells=["plain", "a\x00b", "ΣΑΣ"])
-    @example(cells=["plain", "a \x00 b"])
-    @example(cells=["", " ", "ember0 gale0"])
-    def test_equals_tokenize_per_cell(self, cells):
-        assert _tokenize_cells(cells) == [tokenize(cell) for cell in cells]
+    @settings(max_examples=500, deadline=None)
+    @given(text=TEXT_CELLS)
+    @example(text="ΟΔΟΣ plain")
+    @example(text="ΣΑΣ a\x00b")
+    @example(text="İzmir left_arm")
+    @example(text=" \t")
+    def test_equals_regular_expression(self, text):
+        assert tokenize(text) == _TOKEN_RE.findall(text.lower())
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_encode_column_equals_per_cell_reference(self, data):
         cells = data.draw(st.lists(st.none() | TEXT_CELLS, min_size=1, max_size=16), label="cells")
         known = data.draw(st.lists(TEXT_CELLS, max_size=6), label="known")
-        tokens = sorted({t for cell in known for t in tokenize(cell)})
+        tokens = sorted({t for cell in known for t in _TOKEN_RE.findall(cell.lower())})
         voc = ColumnVocabulary(
             tuple(tokens),
             data.draw(st.integers(1, 4), label="pad_length"),
