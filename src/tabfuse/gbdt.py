@@ -9,18 +9,21 @@ deterministic.
 Split search runs on histograms. Training bins each feature once, at most
 255 value bins per feature (``_bin_thresholds``), and NaN rows get a top
 bin of their own. Rows with feature < threshold go left, so NaN goes
-right. A node's gradient, hessian and row count per bin come from
-``np.bincount`` over its rows, in row order. When a node splits, the child
-with fewer rows is counted and the other child's histogram is its parent's
-minus its sibling's. A node scans every boundary of every feature at once,
-one running sum per feature.
+right. A histogram is one flat row of cells: features are grouped by the
+power-of-two class of their bin count, and each group pads its features
+only to its own widest, so a 12-bin feature does not take 256 cells. A
+node's gradient, hessian and row count per cell come from ``np.bincount``
+over its rows, in row order. When a node splits, the child with fewer rows
+is counted and the other child's histogram is its parent's minus its
+sibling's. A node scans every boundary of every feature at once: one
+running sum per feature, taken by one ``cumsum`` per group.
 
 Split gain, with L2 penalty lambda on leaf weights:
 
     gain = 0.5 * (GL^2/(HL+lam) + GR^2/(HR+lam) - G^2/(H+lam))
 
 and a leaf's weight is -G/(H+lam). Ties in gain break to the lowest
-feature index, then the lowest threshold.
+feature index, then the lowest threshold, whatever group the features sit in.
 
 A model packs all its trees into flat node arrays once, when it is built,
 and checks them there in one pass over all nodes, trained or loaded. It
@@ -57,12 +60,12 @@ class GbdtConfig:
 
     def __post_init__(self):
         counts = (self.rounds, self.max_depth, self.max_leaves)
-        if not all(isinstance(c, int) for c in counts):
+        if not all(isinstance(c, int) and not isinstance(c, bool) for c in counts):
             raise ValueError("rounds, max_depth, and max_leaves must be integers")
         if self.rounds < 1 or self.max_depth < 1 or self.max_leaves < 2:
             raise ValueError("rounds and max_depth must be >= 1, max_leaves >= 2")
         rates = (self.shrinkage, self.l2_reg, self.min_child_hessian)
-        if not all(math.isfinite(r) and r > 0 for r in rates):
+        if not all(not isinstance(r, bool) and math.isfinite(r) and r > 0 for r in rates):
             raise ValueError(
                 "shrinkage, l2_reg, and min_child_hessian must be finite and positive"
             )
@@ -273,45 +276,72 @@ def _bin_thresholds(column: np.ndarray) -> np.ndarray:
 class _Bins:
     """Every feature's bin boundaries, fit once per training, and each row's bins.
 
-    Feature j's boundary b has threshold ``thresholds[j, b]``; rows with
-    x < thresholds[j, b] are below it. Value bin k of feature j holds the
-    rows between boundaries k - 1 and k, so a split at boundary b sends
+    Histograms are flat: feature j owns one row of cells, value bin k of j
+    at cell ``offset_j + k`` and its NaN bin just above its value bins.
+    Features are grouped by the power-of-two class of their width (value
+    bins plus the NaN bin). A group pads each of its features' rows to its
+    own widest feature, and the groups lie end to end, so a narrow feature
+    is not padded to the widest one. ``groups`` holds each group's
+    ``(start, stop, features, width)``.
+
+    Cell c holds boundary b of feature ``feature[c]`` when c is that
+    feature's value bin b: its threshold is ``threshold[c]``, and rows with
+    x < threshold[c] are below it. So a split at boundary b sends value
     bins 0..b left, exactly as the threshold routes rows in prediction.
-    Boundaries a feature does not have hold NaN. NaN rows sit in the top
-    bin, ``width - 1``, above every boundary, so they go right.
-    ``cells[i, j]`` is row i's bin of feature j plus ``j * width``: its cell
-    in a flat (features, width) histogram.
+    NaN rows sit above every boundary, so they go right. Cells without a
+    boundary hold NaN in ``threshold`` and False in ``has_threshold``.
+    ``rank[c]`` orders the cells by (feature, boundary), whatever their
+    group. ``cells[i, j]`` is row i's cell of feature j.
     """
 
-    thresholds: np.ndarray
     cells: np.ndarray
+    feature: np.ndarray
+    threshold: np.ndarray
+    has_threshold: np.ndarray
+    rank: np.ndarray
+    groups: tuple[tuple[int, int, int, int], ...]
 
     @classmethod
     def fit(cls, x: np.ndarray) -> "_Bins":
         per_feature = [_bin_thresholds(column) for column in x.T]
-        width = max((len(t) for t in per_feature), default=0) + 2
-        thresholds = np.full((x.shape[1], width - 1), np.nan)
+        widths = np.array([len(t) + 2 for t in per_feature], dtype=np.intp)
+        # Class c holds the widths in (2**(c - 1), 2**c].
+        width_class = np.array([int(w - 1).bit_length() for w in widths], dtype=np.intp)
+        offsets = np.empty(len(widths), dtype=np.intp)
+        feature, groups, start = [np.empty(0, dtype=np.intp)], [], 0
+        for c in np.unique(width_class):
+            members = np.flatnonzero(width_class == c)
+            width = int(widths[members].max())
+            stop = start + width * len(members)
+            offsets[members] = np.arange(start, stop, width)
+            feature.append(np.repeat(members, width))
+            groups.append((start, stop, len(members), width))
+            start = stop
+        feature = np.concatenate(feature)
+        threshold = np.full(start, np.nan)
         cells = np.empty(x.shape, dtype=np.intp)
         for j, (column, t) in enumerate(zip(x.T, per_feature)):
-            thresholds[j, : len(t)] = t
+            threshold[offsets[j] : offsets[j] + len(t)] = t
             bin_of = np.searchsorted(t, column, side="right")
-            cells[:, j] = np.where(np.isnan(column), width - 1, bin_of) + j * width
-        return cls(thresholds, cells)
+            cells[:, j] = np.where(np.isnan(column), len(t) + 1, bin_of) + offsets[j]
+        # Orders the cells by feature, then by position in the feature's row.
+        rank = feature * widths.max(initial=0) + (np.arange(start) - offsets[feature])
+        return cls(cells, feature, threshold, ~np.isnan(threshold), rank, tuple(groups))
 
     def histogram(self, rows: np.ndarray, g: np.ndarray, h: np.ndarray) -> np.ndarray:
-        """Sums of g, of h and of rows per bin, shape (3, features, width).
+        """Sums of g, of h and of rows per cell, shape (3, cells).
 
+        ``g`` and ``h`` hold the values of ``rows``, gathered by the caller.
         ``bincount`` adds in the order of ``rows``, so ascending rows give
-        every bin its sums in row order.
+        every cell its sums in row order.
         """
-        n_features, width = self.thresholds.shape[0], self.thresholds.shape[1] + 1
+        n_features, size = self.cells.shape[1], len(self.feature)
         cells = self.cells[rows].ravel()
-        size = n_features * width
         hist = np.empty((3, size))
-        hist[0] = np.bincount(cells, weights=np.repeat(g[rows], n_features), minlength=size)
-        hist[1] = np.bincount(cells, weights=np.repeat(h[rows], n_features), minlength=size)
+        hist[0] = np.bincount(cells, weights=np.repeat(g, n_features), minlength=size)
+        hist[1] = np.bincount(cells, weights=np.repeat(h, n_features), minlength=size)
         hist[2] = np.bincount(cells, minlength=size)
-        return hist.reshape(3, n_features, width)
+        return hist
 
 
 def find_best_split(
@@ -336,9 +366,13 @@ def find_best_split(
     (so of the boundaries that split the node alike only the lowest is one),
     and each side keeps at least ``min_child_hessian``.
 
+    The running sums take one ``cumsum`` per width group, along each
+    feature's row of cells; the masks and gains then run once over all
+    cells.
+
     Returns (gain, feature, threshold) for the best positive-gain split,
     or None when no candidate is valid. Ties break to the lowest feature
-    index, then the lowest threshold.
+    index, then the lowest threshold, through ``bins.rank``.
     """
     n = len(g)
     if n < 2:
@@ -348,23 +382,28 @@ def find_best_split(
         hist = bins.histogram(np.arange(n), g, h)
     g_total, h_total = (g.sum(), h.sum()) if totals is None else totals
     parent_score = g_total * g_total / (h_total + l2_reg)
-    gl, hl, nl = np.cumsum(hist[:, :, :-1], axis=2)
+    # Each feature's running sum starts at 0 and adds its bins in order.
+    sums = np.empty_like(hist)
+    for start, stop, n_features, width in bins.groups:
+        block = (3, n_features, width)
+        out = sums[:, start:stop].reshape(block)  # a view: sums is C-contiguous
+        np.cumsum(hist[:, start:stop].reshape(block), axis=-1, out=out)
+    gl, hl, nl = sums
     hr = h_total - hl
-    valid = ~np.isnan(bins.thresholds) & (hist[2, :, :-1] > 0) & (nl < n)
+    valid = bins.has_threshold & (hist[2] > 0) & (nl < n)
     valid &= (hl >= min_child_hessian) & (hr >= min_child_hessian)
-    # Candidates in (feature, boundary) order: the first largest gain is at
-    # the lowest feature, then the lowest threshold.
     at = np.flatnonzero(valid)
     if len(at) == 0:
         return None
-    gl, hl, hr = gl.ravel()[at], hl.ravel()[at], hr.ravel()[at]
+    gl, hl, hr = gl[at], hl[at], hr[at]
     gr = g_total - gl
     gains = 0.5 * (gl * gl / (hl + l2_reg) + gr * gr / (hr + l2_reg) - parent_score)
-    best = int(np.argmax(gains))
-    if not gains[best] > 0.0:
+    best = gains.max()
+    if not best > 0.0:
         return None
-    j, b = divmod(int(at[best]), bins.thresholds.shape[1])
-    return float(gains[best]), j, float(bins.thresholds[j, b])
+    ties = at[gains == best]
+    cell = ties[np.argmin(bins.rank[ties])]
+    return float(best), int(bins.feature[cell]), float(bins.threshold[cell])
 
 
 def _grow_tree(
@@ -401,7 +440,7 @@ def _grow_tree(
 
     all_rows = np.arange(len(x))
     root, root_sums = add_node(all_rows)
-    consider(root, root_sums, bins.histogram(all_rows, g, h), 0)
+    consider(root, root_sums, bins.histogram(all_rows, *root_sums[:2]), 0)
     n_leaves = 1
     while heap and n_leaves < config.max_leaves:
         _, node, feature, threshold, hist, depth = heapq.heappop(heap)
@@ -418,7 +457,10 @@ def _grow_tree(
             # Sum the child with fewer rows (left on a tie); the parent's
             # buffer becomes the other child's, parent minus sibling.
             left_smaller = len(left_rows) <= len(right_rows)
-            small = bins.histogram(left_rows if left_smaller else right_rows, g, h)
+            small_rows, small_sums = (
+                (left_rows, left_sums) if left_smaller else (right_rows, right_sums)
+            )
+            small = bins.histogram(small_rows, *small_sums[:2])
             hist -= small
             consider(left, left_sums, small if left_smaller else hist, depth + 1)
             consider(right, right_sums, hist if left_smaller else small, depth + 1)

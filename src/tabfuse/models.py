@@ -21,6 +21,7 @@ validation, and early stopping that restores the best-epoch snapshot.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 
@@ -246,10 +247,13 @@ class TrainConfig:
 
     def __post_init__(self):
         counts = (self.batch_size, self.max_epochs, self.patience)
-        if not all(isinstance(c, int) for c in counts):
+        if not all(isinstance(c, int) and not isinstance(c, bool) for c in counts):
             raise ValueError("batch_size, max_epochs, and patience must be integers")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        rates = (self.learning_rate, self.min_improvement)
+        if any(isinstance(r, bool) or not math.isfinite(r) for r in rates):
+            raise ValueError("learning_rate and min_improvement must be finite numbers")
+        if self.learning_rate <= 0 or self.min_improvement < 0:
+            raise ValueError("learning_rate must be positive, min_improvement >= 0")
         if self.batch_size < 1 or self.max_epochs < 1 or self.patience < 1:
             raise ValueError("batch_size, max_epochs, and patience must be positive")
         if self.patience >= self.max_epochs:

@@ -243,6 +243,32 @@ class TestTrain:
         assert "valid: schema, model, data, fractions, seed," in err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("train", "min_improvement", math.nan),
+            ("train", "min_improvement", -1.0),
+            ("train", "learning_rate", math.inf),
+            ("train", "learning_rate", True),
+            ("train", "batch_size", True),
+            ("gbdt", "rounds", True),
+            ("gbdt", "max_leaves", False),
+            ("gbdt", "shrinkage", True),
+            ("gbdt", "l2_reg", math.inf),
+        ],
+    )
+    def test_config_value_out_of_range_is_usage_error(
+        self, tmp_path, schema_path, data_path, capsys, section, key, value
+    ):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({section: {key: value}}))
+        argv = ["--schema", str(schema_path), "--data", str(data_path), "--out", str(tmp_path / "x")]
+        assert main(["train", "--config", str(cfg), *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error[usage]: invalid {section} value {{{key!r}: ")
+        assert not (tmp_path / "x").exists()
+
     def test_failure_discards_partial_outputs(
         self, tmp_path, schema_path, data_path, monkeypatch
     ):

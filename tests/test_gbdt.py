@@ -339,6 +339,17 @@ class TestGbdtConfig:
             with pytest.raises(ValueError, match="integers"):
                 GbdtConfig(**counts)
 
+    @pytest.mark.parametrize("key", ["rounds", "max_depth", "max_leaves"])
+    def test_counts_must_not_be_bools(self, key):
+        with pytest.raises(ValueError, match="integers"):
+            GbdtConfig(**{key: True})
+
+    @pytest.mark.parametrize("key", ["shrinkage", "l2_reg", "min_child_hessian"])
+    @pytest.mark.parametrize("value", [True, math.inf, math.nan])
+    def test_rates_must_be_finite_positive_numbers(self, key, value):
+        with pytest.raises(ValueError, match="finite and positive"):
+            GbdtConfig(**{key: value})
+
 
 def reference_leaf(tree: Tree, row) -> float:
     """Per-row walk: feature < threshold goes left, anything else (NaN too) right."""
@@ -583,16 +594,31 @@ def midpoint_rule(lo, hi):
     return t + 0.0 if math.isfinite(t) else None
 
 
+def reference_pairs(column):
+    """A column's sorted distinct values and the index in them of each boundary pair's upper value.
+
+    Up to 255 distinct values every neighbouring pair is one. Past that, for
+    each k in 1..254 the pair below the value at row rank k * rows // 255 of
+    the sorted rows is one, unless that value is the lowest.
+    """
+    rows = sorted(float(v) for v in column if not math.isnan(v))
+    values = sorted(set(rows))
+    if len(values) <= 255:
+        return values, range(1, len(values))
+    uppers = {values.index(rows[k * len(rows) // 255]) for k in range(1, 255)}
+    return values, sorted(u for u in uppers if u > 0)
+
+
 def reference_bins(x):
-    """Each feature's thresholds, one per neighbouring pair, and every cell's bin.
+    """Each feature's thresholds, one per boundary pair, and every cell's bin.
 
     A cell's bin is the count of thresholds at or below it; NaN gets the bin
-    above the top value bin. Valid for at most 255 distinct values per feature.
+    above the top value bin.
     """
     thresholds = []
     for column in x.T:
-        values = sorted(set(float(v) for v in column if not math.isnan(v)))
-        pairs = (midpoint_rule(lo, hi) for lo, hi in zip(values, values[1:]))
+        values, uppers = reference_pairs(column)
+        pairs = (midpoint_rule(values[u - 1], values[u]) for u in uppers)
         thresholds.append([t for t in pairs if t is not None])
     def bin_of(v, ts):
         return len(ts) + 1 if math.isnan(v) else sum(t <= v for t in ts)
@@ -728,12 +754,55 @@ def training_sets(draw):
     return x, y, n_classes, config
 
 
+@st.composite
+def wide_training_sets(draw):
+    """Up to 6 wide, narrow and constant features in any order, with NaN and infinite cells.
+
+    A wide feature has a distinct value per row, so past 255 rows it is cut
+    by rank and its bins fall in a wider group than a narrow feature's.
+    """
+    n_rows = draw(st.sampled_from([300, 256]) | st.integers(2, 300))
+    kinds = draw(st.lists(st.sampled_from(["wide", "narrow", "constant"]), min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    edge_fraction = draw(st.sampled_from([0.0, 0.05, 0.2]))
+    x = np.empty((n_rows, len(kinds)))
+    for j, kind in enumerate(kinds):
+        if kind == "constant":
+            x[:, j] = 2.0
+            continue
+        if kind == "wide":
+            x[:, j] = rng.normal(scale=3.0, size=n_rows)
+        else:
+            x[:, j] = rng.integers(0, draw(st.integers(2, 12)), size=n_rows)
+        edge = rng.random(n_rows) < edge_fraction
+        x[edge, j] = rng.choice([math.nan, math.inf, -math.inf], size=np.count_nonzero(edge))
+    n_classes = draw(st.integers(2, 3))
+    y = rng.integers(0, n_classes, size=n_rows)
+    y[:2] = [0, 1]
+    config = GbdtConfig(
+        rounds=draw(st.integers(1, 2)),
+        max_depth=draw(st.integers(1, 4)),
+        max_leaves=draw(st.integers(2, 8)),
+        min_child_hessian=draw(st.sampled_from([1e-3, 0.05])),
+    )
+    return x, y, n_classes, config
+
+
 class TestHistogramTraining:
     """Histogram split search against a reference that sums every bin in a Python loop."""
 
     @settings(max_examples=200, deadline=None)
     @given(case=training_sets())
     def test_trees_match_reference_booster_bit_for_bit(self, case):
+        self.check_against_reference_booster(case)
+
+    @settings(max_examples=20, deadline=None)
+    @given(case=wide_training_sets())
+    def test_wide_and_narrow_trees_match_reference_booster_bit_for_bit(self, case):
+        self.check_against_reference_booster(case)
+
+    @staticmethod
+    def check_against_reference_booster(case):
         x, y, n_classes, config = case
         searches = []
 
@@ -749,6 +818,22 @@ class TestHistogramTraining:
         assert [repr(astuple(t)) for t in model.trees] == [repr(astuple(t)) for t in expected]
         assert repr(searches) == repr(expected_searches)
 
+    def test_lower_wide_feature_wins_an_exact_tie_with_a_higher_narrow_one(self):
+        """Feature 0 has 400 values, so it is cut by rank and its cells come after
+        feature 1's two-value group; both split the rows 200/200 with equal sums."""
+        n = 400
+        x = np.column_stack([np.arange(n, dtype=np.float64), np.arange(n) >= 200])
+        g, h = np.where(np.arange(n) < 200, -1.0, 1.0), np.ones(n)
+        bins = _Bins.fit(x)
+        assert bins.feature[0] == 1 and bins.feature[-1] == 0
+        hist = bins.histogram(np.arange(n), g, h)
+        found = find_best_split(None, g, h, 1.0, 1e-3, bins=bins, hist=hist)
+        thresholds, ref_bins = reference_bins(x)
+        ref_hists = reference_histograms(ref_bins, thresholds, range(n), g, h)
+        expected = reference_split(ref_hists, thresholds, g, h, 1.0, 1e-3)
+        assert repr(found) == repr(expected)
+        assert found[1:] == (0, 199.5)
+
     @settings(max_examples=200, deadline=None)
     @given(case=training_sets(), seed=st.integers(0, 2**32 - 1))
     def test_node_split_matches_reference(self, case, seed):
@@ -763,7 +848,7 @@ class TestHistogramTraining:
         args = (config.l2_reg, config.min_child_hessian)
         for side in (goes_left, ~goes_left):
             rows, others = every[side], every[~side]
-            hist = bins.histogram(every, g, h) - bins.histogram(others, g, h)
+            hist = bins.histogram(every, g, h) - bins.histogram(others, g[others], h[others])
             found = find_best_split(None, g[rows], h[rows], *args, bins=bins, hist=hist)
             ref_hists = [
                 parent - sibling
@@ -774,6 +859,11 @@ class TestHistogramTraining:
             ]
             expected = reference_split(ref_hists, thresholds, g[rows], h[rows], *args)
             assert repr(found) == repr(expected)
+
+
+def thresholds_of(bins, j):
+    """Threshold of each cell in feature j's row, in bin order; NaN past its boundaries."""
+    return bins.threshold[bins.feature == j]
 
 
 # Columns with duplicates, NaN, both infinities, -0.0 beside 0.0 and
@@ -793,7 +883,7 @@ class TestBinning:
         Below a finite value that is the old midpoint rule.
         """
         x = np.array(column)[:, None]
-        got = _Bins.fit(x).thresholds[0]
+        got = thresholds_of(_Bins.fit(x), 0)
         got = got[~np.isnan(got)]
         assert np.isfinite(got).all()
         assert repr(got.tolist()) == repr(reference_bins(x)[0][0])
@@ -803,18 +893,16 @@ class TestBinning:
         bins = _Bins.fit(np.array([[0.0], [1.0], [2.0]]))
         # The node holds one row in bin 0 and one in bin 2; bin 1's g is a
         # residue that makes the higher boundary score a hair better.
-        hist = np.array(
-            [[[-1.0, -1e-15, 1.0, 0.0]], [[1.0, 0.0, 1.0, 0.0]], [[1.0, 0.0, 1.0, 0.0]]]
-        )
+        hist = np.array([[-1.0, -1e-15, 1.0, 0.0], [1.0, 0.0, 1.0, 0.0], [1.0, 0.0, 1.0, 0.0]])
         g, h = np.array([-1.0, 1.0]), np.array([1.0, 1.0])
         _, feature, threshold = find_best_split(None, g, h, 1.0, 1e-3, bins=bins, hist=hist)
         assert (feature, threshold) == (0, 0.5)
 
     def test_255_values_get_a_bin_each_and_256_are_cut_by_rank(self):
-        thresholds = _Bins.fit(np.arange(255.0)[:, None]).thresholds[0]
+        thresholds = thresholds_of(_Bins.fit(np.arange(255.0)[:, None]), 0)
         assert thresholds[:254].tolist() == (np.arange(254) + 0.5).tolist()
         assert np.isnan(thresholds[254:]).all()
-        thresholds = _Bins.fit(np.arange(256.0)[:, None]).thresholds[0]
+        thresholds = thresholds_of(_Bins.fit(np.arange(256.0)[:, None]), 0)
         assert np.count_nonzero(~np.isnan(thresholds)) <= 254
 
     @pytest.mark.parametrize("duplicates", [False, True])
@@ -826,7 +914,8 @@ class TestBinning:
         values = np.unique(column[~np.isnan(column)])
         assert len(values) >= 4000
         bins = _Bins.fit(column[:, None])
-        thresholds = bins.thresholds[0][~np.isnan(bins.thresholds[0])]
+        thresholds = thresholds_of(bins, 0)
+        thresholds = thresholds[~np.isnan(thresholds)]
         assert 200 <= len(thresholds) <= 254  # so at most 255 value bins
         assert np.isfinite(thresholds).all()
         # Each threshold sits in (lo, hi] of a neighbouring pair, so lo goes left, hi right.

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -157,6 +159,22 @@ class TestTrainConfig:
     def test_counts_must_be_integers(self, counts):
         with pytest.raises(ValueError, match="integers"):
             TrainConfig(**counts)
+
+    @pytest.mark.parametrize("key", ["batch_size", "max_epochs", "patience"])
+    def test_counts_must_not_be_bools(self, key):
+        with pytest.raises(ValueError, match="integers"):
+            TrainConfig(**{key: True})
+
+    @pytest.mark.parametrize("key", ["learning_rate", "min_improvement"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True])
+    def test_rates_must_be_finite_numbers(self, key, value):
+        with pytest.raises(ValueError, match="must be finite numbers"):
+            TrainConfig(**{key: value})
+
+    def test_min_improvement_may_be_zero_but_not_negative(self):
+        assert TrainConfig(min_improvement=0.0).min_improvement == 0.0
+        with pytest.raises(ValueError, match="min_improvement >= 0"):
+            TrainConfig(min_improvement=-1e-6)
 
 
 class TestEarlyStopper:
