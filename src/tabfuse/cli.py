@@ -55,11 +55,20 @@ def _check_keys(doc: dict, valid, where: str) -> None:
 
 
 def _section(cls, section: str):
-    """Converter that builds ``cls`` from a config section's object."""
-    valid = cls().to_json_dict()
+    """Converter that builds ``cls`` from a config section's object.
+
+    No section sets ``seed``: each member trains at a seed derived from the
+    run's, so a section seed would be ignored. It is a usage error instead.
+    """
+    valid = [key for key in cls().to_json_dict() if key != "seed"]
 
     def convert(doc):
         if isinstance(doc, dict):
+            if "seed" in doc:
+                raise UsageError(
+                    f"config section {section!r} cannot set 'seed'; "
+                    "set the top-level 'seed' (or --seed)"
+                )
             _check_keys(doc, valid, f"config section {section!r}")
         return cls(**doc)
 

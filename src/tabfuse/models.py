@@ -54,6 +54,11 @@ class _Net:
     """What both networks share: their parameters, gathered from ``layers``,
     softmax probabilities, and a payload that is only those parameters.
 
+    A layer keeps its forward input from ``forward`` to ``backward``, which
+    ``train`` calls in turn. Scoring runs no backward, so ``predict_proba``
+    drops every layer's input before it returns; a scored batch leaves no
+    activations behind.
+
     A payload gives no width: each is read from a stored weight whose other
     axis the state or an earlier width fixes (``widths_from``), so a net is
     never built larger than the weights the document holds. Each subclass
@@ -67,7 +72,10 @@ class _Net:
         return [p for layer in self.layers for p in layer.params()]
 
     def predict_proba(self, *inputs: np.ndarray) -> np.ndarray:
-        return softmax(self.forward(*inputs))
+        logits = self.forward(*inputs)
+        for layer in self.layers:
+            layer._x = None
+        return softmax(logits)
 
     def to_json_dict(self) -> dict:
         return {"params": {p.name: pack(p.value, FLOAT) for p in self.params()}}
@@ -144,11 +152,9 @@ class EmbeddingFusionNet(_Net):
         )
         self.token_width = token_width
         self.embed_dim = embed_dim
-        self._shape = None
 
     def forward(self, numeric: np.ndarray, tokens: np.ndarray) -> np.ndarray:
         emb = self.embedding.forward(tokens)
-        self._shape = emb.shape
         flat = emb.reshape(emb.shape[0], self.token_width * self.embed_dim)
         c = self.cat_act1.forward(self.cat_linear1.forward(flat))
         c = self.cat_act2.forward(self.cat_linear2.forward(c))
@@ -162,7 +168,7 @@ class EmbeddingFusionNet(_Net):
         self.num_linear.backward(self.num_act.backward(d_fused))
         d_c = self.cat_linear2.backward(self.cat_act2.backward(d_fused))
         d_flat = self.cat_linear1.backward(self.cat_act1.backward(d_c))
-        self.embedding.backward(d_flat.reshape(self._shape))
+        self.embedding.backward(d_flat.reshape(len(d_flat), self.token_width, self.embed_dim))
 
     predict_proba = _Net.predict_proba
 

@@ -1,17 +1,16 @@
 """Minimal neural-network kernel in double precision.
 
-Dense layers, PReLU activations, an embedding table, softmax cross-entropy,
-Adam, and a finite-difference gradient checker. Everything is plain numpy
-float64; there is no autodiff graph. Each layer caches its forward input
-and exposes ``backward`` that accumulates into parameter gradients and
-returns the gradient with respect to its input. Adam owns a network's
+Dense layers, PReLU activations, an embedding table, softmax cross-entropy
+and Adam. Everything is plain numpy float64; there is no autodiff graph.
+Each layer keeps its forward input in ``_x`` from ``forward`` until
+``backward``, which accumulates into parameter gradients and returns the
+gradient with respect to that input. Only backward reads ``_x``, so scoring
+sets it back to None once the forward pass returns. Adam owns a network's
 parameters as one flat vector, and each Param as a view into it, so an
 update, ``zero_grad`` or snapshot is whole-vector work.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -65,11 +64,13 @@ class Linear:
                 f"expected input of width {self.in_dim}, got shape {x.shape}"
             )
         self._x = x
-        return x @ self.weight.value.T + self.bias.value
+        y = x @ self.weight.value.T
+        y += self.bias.value
+        return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         self.weight.grad += dy.T @ self._x
-        self.bias.grad += dy.sum(axis=0)
+        self.bias.grad += np.add.reduce(dy, axis=0)
         return dy @ self.weight.value
 
 
@@ -90,8 +91,8 @@ class PReLU:
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         x = self._x
-        self.slope.grad += (dy * np.minimum(x, 0.0)).sum()
-        return dy * np.where(x > 0, 1.0, self.slope.value)
+        self.slope.grad += np.add.reduce(dy * np.minimum(x, 0.0), axis=None)
+        return np.where(x > 0, dy, dy * self.slope.value)
 
 
 class Embedding:
@@ -112,7 +113,7 @@ class Embedding:
         self.weight = Param(weight, f"{name}.weight", update_mask=mask)
         self.vocab_size = vocab_size
         self.dim = dim
-        self._tokens = None
+        self._x = None
 
     def params(self) -> list[Param]:
         return [self.weight]
@@ -124,13 +125,13 @@ class Embedding:
             raise ValueError(
                 f"token index out of range for vocabulary of {self.vocab_size}"
             )
-        self._tokens = tokens
-        return self.weight.value[tokens]
+        self._x = tokens
+        return self.weight.value.take(tokens, axis=0)
 
     def backward(self, dout: np.ndarray) -> None:
         # bincount adds each (token, k) cell's terms in row order, as
         # np.add.at would, at about half the cost.
-        cells = (self._tokens[..., None] * self.dim + np.arange(self.dim)).ravel()
+        cells = (self._x[..., None] * self.dim + np.arange(self.dim)).ravel()
         size = self.vocab_size * self.dim
         summed = np.bincount(cells, weights=dout.ravel(), minlength=size)
         self.weight.grad += summed.reshape(self.vocab_size, self.dim)
@@ -165,9 +166,9 @@ def softmax_cross_entropy(
     if labels.min() < 0 or labels.max() >= k:
         raise ValueError(f"label out of range for {k} classes")
     z = logits - logits.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(z).sum(axis=1))
+    log_norm = np.log(np.add.reduce(np.exp(z), axis=1))
     rows = np.arange(b)
-    loss = float((log_norm - z[rows, labels]).mean())
+    loss = float(np.add.reduce(log_norm - z[rows, labels]) / b)
     grad = np.exp(z - log_norm[:, None])
     grad[rows, labels] -= 1.0
     grad /= b
@@ -204,6 +205,8 @@ class Adam:
         ])
         self._m = np.zeros_like(self.value)
         self._v = np.zeros_like(self.value)
+        # scratch for step's temporaries, so a step allocates no arrays
+        self._g, self._a = np.empty_like(self.value), np.empty_like(self.value)
         offsets = np.cumsum([p.value.size for p in self.params])[:-1]
         views = zip(np.split(self.value, offsets), np.split(self.grad, offsets))
         for p, (value, grad) in zip(self.params, views):
@@ -217,57 +220,17 @@ class Adam:
         t = self.step_count
         c1 = 1.0 - self.beta1**t
         c2 = 1.0 - self.beta2**t
-        g = self.grad * self._mask
+        # m += (1 - b1) g;  v += (1 - b2) g g;  value -= lr (m / c1) / (sqrt(v / c2) + eps),
+        # each product and quotient in that order, so the bits match the formula
+        g, a = np.multiply(self.grad, self._mask, out=self._g), self._a
         self._m *= self.beta1
-        self._m += (1.0 - self.beta1) * g
+        self._m += np.multiply(1.0 - self.beta1, g, out=a)
         self._v *= self.beta2
-        self._v += (1.0 - self.beta2) * g * g
-        self.value -= self.learning_rate * (self._m / c1) / (np.sqrt(self._v / c2) + self.epsilon)
-
-
-@dataclass
-class GradientCheckReport:
-    """Worst relative error per parameter, and overall."""
-
-    per_param: dict[str, float] = field(default_factory=dict)
-    max_rel_error: float = 0.0
-    worst_param: str = ""
-
-    def passed(self, tolerance: float) -> bool:
-        return self.max_rel_error < tolerance
-
-
-def gradient_check(
-    loss_fn, params: list[Param], h: float = 1e-5
-) -> GradientCheckReport:
-    """Compare analytic gradients to central finite differences.
-
-    ``loss_fn`` must zero the gradients, run forward and backward, and
-    return the scalar loss; it must be a deterministic function of the
-    parameter values. Relative error per element is
-    |ga - gn| / max(|ga|, |gn|, 1e-12).
-    """
-    loss_fn()
-    analytic = [p.grad.copy() for p in params]
-    report = GradientCheckReport()
-    for p, ga in zip(params, analytic):
-        flat = p.value.reshape(-1)
-        ga_flat = ga.reshape(-1)
-        worst = 0.0
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            loss_plus = loss_fn()
-            flat[i] = orig - h
-            loss_minus = loss_fn()
-            flat[i] = orig
-            gn = (loss_plus - loss_minus) / (2.0 * h)
-            denom = max(abs(ga_flat[i]), abs(gn), 1e-12)
-            worst = max(worst, abs(ga_flat[i] - gn) / denom)
-        report.per_param[p.name] = worst
-        if worst >= report.max_rel_error:
-            report.max_rel_error = worst
-            report.worst_param = p.name
-    # loss_fn mutated gradients during probing; restore the analytic ones
-    loss_fn()
-    return report
+        np.multiply(1.0 - self.beta2, g, out=a)
+        self._v += np.multiply(a, g, out=a)
+        np.divide(self._v, c2, out=a)
+        np.sqrt(a, out=a)
+        a += self.epsilon
+        step = np.divide(self._m, c1, out=g)  # g is spent; its buffer takes the step
+        np.multiply(self.learning_rate, step, out=step)
+        self.value -= np.divide(step, a, out=step)

@@ -9,6 +9,7 @@ import json
 import time
 
 import numpy as np
+from gradcheck import gradient_check
 
 from tabfuse.cli import main
 from tabfuse.ensemble import soft_vote
@@ -21,7 +22,7 @@ from tabfuse.models import (
     TrainConfig,
     train,
 )
-from tabfuse.nn import gradient_check, softmax_cross_entropy
+from tabfuse.nn import softmax_cross_entropy
 from tabfuse.pipeline import (
     RunConfig,
     SyntheticSpec,

@@ -227,6 +227,22 @@ class TestTrain:
         assert code == 2
         err = capsys.readouterr().err
         assert "config section 'train' has unknown key 'max_epoch'; valid: " in err
+        assert err.endswith("valid: learning_rate, batch_size, max_epochs, patience, min_improvement\n")
+
+    @pytest.mark.parametrize("train", [{"seed": 5}, {"max_epochs": 4, "seed": 99}])
+    def test_train_section_seed_is_usage_error(
+        self, tmp_path, schema_path, data_path, capsys, train
+    ):
+        """Each member trains at the run seed, so a section seed would be ignored."""
+        cfg = tmp_path / "seeded.json"
+        cfg.write_text(json.dumps({"train": train}))
+        argv = ["--schema", str(schema_path), "--data", str(data_path), "--out", str(tmp_path / "x")]
+        assert main(["train", "--config", str(cfg), *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error[usage]: config section 'train' cannot set 'seed'; ")
+        assert "top-level 'seed'" in err
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("doc", [{"seeds": 3}, {"seed": 3, "parallel_members": True}])
     def test_unknown_top_level_config_key_is_usage_error(
@@ -1101,7 +1117,7 @@ JSON_VALUES = st.recursive(
     | st.dictionaries(st.text(max_size=6), inner, max_size=3),
     max_leaves=6,
 )
-TRAIN_KEYS = ["learning_rate", "batch_size", "max_epochs", "patience", "max_epoch"]
+TRAIN_KEYS = ["learning_rate", "batch_size", "max_epochs", "patience", "max_epoch", "seed"]
 GBDT_KEYS = ["rounds", "max_depth", "max_leaves", "shrinkage", "l2_reg", "round"]
 # Values each config key takes in real documents; any JSON value may stand in.
 CONFIG_KEYS = {

@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from gradcheck import gradient_check
 
 from tabfuse.errors import DataError, NumericError
 from tabfuse.models import (
@@ -13,7 +15,7 @@ from tabfuse.models import (
     TrainLog,
     train,
 )
-from tabfuse.nn import gradient_check, softmax_cross_entropy
+from tabfuse.nn import Adam, softmax_cross_entropy
 from tabfuse.preprocess import fit
 from tabfuse.schema import ColumnKind, ColumnSpec, DataTable, TableSchema
 
@@ -137,6 +139,56 @@ class TestBaselineMlp:
     def test_rejects_single_class(self):
         with pytest.raises(ValueError, match="classes"):
             BaselineMlp(3, 1)
+
+
+def scoring_cases(rows, seed=0):
+    """A fusion net and a baseline net of the benchmark's widths, each with ``rows`` inputs."""
+    rng = np.random.default_rng(seed)
+    fusion = EmbeddingFusionNet(60, 8, 6, 3, seed=seed)
+    fusion_inputs = rng.normal(size=(rows, 6)), rng.integers(0, 60, size=(rows, 8))
+    baseline = BaselineMlp(10, 3, seed=seed)
+    return [(fusion, fusion_inputs), (baseline, (rng.normal(size=(rows, 10)),))]
+
+
+class TestScoringReleasesLayerInputs:
+    @pytest.mark.parametrize("case", [0, 1], ids=["fusion", "baseline"])
+    def test_every_layer_input_is_dropped(self, case):
+        net, inputs = scoring_cases(40)[case]
+        net.forward(*inputs)
+        assert all(layer._x is not None for layer in net.layers)
+        net.predict_proba(*inputs)
+        assert all(layer._x is None for layer in net.layers)
+
+    @pytest.mark.parametrize("case", [0, 1], ids=["fusion", "baseline"])
+    def test_scoring_retains_nothing_beyond_its_result(self, case):
+        net, inputs = scoring_cases(5000)[case]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            probabilities = net.predict_proba(*inputs)
+            retained = tracemalloc.get_traced_memory()[0] - before - probabilities.nbytes
+        finally:
+            tracemalloc.stop()
+        assert retained < 2**20, f"{retained / 2**20:.2f} MiB retained"
+
+    @pytest.mark.parametrize("case", [0, 1], ids=["fusion", "baseline"])
+    def test_training_after_scoring_is_bit_equal(self, case):
+        """forward, backward and Adam steps give the same bits with or without a
+        predict_proba before each of them."""
+        results = []
+        for score_first in (False, True):
+            net, inputs = scoring_cases(30, seed=4)[case]
+            labels = np.arange(30) % 3
+            optimizer = Adam(net.params(), learning_rate=0.01)
+            for _ in range(3):
+                if score_first:
+                    net.predict_proba(*(a[::-1] for a in inputs))
+                _, grad = softmax_cross_entropy(net.forward(*inputs), labels)
+                optimizer.zero_grad()
+                net.backward(grad)
+                optimizer.step()
+            results.append(optimizer.value.tobytes())
+        assert results[0] == results[1]
 
 
 class TestTrainConfig:

@@ -1,20 +1,12 @@
 import numpy as np
 import pytest
+from gradcheck import GradientCheckReport, gradient_check
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from tabfuse.nn import (
-    Adam,
-    Embedding,
-    GradientCheckReport,
-    Linear,
-    Param,
-    PReLU,
-    gradient_check,
-    softmax,
-    softmax_cross_entropy,
-)
+from tabfuse.models import BaselineMlp, EmbeddingFusionNet
+from tabfuse.nn import Adam, Embedding, Linear, Param, PReLU, softmax, softmax_cross_entropy
 
 
 class TestLinear:
@@ -283,6 +275,178 @@ class TestFlatAdam:
                 assert p.value.shape == expected.shape
                 assert p.value.tobytes() == expected.tobytes()
         assert not params[-1].value[0].any()  # the pad row never moves
+
+
+class ReferenceLinear(Linear):
+    """Linear with the plain formulas, each temporary allocated."""
+
+    def forward(self, x):
+        self._x = x
+        return x @ self.weight.value.T + self.bias.value
+
+    def backward(self, dy):
+        self.weight.grad += dy.T @ self._x
+        self.bias.grad += dy.sum(axis=0)
+        return dy @ self.weight.value
+
+
+class ReferencePReLU(PReLU):
+    """PReLU with the plain formulas; records the sign bits of the exact zeros it sees."""
+
+    def forward(self, x):
+        self._x = x
+        self.zero_signs = getattr(self, "zero_signs", set()) | set(np.signbit(x[x == 0]).tolist())
+        return np.where(x > 0, x, self.slope.value * x)
+
+    def backward(self, dy):
+        x = self._x
+        self.slope.grad += (dy * np.minimum(x, 0.0)).sum()
+        return dy * np.where(x > 0, 1.0, self.slope.value)
+
+
+class ReferenceEmbedding(Embedding):
+    """Embedding by fancy indexing, and backward by np.add.at into the zeroed gradient."""
+
+    def forward(self, tokens):
+        self._x = tokens
+        return self.weight.value[tokens]
+
+    def backward(self, dout):
+        np.add.at(self.weight.grad, self._x, dout)
+
+
+REFERENCE_LAYERS = {Linear: ReferenceLinear, PReLU: ReferencePReLU, Embedding: ReferenceEmbedding}
+
+
+def reference_cross_entropy(logits, labels):
+    b = len(labels)
+    z = logits - logits.max(axis=1, keepdims=True)
+    log_norm = np.log(np.exp(z).sum(axis=1))
+    rows = np.arange(b)
+    loss = float((log_norm - z[rows, labels]).mean())
+    grad = np.exp(z - log_norm[:, None])
+    grad[rows, labels] -= 1.0
+    grad /= b
+    return loss, grad
+
+
+def assert_steps_bit_equal(net, reference, inputs, labels, batch_size, learning_rate, seed):
+    """Two epochs of models.train's step on ``net``, and of the reference step on
+    ``reference`` (a net built the same way), compared after every step."""
+    params, reference_params = net.params(), reference.params()
+    optimizer = Adam(params, learning_rate=learning_rate)
+    reference_adam = ReferenceAdam(reference_params, learning_rate)
+    for p, value in zip(reference_params, reference_adam.values):
+        p.value = value
+    for layer in reference.layers:
+        layer.__class__ = REFERENCE_LAYERS[type(layer)]
+    rng = np.random.default_rng(seed)
+    for _ in range(2):
+        perm = rng.permutation(len(labels))
+        for start in range(0, len(labels), batch_size):
+            idx = perm[start : start + batch_size]
+            batch = tuple(a[idx] for a in inputs)
+            loss, grad = softmax_cross_entropy(net.forward(*batch), labels[idx])
+            optimizer.zero_grad()
+            net.backward(grad)
+            optimizer.step()
+            expected_loss, grad = reference_cross_entropy(reference.forward(*batch), labels[idx])
+            for p in reference_params:
+                p.zero_grad()
+            reference.backward(grad)
+            reference_adam.step([p.grad for p in reference_params])
+            assert np.float64(loss).tobytes() == np.float64(expected_loss).tobytes()
+            for p, expected in zip(params, reference_params):
+                assert p.value.tobytes() == expected.value.tobytes(), p.name
+
+
+SLOPES = st.sampled_from([0.25, 0.0, -0.0, 1.0, -0.5]) | st.floats(-2, 2)
+NEGATIVE_SLOPES = st.sampled_from([-0.5, -1.0]) | st.floats(-2, -1e-3)
+# Inputs include -0.0, 0.0, tiny and large magnitudes.
+INPUT_CELLS = st.sampled_from([-0.0, 0.0, 1e-300, -1e6]) | st.floats(-10, 10)
+
+
+class TestTrainingStepBits:
+    """The training step of both networks, bit for bit against the reference layers,
+    cross-entropy and per-parameter Adam, over batches whose last one is short.
+
+    Row 0 of each weight that feeds a PReLU starts at zero, so on the first step
+    every PReLU sees exact +0.0 inputs; the fusion branches' PReLUs get negative
+    slopes, so the fusion PReLU sees their sum, -0.0.
+    """
+
+    @staticmethod
+    def draw_rows(data, batch_size):
+        full_batches = data.draw(st.integers(1, 3), label="full batches")
+        short = data.draw(st.integers(1, batch_size - 1), label="last batch")
+        return full_batches * batch_size + short
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sizes=st.tuples(*[st.integers(1, 4)] * 6),
+        batch_size=st.integers(2, 6),
+        learning_rate=st.sampled_from([0.001, 0.05, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_fusion_net(self, sizes, batch_size, learning_rate, seed, data):
+        vocab, token_width, n_numeric, embed_dim, hidden, fused = sizes
+        n_classes = data.draw(st.integers(2, 4), label="classes")
+        slopes = data.draw(st.tuples(SLOPES, NEGATIVE_SLOPES, NEGATIVE_SLOPES, SLOPES))
+
+        def build():
+            net = EmbeddingFusionNet(
+                vocab + 1, token_width, n_numeric, n_classes, embed_dim, hidden, fused, seed
+            )
+            for linear in (net.cat_linear1, net.cat_linear2, net.num_linear):
+                linear.weight.value[0] = 0.0
+            for act, slope in zip((net.cat_act1, net.cat_act2, net.num_act, net.fusion_act), slopes):
+                act.slope.value[...] = slope
+            return net
+
+        net, reference = build(), build()
+        rows = self.draw_rows(data, batch_size)
+        numeric = data.draw(hnp.arrays(np.float64, (rows, n_numeric), elements=INPUT_CELLS))
+        # token 0 is the pad: in the last position of every row, and drawn elsewhere
+        tokens = data.draw(hnp.arrays(np.int64, (rows, token_width), elements=st.integers(0, vocab)))
+        tokens[:, -1] = 0
+        labels = data.draw(hnp.arrays(np.int64, rows, elements=st.integers(0, n_classes - 1)))
+        assert_steps_bit_equal(
+            net, reference, (numeric, tokens), labels, batch_size, learning_rate, seed
+        )
+        assert True in reference.fusion_act.zero_signs
+        for act in (reference.cat_act1, reference.cat_act2, reference.num_act):
+            assert False in act.zero_signs
+        assert not net.embedding.weight.value[0].any()  # the pad row never moves
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sizes=st.tuples(*[st.integers(1, 5)] * 3),
+        batch_size=st.integers(2, 6),
+        learning_rate=st.sampled_from([0.001, 0.05, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_baseline_net(self, sizes, batch_size, learning_rate, seed, data):
+        n_features, hidden1, hidden2 = sizes
+        n_classes = data.draw(st.integers(2, 4), label="classes")
+        slopes = data.draw(st.tuples(SLOPES, SLOPES))
+
+        def build():
+            net = BaselineMlp(n_features, n_classes, hidden1, hidden2, seed)
+            for linear in (net.linear1, net.linear2):
+                linear.weight.value[0] = 0.0
+            for act, slope in zip((net.act1, net.act2), slopes):
+                act.slope.value[...] = slope
+            return net
+
+        net, reference = build(), build()
+        rows = self.draw_rows(data, batch_size)
+        features = data.draw(hnp.arrays(np.float64, (rows, n_features), elements=INPUT_CELLS))
+        labels = data.draw(hnp.arrays(np.int64, rows, elements=st.integers(0, n_classes - 1)))
+        assert_steps_bit_equal(net, reference, (features,), labels, batch_size, learning_rate, seed)
+        for act in (reference.act1, reference.act2):
+            assert False in act.zero_signs
 
 
 class TestGradientCheck:
