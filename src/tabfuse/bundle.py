@@ -34,7 +34,7 @@ from .models import BaselineMlp, EmbeddingFusionNet, FrequencyEncoder
 from .preprocess import PreprocessState
 from .schema import load_json
 
-BUNDLE_FORMAT_VERSION = 4
+BUNDLE_FORMAT_VERSION = 5
 
 # The one table of member kinds: loading decodes through it, and the pipeline
 # trains and validates ensemble members from it.

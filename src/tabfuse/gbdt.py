@@ -26,12 +26,15 @@ and a leaf's weight is -G/(H+lam). Ties in gain break to the lowest
 feature index, then the lowest threshold, whatever group the features sit in.
 
 A model holds its trees as a bundle stores them: one array per node field
-with every tree's nodes end to end, and each tree's size. Training grows a
-tree in Python lists and joins all trees once, at the end. When a model is
-built, trained, built in code or loaded, its arrays are checked in one pass
-over all nodes and laid out for the walk. It predicts by walking every tree
-for a block of rows at once, one level per step, with no per-node Python
-work.
+with every tree's nodes end to end, and each tree's size. A node is its
+feature (-1 for a leaf), its value (a split's threshold or a leaf's
+weight) and its left child; a split's two children are added together, so
+the right child is always ``left + 1`` and is not stored. Training grows a
+tree in Python lists and joins all trees once, at the end, into read-only
+arrays. When a model is built, trained, built in code or loaded, its
+arrays are checked in one pass over all nodes and laid out for the walk.
+It predicts by walking every tree for a block of rows at once, one level
+per step, with no per-node Python work.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from .packed import FLOAT, INT, pack, unpack
 
 _NO_CHILD = -1
 # Each node field of a tree and the dtype it is stored with.
-_TREE_DTYPES = {"feature": INT, "threshold": FLOAT, "left": INT, "right": INT, "weight": FLOAT}
+_TREE_DTYPES = {"feature": INT, "value": FLOAT, "left": INT}
 
 
 @dataclass(frozen=True)
@@ -78,18 +81,16 @@ class GbdtConfig:
 
 @dataclass(frozen=True)
 class Tree:
-    """One tree's five node arrays, views into its model's; node 0 is the root.
+    """One tree's three node arrays, views into its model's; node 0 is the root.
 
-    A leaf has feature -1 and carries its value in ``weight``; an internal
-    node routes feature < threshold to ``left``, the rest to ``right``.
-    Children are node indices within the tree.
+    A leaf has feature -1 and left -1, and its ``value`` is its weight; an
+    internal node routes feature < value to ``left``, the rest to
+    ``left + 1``. Children are node indices within the tree.
     """
 
     feature: np.ndarray
-    threshold: np.ndarray
+    value: np.ndarray
     left: np.ndarray
-    right: np.ndarray
-    weight: np.ndarray
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         x = np.ascontiguousarray(x, dtype=np.float64)
@@ -107,16 +108,16 @@ class _PackedTrees:
 
     Tree t's node i is packed node n = ``roots[t] // 2 + i``, held at index
     2n of every array. From index k = 2n a row moves to
-    ``child[k + (x[feature[k]] < threshold[k])]``: ``child[k]`` is the
-    right child's index and ``child[k + 1]`` the left's, so NaN goes right.
-    A leaf points at itself and reads feature 0, so steps past a leaf leave
-    it in place, and ``steps`` (the deepest tree's depth) steps reach every
-    leaf. ``width`` is one more than the highest feature an internal node
-    reads.
+    ``child[k + (x[feature[k]] < value[k])]``: ``child[k]`` is the right
+    child's index and ``child[k + 1]`` the left's, so NaN goes right. A leaf
+    points at itself both ways and reads feature 0, so steps past a leaf
+    leave it in place whatever the compare gives, and ``steps`` (the
+    deepest tree's depth) steps reach every leaf, where ``value`` is read
+    once more as the leaf's weight. ``width`` is one more than the highest
+    feature an internal node reads.
     """
 
     feature: np.ndarray
-    threshold: np.ndarray
     value: np.ndarray
     child: np.ndarray
     roots: np.ndarray
@@ -130,12 +131,13 @@ class _PackedTrees:
 
         Raises:
             DataError: ``sizes`` or a node field that is not 1-d; a size,
-                feature, left or right that is not an integer; a threshold or
-                weight that is not a number; a size below 1; a field whose
-                length is not the sum of the sizes; a threshold or weight
-                that is not finite; a feature below -1; a leaf with children;
-                an internal node's child not after it and inside its tree
-                (this rules out cycles).
+                feature or left that is not an integer; a value that is not
+                a number; a size below 1; a field whose length is not the
+                sum of the sizes; a value that is not finite; a feature
+                below -1; a leaf whose left is not -1; an internal node
+                whose left is not after it or whose right (left + 1) is not
+                inside its tree (so children come after their parent, and
+                no tree has a cycle).
         """
         fields = {"sizes": sizes, **{name: nodes[name] for name in _TREE_DTYPES}}
         for name, values in fields.items():
@@ -145,7 +147,7 @@ class _PackedTrees:
                 what = "numbers" if numbers else "integers"
                 raise DataError(f"gbdt tree {name} must be a 1-d array of {what}")
             fields[name] = array.astype(np.float64 if numbers else np.intp)
-        sizes, feature, threshold, left, right, weight = fields.values()
+        sizes, feature, value, left = fields.values()
         if (sizes < 1).any():
             t = int(np.argmax(sizes < 1))
             raise DataError(f"gbdt tree {t} has {sizes[t]} nodes; a tree needs at least 1")
@@ -164,11 +166,11 @@ class _PackedTrees:
         size = sizes[tree_of]  # of its tree
         is_leaf = feature == _NO_CHILD
         faults = (
-            (~(np.isfinite(threshold) & np.isfinite(weight)), "a non-finite threshold or weight"),
+            (~np.isfinite(value), "a non-finite value"),
             (feature < _NO_CHILD, "a feature below -1 (a leaf)"),
-            (is_leaf & ((left != _NO_CHILD) | (right != _NO_CHILD)), "a leaf with children"),
+            (is_leaf & (left != _NO_CHILD), "a leaf with children"),
             (
-                ~is_leaf & ((np.minimum(left, right) <= node) | (np.maximum(left, right) >= size)),
+                ~is_leaf & ((left <= node) | (left + 1 >= size)),
                 "a child not after it and inside its tree",
             ),
         )
@@ -177,11 +179,11 @@ class _PackedTrees:
             i = int(np.argmax(bad))
             problem = next(problem for fault, problem in faults if fault[i])
             raise DataError(
-                f"gbdt tree {tree_of[i]}: node {node[i]} (feature {feature[i]}, children "
-                f"{left[i]} and {right[i]}) has {problem}"
+                f"gbdt tree {tree_of[i]}: node {node[i]} (feature {feature[i]}, left "
+                f"{left[i]}) has {problem}"
             )
         left = np.where(is_leaf, own, left + offsets)
-        right = np.where(is_leaf, own, right + offsets)
+        right = np.where(is_leaf, own, left + 1)
         width = int(feature.max(initial=_NO_CHILD)) + 1
         feature[is_leaf] = 0
         # Count the levels of split nodes. A mask holds each level, so a node
@@ -193,8 +195,7 @@ class _PackedTrees:
             reached[left[level]] = reached[right[level]] = True
             level = np.flatnonzero(reached & ~is_leaf)
         child = 2 * np.column_stack((right, left)).reshape(-1)
-        feature, threshold, weight = (np.repeat(a, 2) for a in (feature, threshold, weight))
-        return cls(feature, threshold, weight, child, 2 * roots, steps, width)
+        return cls(np.repeat(feature, 2), np.repeat(value, 2), child, 2 * roots, steps, width)
 
     def leaf_values(self, x: np.ndarray) -> np.ndarray:
         """Value of the leaf each row of ``x`` reaches in each tree, shape (rows, trees).
@@ -209,7 +210,7 @@ class _PackedTrees:
         node = np.repeat(self.roots[None, :], n_rows, axis=0)
         for _ in range(self.steps):
             value = flat.take(row_start + self.feature.take(node))
-            node = self.child.take(node + (value < self.threshold.take(node)))
+            node = self.child.take(node + (value < self.value.take(node)))
         return self.value.take(node)
 
 
@@ -381,21 +382,19 @@ def _grow_tree(
     """Best-first growth: always expand the pending node with highest gain.
 
     ``bins`` is ``_Bins.fit(x)``. Returns the tree's node lists, one per
-    field in ``_TREE_DTYPES`` order, and the value of the leaf each row
-    ends in.
+    field in ``_TREE_DTYPES`` order, and the weight of the leaf each row
+    ends in. A split's two children are added together, left then right.
     """
-    features, thresholds, lefts, rights, weights = tree = [], [], [], [], []
+    features, values, lefts = tree = [], [], []
 
     def add_node(idx):
         """A leaf for rows ``idx``; its g and h, gathered and summed once, for its split."""
         g_idx, h_idx = g[idx], h[idx]
         g_sum, h_sum = g_idx.sum(), h_idx.sum()
-        node = len(weights)
+        node = len(values)
         features.append(_NO_CHILD)
-        thresholds.append(0.0)
+        values.append(float(-g_sum / (h_sum + config.l2_reg)))
         lefts.append(_NO_CHILD)
-        rights.append(_NO_CHILD)
-        weights.append(float(-g_sum / (h_sum + config.l2_reg)))
         leaf_rows[node] = idx  # ascending, so sums keep their order
         return node, (g_idx, h_idx, (g_sum, h_sum))
 
@@ -424,8 +423,7 @@ def _grow_tree(
         left_rows, right_rows = idx[goes_left], idx[~goes_left]
         left, left_sums = add_node(left_rows)
         right, right_sums = add_node(right_rows)
-        features[node], thresholds[node] = feature, threshold
-        lefts[node], rights[node], weights[node] = left, right, 0.0
+        features[node], values[node], lefts[node] = feature, threshold, left
         n_leaves += 1
         # Children that the depth cap or the spent leaf budget keep as leaves
         # are not searched.
@@ -440,10 +438,10 @@ def _grow_tree(
             hist -= small
             consider(left, left_sums, small if left_smaller else hist, depth + 1)
             consider(right, right_sums, hist if left_smaller else small, depth + 1)
-    values = np.empty(len(x))
+    row_values = np.empty(len(x))
     for node, idx in leaf_rows.items():
-        values[idx] = weights[node]
-    return tree, values
+        row_values[idx] = values[node]
+    return tree, row_values
 
 
 @dataclass(eq=False)
@@ -619,7 +617,11 @@ def train_gbdt(
             margins[:, k] += config.shrinkage * values
         p = softmax(margins)
         losses.append(float(-np.log(p[rows, y]).mean()))
-    # All trees are joined once, into the arrays a bundle stores.
+    # All trees are joined once, into the arrays a bundle stores, read-only
+    # as loaded ones are: the model walks its packed copy, not these.
     arrays = {name: np.array(nodes[name], dtype) for name, dtype in _TREE_DTYPES.items()}
-    model = GbdtModel(arrays, np.array(sizes, INT), n_classes, x.shape[1], config.shrinkage)
+    tree_sizes = np.array(sizes, INT)
+    for array in (*arrays.values(), tree_sizes):
+        array.flags.writeable = False
+    model = GbdtModel(arrays, tree_sizes, n_classes, x.shape[1], config.shrinkage)
     return model, losses

@@ -50,8 +50,6 @@ UNKNOWN_INDEX = 1
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
-STATE_FORMAT_VERSION = 2
-
 
 def tokenize(text: str) -> list[str]:
     """Lowercase, then split on runs of non-letter/non-digit characters.
@@ -77,9 +75,9 @@ def _parse_cells(columns: list[tuple[str | None, ...]]) -> np.ndarray:
     """``_parse_float`` of each cell, NaN where a cell is None; shape (columns, rows).
 
     ``float`` parses every cell in one pass. It rejects some text that
-    ``str.strip`` makes parseable, such as a number after ``"\\x1c"``. When
-    it rejects a cell, each column is parsed on its own, and a column with
-    such a cell cell by cell.
+    ``str.strip`` makes parseable, such as a number after ``"\\x1c"``; when
+    it rejects a cell, every cell is parsed by ``_parse_float``. Where
+    ``float`` accepts a cell, it gives what ``_parse_float`` would.
     """
     n_rows = len(columns[0]) if columns else 0
     try:
@@ -88,10 +86,8 @@ def _parse_cells(columns: list[tuple[str | None, ...]]) -> np.ndarray:
             dtype=np.float64,
         )
     except ValueError:
-        if len(columns) > 1:
-            return np.concatenate([_parse_cells([col]) for col in columns])
-        return np.array(
-            [[math.nan if c is None else _parse_float(c) for c in columns[0]]],
+        parsed = np.array(
+            [math.nan if c is None else _parse_float(c) for col in columns for c in col],
             dtype=np.float64,
         )
     parsed = parsed.reshape(len(columns), n_rows)
@@ -240,7 +236,6 @@ class PreprocessState:
 
     def to_json_dict(self) -> dict:
         return {
-            "format_version": STATE_FORMAT_VERSION,
             "schema": self.schema.to_json_dict(),
             "numeric_stats": {
                 "means": list(self.numeric_stats.means),
@@ -258,12 +253,6 @@ class PreprocessState:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "PreprocessState":
-        version = doc.get("format_version")
-        if version != STATE_FORMAT_VERSION:
-            raise DataError(
-                f"unsupported preprocess state version {version!r}; "
-                f"this build reads version {STATE_FORMAT_VERSION}"
-            )
         ns = doc["numeric_stats"]
         vocabularies = {
             name: ColumnVocabulary(tuple(v["tokens"]), v["pad_length"], v["mode_value"])

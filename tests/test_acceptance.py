@@ -383,7 +383,7 @@ def test_criterion_6_gbdt_split_oracle(acceptance_lines):
                     mismatches += 1
             else:
                 chosen = binned_split(x, g, h, cfg.l2_reg, cfg.min_child_hessian)
-                if (tree.feature[0], tree.threshold[0]) != (expected[1], expected[2]):
+                if (tree.feature[0], tree.value[0]) != (expected[1], expected[2]):
                     mismatches += 1
                 if chosen[0] != expected[0]:
                     mismatches += 1

@@ -190,7 +190,7 @@ class TestFormat:
         bundle, _ = trained_bundles["ensemble"]
         path, doc = saved_doc(tmp_path, bundle)
         assert path.read_text() == json.dumps(doc, separators=(",", ":")) + "\n"
-        assert doc["format_version"] == 4
+        assert doc["format_version"] == 5
         assert doc["fingerprint"] == fingerprint(doc)
 
     def test_every_member_and_encoder_array_is_packed(self, trained_bundles, tmp_path):
@@ -204,8 +204,9 @@ class TestFormat:
                 assert unpacked(payload["params"][p.name]).tobytes() == p.value.tobytes()
         trees = docs[2]["trees"]
         assert unpacked(trees["sizes"]).tolist() == [len(t.feature) for t in gbdt.trees]
-        for name in ("feature", "threshold", "left", "right", "weight"):
-            assert trees[name]["dtype"] == ("<f8" if name in ("threshold", "weight") else "<i4")
+        assert list(trees) == ["sizes", "feature", "value", "left"]
+        for name in ("feature", "value", "left"):
+            assert trees[name]["dtype"] == ("<f8" if name == "value" else "<i4")
             joined = [v for t in gbdt.trees for v in getattr(t, name).tolist()]
             assert repr(unpacked(trees[name]).tolist()) == repr(joined)
         for name, table in doc["frequency_encoder"]["tables"].items():

@@ -460,7 +460,7 @@ class TestInspect:
         code = main(["inspect", "--model", str(out_dir / "bundle.json")])
         assert code == 0
         out = capsys.readouterr().out
-        assert "format version: 4" in out
+        assert "format version: 5" in out
         assert "model kind: fusion" in out
         assert "target: outcome" in out
         assert "classes (2): no, yes" in out
@@ -523,6 +523,11 @@ class TestMalformedBundle:
             pytest.param(
                 lambda doc: doc.update(format_version=2), "fusion", "unsupported bundle version 2;",
                 id="format-version-2",
+            ),
+            pytest.param(
+                lambda doc: doc.update(format_version=4), "gbdt",
+                "unsupported bundle version 4; this build reads version 5, so retrain",
+                id="format-version-4",
             ),
             pytest.param(
                 lambda doc: doc.update(run_summary=5), "gbdt", "'run_summary' must be an object",
@@ -597,8 +602,8 @@ class TestMalformedBundle:
             ),
             # Trees must be safe to walk: the packed walk trusts every index.
             pytest.param(
-                lambda doc: edit_packed(tree_field(doc, "threshold"), lambda v: v[:-1]),
-                "gbdt", "gbdt tree threshold holds 85 nodes; the tree sizes add up to 86",
+                lambda doc: edit_packed(tree_field(doc, "value"), lambda v: v[:-1]),
+                "gbdt", "gbdt tree value holds 85 nodes; the tree sizes add up to 86",
                 id="tree-lists-unequal",
             ),
             pytest.param(
@@ -607,8 +612,8 @@ class TestMalformedBundle:
                 id="tree-lists-empty",
             ),
             pytest.param(
-                lambda doc: edit_packed(tree_field(doc, "weight"), lambda v: v[:, None]),
-                "gbdt", "gbdt tree weight has shape [86, 1]; expected a list of 1 whole numbers",
+                lambda doc: edit_packed(tree_field(doc, "value"), lambda v: v[:, None]),
+                "gbdt", "gbdt tree value has shape [86, 1]; expected a list of 1 whole numbers",
                 id="tree-lists-nested",
             ),
             pytest.param(
@@ -630,9 +635,14 @@ class TestMalformedBundle:
                 id="tree-child-cycle",
             ),
             pytest.param(
-                lambda doc: edit_split_tree(doc, "right", lambda size: size),
+                lambda doc: edit_split_tree(doc, "left", lambda size: size),
                 "gbdt", "has a child not after it",
                 id="tree-child-past-end",
+            ),
+            pytest.param(
+                lambda doc: edit_split_tree(doc, "left", lambda size: size - 1),
+                "gbdt", "has a child not after it",
+                id="tree-left-last-in-tree",
             ),
             pytest.param(
                 lambda doc: edit_split_tree(doc, "left", 0, at="leaf"),
@@ -640,13 +650,13 @@ class TestMalformedBundle:
                 id="tree-leaf-with-child",
             ),
             pytest.param(
-                lambda doc: edit_split_tree(doc, "threshold", math.nan),
-                "gbdt", "gbdt tree threshold holds a value that is not finite",
+                lambda doc: edit_split_tree(doc, "value", math.nan),
+                "gbdt", "gbdt tree value holds a value that is not finite",
                 id="tree-threshold-nan",
             ),
             pytest.param(
-                lambda doc: edit_split_tree(doc, "weight", math.inf, at="leaf"),
-                "gbdt", "gbdt tree weight holds a value that is not finite",
+                lambda doc: edit_split_tree(doc, "value", math.inf, at="leaf"),
+                "gbdt", "gbdt tree value holds a value that is not finite",
                 id="tree-weight-inf",
             ),
             pytest.param(
@@ -898,7 +908,7 @@ def edit_split_tree(doc: dict, field: str, value, at: str = "root"):
     """Set one field of the first tree that splits, at its root or its first leaf.
 
     A callable value is called with the tree's size to get the value, which
-    is an index within the tree for ``left`` and ``right``.
+    is an index within the tree for ``left``.
     """
     sizes, feature = unpacked(tree_field(doc, "sizes")), unpacked(tree_field(doc, "feature"))
     roots = np.cumsum(sizes) - sizes
@@ -913,7 +923,7 @@ def drop_last_tree(doc: dict):
     """Remove the last tree's size and nodes."""
     last = int(unpacked(tree_field(doc, "sizes"))[-1])
     edit_packed(tree_field(doc, "sizes"), lambda v: v[:-1])
-    for name in ("feature", "threshold", "left", "right", "weight"):
+    for name in ("feature", "value", "left"):
         edit_packed(tree_field(doc, name), lambda v: v[:-last])
 
 

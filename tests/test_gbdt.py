@@ -138,9 +138,9 @@ class TestFindBestSplit:
             assert (found[1], found[2]) == (feature, threshold)
 
 
-def make_tree(feature, threshold, left, right, weight) -> Tree:
+def make_tree(feature, value, left) -> Tree:
     """A tree of node arrays in the dtypes a bundle stores them in."""
-    fields = (feature, threshold, left, right, weight)
+    fields = (feature, value, left)
     return Tree(*(np.array(v, dtype) for v, dtype in zip(fields, gbdt._TREE_DTYPES.values())))
 
 
@@ -148,18 +148,16 @@ def grow(root_weight, splits) -> Tree:
     """A root leaf of ``root_weight``, then each split of ``splits`` in order.
 
     A split ``(node, feature, threshold, left_weight, right_weight)`` turns
-    leaf ``node`` into a split node and appends its left and right leaves.
+    leaf ``node`` into a split node and appends its left and right leaves,
+    so its right child is its left plus one.
     """
-    feature, threshold, left, right, weight = [-1], [0.0], [-1], [-1], [root_weight]
+    feature, value, left = [-1], [root_weight], [-1]
     for node, f, t, left_weight, right_weight in splits:
-        n = len(feature)
-        feature[node], threshold[node], left[node], right[node], weight[node] = f, t, n, n + 1, 0.0
+        feature[node], value[node], left[node] = f, t, len(feature)
         feature += [-1, -1]
-        threshold += [0.0, 0.0]
+        value += [left_weight, right_weight]
         left += [-1, -1]
-        right += [-1, -1]
-        weight += [left_weight, right_weight]
-    return make_tree(feature, threshold, left, right, weight)
+    return make_tree(feature, value, left)
 
 
 def forest(*trees: Tree):
@@ -211,9 +209,9 @@ class TestTrainGbdt:
         model, losses = train_gbdt(x, y, 2, cfg)
         tree0 = model.trees[0]  # class 0: g=[-0.5, 0.5], h=[0.25, 0.25]
         assert tree0.feature[0] == 0
-        assert tree0.threshold[0] == 0.5
-        assert tree0.weight[1] == 0.4  # -(-0.5)/(0.25+1)
-        assert tree0.weight[2] == -0.4
+        assert tree0.value[0] == 0.5
+        assert tree0.value[1] == 0.4  # -(-0.5)/(0.25+1)
+        assert tree0.value[2] == -0.4
         expected_loss = -math.log(1.0 / (1.0 + math.exp(-0.08)))
         assert abs(losses[0] - expected_loss) < 1e-12
 
@@ -264,6 +262,15 @@ class TestTrainGbdt:
         assert len(model.trees) == 12
         assert model.rounds == 4
 
+    def test_trained_node_arrays_are_read_only(self):
+        """The model walks a packed copy, so an edit of its arrays would not be predicted with."""
+        x = np.array([[0.0], [1.0]])
+        model, _ = train_gbdt(x, np.array([0, 1]), 2, GbdtConfig(rounds=1, max_depth=1))
+        with pytest.raises(ValueError, match="read-only"):
+            model.nodes["value"][1] += 1.0
+        for array in (*model.nodes.values(), model.sizes):
+            assert not array.flags.writeable
+
     def test_rejects_bad_inputs(self):
         cfg = GbdtConfig(rounds=1, max_depth=1, max_leaves=2)
         with pytest.raises(DataError, match="row count"):
@@ -312,8 +319,8 @@ class TestSplitThresholds:
     def test_every_tree_splits_its_rows_two_and_two(self, column):
         x, model = self.train_and_reload(column)
         for tree in model.trees:
-            assert tree.feature[0] == 0 and math.isfinite(tree.threshold[0])
-            assert (x[:, 0] < tree.threshold[0]).tolist() == [True, True, False, False]
+            assert tree.feature[0] == 0 and math.isfinite(tree.value[0])
+            assert (x[:, 0] < tree.value[0]).tolist() == [True, True, False, False]
             out = tree.predict(x)
             assert out[0] == out[1] != out[2] == out[3]
 
@@ -386,12 +393,13 @@ class TestGbdtConfig:
 
 
 def reference_leaf(tree: Tree, row) -> float:
-    """Per-row walk: feature < threshold goes left, anything else (NaN too) right."""
+    """Per-row walk: feature < value goes to the left child, anything else
+    (NaN too) to the right one, which is stored just after the left."""
     node = 0
     while tree.feature[node] != -1:
-        goes_left = row[tree.feature[node]] < tree.threshold[node]
-        node = tree.left[node] if goes_left else tree.right[node]
-    return tree.weight[node]
+        goes_left = row[tree.feature[node]] < tree.value[node]
+        node = tree.left[node] if goes_left else tree.left[node] + 1
+    return tree.value[node]
 
 
 def reference_margins(model: GbdtModel, x: np.ndarray) -> np.ndarray:
@@ -515,24 +523,27 @@ def replace(name: str, edit):
 # model into ones the walk cannot trust.
 TREE_FAULTS = {
     "cycle": (set_at("left", 0, 0), "tree 1: node 0 .* has a child not after it"),
-    "child-past-end": (set_at("right", 0, 3), "tree 1: node 0 .* has a child not after it"),
+    "left-not-after": (set_at("left", 0, -1), "tree 1: node 0 .* has a child not after it"),
+    "left-last-in-tree": (set_at("left", 0, 2), "tree 1: node 0 .* has a child not after it"),
+    "child-past-end": (set_at("left", 0, 3), "tree 1: node 0 .* has a child not after it"),
     "leaf-with-child": (set_at("left", 1, 2), "tree 1: node 1 .* has a leaf with children"),
     "feature-minus-2": (set_at("feature", 0, -2), "tree 1: node 0 .* has a feature below -1"),
-    "threshold-nan": (set_at("threshold", 0, math.nan), "tree 1: node 0 .* has a non-finite"),
+    "threshold-nan": (set_at("value", 0, math.nan), "tree 1: node 0 .* has a non-finite value"),
+    "weight-inf": (set_at("value", 1, math.inf), "tree 1: node 1 .* has a non-finite value"),
     "feature-past-count": (set_at("feature", 0, 1), "trees read feature 1; the model has 1"),
     "feature-float": (
         replace("feature", lambda a: a.astype(float)),
         "tree feature must be a 1-d array of integers",
     ),
-    "weight-text": (
-        replace("weight", lambda a: a.astype(str)), "tree weight must be a 1-d array of numbers"
+    "value-text": (
+        replace("value", lambda a: a.astype(str)), "tree value must be a 1-d array of numbers"
     ),
-    "weight-nested": (replace("weight", lambda a: a[:, None]), "tree weight must be a 1-d array"),
+    "value-nested": (replace("value", lambda a: a[:, None]), "tree value must be a 1-d array"),
     "sizes-float": (
         replace("sizes", lambda a: a.astype(float)), "tree sizes must be a 1-d array of integers"
     ),
     "lists-unequal": (
-        replace("right", lambda a: a[:-1]), "tree right holds 5 nodes; the tree sizes add up to 6"
+        replace("left", lambda a: a[:-1]), "tree left holds 5 nodes; the tree sizes add up to 6"
     ),
     "size-zero": (
         replace("sizes", lambda a: np.insert(a, 1, 0)),

@@ -429,20 +429,13 @@ class TestStateSerialization:
         )
         assert state.fingerprint() != other.fingerprint()
 
-    def test_unsupported_version_rejected(self):
-        state = fit(small_table())
-        doc = state.to_json_dict()
-        doc["format_version"] = 99
-        with pytest.raises(DataError, match="version"):
-            PreprocessState.from_json_dict(doc)
-
     def test_stores_only_what_the_schema_does_not_give(self):
         doc = fit(small_table()).to_json_dict()
         assert doc["numeric_stats"] == {"means": [2.5], "stds": [1.118033988749895]}
         assert doc["vocabularies"]["complaint"] == {
             "tokens": ["chest", "pain"], "pad_length": 3, "mode_value": "chest pain"
         }
-        assert set(doc) == {"format_version", "schema", "numeric_stats", "vocabularies"}
+        assert set(doc) == {"schema", "numeric_stats", "vocabularies"}
 
     @pytest.mark.parametrize(
         "edit, message",
