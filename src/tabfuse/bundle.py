@@ -61,6 +61,16 @@ def _check_fields(doc: dict, fields: tuple[str, ...], what: str) -> None:
         raise DataError(f"{what} fields: unknown {unknown}, missing {missing}")
 
 
+def _decode_state(doc: dict) -> PreprocessState:
+    """The preprocessing state ``doc`` holds, refusing any field the format does not define."""
+    state = PreprocessState.from_json_dict(doc)
+    _check_fields(doc, ("schema", "numeric_stats", "vocabularies"), "preprocess state")
+    _check_fields(doc["numeric_stats"], ("means", "stds"), "preprocess numeric_stats")
+    for name, vocabulary in doc["vocabularies"].items():
+        _check_fields(vocabulary, ("tokens", "pad_length", "mode_value"), f"vocabulary {name!r}")
+    return state
+
+
 def _feature_view(kind: str, view: str) -> str:
     """``view``, or the only view of ``kind`` when ``view`` is empty."""
     views = MEMBER_CLASSES[kind].feature_views
@@ -181,7 +191,7 @@ class ModelBundle:
                     "bundle fingerprint does not match its contents "
                     "(document was modified or corrupted)"
                 )
-            state = PreprocessState.from_json_dict(doc["preprocess"])
+            state = _decode_state(doc["preprocess"])
             member_docs = doc["members"]
             if not isinstance(member_docs, list) or not member_docs:
                 raise DataError("bundle 'members' must be a non-empty list")

@@ -40,6 +40,13 @@ def _param(params: dict, name: str) -> np.ndarray:
     return params[name]
 
 
+def _forward(layer, x: np.ndarray, tape: dict | None) -> np.ndarray:
+    """``layer``'s output for ``x``, with ``x`` put on ``tape`` when there is one."""
+    if tape is not None:
+        tape[layer] = x
+    return layer.forward(x)
+
+
 def _width(params: dict, name: str, axis: int, size: int) -> int:
     """The other axis of 2-d weight ``name``, once its ``axis`` is checked to be ``size``."""
     shape = _param(params, name).shape
@@ -54,10 +61,12 @@ class _Net:
     """What both networks share: their parameters, gathered from ``layers``,
     softmax probabilities, and a payload that is only those parameters.
 
-    A layer keeps its forward input from ``forward`` to ``backward``, which
-    ``train`` calls in turn. Scoring runs no backward, so ``predict_proba``
-    drops every layer's input before it returns; a scored batch leaves no
-    activations behind.
+    ``forward(*inputs, tape=None)`` puts each layer's input on ``tape``, a
+    dict keyed by layer, when it is given one, and ``backward(tape, grad)``
+    hands each layer its input back. Only a training step passes a tape.
+    Without one, each activation is freed as soon as the next layer has read
+    it, so ``predict_proba`` holds about one layer's input and output at a
+    time and leaves no activations behind.
 
     A payload gives no width: each is read from a stored weight whose other
     axis the state or an earlier width fixes (``widths_from``), so a net is
@@ -72,10 +81,7 @@ class _Net:
         return [p for layer in self.layers for p in layer.params()]
 
     def predict_proba(self, *inputs: np.ndarray) -> np.ndarray:
-        logits = self.forward(*inputs)
-        for layer in self.layers:
-            layer._x = None
-        return softmax(logits)
+        return softmax(self.forward(*inputs))
 
     def to_json_dict(self) -> dict:
         return {"params": {p.name: pack(p.value, FLOAT) for p in self.params()}}
@@ -153,22 +159,34 @@ class EmbeddingFusionNet(_Net):
         self.token_width = token_width
         self.embed_dim = embed_dim
 
-    def forward(self, numeric: np.ndarray, tokens: np.ndarray) -> np.ndarray:
-        emb = self.embedding.forward(tokens)
-        flat = emb.reshape(emb.shape[0], self.token_width * self.embed_dim)
-        c = self.cat_act1.forward(self.cat_linear1.forward(flat))
-        c = self.cat_act2.forward(self.cat_linear2.forward(c))
-        n = self.num_act.forward(self.num_linear.forward(numeric))
-        fused = self.fusion_act.forward(c + n)
-        return self.classifier.forward(fused)
+    def forward(
+        self, numeric: np.ndarray, tokens: np.ndarray, tape: dict | None = None
+    ) -> np.ndarray:
+        # One name per branch, rebound at each layer, so without a tape each
+        # activation is dropped as soon as the next layer has read it.
+        c = _forward(self.embedding, tokens, tape)
+        c = c.reshape(c.shape[0], self.token_width * self.embed_dim)
+        c = _forward(self.cat_linear1, c, tape)
+        c = _forward(self.cat_act1, c, tape)
+        c = _forward(self.cat_linear2, c, tape)
+        c = _forward(self.cat_act2, c, tape)
+        n = _forward(self.num_linear, numeric, tape)
+        n = _forward(self.num_act, n, tape)
+        c = _forward(self.fusion_act, c + n, tape)
+        return _forward(self.classifier, c, tape)
 
-    def backward(self, grad_logits: np.ndarray) -> None:
-        d_fused = self.fusion_act.backward(self.classifier.backward(grad_logits))
+    def backward(self, tape: dict, grad_logits: np.ndarray) -> None:
+        d_fused = self.classifier.backward(tape[self.classifier], grad_logits)
+        d_fused = self.fusion_act.backward(tape[self.fusion_act], d_fused)
         # the addition node fans the same gradient into both branches
-        self.num_linear.backward(self.num_act.backward(d_fused))
-        d_c = self.cat_linear2.backward(self.cat_act2.backward(d_fused))
-        d_flat = self.cat_linear1.backward(self.cat_act1.backward(d_c))
-        self.embedding.backward(d_flat.reshape(len(d_flat), self.token_width, self.embed_dim))
+        d = self.num_act.backward(tape[self.num_act], d_fused)
+        self.num_linear.backward(tape[self.num_linear], d)
+        d = self.cat_act2.backward(tape[self.cat_act2], d_fused)
+        d = self.cat_linear2.backward(tape[self.cat_linear2], d)
+        d = self.cat_act1.backward(tape[self.cat_act1], d)
+        d = self.cat_linear1.backward(tape[self.cat_linear1], d)
+        d = d.reshape(len(d), self.token_width, self.embed_dim)
+        self.embedding.backward(tape[self.embedding], d)
 
     predict_proba = _Net.predict_proba
 
@@ -216,15 +234,19 @@ class BaselineMlp(_Net):
         self.linear3 = Linear(hidden2, n_classes, rng, "mlp3")
         self.layers = (self.linear1, self.act1, self.linear2, self.act2, self.linear3)
 
-    def forward(self, features: np.ndarray) -> np.ndarray:
-        h = self.act1.forward(self.linear1.forward(features))
-        h = self.act2.forward(self.linear2.forward(h))
-        return self.linear3.forward(h)
+    def forward(self, features: np.ndarray, tape: dict | None = None) -> np.ndarray:
+        h = _forward(self.linear1, features, tape)
+        h = _forward(self.act1, h, tape)
+        h = _forward(self.linear2, h, tape)
+        h = _forward(self.act2, h, tape)
+        return _forward(self.linear3, h, tape)
 
-    def backward(self, grad_logits: np.ndarray) -> None:
-        d = self.act2.backward(self.linear3.backward(grad_logits))
-        d = self.act1.backward(self.linear2.backward(d))
-        self.linear1.backward(d)
+    def backward(self, tape: dict, grad_logits: np.ndarray) -> None:
+        d = self.linear3.backward(tape[self.linear3], grad_logits)
+        d = self.act2.backward(tape[self.act2], d)
+        d = self.linear2.backward(tape[self.linear2], d)
+        d = self.act1.backward(tape[self.act1], d)
+        self.linear1.backward(tape[self.linear1], d)
 
     predict_proba = _Net.predict_proba
 
@@ -327,7 +349,10 @@ def train(
     """Mini-batch Adam with early stopping; restores the best-epoch snapshot.
 
     Inputs are tuples of arrays aligned on axis 0 and splatted into
-    ``model.forward``. The model is mutated in place. The snapshot is one
+    ``model.forward``. Each mini-batch step passes a fresh tape, which
+    ``model.backward`` reads and the step then drops; the per-epoch
+    validation forward passes none, so no activations outlive a step or the
+    call. The model is mutated in place. The snapshot is one
     copy of the optimizer's flat parameter vector, taken at each epoch that
     lowers the validation loss; on return the parameters hold the last one.
 
@@ -353,14 +378,15 @@ def train(
         for start in range(0, n, config.batch_size):
             idx = perm[start : start + config.batch_size]
             batch = tuple(a[idx] for a in train_inputs)
-            logits = model.forward(*batch)
+            tape = {}
+            logits = model.forward(*batch, tape=tape)
             loss, grad = softmax_cross_entropy(logits, train_labels[idx])
             if not np.isfinite(loss):
                 raise NumericError(
                     f"training loss became non-finite at epoch {epoch}"
                 )
             optimizer.zero_grad()
-            model.backward(grad)
+            model.backward(tape, grad)
             optimizer.step()
             loss_sum += loss * len(idx)
         log.train_losses.append(loss_sum / n)

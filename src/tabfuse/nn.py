@@ -2,10 +2,12 @@
 
 Dense layers, PReLU activations, an embedding table, softmax cross-entropy
 and Adam. Everything is plain numpy float64; there is no autodiff graph.
-Each layer keeps its forward input in ``_x`` from ``forward`` until
-``backward``, which accumulates into parameter gradients and returns the
-gradient with respect to that input. Only backward reads ``_x``, so scoring
-sets it back to None once the forward pass returns. Adam owns a network's
+A layer keeps no activations: ``forward(x)`` only returns its output, and
+``backward(x, dy)`` is handed the same input back, accumulates into
+parameter gradients and returns the gradient with respect to ``x``. A
+network that trains keeps those inputs on a tape for the one step that
+needs them (``models``); a scoring pass keeps none, so each activation is
+freed once the next layer has read it. Adam owns a network's
 parameters as one flat vector, and each Param as a view into it, so an
 update, ``zero_grad`` or snapshot is whole-vector work.
 """
@@ -53,7 +55,6 @@ class Linear:
         self.bias = Param(np.zeros(out_dim), f"{name}.bias")
         self.in_dim = in_dim
         self.out_dim = out_dim
-        self._x = None
 
     def params(self) -> list[Param]:
         return [self.weight, self.bias]
@@ -63,13 +64,13 @@ class Linear:
             raise ValueError(
                 f"expected input of width {self.in_dim}, got shape {x.shape}"
             )
-        self._x = x
         y = x @ self.weight.value.T
         y += self.bias.value
         return y
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
-        self.weight.grad += dy.T @ self._x
+    def backward(self, x: np.ndarray, dy: np.ndarray) -> np.ndarray:
+        """Add the gradients for input ``x`` and output gradient ``dy``; return d/dx."""
+        self.weight.grad += dy.T @ x
         self.bias.grad += np.add.reduce(dy, axis=0)
         return dy @ self.weight.value
 
@@ -79,18 +80,16 @@ class PReLU:
 
     def __init__(self, name: str, init_slope: float = 0.25):
         self.slope = Param(np.asarray(init_slope, dtype=np.float64), f"{name}.slope")
-        self._x = None
 
     def params(self) -> list[Param]:
         return [self.slope]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x = x
         a = self.slope.value
         return np.where(x > 0, x, a * x)
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
-        x = self._x
+    def backward(self, x: np.ndarray, dy: np.ndarray) -> np.ndarray:
+        """Add the slope gradient for input ``x`` and output gradient ``dy``; return d/dx."""
         self.slope.grad += np.add.reduce(dy * np.minimum(x, 0.0), axis=None)
         return np.where(x > 0, dy, dy * self.slope.value)
 
@@ -113,7 +112,6 @@ class Embedding:
         self.weight = Param(weight, f"{name}.weight", update_mask=mask)
         self.vocab_size = vocab_size
         self.dim = dim
-        self._x = None
 
     def params(self) -> list[Param]:
         return [self.weight]
@@ -125,13 +123,13 @@ class Embedding:
             raise ValueError(
                 f"token index out of range for vocabulary of {self.vocab_size}"
             )
-        self._x = tokens
         return self.weight.value.take(tokens, axis=0)
 
-    def backward(self, dout: np.ndarray) -> None:
+    def backward(self, tokens: np.ndarray, dout: np.ndarray) -> None:
+        """Add the table gradient for the ``tokens`` forward read; tokens get no gradient."""
         # bincount adds each (token, k) cell's terms in row order, as
         # np.add.at would, at about half the cost.
-        cells = (self._x[..., None] * self.dim + np.arange(self.dim)).ravel()
+        cells = (tokens[..., None] * self.dim + np.arange(self.dim)).ravel()
         size = self.vocab_size * self.dim
         summed = np.bincount(cells, weights=dout.ravel(), minlength=size)
         self.weight.grad += summed.reshape(self.vocab_size, self.dim)

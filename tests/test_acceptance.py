@@ -104,10 +104,11 @@ def test_criterion_1_gradient_fidelity(acceptance_lines):
     def loss_fn():
         for p in net.params():
             p.zero_grad()
+        tape = {}
         loss, grad = softmax_cross_entropy(
-            net.forward(encoded.numeric, encoded.tokens), encoded.labels
+            net.forward(encoded.numeric, encoded.tokens, tape=tape), encoded.labels
         )
-        net.backward(grad)
+        net.backward(tape, grad)
         return loss
 
     report = gradient_check(loss_fn, net.params())  # h = 1e-5 central differences

@@ -729,6 +729,23 @@ class TestMalformedBundle:
                 "fusion", "parameter 'cat1.weight' has shape (32, 48)",
                 id="state-pad-length-past-memory",
             ),
+            # The state, its numeric stats and each vocabulary hold only the
+            # fields the format defines.
+            pytest.param(
+                lambda doc: edit_state(doc, lambda s: s.update(extra=1)),
+                "gbdt", "preprocess state fields: unknown ['extra'], missing []",
+                id="state-unknown-field",
+            ),
+            pytest.param(
+                lambda doc: edit_state(doc, lambda s: s["numeric_stats"].update(extra=1)),
+                "gbdt", "preprocess numeric_stats fields: unknown ['extra'], missing []",
+                id="state-stats-unknown-field",
+            ),
+            pytest.param(
+                lambda doc: edit_state(doc, lambda s: vocab_of(s).update(extra=1)),
+                "gbdt", "vocabulary 'note' fields: unknown ['extra'], missing []",
+                id="state-vocabulary-unknown-field",
+            ),
             pytest.param(
                 lambda doc: strip_fingerprints(doc), "gbdt", "missing ['fingerprint']",
                 id="fingerprints-stripped",

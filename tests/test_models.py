@@ -97,8 +97,9 @@ class TestEmbeddingFusionNet:
         def loss_fn():
             for p in net.params():
                 p.zero_grad()
-            loss, grad = softmax_cross_entropy(net.forward(numeric, tokens), labels)
-            net.backward(grad)
+            tape = {}
+            loss, grad = softmax_cross_entropy(net.forward(numeric, tokens, tape=tape), labels)
+            net.backward(tape, grad)
             return loss
 
         report = gradient_check(loss_fn, net.params())
@@ -129,8 +130,9 @@ class TestBaselineMlp:
         def loss_fn():
             for p in net.params():
                 p.zero_grad()
-            loss, grad = softmax_cross_entropy(net.forward(x), y)
-            net.backward(grad)
+            tape = {}
+            loss, grad = softmax_cross_entropy(net.forward(x, tape=tape), y)
+            net.backward(tape, grad)
             return loss
 
         report = gradient_check(loss_fn, net.params())
@@ -153,11 +155,24 @@ def scoring_cases(rows, seed=0):
 class TestScoringReleasesLayerInputs:
     @pytest.mark.parametrize("case", [0, 1], ids=["fusion", "baseline"])
     def test_every_layer_input_is_dropped(self, case):
-        net, inputs = scoring_cases(40)[case]
-        net.forward(*inputs)
-        assert all(layer._x is not None for layer in net.layers)
+        """After train, and after scoring, the net and its layers hold no array
+        but their parameters: no batch's or validation forward's input is kept."""
+        net, inputs = scoring_cases(400)[case]
+        labels = np.arange(400) % 3
+        config = TrainConfig(batch_size=64, max_epochs=2, patience=1)
+
+        def held():
+            return [
+                (type(layer).__name__, name, value.shape)
+                for layer in (net, *net.layers)
+                for name, value in vars(layer).items()
+                if isinstance(value, np.ndarray)
+            ]
+
+        train(net, inputs, labels, inputs, labels, config)
+        assert held() == []
         net.predict_proba(*inputs)
-        assert all(layer._x is None for layer in net.layers)
+        assert held() == []
 
     @pytest.mark.parametrize("case", [0, 1], ids=["fusion", "baseline"])
     def test_scoring_retains_nothing_beyond_its_result(self, case):
@@ -172,6 +187,28 @@ class TestScoringReleasesLayerInputs:
         assert retained < 2**20, f"{retained / 2**20:.2f} MiB retained"
 
     @pytest.mark.parametrize("case", [0, 1], ids=["fusion", "baseline"])
+    def test_scoring_peak_is_one_layer_at_a_time(self, case):
+        """Scoring frees each activation once the next layer has read it. Fusion
+        peaks while the first dense layer holds the embedding output and its own
+        output; the baseline while the first PReLU holds its input, a full-size
+        temporary, its output and a bool mask, each of the first dense width."""
+        rows = 5000
+        net, inputs = scoring_cases(rows)[case]
+        if case == 0:
+            bound = rows * 8 * (net.token_width * net.embed_dim + net.cat_linear1.out_dim)
+        else:
+            bound = rows * net.linear1.out_dim * (3 * 8 + 1)
+        bound += 2**18
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            net.predict_proba(*inputs)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, f"{peak / 2**20:.2f} MiB peak, bound {bound / 2**20:.2f} MiB"
+
+    @pytest.mark.parametrize("case", [0, 1], ids=["fusion", "baseline"])
     def test_training_after_scoring_is_bit_equal(self, case):
         """forward, backward and Adam steps give the same bits with or without a
         predict_proba before each of them."""
@@ -183,9 +220,10 @@ class TestScoringReleasesLayerInputs:
             for _ in range(3):
                 if score_first:
                     net.predict_proba(*(a[::-1] for a in inputs))
-                _, grad = softmax_cross_entropy(net.forward(*inputs), labels)
+                tape = {}
+                _, grad = softmax_cross_entropy(net.forward(*inputs, tape=tape), labels)
                 optimizer.zero_grad()
-                net.backward(grad)
+                net.backward(tape, grad)
                 optimizer.step()
             results.append(optimizer.value.tobytes())
         assert results[0] == results[1]

@@ -104,7 +104,7 @@ class TestEmbedding:
         )
         emb.weight.grad[...] = 0.0
         emb.forward(tokens)
-        emb.backward(dout)
+        emb.backward(tokens, dout)
         expected = np.zeros((vocab, dim))
         np.add.at(expected, tokens, dout)
         assert emb.weight.grad.tobytes() == expected.tobytes()
@@ -118,7 +118,7 @@ class TestEmbedding:
             opt.zero_grad()
             out = emb.forward(tokens)
             # pull every embedding toward 1; pad rows participate in the loss
-            emb.backward(out - 1.0)
+            emb.backward(tokens, out - 1.0)
             assert np.any(emb.weight.grad[0] != 0.0)
             opt.step()
         assert np.all(emb.weight.value[0] == 0.0)
@@ -277,6 +277,8 @@ class TestFlatAdam:
         assert not params[-1].value[0].any()  # the pad row never moves
 
 
+# Each reference layer keeps the input its own forward saw and ignores the one
+# a net's tape hands back to backward, so a wrong tape entry shows as a mismatch.
 class ReferenceLinear(Linear):
     """Linear with the plain formulas, each temporary allocated."""
 
@@ -284,7 +286,7 @@ class ReferenceLinear(Linear):
         self._x = x
         return x @ self.weight.value.T + self.bias.value
 
-    def backward(self, dy):
+    def backward(self, x, dy):
         self.weight.grad += dy.T @ self._x
         self.bias.grad += dy.sum(axis=0)
         return dy @ self.weight.value
@@ -298,7 +300,7 @@ class ReferencePReLU(PReLU):
         self.zero_signs = getattr(self, "zero_signs", set()) | set(np.signbit(x[x == 0]).tolist())
         return np.where(x > 0, x, self.slope.value * x)
 
-    def backward(self, dy):
+    def backward(self, x, dy):
         x = self._x
         self.slope.grad += (dy * np.minimum(x, 0.0)).sum()
         return dy * np.where(x > 0, 1.0, self.slope.value)
@@ -311,7 +313,7 @@ class ReferenceEmbedding(Embedding):
         self._x = tokens
         return self.weight.value[tokens]
 
-    def backward(self, dout):
+    def backward(self, tokens, dout):
         np.add.at(self.weight.grad, self._x, dout)
 
 
@@ -346,14 +348,17 @@ def assert_steps_bit_equal(net, reference, inputs, labels, batch_size, learning_
         for start in range(0, len(labels), batch_size):
             idx = perm[start : start + batch_size]
             batch = tuple(a[idx] for a in inputs)
-            loss, grad = softmax_cross_entropy(net.forward(*batch), labels[idx])
+            tape, reference_tape = {}, {}
+            loss, grad = softmax_cross_entropy(net.forward(*batch, tape=tape), labels[idx])
             optimizer.zero_grad()
-            net.backward(grad)
+            net.backward(tape, grad)
             optimizer.step()
-            expected_loss, grad = reference_cross_entropy(reference.forward(*batch), labels[idx])
+            expected_loss, grad = reference_cross_entropy(
+                reference.forward(*batch, tape=reference_tape), labels[idx]
+            )
             for p in reference_params:
                 p.zero_grad()
-            reference.backward(grad)
+            reference.backward(reference_tape, grad)
             reference_adam.step([p.grad for p in reference_params])
             assert np.float64(loss).tobytes() == np.float64(expected_loss).tobytes()
             for p, expected in zip(params, reference_params):
@@ -456,7 +461,7 @@ class TestGradientCheck:
             for p in layer.params():
                 p.zero_grad()
             loss, grad = softmax_cross_entropy(layer.forward(x), y)
-            layer.backward(grad)
+            layer.backward(x, grad)
             return loss
 
         return loss_fn
@@ -481,8 +486,8 @@ class TestGradientCheck:
                 p.zero_grad()
             flat = emb.forward(tokens).reshape(2, -1)
             loss, grad = softmax_cross_entropy(lin.forward(flat), y)
-            d = lin.backward(grad)
-            emb.backward(d.reshape(2, 3, 2))
+            d = lin.backward(flat, grad)
+            emb.backward(tokens, d.reshape(2, 3, 2))
             return loss
 
         report = gradient_check(loss_fn, emb.params() + lin.params())
@@ -500,10 +505,10 @@ class TestGradientCheck:
         def loss_fn():
             for p in params:
                 p.zero_grad()
-            loss, grad = softmax_cross_entropy(
-                head.forward(act.forward(lin.forward(x))), y
-            )
-            lin.backward(act.backward(head.backward(grad)))
+            h = lin.forward(x)
+            a = act.forward(h)
+            loss, grad = softmax_cross_entropy(head.forward(a), y)
+            lin.backward(x, act.backward(h, head.backward(a, grad)))
             return loss
 
         report = gradient_check(loss_fn, params)
