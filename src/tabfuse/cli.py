@@ -75,14 +75,18 @@ def _section(cls, section: str):
     return convert
 
 
+def _items(value):
+    """A list as it is, or comma-separated text as its parts."""
+    return value.split(",") if isinstance(value, str) else value
+
+
 def _weights(value) -> tuple[float, ...]:
     """Numbers from a list or from comma-separated text."""
-    parts = value.split(",") if isinstance(value, str) else value
-    return tuple(float(w) for w in parts)
+    return tuple(float(w) for w in _items(value))
 
 
 def _fractions(value) -> tuple[float, ...]:
-    fractions = tuple(float(f) for f in value)
+    fractions = _weights(value)
     if len(fractions) != 3:
         raise ValueError("must be [train, val, test]")
     return fractions
@@ -100,7 +104,7 @@ _RUN_KEYS = {
     "out": ("out_dir", str),
     "train": ("train_config", _section(TrainConfig, "train")),
     "gbdt": ("gbdt_config", _section(GbdtConfig, "gbdt")),
-    "ensemble_members": ("ensemble_members", lambda v: tuple(str(m) for m in v)),
+    "ensemble_members": ("ensemble_members", lambda v: tuple(str(m) for m in _items(v))),
     "gbdt_feature_view": ("gbdt_feature_view", str),
 }
 _SYNTHETIC_KEYS = {
@@ -232,7 +236,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    bundle, _, encoded, probas = _score(args)
+    bundle, table, encoded, probas = _score(args)
+    if table.row_count == 0:
+        raise DataError(f"{args.data} holds no rows; evaluate needs labeled rows")
     n_bad = int((encoded.labels < 0).sum())
     if n_bad:
         raise DataError(f"{n_bad} row(s) have no target label; evaluate needs labeled data")

@@ -2,18 +2,19 @@
 
 Two classifiers share one training interface:
 
-* EmbeddingFusionNet: embeds padded token indices, flattens, runs the
-  result through two PReLU-activated dense layers down to a 16-wide latent
-  vector, maps standardized numerics through one PReLU-activated dense
-  layer to the same width, adds the two branch outputs elementwise,
-  applies a final PReLU, and classifies from the fused vector.
-* BaselineMlp: three dense layers with PReLU after the first two, fed the
-  standardized numerics concatenated with one frequency-encoded value per
-  categorical column.
+* EmbeddingFusionNet: a categorical chain (embedded, flattened tokens through
+  two PReLU-activated dense layers to a 16-wide vector) plus a numeric chain
+  (standardized numerics through one PReLU-activated dense layer to the same
+  width), then a head chain: a final PReLU and the classifier.
+* BaselineMlp: one chain of three dense layers with PReLU after the first
+  two, fed the standardized numerics concatenated with one frequency-encoded
+  value per categorical column.
 
-Both are sized from the preprocessing state by ``from_state``, for training
-and for decoding. A payload holds only their parameters: each layer width is
-read from the shape of a stored weight.
+A chain is a tuple of layers, which ``_run`` applies in order and ``_back``
+walks in reverse, so each net states its layer order once. Both nets are
+sized from the preprocessing state by ``from_state``, for training and for
+decoding. A payload holds only their parameters: each layer width is read
+from the shape of a stored weight.
 
 Training is mini-batch Adam with a seeded shuffle per epoch, epoch-level
 validation, and early stopping that restores the best-epoch snapshot.
@@ -40,11 +41,20 @@ def _param(params: dict, name: str) -> np.ndarray:
     return params[name]
 
 
-def _forward(layer, x: np.ndarray, tape: dict | None) -> np.ndarray:
-    """``layer``'s output for ``x``, with ``x`` put on ``tape`` when there is one."""
-    if tape is not None:
-        tape[layer] = x
-    return layer.forward(x)
+def _run(chain: tuple, x: np.ndarray, tape: dict | None) -> np.ndarray:
+    """``x`` through each layer of ``chain``, each input put on ``tape`` when there is one."""
+    for layer in chain:
+        if tape is not None:
+            tape[layer] = x
+        x = layer.forward(x)
+    return x
+
+
+def _back(chain: tuple, tape: dict, grad: np.ndarray) -> np.ndarray:
+    """``grad`` back through ``chain`` in reverse, each layer handed its input from ``tape``."""
+    for layer in reversed(chain):
+        grad = layer.backward(tape[layer], grad)
+    return grad
 
 
 def _width(params: dict, name: str, axis: int, size: int) -> int:
@@ -61,12 +71,12 @@ class _Net:
     """What both networks share: their parameters, gathered from ``layers``,
     softmax probabilities, and a payload that is only those parameters.
 
-    ``forward(*inputs, tape=None)`` puts each layer's input on ``tape``, a
-    dict keyed by layer, when it is given one, and ``backward(tape, grad)``
-    hands each layer its input back. Only a training step passes a tape.
-    Without one, each activation is freed as soon as the next layer has read
-    it, so ``predict_proba`` holds about one layer's input and output at a
-    time and leaves no activations behind.
+    ``forward(*inputs, tape=None)`` runs the net's chains, each input put on
+    ``tape`` (a dict keyed by layer) when it is given one, and
+    ``backward(tape, grad)`` runs them back, each layer handed that input.
+    Only a training step passes a tape. Without one, each activation is freed
+    as soon as the next layer has read it, so ``predict_proba`` holds about
+    one layer's input and output at a time and leaves no activations behind.
 
     A payload gives no width: each is read from a stored weight whose other
     axis the state or an earlier width fixes (``widths_from``), so a net is
@@ -152,40 +162,27 @@ class EmbeddingFusionNet(_Net):
         self.num_act = PReLU("num.act")
         self.fusion_act = PReLU("fusion.act")
         self.classifier = Linear(fused_width, n_classes, rng, "classifier")
-        self.layers = (
-            self.embedding, self.cat_linear1, self.cat_act1, self.cat_linear2, self.cat_act2,
-            self.num_linear, self.num_act, self.fusion_act, self.classifier,
-        )
+        self.cat = (self.cat_linear1, self.cat_act1, self.cat_linear2, self.cat_act2)
+        self.num = (self.num_linear, self.num_act)
+        self.head = (self.fusion_act, self.classifier)
+        self.layers = (self.embedding, *self.cat, *self.num, *self.head)
         self.token_width = token_width
         self.embed_dim = embed_dim
 
     def forward(
         self, numeric: np.ndarray, tokens: np.ndarray, tape: dict | None = None
     ) -> np.ndarray:
-        # One name per branch, rebound at each layer, so without a tape each
-        # activation is dropped as soon as the next layer has read it.
-        c = _forward(self.embedding, tokens, tape)
-        c = c.reshape(c.shape[0], self.token_width * self.embed_dim)
-        c = _forward(self.cat_linear1, c, tape)
-        c = _forward(self.cat_act1, c, tape)
-        c = _forward(self.cat_linear2, c, tape)
-        c = _forward(self.cat_act2, c, tape)
-        n = _forward(self.num_linear, numeric, tape)
-        n = _forward(self.num_act, n, tape)
-        c = _forward(self.fusion_act, c + n, tape)
-        return _forward(self.classifier, c, tape)
+        flat = (len(tokens), self.token_width * self.embed_dim)
+        c = _run(self.cat, _run((self.embedding,), tokens, tape).reshape(flat), tape)
+        # no layer takes c as its input, so no tape holds it and the sum can reuse it
+        c += _run(self.num, numeric, tape)
+        return _run(self.head, c, tape)
 
     def backward(self, tape: dict, grad_logits: np.ndarray) -> None:
-        d_fused = self.classifier.backward(tape[self.classifier], grad_logits)
-        d_fused = self.fusion_act.backward(tape[self.fusion_act], d_fused)
+        d_fused = _back(self.head, tape, grad_logits)
         # the addition node fans the same gradient into both branches
-        d = self.num_act.backward(tape[self.num_act], d_fused)
-        self.num_linear.backward(tape[self.num_linear], d)
-        d = self.cat_act2.backward(tape[self.cat_act2], d_fused)
-        d = self.cat_linear2.backward(tape[self.cat_linear2], d)
-        d = self.cat_act1.backward(tape[self.cat_act1], d)
-        d = self.cat_linear1.backward(tape[self.cat_linear1], d)
-        d = d.reshape(len(d), self.token_width, self.embed_dim)
+        _back(self.num, tape, d_fused)
+        d = _back(self.cat, tape, d_fused).reshape(len(d_fused), self.token_width, self.embed_dim)
         self.embedding.backward(tape[self.embedding], d)
 
     predict_proba = _Net.predict_proba
@@ -235,18 +232,10 @@ class BaselineMlp(_Net):
         self.layers = (self.linear1, self.act1, self.linear2, self.act2, self.linear3)
 
     def forward(self, features: np.ndarray, tape: dict | None = None) -> np.ndarray:
-        h = _forward(self.linear1, features, tape)
-        h = _forward(self.act1, h, tape)
-        h = _forward(self.linear2, h, tape)
-        h = _forward(self.act2, h, tape)
-        return _forward(self.linear3, h, tape)
+        return _run(self.layers, features, tape)
 
     def backward(self, tape: dict, grad_logits: np.ndarray) -> None:
-        d = self.linear3.backward(tape[self.linear3], grad_logits)
-        d = self.act2.backward(tape[self.act2], d)
-        d = self.linear2.backward(tape[self.linear2], d)
-        d = self.act1.backward(tape[self.act1], d)
-        self.linear1.backward(tape[self.linear1], d)
+        _back(self.layers, tape, grad_logits)
 
     predict_proba = _Net.predict_proba
 

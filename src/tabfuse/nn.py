@@ -4,12 +4,13 @@ Dense layers, PReLU activations, an embedding table, softmax cross-entropy
 and Adam. Everything is plain numpy float64; there is no autodiff graph.
 A layer keeps no activations: ``forward(x)`` only returns its output, and
 ``backward(x, dy)`` is handed the same input back, accumulates into
-parameter gradients and returns the gradient with respect to ``x``. A
-network that trains keeps those inputs on a tape for the one step that
-needs them (``models``); a scoring pass keeps none, so each activation is
-freed once the next layer has read it. Adam owns a network's
-parameters as one flat vector, and each Param as a view into it, so an
-update, ``zero_grad`` or snapshot is whole-vector work.
+parameter gradients and returns the gradient with respect to ``x``.
+``models`` runs a network as chains, tuples of these layers. A training step
+puts each layer's input on a tape, a dict keyed by layer, and its backward
+hands each input back; a scoring pass keeps no tape, so each activation is
+freed once the next layer has read it. Adam owns a network's parameters as
+one flat vector, and each Param as a view into it, so an update,
+``zero_grad`` or snapshot is whole-vector work.
 """
 
 from __future__ import annotations

@@ -307,6 +307,50 @@ class TestTrain:
         assert leftovers == []
 
 
+class TestConfigListKeys:
+    """A list key given as comma-separated text, as imbalance may be, reads as its list."""
+
+    @pytest.mark.parametrize(
+        "key, text, items, model",
+        [
+            ("ensemble_members", "gbdt,baseline", ["gbdt", "baseline"], "ensemble"),
+            ("ensemble_members", "fusion", ["fusion"], "ensemble"),
+            ("fractions", "0.6,0.2,0.2", [0.6, 0.2, 0.2], "gbdt"),
+        ],
+    )
+    def test_text_trains_what_the_list_trains(
+        self, tmp_path, schema_path, data_path, key, text, items, model
+    ):
+        runs = []
+        for form, value in (("text", text), ("list", items)):
+            out = tmp_path / form
+            argv = ["--schema", str(schema_path), "--data", str(data_path), "--out", str(out)]
+            cfg = quick_config(tmp_path, **{key: value})
+            assert main(["train", "--config", str(cfg), *argv, "--model", model]) == 0
+            doc = json.loads((out / "bundle.json").read_text())
+            assert doc["run_summary"].pop("out_dir") == str(out)
+            runs.append((doc["members"], doc["run_summary"], (out / "report.json").read_text()))
+        assert runs[0] == runs[1]
+        members, summary, _ = runs[0]
+        assert summary[key] == items
+        if key == "ensemble_members":
+            assert [m["kind"] for m in members] == items
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"fractions": "0.8"}, "invalid fractions value '0.8': must be [train, val, test]"),
+            ({"model": "ensemble", "ensemble_members": "fusion,knn"}, "invalid ensemble members: knn"),
+        ],
+    )
+    def test_text_of_a_bad_list_is_usage_error(self, tmp_path, schema_path, capsys, doc, message):
+        cfg = quick_config(tmp_path, **doc)
+        argv = ["train", "--config", str(cfg), "--schema", str(schema_path), "--rows", "40"]
+        assert main([*argv, "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err == f"error[usage]: {message}\n"
+        assert not (tmp_path / "run").exists()
+
+
 class TestEvaluate:
     def test_prints_report_and_writes_files(
         self, tmp_path, schema_path, data_path, capsys
@@ -397,7 +441,8 @@ class TestPredict:
 
     @pytest.mark.parametrize("model", ["fusion", "gbdt", "ensemble"])
     def test_header_only_csv(self, tmp_path, schema_path, data_path, capsys, model):
-        """predict writes only the header; evaluate has nothing to score and exits 3."""
+        """predict writes only the header; evaluate has nothing to score, says
+        so in one line naming the file, exits 3 and writes no report."""
         out_dir = train_quick(tmp_path, schema_path, data_path, model=model)
         empty = tmp_path / "empty.csv"
         empty.write_text(data_path.read_text().split("\n")[0] + "\n")
@@ -408,9 +453,11 @@ class TestPredict:
             "age,score,note,outcome,prob_no,prob_yes,predicted", ""
         ]
         capsys.readouterr()
-        assert main(["evaluate", *argv]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("error[data]:") and err.count("\n") == 1
+        assert main(["evaluate", *argv, "--out", str(tmp_path / "eval")]) == 3
+        assert capsys.readouterr().err == (
+            f"error[data]: {empty} holds no rows; evaluate needs labeled rows\n"
+        )
+        assert not (tmp_path / "eval").exists()
 
     def test_blocks_write_what_one_row_at_a_time_wrote(self, tmp_path, schema_path, monkeypatch):
         # A class label and some note cells that csv must quote.
@@ -1156,10 +1203,12 @@ CONFIG_KEYS = {
     "out": st.just("run"),
     "imbalance": st.lists(st.floats(0.1, 9), max_size=4) | st.just("1,2"),
     "missing_fraction": st.floats(0, 1),
-    "fractions": st.lists(st.floats(0, 1), max_size=4),
+    "fractions": st.lists(st.floats(0, 1), max_size=4)
+    | st.sampled_from(["0.8,0.1,0.1", "0.8", "0.8,x,0.1"]),
     "ensemble_members": st.lists(
         st.sampled_from(["fusion", "gbdt", "baseline", "knn"]), max_size=3
-    ),
+    )
+    | st.sampled_from(["fusion", "fusion,gbdt", "gbdt,knn", ""]),
     "gbdt_feature_view": st.sampled_from(
         ["numeric", "numeric+tokens", "numeric+frequency", "raw"]
     ),

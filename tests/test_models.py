@@ -152,6 +152,16 @@ def scoring_cases(rows, seed=0):
     return [(fusion, fusion_inputs), (baseline, (rng.normal(size=(rows, 10)),))]
 
 
+@pytest.mark.parametrize("case", [0, 1], ids=["fusion", "baseline"])
+def test_training_forward_runs_every_layer(case):
+    """Every layer in ``layers`` is trained and saved, so each must be in a chain
+    that ``forward`` runs: the tape of one training forward holds them all."""
+    net, inputs = scoring_cases(10)[case]
+    tape = {}
+    net.forward(*inputs, tape=tape)
+    assert set(tape) == set(net.layers)
+
+
 class TestScoringReleasesLayerInputs:
     @pytest.mark.parametrize("case", [0, 1], ids=["fusion", "baseline"])
     def test_every_layer_input_is_dropped(self, case):
