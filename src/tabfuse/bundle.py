@@ -11,14 +11,16 @@ Each fact is stored once. The state gives every size (class count, input
 widths, vocabulary) and a net's stored weights give its layer widths, so a
 member payload is only a net's parameters or a booster's trees, and members
 are decoded against the state through ``MEMBER_CLASSES``. Each class names
-its ``kind``, the ``feature_views`` it can read and its ``payload_fields``,
-and provides ``to_json_dict``, ``from_json_dict(payload, state, view)``,
-``describe`` and ``predict_proba``.
+its ``kind`` and the ``feature_views`` it can read, and provides
+``to_json_dict``, ``from_json_dict(payload, state, view)``, ``describe`` and
+``predict_proba``.
 
 The fingerprint is the sha256 of the canonical JSON of every other field of
 the document, so it covers everything. Loading checks it before it decodes
-any section. A document of another format version, or with fields the
-format does not define, is refused.
+any section. A document of another format version is refused. Every object
+of the document is read through ``packed.fields`` by the module that defines
+it, so one with a field the format does not define, or without one it
+needs, is refused too.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from pathlib import Path
 from .errors import DataError
 from .gbdt import GbdtModel
 from .models import BaselineMlp, EmbeddingFusionNet, FrequencyEncoder
+from .packed import fields
 from .preprocess import PreprocessState
 from .schema import load_json
 
@@ -41,11 +44,6 @@ BUNDLE_FORMAT_VERSION = 5
 MEMBER_CLASSES = {cls.kind: cls for cls in (EmbeddingFusionNet, BaselineMlp, GbdtModel)}
 MODEL_KINDS = (*MEMBER_CLASSES, "ensemble")
 
-_BUNDLE_FIELDS = (
-    "format_version", "kind", "preprocess", "members", "frequency_encoder", "run_summary",
-    "fingerprint",
-)
-
 
 def _fingerprint(doc: dict) -> str:
     """sha256 of the canonical JSON of every field of ``doc`` but its fingerprint."""
@@ -54,24 +52,7 @@ def _fingerprint(doc: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _check_fields(doc: dict, fields: tuple[str, ...], what: str) -> None:
-    unknown = sorted(set(doc) - set(fields))
-    missing = [f for f in fields if f not in doc]
-    if unknown or missing:
-        raise DataError(f"{what} fields: unknown {unknown}, missing {missing}")
-
-
-def _decode_state(doc: dict) -> PreprocessState:
-    """The preprocessing state ``doc`` holds, refusing any field the format does not define."""
-    state = PreprocessState.from_json_dict(doc)
-    _check_fields(doc, ("schema", "numeric_stats", "vocabularies"), "preprocess state")
-    _check_fields(doc["numeric_stats"], ("means", "stds"), "preprocess numeric_stats")
-    for name, vocabulary in doc["vocabularies"].items():
-        _check_fields(vocabulary, ("tokens", "pad_length", "mode_value"), f"vocabulary {name!r}")
-    return state
-
-
-def _feature_view(kind: str, view: str) -> str:
+def _feature_view(kind: str, view: str = "") -> str:
     """``view``, or the only view of ``kind`` when ``view`` is empty."""
     views = MEMBER_CLASSES[kind].feature_views
     if not view and len(views) == 1:
@@ -118,13 +99,15 @@ class BundleMember:
 
     @classmethod
     def from_json_dict(cls, doc: dict, state: PreprocessState) -> "BundleMember":
+        if not isinstance(doc, dict):
+            raise DataError("bundle member must be an object")
         kind = doc.get("kind")
         if not isinstance(kind, str) or kind not in MEMBER_CLASSES:
             raise DataError(f"bundle contains unknown member kind {kind!r}")
         model_cls = MEMBER_CLASSES[kind]
-        view = _feature_view(kind, doc.get("feature_view", ""))
-        payload = doc["payload"]
-        _check_fields(payload, model_cls.payload_fields, f"{kind} payload")
+        names = ("kind", "payload", "feature_view")[: 3 if len(model_cls.feature_views) > 1 else 2]
+        _, payload, *view = fields(doc, names, f"{kind} member")
+        view = _feature_view(kind, *view)
         return cls(model_cls.from_json_dict(payload, state, view), view)
 
 
@@ -179,34 +162,33 @@ class ModelBundle:
     def from_json_dict(cls, doc: dict) -> "ModelBundle":
         """Decode a bundle document; any structural fault in it is a DataError."""
         try:
-            version = doc.get("format_version")
+            version = doc.get("format_version") if isinstance(doc, dict) else BUNDLE_FORMAT_VERSION
             if version != BUNDLE_FORMAT_VERSION:
                 raise DataError(
                     f"unsupported bundle version {version!r}; this build reads version "
                     f"{BUNDLE_FORMAT_VERSION}, so retrain the model with this build"
                 )
-            _check_fields(doc, _BUNDLE_FIELDS, "bundle")
-            if doc["fingerprint"] != _fingerprint(doc):
+            _, kind, state, members, encoder, run_summary, fingerprint = fields(doc, (
+                "format_version", "kind", "preprocess", "members", "frequency_encoder",
+                "run_summary", "fingerprint"), "bundle")
+            if fingerprint != _fingerprint(doc):
                 raise DataError(
                     "bundle fingerprint does not match its contents "
                     "(document was modified or corrupted)"
                 )
-            state = _decode_state(doc["preprocess"])
-            member_docs = doc["members"]
-            if not isinstance(member_docs, list) or not member_docs:
+            state = PreprocessState.from_json_dict(state)
+            if not isinstance(members, list) or not members:
                 raise DataError("bundle 'members' must be a non-empty list")
-            encoder = doc["frequency_encoder"]
             if encoder is not None:
-                _check_fields(encoder, ("tables",), "frequency encoder")
                 encoder = FrequencyEncoder.from_json_dict(encoder, state)
-            if not isinstance(doc["run_summary"], dict):
+            if not isinstance(run_summary, dict):
                 raise DataError("bundle 'run_summary' must be an object")
             return cls(
-                kind=doc["kind"],
+                kind=kind,
                 state=state,
-                members=[BundleMember.from_json_dict(m, state) for m in member_docs],
+                members=[BundleMember.from_json_dict(m, state) for m in members],
                 frequency_encoder=encoder,
-                run_summary=doc["run_summary"],
+                run_summary=run_summary,
             )
         except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"malformed bundle document: {exc!r}") from exc

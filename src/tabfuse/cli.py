@@ -76,8 +76,15 @@ def _section(cls, section: str):
 
 
 def _items(value):
-    """A list as it is, or comma-separated text as its parts."""
-    return value.split(",") if isinstance(value, str) else value
+    """A list as it is, or comma-separated text as its parts, each stripped."""
+    return [part.strip() for part in value.split(",")] if isinstance(value, str) else value
+
+
+def _integer(value) -> int:
+    """A JSON integer as it is: not a bool, a fraction or text."""
+    if type(value) is not int:
+        raise ValueError("must be an integer")
+    return value
 
 
 def _weights(value) -> tuple[float, ...]:
@@ -100,7 +107,7 @@ _RUN_KEYS = {
     "model": ("model_kind", str),
     "data": ("data_path", str),
     "fractions": ("fractions", _fractions),
-    "seed": ("seed", int),
+    "seed": ("seed", _integer),
     "out": ("out_dir", str),
     "train": ("train_config", _section(TrainConfig, "train")),
     "gbdt": ("gbdt_config", _section(GbdtConfig, "gbdt")),
@@ -108,7 +115,7 @@ _RUN_KEYS = {
     "gbdt_feature_view": ("gbdt_feature_view", str),
 }
 _SYNTHETIC_KEYS = {
-    "rows": ("rows", int),
+    "rows": ("rows", _integer),
     "imbalance": ("imbalance", _weights),
     "missing_fraction": ("missing_fraction", float),
 }

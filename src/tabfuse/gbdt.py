@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import DataError
 from .nn import softmax
-from .packed import FLOAT, INT, pack, unpack
+from .packed import FLOAT, INT, fields, pack, unpack
 
 _NO_CHILD = -1
 # Each node field of a tree and the dtype it is stored with.
@@ -533,8 +533,6 @@ class GbdtModel:
     def describe(self) -> str:
         return f"{self.rounds} rounds x {self.n_classes} classes"
 
-    payload_fields = ("shrinkage", "base_score", "trees")
-
     def to_json_dict(self) -> dict:
         """Each tree's size and the node fields, packed as the model holds them."""
         trees = {"sizes": pack(self.sizes, INT)}
@@ -547,26 +545,28 @@ class GbdtModel:
         which gives its class count and feature count.
 
         Raises:
-            DataError: no trees, a field that ``unpack`` refuses, or what
-                building the model rejects.
+            DataError: what ``fields`` or ``unpack`` refuses, a shrinkage or
+                base score that is not a number, no trees, or what building
+                the model rejects.
         """
-        fields = doc["trees"]
-        if not isinstance(fields, dict) or set(fields) != {"sizes", *_TREE_DTYPES}:
-            raise DataError(f"gbdt trees must hold the fields sizes, {', '.join(_TREE_DTYPES)}")
-        sizes = unpack(fields["sizes"], INT, "gbdt tree sizes", ndim=1)
+        shrinkage, base, trees = fields(doc, ("shrinkage", "base_score", "trees"), "gbdt payload")
+        if not all(type(v) in (int, float) for v in (shrinkage, base)):
+            raise DataError(f"gbdt shrinkage {shrinkage!r} and base score {base!r} must be numbers")
+        sizes, *arrays = fields(trees, ("sizes", *_TREE_DTYPES), "gbdt trees")
+        sizes = unpack(sizes, INT, "gbdt tree sizes", ndim=1)
         if not len(sizes):
             raise DataError("gbdt holds no trees")
         nodes = {
-            name: unpack(fields[name], dtype, f"gbdt tree {name}", ndim=1)
-            for name, dtype in _TREE_DTYPES.items()
+            name: unpack(array, dtype, f"gbdt tree {name}", ndim=1)
+            for (name, dtype), array in zip(_TREE_DTYPES.items(), arrays)
         }
         return cls(
             nodes,
             sizes,
             state.schema.n_classes,
             state.view_width(view),
-            float(doc["shrinkage"]),
-            float(doc["base_score"]),
+            float(shrinkage),
+            float(base),
         )
 
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import DataError, NumericError
 from .nn import Adam, Embedding, Linear, Param, PReLU, softmax, softmax_cross_entropy
-from .packed import FLOAT, pack, unpack
+from .packed import FLOAT, fields, pack, unpack
 from .preprocess import PreprocessState
 from .schema import DataTable
 
@@ -85,8 +85,6 @@ class _Net:
     class attributes can time each kind.
     """
 
-    payload_fields = ("params",)
-
     def params(self) -> list[Param]:
         return [p for layer in self.layers for p in layer.params()]
 
@@ -101,13 +99,12 @@ class _Net:
         """Decode a net of ``state`` from its parameters.
 
         Raises:
-            DataError: a missing or unknown parameter, one that ``unpack``
-                refuses, or a shape that does not fit the state or the other
-                weights.
+            DataError: what ``fields`` or ``unpack`` refuses, a missing or
+                unknown parameter, or a shape that does not fit the state or
+                the other weights.
         """
-        params = {
-            name: unpack(v, FLOAT, f"parameter {name!r}") for name, v in doc["params"].items()
-        }
+        (params,) = fields(doc, ("params",), f"{cls.kind} payload")
+        params = {name: unpack(v, FLOAT, f"parameter {name!r}") for name, v in params.items()}
         model = cls.from_state(state, **cls.widths_from(params, state))
         unknown = sorted(set(params) - {p.name for p in model.params()})
         if unknown:
@@ -460,19 +457,18 @@ class FrequencyEncoder:
         """Decode an encoder of ``state``.
 
         Raises:
-            DataError: tables not keyed by the state's categorical columns,
-                keys that are not distinct strings, values that ``unpack``
-                refuses, or a key count that is not the value count.
+            DataError: what ``fields`` or ``unpack`` refuses, tables not keyed
+                by the state's categorical columns, keys that are not distinct
+                strings, or a key count that is not the value count.
         """
-        tables = doc["tables"]
+        (tables,) = fields(doc, ("tables",), "frequency encoder")
         if list(tables) != list(state.categorical_columns):
             raise DataError("frequency tables must follow the state's categorical columns")
         decoded = {}
         for name, table in tables.items():
             what = f"frequency table {name!r}"
-            if set(table) != {"keys", "values"}:
-                raise DataError(f"{what} must hold exactly the fields keys and values")
-            keys, values = table["keys"], unpack(table["values"], FLOAT, what, ndim=1)
+            keys, values = fields(table, ("keys", "values"), what)
+            values = unpack(values, FLOAT, what, ndim=1)
             if not (isinstance(keys, list) and set(map(type, keys)) <= {str}):
                 raise DataError(f"{what} keys must be a list of strings")
             if len(set(keys)) != len(keys) or len(keys) != len(values):

@@ -5,6 +5,9 @@ the dtype and shape as numpy's ``.npy`` header records them (NEP 1), and
 the array's bytes in C order, base64-encoded. Every field that holds one
 has a single fixed dtype, ``FLOAT`` or ``INT``, so a round trip gives back
 every bit, -0.0 and subnormals included.
+
+Every object of the bundle and schema formats, a packed array included,
+is read through ``fields``: exactly the fields the format defines.
 """
 
 from __future__ import annotations
@@ -18,7 +21,21 @@ from .errors import DataError
 
 FLOAT = "<f8"
 INT = "<i4"
-_FIELDS = ("dtype", "shape", "data")
+
+
+def fields(doc, names: tuple[str, ...], what: str) -> tuple:
+    """The values of exactly the fields ``names`` of the object ``doc``, in that order.
+
+    A ``doc`` that is not an object, or has any other field or lacks one of
+    ``names``, is a DataError naming ``what``.
+    """
+    if not isinstance(doc, dict):
+        raise DataError(f"{what} must be an object")
+    unknown = sorted(set(doc) - set(names))
+    missing = [name for name in names if name not in doc]
+    if unknown or missing:
+        raise DataError(f"{what} fields: unknown {unknown}, missing {missing}")
+    return tuple(doc[name] for name in names)
 
 
 def pack(values, dtype: str) -> dict:
@@ -41,11 +58,9 @@ def unpack(doc, dtype: str, what: str, ndim: int | None = None) -> np.ndarray:
             base64 or not a whole number of values, or a value that is
             not finite.
     """
-    if not isinstance(doc, dict) or sorted(doc) != sorted(_FIELDS):
-        raise DataError(f"{what} must be a packed array with the fields {', '.join(_FIELDS)}")
-    if doc["dtype"] != dtype:
-        raise DataError(f"{what} has dtype {doc['dtype']!r}, expected {dtype!r}")
-    shape = doc["shape"]
+    stored, shape, data = fields(doc, ("dtype", "shape", "data"), f"{what} packed array")
+    if stored != dtype:
+        raise DataError(f"{what} has dtype {stored!r}, expected {dtype!r}")
     if (
         not isinstance(shape, list)
         or not all(type(n) is int and n >= 0 for n in shape)
@@ -54,7 +69,7 @@ def unpack(doc, dtype: str, what: str, ndim: int | None = None) -> np.ndarray:
         count = "" if ndim is None else f"{ndim} "
         raise DataError(f"{what} has shape {shape!r}; expected a list of {count}whole numbers")
     try:
-        raw = base64.b64decode(doc["data"], validate=True)
+        raw = base64.b64decode(data, validate=True)
     except (TypeError, ValueError):  # binascii.Error is a ValueError
         raise DataError(f"{what} data is not strict base64") from None
     itemsize = np.dtype(dtype).itemsize

@@ -67,6 +67,8 @@ class RunConfig:
             )
         if (self.data_path is None) == (self.synthetic is None):
             raise UsageError("provide exactly one data source: --data or --rows")
+        if self.seed < 0:
+            raise UsageError(f"seed {self.seed} must be a non-negative integer")
         if self.gbdt_feature_view not in GbdtModel.feature_views:
             raise UsageError(
                 f"unknown feature view {self.gbdt_feature_view!r}; "

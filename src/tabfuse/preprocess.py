@@ -41,6 +41,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DataError, SchemaMismatchError
+from .packed import fields
 from .schema import DataTable, TableSchema
 
 logger = logging.getLogger(__name__)
@@ -253,13 +254,19 @@ class PreprocessState:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "PreprocessState":
-        ns = doc["numeric_stats"]
-        vocabularies = {
-            name: ColumnVocabulary(tuple(v["tokens"]), v["pad_length"], v["mode_value"])
-            for name, v in doc["vocabularies"].items()
-        }
-        stats = NumericStats(tuple(ns["means"]), tuple(ns["stds"]))
-        return cls(TableSchema.from_json_dict(doc["schema"]), stats, vocabularies)
+        schema, stats, vocabularies = fields(
+            doc, ("schema", "numeric_stats", "vocabularies"), "preprocess state"
+        )
+        means, stds = fields(stats, ("means", "stds"), "preprocess numeric_stats")
+        decoded = {}
+        for name, voc in vocabularies.items():
+            what = f"vocabulary {name!r}"
+            tokens, pad_length, mode = fields(voc, ("tokens", "pad_length", "mode_value"), what)
+            if type(tokens) is not list:
+                raise DataError(f"{what} tokens must be a list")
+            decoded[name] = ColumnVocabulary(tuple(tokens), pad_length, mode)
+        stats = NumericStats(tuple(means), tuple(stds))
+        return cls(TableSchema.from_json_dict(schema), stats, decoded)
 
     def fingerprint(self) -> str:
         canonical = json.dumps(

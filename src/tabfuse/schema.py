@@ -16,6 +16,8 @@ Schema files are JSON documents::
       "class_labels": ["home", "admitted", "transfer"]
     }
 
+It holds exactly these three fields, and each column its name and kind.
+
 CSV files are RFC 4180: comma separated, first row is the header, UTF-8,
 quoted fields where needed. Header order does not have to match schema
 order. Empty cells and any configured missing sentinel (default ``""`` and
@@ -39,6 +41,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DataError
+from .packed import fields
 
 DEFAULT_MISSING_VALUES = ("", "NA")
 
@@ -147,13 +150,13 @@ class TableSchema:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "TableSchema":
+        columns, target, class_labels = fields(doc, ("columns", "target", "class_labels"), "schema")
+        if type(class_labels) is not list:
+            raise DataError(f"schema class_labels {class_labels!r} must be a list")
         try:
-            columns = tuple(
-                ColumnSpec(col["name"], ColumnKind(col["kind"]))
-                for col in doc["columns"]
-            )
-            return cls(columns, doc["target"], tuple(doc["class_labels"]))
-        except (KeyError, TypeError, ValueError) as exc:
+            cols = tuple(ColumnSpec(*fields(c, ("name", "kind"), "schema column")) for c in columns)
+            return cls(cols, target, tuple(class_labels))
+        except (TypeError, ValueError) as exc:
             raise DataError(f"malformed schema document: {exc}") from exc
 
 

@@ -285,6 +285,27 @@ class TestTrain:
         assert err.startswith(f"error[usage]: invalid {section} value {{{key!r}: ")
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize(
+        "doc, flags, message",
+        [
+            ({}, ["--seed", "-1"], "seed -1 must be a non-negative integer"),
+            ({"seed": -3}, [], "seed -3 must be a non-negative integer"),
+            ({"seed": 1.5}, [], "invalid seed value 1.5: must be an integer"),
+            ({"seed": True}, [], "invalid seed value True: must be an integer"),
+            ({"seed": "7"}, [], "invalid seed value '7': must be an integer"),
+            ({"rows": 300.7}, [], "invalid rows value 300.7: must be an integer"),
+        ],
+        ids=["flag-negative", "negative", "fraction", "bool", "text", "rows-fraction"],
+    )
+    def test_seed_and_rows_take_only_integers(self, tmp_path, schema_path, capsys, doc, flags, message):
+        """A seed or row count is a JSON integer, and the train seed is non-negative."""
+        cfg = tmp_path / "seeded.json"
+        cfg.write_text(json.dumps({"rows": 40, **doc}))
+        argv = ["--config", str(cfg), "--schema", str(schema_path), "--out", str(tmp_path / "x")]
+        assert main(["train", *argv, *flags]) == 2
+        assert capsys.readouterr().err == f"error[usage]: {message}\n"
+        assert not (tmp_path / "x").exists()
+
     def test_failure_discards_partial_outputs(
         self, tmp_path, schema_path, data_path, monkeypatch
     ):
@@ -316,6 +337,8 @@ class TestConfigListKeys:
             ("ensemble_members", "gbdt,baseline", ["gbdt", "baseline"], "ensemble"),
             ("ensemble_members", "fusion", ["fusion"], "ensemble"),
             ("fractions", "0.6,0.2,0.2", [0.6, 0.2, 0.2], "gbdt"),
+            ("ensemble_members", "fusion, gbdt", ["fusion", "gbdt"], "ensemble"),
+            ("fractions", "0.8, 0.1, 0.1", [0.8, 0.1, 0.1], "gbdt"),
         ],
     )
     def test_text_trains_what_the_list_trains(
@@ -548,8 +571,14 @@ class TestMalformedBundle:
             ),
             pytest.param(
                 lambda doc: doc["members"][0].pop("feature_view"),
-                "gbdt", "gbdt member has feature view ''",
+                "gbdt", "gbdt member fields: unknown [], missing ['feature_view']",
                 id="no-view",
+            ),
+            # A kind with one feature view records none.
+            pytest.param(
+                lambda doc: doc["members"][0].update(feature_view="numeric,tokens"),
+                "fusion", "fusion member fields: unknown ['feature_view'], missing []",
+                id="single-view-recorded",
             ),
             pytest.param(
                 lambda doc: doc.update(kind="fusion"), "gbdt", "exactly one fusion member",
@@ -588,10 +617,18 @@ class TestMalformedBundle:
                 id="state-class-label-added",
             ),
             pytest.param(
-                lambda doc: doc.update(members=["gbdt"]), "gbdt", "AttributeError",
+                lambda doc: doc.update(members=["gbdt"]), "gbdt", "bundle member must be an object",
                 id="member-not-object",
             ),
-            pytest.param(lambda doc: [doc], "gbdt", "AttributeError", id="top-level-list"),
+            pytest.param(
+                lambda doc: [doc], "gbdt", "error[data]: bundle must be an object",
+                id="top-level-list",
+            ),
+            pytest.param(
+                lambda doc: doc.update(preprocess=[doc["preprocess"]]),
+                "gbdt", "preprocess state must be an object",
+                id="state-not-object",
+            ),
             pytest.param(
                 lambda doc: doc.pop("preprocess"), "gbdt", "missing ['preprocess']",
                 id="no-preprocess",
@@ -605,7 +642,7 @@ class TestMalformedBundle:
             ),
             pytest.param(
                 lambda doc: edit_state(doc, lambda s: s["vocabularies"]["note"].pop("mode_value")),
-                "baseline", "KeyError('mode_value')",
+                "baseline", "vocabulary 'note' fields: unknown [], missing ['mode_value']",
                 id="encoder-without-mode",
             ),
             pytest.param(
@@ -620,7 +657,7 @@ class TestMalformedBundle:
             ),
             pytest.param(
                 lambda doc: encoder_table(doc).update(values="abc"),
-                "baseline", "frequency table 'note' must be a packed array",
+                "baseline", "frequency table 'note' packed array must be an object",
                 id="encoder-frequency-text",
             ),
             pytest.param(
@@ -718,8 +755,35 @@ class TestMalformedBundle:
             ),
             pytest.param(
                 lambda doc: member_payload(doc)["trees"].pop("left"),
-                "gbdt", "gbdt trees must hold the fields sizes, feature",
+                "gbdt", "gbdt trees fields: unknown [], missing ['left']",
                 id="tree-field-missing",
+            ),
+            # Values keep their JSON types: numbers are not read from text or
+            # booleans, and lists are not read from text.
+            pytest.param(
+                lambda doc: member_payload(doc).update(shrinkage="0.1"),
+                "gbdt", "gbdt shrinkage '0.1' and base score ",
+                id="shrinkage-text",
+            ),
+            pytest.param(
+                lambda doc: member_payload(doc).update(shrinkage=True),
+                "gbdt", "gbdt shrinkage True and base score ",
+                id="shrinkage-bool",
+            ),
+            pytest.param(
+                lambda doc: member_payload(doc).update(base_score=" 0.5 "),
+                "gbdt", "and base score ' 0.5 ' must be numbers",
+                id="base-score-text",
+            ),
+            pytest.param(
+                lambda doc: edit_state(doc, lambda s: vocab_of(s).update(tokens="xyz")),
+                "gbdt", "vocabulary 'note' tokens must be a list",
+                id="state-tokens-text",
+            ),
+            pytest.param(
+                lambda doc: edit_state(doc, lambda s: s["schema"].update(class_labels="noyes")),
+                "gbdt", "schema class_labels 'noyes' must be a list",
+                id="state-class-labels-text",
             ),
             pytest.param(
                 lambda doc: member_payload(doc).update(shrinkage=math.nan),
@@ -1208,7 +1272,7 @@ CONFIG_KEYS = {
     "ensemble_members": st.lists(
         st.sampled_from(["fusion", "gbdt", "baseline", "knn"]), max_size=3
     )
-    | st.sampled_from(["fusion", "fusion,gbdt", "gbdt,knn", ""]),
+    | st.sampled_from(["fusion", "fusion,gbdt", "fusion, gbdt", "gbdt,knn", ""]),
     "gbdt_feature_view": st.sampled_from(
         ["numeric", "numeric+tokens", "numeric+frequency", "raw"]
     ),
@@ -1292,6 +1356,36 @@ def predict_with(doc: dict, data: Path, root: Path) -> tuple[int, str, Path]:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(["predict", "--model", str(bundle), "--data", str(data), "--out", str(out)])
     return code, err.getvalue(), out
+
+
+def value_at(doc, path: tuple):
+    for step in path:
+        doc = doc[step]
+    return doc
+
+
+def test_every_object_refuses_an_unknown_field(ensemble_run):
+    """Every object the format defines, signed again with an added field, is refused
+    with one error line that names the field. The free-form run summary, and the maps
+    keyed by parameter or column name, are not objects of the format; their values are."""
+    doc, rows, root = ensemble_run
+    name_keyed = [("params",), ("tables",), ("vocabularies",)]
+    objects = [
+        path
+        for path in paths_in(doc, ())
+        if isinstance(value_at(doc, path), dict)
+        and path[:1] != ("run_summary",)
+        and path[-1:] not in name_keyed
+    ]
+    assert len(objects) == 44
+    for path in objects:
+        edited = json.loads(json.dumps(doc))
+        value_at(edited, path)["extra"] = 1
+        code, err, out = predict_with(refingerprint(edited), rows, root)
+        assert code == 3, (path, err)
+        assert err.startswith("error[data]: ") and err.count("\n") == 1, (path, err)
+        assert "unknown ['extra']" in err, (path, err)
+        assert not out.exists()
 
 
 class TestBundleEdits:
