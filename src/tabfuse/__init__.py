@@ -26,7 +26,7 @@ from .models import (
     TrainLog,
     train,
 )
-from .pipeline import RunConfig, SyntheticSpec, predict_on_table, run_training
+from .pipeline import RunConfig, predict_on_table, run_training
 from .preprocess import (
     EncodedDataset,
     PreprocessState,
@@ -66,7 +66,6 @@ __all__ = [
     "PreprocessState",
     "RunConfig",
     "SchemaMismatchError",
-    "SyntheticSpec",
     "TableSchema",
     "ToolkitError",
     "TrainConfig",

@@ -25,7 +25,6 @@ needs, is refused too.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -33,7 +32,7 @@ from pathlib import Path
 from .errors import DataError
 from .gbdt import GbdtModel
 from .models import BaselineMlp, EmbeddingFusionNet, FrequencyEncoder
-from .packed import fields
+from .packed import digest, fields
 from .preprocess import PreprocessState
 from .schema import load_json
 
@@ -46,10 +45,8 @@ MODEL_KINDS = (*MEMBER_CLASSES, "ensemble")
 
 
 def _fingerprint(doc: dict) -> str:
-    """sha256 of the canonical JSON of every field of ``doc`` but its fingerprint."""
-    rest = {name: value for name, value in doc.items() if name != "fingerprint"}
-    canonical = json.dumps(rest, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    """The digest of every field of ``doc`` but its fingerprint."""
+    return digest({name: value for name, value in doc.items() if name != "fingerprint"})
 
 
 def _feature_view(kind: str, view: str = "") -> str:

@@ -2,7 +2,9 @@
 
 Subcommands: generate, train, evaluate, predict, inspect. Options can come
 from a JSON config file (--config); any flag given on the command line
-overrides the corresponding config key. Exit codes: 0 success, 1 standard
+overrides the corresponding config key. Each key is the RunConfig field of
+its name, and a bundle's run summary is a config file that trains its run
+again. Exit codes: 0 success, 1 standard
 output closed early, 2 usage error, 3 data error, 4 numeric failure.
 Failures other than 1 print one line to stderr in the form
 ``error[<code>]: <message>``.
@@ -27,12 +29,7 @@ from .errors import DataError, ToolkitError, UsageError
 from .gbdt import GbdtConfig
 from .metrics import EvalReport, evaluate
 from .models import TrainConfig
-from .pipeline import (
-    RunConfig,
-    SyntheticSpec,
-    combined_probabilities,
-    run_training,
-)
+from .pipeline import RunConfig, combined_probabilities, run_training
 from .preprocess import transform
 from .schema import _write_csv_rows, load_csv, load_json, load_schema, write_csv
 from .synthetic import generate_synthetic
@@ -55,20 +52,11 @@ def _check_keys(doc: dict, valid, where: str) -> None:
 
 
 def _section(cls, section: str):
-    """Converter that builds ``cls`` from a config section's object.
-
-    No section sets ``seed``: each member trains at a seed derived from the
-    run's, so a section seed would be ignored. It is a usage error instead.
-    """
-    valid = [key for key in cls().to_json_dict() if key != "seed"]
+    """Converter that builds ``cls`` from a config section's object."""
+    valid = list(cls().to_json_dict())
 
     def convert(doc):
         if isinstance(doc, dict):
-            if "seed" in doc:
-                raise UsageError(
-                    f"config section {section!r} cannot set 'seed'; "
-                    "set the top-level 'seed' (or --seed)"
-                )
             _check_keys(doc, valid, f"config section {section!r}")
         return cls(**doc)
 
@@ -99,36 +87,34 @@ def _fractions(value) -> tuple[float, ...]:
     return fractions
 
 
-# Config key -> (field name, converter), for RunConfig and SyntheticSpec.
-# A flag overrides the key of its name; a key set by neither is left out,
-# so the dataclass default applies.
+# Config key -> converter; each key is the RunConfig field of its name. A
+# flag overrides the key of its name; a key set by neither is left out, so
+# the dataclass default applies.
 _RUN_KEYS = {
-    "schema": ("schema_path", str),
-    "model": ("model_kind", str),
-    "data": ("data_path", str),
-    "fractions": ("fractions", _fractions),
-    "seed": ("seed", _integer),
-    "out": ("out_dir", str),
-    "train": ("train_config", _section(TrainConfig, "train")),
-    "gbdt": ("gbdt_config", _section(GbdtConfig, "gbdt")),
-    "ensemble_members": ("ensemble_members", lambda v: tuple(str(m) for m in _items(v))),
-    "gbdt_feature_view": ("gbdt_feature_view", str),
-}
-_SYNTHETIC_KEYS = {
-    "rows": ("rows", _integer),
-    "imbalance": ("imbalance", _weights),
-    "missing_fraction": ("missing_fraction", float),
+    "schema": str,
+    "model": str,
+    "data": str,
+    "fractions": _fractions,
+    "seed": _integer,
+    "out": str,
+    "train": _section(TrainConfig, "train"),
+    "gbdt": _section(GbdtConfig, "gbdt"),
+    "ensemble_members": lambda v: tuple(str(m) for m in _items(v)),
+    "gbdt_feature_view": str,
+    "rows": _integer,
+    "imbalance": _weights,
+    "missing_fraction": float,
 }
 
 
-def _convert(keys: dict, settings: dict) -> dict:
-    """Convert each key of ``keys`` that ``settings`` sets to a non-null value."""
+def _convert(settings: dict, keys=_RUN_KEYS) -> dict:
+    """Convert each of ``keys`` that ``settings`` sets to a non-null value."""
     fields = {}
-    for key, (name, convert) in keys.items():
+    for key in keys:
         value = settings.get(key)
         if value is not None:
             try:
-                fields[name] = convert(value)
+                fields[key] = _RUN_KEYS[key](value)
             except (TypeError, ValueError, OverflowError) as exc:
                 raise UsageError(f"invalid {key} value {value!r}: {exc}") from None
     return fields
@@ -137,20 +123,16 @@ def _convert(keys: dict, settings: dict) -> dict:
 def build_run_config(args) -> RunConfig:
     """Overlay CLI flags on the config file (flags win) and convert each key.
 
-    A file key that is neither a run nor a synthetic key is a usage error.
+    A file key outside ``_RUN_KEYS`` is a usage error.
     """
     doc = load_json(args.config, "config") if args.config else {}
     if not isinstance(doc, dict):
         raise DataError("config file must hold a JSON object")
-    _check_keys(doc, [*_RUN_KEYS, *_SYNTHETIC_KEYS], "config file")
+    _check_keys(doc, _RUN_KEYS, "config file")
     settings = {**doc, **{k: v for k, v in vars(args).items() if v is not None}}
     if settings.get("schema") is None:
         raise UsageError("a schema is required (--schema or config key 'schema')")
-    fields = _convert(_RUN_KEYS, settings)
-    synthetic = _convert(_SYNTHETIC_KEYS, settings)
-    if "rows" in synthetic:
-        fields["synthetic"] = SyntheticSpec(**synthetic)
-    return RunConfig(**fields)
+    return RunConfig(**_convert(settings))
 
 
 class _OutputSet:
@@ -216,9 +198,8 @@ def _score(args):
 
 
 def cmd_generate(args) -> int:
-    table = generate_synthetic(
-        load_schema(args.schema), seed=args.seed, **_convert(_SYNTHETIC_KEYS, vars(args))
-    )
+    data_keys = _convert(vars(args), ("rows", "imbalance", "missing_fraction"))
+    table = generate_synthetic(load_schema(args.schema), seed=args.seed, **data_keys)
     with _OutputSet() as outputs:
         write_csv(table, outputs.path(args.out))
     print(f"wrote {table.row_count} rows to {args.out}")
@@ -228,7 +209,7 @@ def cmd_generate(args) -> int:
 def cmd_train(args) -> int:
     config = build_run_config(args)
     outcome = run_training(config)
-    out_dir = Path(config.out_dir)
+    out_dir = Path(config.out)
     with _OutputSet() as outputs:
         save_bundle(outcome.bundle, outputs.path(out_dir / "bundle.json"))
         for name, text in outcome.member_logs:
@@ -236,7 +217,7 @@ def cmd_train(args) -> int:
         _write_reports(
             outputs, out_dir, outcome.bundle.kind, outcome.report, outcome.member_reports
         )
-    print(f"trained {outcome.bundle.kind} on {config.schema_path}")
+    print(f"trained {outcome.bundle.kind} on {config.schema}")
     print(f"test accuracy: {outcome.report.accuracy:.6f} ({outcome.test_rows} rows)")
     print(f"outputs in {out_dir}")
     return 0

@@ -257,7 +257,6 @@ class TrainConfig:
     max_epochs: int = 50
     patience: int = 5
     min_improvement: float = 1e-6
-    seed: int = 0
 
     def __post_init__(self):
         counts = (self.batch_size, self.max_epochs, self.patience)
@@ -331,6 +330,7 @@ def train(
     val_inputs: tuple[np.ndarray, ...],
     val_labels: np.ndarray,
     config: TrainConfig,
+    seed: int = 0,
 ):
     """Mini-batch Adam with early stopping; restores the best-epoch snapshot.
 
@@ -341,6 +341,7 @@ def train(
     call. The model is mutated in place. The snapshot is one
     copy of the optimizer's flat parameter vector, taken at each epoch that
     lowers the validation loss; on return the parameters hold the last one.
+    ``seed`` seeds the per-epoch shuffle.
 
     Returns:
         (model, TrainLog)
@@ -354,7 +355,7 @@ def train(
         raise DataError("training and validation sets must be non-empty")
     optimizer = Adam(model.params(), learning_rate=config.learning_rate)
     stopper = EarlyStopper(config.patience, config.min_improvement)
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     log = TrainLog()
     best = optimizer.value.copy()
 

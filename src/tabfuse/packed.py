@@ -7,12 +7,15 @@ has a single fixed dtype, ``FLOAT`` or ``INT``, so a round trip gives back
 every bit, -0.0 and subnormals included.
 
 Every object of the bundle and schema formats, a packed array included,
-is read through ``fields``: exactly the fields the format defines.
+is read through ``fields``: exactly the fields the format defines. ``digest``
+hashes a document as the bundle's fingerprints do.
 """
 
 from __future__ import annotations
 
 import base64
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -21,6 +24,12 @@ from .errors import DataError
 
 FLOAT = "<f8"
 INT = "<i4"
+
+
+def digest(doc) -> str:
+    """sha256 of the canonical JSON of ``doc``: sorted keys, compact separators."""
+    canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def fields(doc, names: tuple[str, ...], what: str) -> tuple:

@@ -7,6 +7,11 @@ after training. Member kinds are declared once, in ``bundle.MEMBER_CLASSES``:
 ``_train_member`` boosts the GBDT and trains every other class as a network,
 built with ``from_state`` and fitted with ``models.train``.
 
+``RunConfig`` has one field per config key; ``rows``, ``imbalance`` and
+``missing_fraction`` are set only to generate the training table. Its
+``to_json_dict``, the bundle's run summary, is a config document that
+retrains the run byte for byte from the same working directory.
+
 Feature views:
 
 * fusion members read the standardized numeric matrix and the padded
@@ -22,7 +27,7 @@ Member i of an ensemble trains with seed = run seed + 7919 * i, so member
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -40,33 +45,32 @@ MEMBER_SEED_STRIDE = 7919
 
 
 @dataclass(frozen=True)
-class SyntheticSpec:
-    rows: int
-    imbalance: tuple[float, ...] | None = None
-    missing_fraction: float = 0.05
-
-
-@dataclass(frozen=True)
 class RunConfig:
-    schema_path: str
-    model_kind: str = "fusion"
-    data_path: str | None = None
-    synthetic: SyntheticSpec | None = None
+    schema: str
+    model: str = "fusion"
+    data: str | None = None
     fractions: tuple[float, float, float] = (0.8, 0.1, 0.1)
     seed: int = 0
-    out_dir: str = "run_out"
-    train_config: TrainConfig = field(default_factory=TrainConfig)
-    gbdt_config: GbdtConfig = field(default_factory=GbdtConfig)
+    out: str = "run_out"
+    train: TrainConfig = field(default_factory=TrainConfig)
+    gbdt: GbdtConfig = field(default_factory=GbdtConfig)
     ensemble_members: tuple[str, ...] = ("fusion", "gbdt")
     gbdt_feature_view: str = "numeric+tokens"
+    rows: int | None = None
+    imbalance: tuple[float, ...] | None = None
+    missing_fraction: float | None = None
 
     def validate(self) -> None:
-        if self.model_kind not in MODEL_KINDS:
+        if self.model not in MODEL_KINDS:
             raise UsageError(
-                f"unknown model {self.model_kind!r}; pick one of {', '.join(MODEL_KINDS)}"
+                f"unknown model {self.model!r}; pick one of {', '.join(MODEL_KINDS)}"
             )
-        if (self.data_path is None) == (self.synthetic is None):
+        if (self.data is None) == (self.rows is None):
             raise UsageError("provide exactly one data source: --data or --rows")
+        if self.data is not None:
+            for key in ("imbalance", "missing_fraction"):
+                if getattr(self, key) is not None:
+                    raise UsageError(f"{key} applies only to --rows, not to --data")
         if self.seed < 0:
             raise UsageError(f"seed {self.seed} must be a non-negative integer")
         if self.gbdt_feature_view not in GbdtModel.feature_views:
@@ -74,7 +78,7 @@ class RunConfig:
                 f"unknown feature view {self.gbdt_feature_view!r}; "
                 f"pick one of {', '.join(GbdtModel.feature_views)}"
             )
-        if self.model_kind == "ensemble":
+        if self.model == "ensemble":
             if not self.ensemble_members:
                 raise UsageError("ensemble needs at least one member")
             bad = [m for m in self.ensemble_members if m not in MEMBER_CLASSES]
@@ -82,23 +86,17 @@ class RunConfig:
                 raise UsageError(f"invalid ensemble members: {', '.join(bad)}")
 
     def member_kinds(self) -> tuple[str, ...]:
-        if self.model_kind == "ensemble":
+        if self.model == "ensemble":
             return tuple(self.ensemble_members)
-        return (self.model_kind,)
+        return (self.model,)
 
     def to_json_dict(self) -> dict:
+        """The config document of this run: each set setting under its key,
+        tuples as lists and sections as objects. A None setting is left out."""
         return {
-            "schema": self.schema_path,
-            "model": self.model_kind,
-            "data": self.data_path,
-            "synthetic": asdict(self.synthetic) if self.synthetic is not None else None,
-            "fractions": list(self.fractions),
-            "seed": self.seed,
-            "out_dir": self.out_dir,
-            "train": self.train_config.to_json_dict(),
-            "gbdt": self.gbdt_config.to_json_dict(),
-            "ensemble_members": list(self.ensemble_members),
-            "gbdt_feature_view": self.gbdt_feature_view,
+            key: list(value) if isinstance(value, tuple) else value
+            for key, value in asdict(self).items()
+            if value is not None
         }
 
 
@@ -131,17 +129,12 @@ def member_inputs(
 
 
 def load_training_table(config: RunConfig) -> DataTable:
-    schema = load_schema(config.schema_path)
-    if config.data_path is not None:
-        return load_csv(config.data_path, schema)
-    spec = config.synthetic
-    return generate_synthetic(
-        schema,
-        spec.rows,
-        seed=config.seed,
-        imbalance=spec.imbalance,
-        missing_fraction=spec.missing_fraction,
-    )
+    schema = load_schema(config.schema)
+    if config.data is not None:
+        return load_csv(config.data, schema)
+    shape = {"imbalance": config.imbalance, "missing_fraction": config.missing_fraction}
+    shape = {key: value for key, value in shape.items() if value is not None}
+    return generate_synthetic(schema, config.rows, config.seed, **shape)
 
 
 def _train_member(
@@ -165,18 +158,13 @@ def _train_member(
     """
     x_train = member_inputs(view, train_d, frequency_matrix)
     if cls is GbdtModel:
-        model, losses = train_gbdt(
-            x_train[0], train_d.labels, state.schema.n_classes, config.gbdt_config
-        )
+        model, losses = train_gbdt(x_train[0], train_d.labels, state.schema.n_classes, config.gbdt)
         lines = ["round,train_loss"]
         lines.extend(f"{r},{loss!r}" for r, loss in enumerate(losses, start=1))
         return model, "\n".join(lines) + "\n"
     model = cls.from_state(state, seed=seed)
     x_val = member_inputs(view, val_d, frequency_matrix)
-    _, log = train(
-        model, x_train, train_d.labels, x_val, val_d.labels,
-        replace(config.train_config, seed=seed),
-    )
+    _, log = train(model, x_train, train_d.labels, x_val, val_d.labels, config.train, seed)
     return model, log.to_csv_text()
 
 
@@ -261,7 +249,7 @@ def run_training(config: RunConfig) -> TrainOutcome:
     members = [member for member, _ in trained]
 
     bundle = ModelBundle(
-        kind=config.model_kind,
+        kind=config.model,
         state=state,
         members=members,
         frequency_encoder=frequency_encoder,

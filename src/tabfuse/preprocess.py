@@ -29,8 +29,6 @@ a state checks every fact the schema does not give.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import logging
 import math
 import re
@@ -41,7 +39,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DataError, SchemaMismatchError
-from .packed import fields
+from .packed import digest, fields
 from .schema import DataTable, TableSchema
 
 logger = logging.getLogger(__name__)
@@ -269,10 +267,7 @@ class PreprocessState:
         return cls(TableSchema.from_json_dict(schema), stats, decoded)
 
     def fingerprint(self) -> str:
-        canonical = json.dumps(
-            self.to_json_dict(), sort_keys=True, separators=(",", ":")
-        )
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        return digest(self.to_json_dict())
 
 
 @dataclass(frozen=True)

@@ -73,6 +73,8 @@ class ColumnSpec:
     kind: ColumnKind
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise DataError(f"column name {self.name!r} must be a string")
         if not self.name:
             raise DataError("column name must be non-empty")
         if not isinstance(self.kind, ColumnKind):
@@ -106,6 +108,9 @@ class TableSchema:
             raise DataError(f"target column {self.target!r} not found in schema")
         if targets[0].kind is not ColumnKind.CATEGORICAL:
             raise DataError(f"target column {self.target!r} must be categorical")
+        for label in self.class_labels:
+            if not isinstance(label, str):
+                raise DataError(f"class label {label!r} must be a string")
         if len(self.class_labels) < 2:
             raise DataError("schema needs at least 2 class labels")
         if len(set(self.class_labels)) != len(self.class_labels):

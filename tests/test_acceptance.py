@@ -26,7 +26,6 @@ from tabfuse.models import (
 from tabfuse.nn import softmax_cross_entropy
 from tabfuse.pipeline import (
     RunConfig,
-    SyntheticSpec,
     build_features,
     load_training_table,
     predict_on_table,
@@ -138,7 +137,7 @@ def test_criterion_2_overfit_oracle(acceptance_lines):
     state = fit(table)
     encoded = transform(table, state)
     config = TrainConfig(
-        learning_rate=0.01, batch_size=32, max_epochs=200, patience=199, seed=0
+        learning_rate=0.01, batch_size=32, max_epochs=200, patience=199
     )
 
     net = EmbeddingFusionNet(
@@ -190,7 +189,7 @@ def test_criterion_3_relative_ordering(acceptance_lines):
     encoded = transform(table, state)
     train_d, val_d, test_d = stratified_split(encoded, (0.8, 0.1, 0.1), seed=13)
     config = TrainConfig(
-        learning_rate=0.005, batch_size=64, max_epochs=30, patience=8, seed=13
+        learning_rate=0.005, batch_size=64, max_epochs=30, patience=8
     )
 
     net = EmbeddingFusionNet(
@@ -207,6 +206,7 @@ def test_criterion_3_relative_ordering(acceptance_lines):
         (val_d.numeric, val_d.tokens),
         val_d.labels,
         config,
+        13,
     )
     fusion_probas = net.predict_proba(test_d.numeric, test_d.tokens)
     fusion_acc = float((fusion_probas.argmax(1) == test_d.labels).mean())
@@ -223,6 +223,7 @@ def test_criterion_3_relative_ordering(acceptance_lines):
         (build_features("numeric+frequency", val_d, freq_matrix),),
         val_d.labels,
         config,
+        13,
     )
     baseline_acc = float(
         (
@@ -477,12 +478,12 @@ def test_criterion_8_determinism_and_persistence(acceptance_lines, tmp_path):
     )
 
     run_config = RunConfig(
-        schema_path=str(schema_path),
-        model_kind="fusion",
-        synthetic=SyntheticSpec(rows=120),
+        schema=str(schema_path),
+        model="fusion",
+        rows=120,
         seed=21,
-        train_config=TrainConfig(max_epochs=6, patience=5, batch_size=16),
-        gbdt_config=GbdtConfig(rounds=5, max_depth=3, max_leaves=6),
+        train=TrainConfig(max_epochs=6, patience=5, batch_size=16),
+        gbdt=GbdtConfig(rounds=5, max_depth=3, max_leaves=6),
     )
     outcome = run_training(run_config)
     table = load_training_table(run_config)

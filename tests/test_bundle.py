@@ -19,7 +19,6 @@ from tabfuse.gbdt import GbdtConfig, train_gbdt
 from tabfuse.models import BaselineMlp, EmbeddingFusionNet, FrequencyEncoder, TrainConfig
 from tabfuse.pipeline import (
     RunConfig,
-    SyntheticSpec,
     load_training_table,
     predict_on_table,
     run_training,
@@ -111,12 +110,12 @@ def trained_bundles(tmp_path_factory):
     out = {}
     for kind in MODEL_KINDS:
         config = RunConfig(
-            schema_path=str(schema_path),
-            model_kind=kind,
-            synthetic=SyntheticSpec(rows=60),
+            schema=str(schema_path),
+            model=kind,
+            rows=60,
             seed=5,
-            train_config=TrainConfig(max_epochs=3, patience=2, batch_size=16),
-            gbdt_config=GbdtConfig(rounds=3, max_depth=2, max_leaves=4),
+            train=TrainConfig(max_epochs=3, patience=2, batch_size=16),
+            gbdt=GbdtConfig(rounds=3, max_depth=2, max_leaves=4),
             ensemble_members=tuple(MEMBER_CLASSES),
         )
         out[kind] = (run_training(config).bundle, load_training_table(config))

@@ -138,6 +138,26 @@ class TestGenerate:
         assert code == 2
         assert capsys.readouterr().err.startswith("error[usage]:")
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: doc.update(class_labels=[1, 2]), "class label 1 must be a string"),
+            (lambda doc: doc["columns"][0].update(name=5), "column name 5 must be a string"),
+        ],
+        ids=["class-label", "column-name"],
+    )
+    def test_schema_value_that_is_not_text_is_data_error(
+        self, tmp_path, schema_path, capsys, edit, message
+    ):
+        doc = json.loads(schema_path.read_text())
+        edit(doc)
+        schema_path.write_text(json.dumps(doc))
+        out = tmp_path / "x.csv"
+        argv = ["generate", "--schema", str(schema_path), "--rows", "50", "--out", str(out)]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"error[data]: {message}\n"
+        assert not out.exists()
+
 
 class TestTrain:
     def test_fusion_writes_bundle_and_reports(self, tmp_path, schema_path, data_path, capsys):
@@ -240,8 +260,9 @@ class TestTrain:
         assert main(["train", "--config", str(cfg), *argv]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1
-        assert err.startswith("error[usage]: config section 'train' cannot set 'seed'; ")
-        assert "top-level 'seed'" in err
+        assert err.startswith(
+            "error[usage]: config section 'train' has unknown key 'seed'; valid: learning_rate, "
+        )
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("doc", [{"seeds": 3}, {"seed": 3, "parallel_members": True}])
@@ -306,6 +327,24 @@ class TestTrain:
         assert capsys.readouterr().err == f"error[usage]: {message}\n"
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize(
+        "doc, flags, key",
+        [
+            ({}, ["--imbalance", "1,2"], "imbalance"),
+            ({"missing_fraction": 0.1}, [], "missing_fraction"),
+        ],
+        ids=["imbalance-flag", "missing-fraction-key"],
+    )
+    def test_generator_setting_with_data_is_usage_error(
+        self, tmp_path, schema_path, data_path, capsys, doc, flags, key
+    ):
+        """A CSV is read as it is, so a setting that shapes generated rows has nothing to shape."""
+        cfg = quick_config(tmp_path, **doc)
+        argv = ["--config", str(cfg), "--schema", str(schema_path), "--data", str(data_path)]
+        assert main(["train", *argv, *flags, "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == f"error[usage]: {key} applies only to --rows, not to --data\n"
+        assert not (tmp_path / "x").exists()
+
     def test_failure_discards_partial_outputs(
         self, tmp_path, schema_path, data_path, monkeypatch
     ):
@@ -351,7 +390,7 @@ class TestConfigListKeys:
             cfg = quick_config(tmp_path, **{key: value})
             assert main(["train", "--config", str(cfg), *argv, "--model", model]) == 0
             doc = json.loads((out / "bundle.json").read_text())
-            assert doc["run_summary"].pop("out_dir") == str(out)
+            assert doc["run_summary"].pop("out") == str(out)
             runs.append((doc["members"], doc["run_summary"], (out / "report.json").read_text()))
         assert runs[0] == runs[1]
         members, summary, _ = runs[0]
@@ -372,6 +411,48 @@ class TestConfigListKeys:
         assert main([*argv, "--out", str(tmp_path / "run")]) == 2
         assert capsys.readouterr().err == f"error[usage]: {message}\n"
         assert not (tmp_path / "run").exists()
+
+
+def tree_bytes(root: Path) -> dict:
+    """The bytes of every file under ``root``, by relative path."""
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+class TestRunSummaryReplay:
+    """A bundle's run summary is the run's config: trained from again, it writes the same bytes."""
+
+    @pytest.mark.parametrize(
+        "extra, flags, recorded",
+        [
+            (
+                {"ensemble_members": ["fusion", "gbdt", "baseline"]},
+                ["--data", "{data}", "--model", "ensemble", "--seed", "11"],
+                {"data"},
+            ),
+            (
+                {"missing_fraction": 0.1},
+                ["--rows", "60", "--imbalance", "1,2", "--seed", "7"],
+                {"rows", "imbalance", "missing_fraction"},
+            ),
+        ],
+        ids=["data-ensemble", "rows-fusion"],
+    )
+    def test_summary_retrains_the_same_bytes(
+        self, tmp_path, schema_path, data_path, extra, flags, recorded
+    ):
+        run = tmp_path / "run"
+        argv = ["--config", str(quick_config(tmp_path, **extra)), "--schema", str(schema_path)]
+        flags = [flag.format(data=data_path) for flag in flags]
+        assert main(["train", *argv, *flags, "--out", str(run)]) == 0
+        summary = json.loads((run / "bundle.json").read_text())["run_summary"]
+        # Only the settings the run used: its one data source, no train seed.
+        assert set(summary) & {"data", "rows", "imbalance", "missing_fraction"} == recorded
+        assert "seed" not in summary["train"]
+        first = tmp_path / "first"
+        run.rename(first)
+        (tmp_path / "summary.json").write_text(json.dumps(summary))
+        assert main(["train", "--config", str(tmp_path / "summary.json")]) == 0
+        assert tree_bytes(run) == tree_bytes(first)
 
 
 class TestEvaluate:
@@ -1293,9 +1374,15 @@ class TestConfigDocuments:
             path.write_text(json.dumps(doc))
             args = make_parser().parse_args(["train", "--config", str(path)])
             try:
-                build_run_config(args).validate()
+                config = build_run_config(args)
+                config.validate()
             except ToolkitError as e:
                 assert e.exit_code in (2, 3)
+                return
+            # A valid config written as its document converts to the same config.
+            # repr, not ==: NaN is unequal to itself, and repr tells 1 from 1.0.
+            path.write_text(json.dumps(config.to_json_dict()))
+            assert repr(build_run_config(args)) == repr(config)
 
 
 @pytest.fixture(scope="module")

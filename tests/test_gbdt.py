@@ -24,7 +24,7 @@ from tabfuse.gbdt import (
     train_gbdt,
 )
 from tabfuse.nn import softmax
-from tabfuse.pipeline import RunConfig, SyntheticSpec, run_training
+from tabfuse.pipeline import RunConfig, run_training
 from tabfuse.schema import ColumnKind, ColumnSpec, TableSchema, save_schema
 
 
@@ -572,11 +572,11 @@ def gbdt_bundle(tmp_path_factory):
     root = tmp_path_factory.mktemp("gbdt_bundle")
     save_schema(schema, root / "schema.json")
     config = RunConfig(
-        schema_path=str(root / "schema.json"),
-        model_kind="gbdt",
-        synthetic=SyntheticSpec(rows=80),
+        schema=str(root / "schema.json"),
+        model="gbdt",
+        rows=80,
         seed=5,
-        gbdt_config=GbdtConfig(rounds=3, max_depth=3, max_leaves=5),
+        gbdt=GbdtConfig(rounds=3, max_depth=3, max_leaves=5),
     )
     path = root / "bundle.json"
     bundle = run_training(config).bundle

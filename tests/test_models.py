@@ -323,7 +323,7 @@ class TestTrain:
         x, y = blob_data()
         net = BaselineMlp(2, 2, hidden1=16, hidden2=8, seed=0)
         cfg = TrainConfig(
-            learning_rate=0.02, batch_size=16, max_epochs=60, patience=59, seed=0
+            learning_rate=0.02, batch_size=16, max_epochs=60, patience=59
         )
         net, log = train(net, (x,), y, (x,), y, cfg)
         preds = net.predict_proba(x).argmax(axis=1)
@@ -339,9 +339,9 @@ class TestTrain:
         def run():
             net = BaselineMlp(2, 2, hidden1=8, hidden2=4, seed=5)
             cfg = TrainConfig(
-                learning_rate=0.01, batch_size=8, max_epochs=10, patience=9, seed=3
+                learning_rate=0.01, batch_size=8, max_epochs=10, patience=9
             )
-            net, log = train(net, (x,), y, (x,), y, cfg)
+            net, log = train(net, (x,), y, (x,), y, cfg, 3)
             return log, [p.value.copy() for p in net.params()]
 
         log_a, params_a = run()
@@ -359,7 +359,7 @@ class TestTrain:
         val_y = np.zeros(16, dtype=np.int64)
         net = BaselineMlp(1, 2, hidden1=4, hidden2=4, seed=0)
         cfg = TrainConfig(
-            learning_rate=0.05, batch_size=16, max_epochs=30, patience=3, seed=0
+            learning_rate=0.05, batch_size=16, max_epochs=30, patience=3
         )
         net, log = train(net, (x,), train_y, (x,), val_y, cfg)
         assert log.best_epoch == 1
@@ -371,7 +371,7 @@ class TestTrain:
         x, y = blob_data(n_per_class=8, seed=1)
         net = BaselineMlp(2, 2, hidden1=4, hidden2=4, seed=0)
         cfg = TrainConfig(
-            learning_rate=1e-12, batch_size=16, max_epochs=20, patience=2, seed=0
+            learning_rate=1e-12, batch_size=16, max_epochs=20, patience=2
         )
         _, log = train(net, (x,), y, (x,), y, cfg)
         assert log.best_epoch == 1

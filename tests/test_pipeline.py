@@ -6,7 +6,6 @@ from tabfuse.gbdt import GbdtConfig
 from tabfuse.models import TrainConfig
 from tabfuse.pipeline import (
     RunConfig,
-    SyntheticSpec,
     build_features,
     load_training_table,
     predict_on_table,
@@ -35,12 +34,12 @@ def schema_path(tmp_path):
 
 def quick_run_config(schema_path, **overrides):
     defaults = dict(
-        schema_path=schema_path,
-        model_kind="fusion",
-        synthetic=SyntheticSpec(rows=60),
+        schema=schema_path,
+        model="fusion",
+        rows=60,
         seed=5,
-        train_config=TrainConfig(max_epochs=3, patience=2, batch_size=16),
-        gbdt_config=GbdtConfig(rounds=4, max_depth=2, max_leaves=4),
+        train=TrainConfig(max_epochs=3, patience=2, batch_size=16),
+        gbdt=GbdtConfig(rounds=4, max_depth=2, max_leaves=4),
     )
     defaults.update(overrides)
     return RunConfig(**defaults)
@@ -86,15 +85,15 @@ class TestBuildFeatures:
 
 class TestRunConfigValidation:
     def test_unknown_model_kind(self, schema_path):
-        cfg = quick_run_config(schema_path, model_kind="forest")
+        cfg = quick_run_config(schema_path, model="forest")
         with pytest.raises(UsageError, match="unknown model"):
             cfg.validate()
 
     def test_exactly_one_data_source(self, schema_path):
-        both = quick_run_config(schema_path, data_path="x.csv")
+        both = quick_run_config(schema_path, data="x.csv")
         with pytest.raises(UsageError, match="exactly one data source"):
             both.validate()
-        neither = quick_run_config(schema_path, synthetic=None)
+        neither = quick_run_config(schema_path, rows=None)
         with pytest.raises(UsageError, match="exactly one data source"):
             neither.validate()
 
@@ -105,16 +104,16 @@ class TestRunConfigValidation:
 
     def test_ensemble_member_names_checked(self, schema_path):
         cfg = quick_run_config(
-            schema_path, model_kind="ensemble", ensemble_members=("fusion", "ensemble")
+            schema_path, model="ensemble", ensemble_members=("fusion", "ensemble")
         )
         with pytest.raises(UsageError, match="invalid ensemble members"):
             cfg.validate()
         # Members are checked against bundle.MEMBER_CLASSES, the one member table.
-        unknown = quick_run_config(schema_path, model_kind="ensemble", ensemble_members=("nope",))
+        unknown = quick_run_config(schema_path, model="ensemble", ensemble_members=("nope",))
         with pytest.raises(UsageError, match="invalid ensemble members: nope"):
             unknown.validate()
         empty = quick_run_config(
-            schema_path, model_kind="ensemble", ensemble_members=()
+            schema_path, model="ensemble", ensemble_members=()
         )
         with pytest.raises(UsageError, match="at least one member"):
             empty.validate()
@@ -122,7 +121,7 @@ class TestRunConfigValidation:
     def test_member_kinds(self, schema_path):
         assert quick_run_config(schema_path).member_kinds() == ("fusion",)
         ens = quick_run_config(
-            schema_path, model_kind="ensemble", ensemble_members=("gbdt", "baseline")
+            schema_path, model="ensemble", ensemble_members=("gbdt", "baseline")
         )
         assert ens.member_kinds() == ("gbdt", "baseline")
 
@@ -138,12 +137,12 @@ class TestRunTraining:
         assert outcome.bundle.frequency_encoder is None
 
     def test_baseline_gets_frequency_encoder(self, schema_path):
-        outcome = run_training(quick_run_config(schema_path, model_kind="baseline"))
+        outcome = run_training(quick_run_config(schema_path, model="baseline"))
         assert outcome.bundle.frequency_encoder is not None
 
     def test_gbdt_numeric_view_skips_frequency_encoder(self, schema_path):
         outcome = run_training(
-            quick_run_config(schema_path, model_kind="gbdt", gbdt_feature_view="numeric")
+            quick_run_config(schema_path, model="gbdt", gbdt_feature_view="numeric")
         )
         assert outcome.bundle.frequency_encoder is None
         assert outcome.bundle.members[0].feature_view == "numeric"
@@ -151,7 +150,7 @@ class TestRunTraining:
     def test_gbdt_frequency_view_fits_encoder(self, schema_path):
         outcome = run_training(
             quick_run_config(
-                schema_path, model_kind="gbdt", gbdt_feature_view="numeric+frequency"
+                schema_path, model="gbdt", gbdt_feature_view="numeric+frequency"
             )
         )
         assert outcome.bundle.frequency_encoder is not None
@@ -161,7 +160,7 @@ class TestRunTraining:
         standalone = run_training(quick_run_config(schema_path))
         ensemble = run_training(
             quick_run_config(
-                schema_path, model_kind="ensemble", ensemble_members=("fusion", "gbdt")
+                schema_path, model="ensemble", ensemble_members=("fusion", "gbdt")
             )
         )
         solo = standalone.bundle.members[0].model
@@ -172,7 +171,7 @@ class TestRunTraining:
     def test_duplicate_members_train_with_distinct_seeds(self, schema_path):
         outcome = run_training(
             quick_run_config(
-                schema_path, model_kind="ensemble", ensemble_members=("fusion", "fusion")
+                schema_path, model="ensemble", ensemble_members=("fusion", "fusion")
             )
         )
         a, b = (m.model for m in outcome.bundle.members)
@@ -184,7 +183,7 @@ class TestRunTraining:
     def test_ensemble_reports_and_logs_per_member(self, schema_path):
         outcome = run_training(
             quick_run_config(
-                schema_path, model_kind="ensemble", ensemble_members=("fusion", "gbdt")
+                schema_path, model="ensemble", ensemble_members=("fusion", "gbdt")
             )
         )
         assert [k for k, _ in outcome.member_reports] == ["fusion", "gbdt"]
