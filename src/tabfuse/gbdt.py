@@ -98,7 +98,10 @@ class Tree:
 
 
 # Rows per block in GbdtModel.margins: enough to amortise each numpy call
-# over all trees, few enough that a block's node indices stay in cache.
+# over all trees, few enough that a block's node indices stay in cache. The
+# walk is per row, so its bits do not depend on the block size. It stays at
+# 512, not the networks' 1,024 (models._ROW_BLOCK): at 1,024 a 20,000-row
+# walk took about 2% longer in median and 10% at best.
 _ROW_BLOCK = 512
 
 

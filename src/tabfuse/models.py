@@ -18,6 +18,9 @@ from the shape of a stored weight.
 
 Training is mini-batch Adam with a seeded shuffle per epoch, epoch-level
 validation, and early stopping that restores the best-epoch snapshot.
+Scoring and the validation pass run in row blocks of 1,024 to 2,047 rows
+(``_Net._blocked``), so their activations are bounded by one block, not by
+the table.
 """
 
 from __future__ import annotations
@@ -39,6 +42,12 @@ def _param(params: dict, name: str) -> np.ndarray:
     if name not in params:
         raise DataError(f"bundle is missing parameter {name!r}")
     return params[name]
+
+
+# Rows per block of a pass without a tape. On the OpenBLAS build this was
+# sized on, products of 1,024 rows or more gave the same bits as one
+# whole-table product, and 512-row blocks did not; see README "Predict output".
+_ROW_BLOCK = 1024
 
 
 def _run(chain: tuple, x: np.ndarray, tape: dict | None) -> np.ndarray:
@@ -74,9 +83,11 @@ class _Net:
     ``forward(*inputs, tape=None)`` runs the net's chains, each input put on
     ``tape`` (a dict keyed by layer) when it is given one, and
     ``backward(tape, grad)`` runs them back, each layer handed that input.
-    Only a training step passes a tape. Without one, each activation is freed
-    as soon as the next layer has read it, so ``predict_proba`` holds about
-    one layer's input and output at a time and leaves no activations behind.
+    Only a training step passes a tape, and it is never split. A pass without
+    one goes through ``_blocked``: one ``forward`` per row block, each
+    activation freed as soon as the next layer has read it, so
+    ``predict_proba`` holds about one layer's input and output for at most
+    2,047 rows at a time and leaves no activations behind.
 
     A payload gives no width: each is read from a stored weight whose other
     axis the state or an earlier width fixes (``widths_from``), so a net is
@@ -89,7 +100,24 @@ class _Net:
         return [p for layer in self.layers for p in layer.params()]
 
     def predict_proba(self, *inputs: np.ndarray) -> np.ndarray:
-        return softmax(self.forward(*inputs))
+        return self._blocked(inputs, softmax)
+
+    def _blocked(self, inputs: tuple[np.ndarray, ...], finish) -> np.ndarray:
+        """``finish`` of the logits of ``inputs``, run without a tape in blocks
+        of ``_ROW_BLOCK`` rows and joined in row order. The short tail joins the
+        last block, so each holds ``_ROW_BLOCK`` to ``2 * _ROW_BLOCK - 1`` rows,
+        and fewer than ``2 * _ROW_BLOCK`` rows run as one pass."""
+        rows = len(inputs[0])
+        if rows < 2 * _ROW_BLOCK:
+            # one pass and no join buffer, so a small scoring call does no more
+            # work than an unblocked one
+            return finish(self.forward(*inputs))
+        # each net's last layer is its classifier
+        out = np.empty((rows, self.layers[-1].out_dim))
+        starts = range(0, rows - _ROW_BLOCK + 1, _ROW_BLOCK)
+        for block in map(slice, starts, [*starts[1:], rows]):
+            out[block] = finish(self.forward(*(a[block] for a in inputs)))
+        return out
 
     def to_json_dict(self) -> dict:
         return {"params": {p.name: pack(p.value, FLOAT) for p in self.params()}}
@@ -337,11 +365,11 @@ def train(
     Inputs are tuples of arrays aligned on axis 0 and splatted into
     ``model.forward``. Each mini-batch step passes a fresh tape, which
     ``model.backward`` reads and the step then drops; the per-epoch
-    validation forward passes none, so no activations outlive a step or the
-    call. The model is mutated in place. The snapshot is one
-    copy of the optimizer's flat parameter vector, taken at each epoch that
-    lowers the validation loss; on return the parameters hold the last one.
-    ``seed`` seeds the per-epoch shuffle.
+    validation pass runs without one, in the row blocks of ``_blocked``, so
+    no activations outlive a step or the call. The model is mutated in
+    place. The snapshot is one copy of the optimizer's flat parameter
+    vector, taken at each epoch that lowers the validation loss; on return
+    the parameters hold the last one. ``seed`` seeds the per-epoch shuffle.
 
     Returns:
         (model, TrainLog)
@@ -378,7 +406,7 @@ def train(
             loss_sum += loss * len(idx)
         log.train_losses.append(loss_sum / n)
 
-        val_logits = model.forward(*val_inputs)
+        val_logits = model._blocked(val_inputs, lambda logits: logits)
         val_loss, _ = softmax_cross_entropy(val_logits, val_labels)
         if not np.isfinite(val_loss):
             raise NumericError(f"validation loss became non-finite at epoch {epoch}")

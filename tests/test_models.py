@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from gradcheck import gradient_check
 
+from tabfuse import models
 from tabfuse.errors import DataError, NumericError
 from tabfuse.models import (
     BaselineMlp,
@@ -15,7 +16,7 @@ from tabfuse.models import (
     TrainLog,
     train,
 )
-from tabfuse.nn import Adam, softmax_cross_entropy
+from tabfuse.nn import Adam, softmax, softmax_cross_entropy
 from tabfuse.preprocess import fit
 from tabfuse.schema import ColumnKind, ColumnSpec, DataTable, TableSchema
 
@@ -237,6 +238,90 @@ class TestScoringReleasesLayerInputs:
                 optimizer.step()
             results.append(optimizer.value.tobytes())
         assert results[0] == results[1]
+
+
+def spy_forward(net, monkeypatch):
+    """Row counts of each ``net.forward`` call without a tape, in call order."""
+    seen, forward = [], net.forward
+
+    def spy(*inputs, tape=None):
+        if tape is None:
+            seen.append(len(inputs[0]))
+        return forward(*inputs, tape=tape)
+
+    monkeypatch.setattr(net, "forward", spy)
+    return seen
+
+
+class TestRowBlocks:
+    """A pass without a tape runs in row blocks of 1,024 to 2,047 rows. On the
+    BLAS build at hand, products of at least 1,024 rows give the same bits as
+    one whole-table product, so a blocked pass equals an unblocked one."""
+
+    @pytest.mark.parametrize(
+        "blocks",
+        [[0], [1], [16], [1023], [1024], [2047], [1024, 1024], [1024, 1025],
+         [1024, 1024, 1024, 1928], [1024, 1024, 1024, 1024 + 320]],
+        ids=lambda blocks: str(sum(blocks)),
+    )
+    @pytest.mark.parametrize("case", [0, 1], ids=["fusion", "baseline"])
+    def test_blocked_pass_is_bit_equal_to_one_pass(self, case, blocks, monkeypatch):
+        """Each ``forward`` call gets 1,024 rows or more, the short tail joined
+        to the last block, unless the whole table is smaller."""
+        rows = sum(blocks)
+        net, inputs = scoring_cases(rows, seed=rows)[case]
+        whole = softmax(net.forward(*inputs))
+        seen = spy_forward(net, monkeypatch)
+        assert net.predict_proba(*inputs).tobytes() == whole.tobytes()
+        assert seen == blocks
+
+    @pytest.mark.parametrize("case", [0, 1], ids=["fusion", "baseline"])
+    def test_blocked_validation_trains_the_same_bytes(self, case, monkeypatch):
+        """A 5,000-row validation split, run in four blocks, gives the train
+        log and parameters of one unblocked validation pass."""
+        results = []
+        for block in (models._ROW_BLOCK, 10**9):
+            monkeypatch.setattr(models, "_ROW_BLOCK", block)
+            net, inputs = scoring_cases(5300, seed=5)[case]
+            labels = np.random.default_rng(5).integers(0, 3, size=5300)
+            fit_rows, val_rows = slice(0, 300), slice(300, None)
+            seen = spy_forward(net, monkeypatch)
+            config = TrainConfig(learning_rate=0.01, batch_size=64, max_epochs=4, patience=3)
+            _, log = train(
+                net,
+                tuple(a[fit_rows] for a in inputs),
+                labels[fit_rows],
+                tuple(a[val_rows] for a in inputs),
+                labels[val_rows],
+                config,
+                seed=2,
+            )
+            blocks = [1024, 1024, 1024, 1928] if block == 1024 else [5000]
+            assert seen == blocks * log.stopped_epoch
+            params = b"".join(p.value.tobytes() for p in net.params())
+            results.append((log.to_csv_text(), log.best_epoch, log.stopped_epoch, params))
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("case", [0, 1], ids=["fusion", "baseline"])
+    def test_scoring_peak_is_one_block(self, case):
+        """A 20,000-row pass peaks at about one layer step of its largest
+        block, 2,047 rows, plus the joined probabilities: a fraction of the
+        whole-table layer step."""
+        rows = 20000
+        net, inputs = scoring_cases(rows)[case]
+        if case == 0:
+            per_row = 8 * (net.token_width * net.embed_dim + net.cat_linear1.out_dim)
+        else:
+            per_row = net.linear1.out_dim * (3 * 8 + 1)
+        bound = 2047 * per_row + rows * net.layers[-1].out_dim * 8 + 2**18
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            net.predict_proba(*inputs)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, f"{peak / 2**20:.2f} MiB peak, bound {bound / 2**20:.2f} MiB"
 
 
 class TestTrainConfig:
