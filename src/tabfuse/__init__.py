@@ -6,7 +6,7 @@ gradient-boosted-trees learner and a soft-voting ensemble round out the
 model zoo. Everything is numpy float64 and deterministic per seed.
 """
 
-from .bundle import BundleMember, ModelBundle, load_bundle, save_bundle
+from .bundle import ModelBundle, load_bundle, save_bundle
 from .ensemble import soft_vote
 from .errors import (
     DataError,
@@ -49,7 +49,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BaselineMlp",
-    "BundleMember",
     "ColumnKind",
     "ColumnSpec",
     "DataError",

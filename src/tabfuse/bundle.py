@@ -12,8 +12,11 @@ widths, vocabulary) and a net's stored weights give its layer widths, so a
 member payload is only a net's parameters or a booster's trees, and members
 are decoded against the state through ``MEMBER_CLASSES``. Each class names
 its ``kind`` and the ``feature_views`` it can read, and provides
-``to_json_dict``, ``from_json_dict(payload, state, view)``, ``describe`` and
-``predict_proba``.
+``to_json_dict``, ``from_json_dict(payload, state)``, ``describe`` and
+``predict_proba``. A member is its model, and each model has the
+``feature_view`` it reads. A member document holds the model's kind, its
+payload and, only for a class with a choice of views, its feature view,
+which ``from_json_dict`` then takes as a third argument.
 
 The fingerprint is the sha256 of the canonical JSON of every other field of
 the document, so it covers everything. Loading checks it before it decodes
@@ -49,76 +52,39 @@ def _fingerprint(doc: dict) -> str:
     return digest({name: value for name, value in doc.items() if name != "fingerprint"})
 
 
-def _feature_view(kind: str, view: str = "") -> str:
-    """``view``, or the only view of ``kind`` when ``view`` is empty."""
-    views = MEMBER_CLASSES[kind].feature_views
-    if not view and len(views) == 1:
-        return views[0]
-    if view not in views:
-        raise DataError(
-            f"{kind} member has feature view {view!r}; pick one of {', '.join(views)}"
-        )
-    return view
+def _member_doc(model) -> dict:
+    """A member's document; only a class with a choice of views records its view."""
+    doc = {"kind": model.kind, "payload": model.to_json_dict()}
+    if len(model.feature_views) > 1:
+        doc["feature_view"] = model.feature_view
+    return doc
 
 
-@dataclass
-class BundleMember:
-    """One trained model plus the feature view it reads.
-
-    Its kind is its model's class's ``kind``. A kind with a single feature
-    view leaves it out of the document and gets it filled in here; a kind
-    with a choice of views records its view.
-    """
-
-    model: object
-    feature_view: str = ""
-
-    def __post_init__(self):
-        self.feature_view = _feature_view(self.kind, self.feature_view)
-
-    @property
-    def kind(self) -> str:
-        return self.model.kind
-
-    @property
-    def records_view(self) -> bool:
-        return len(MEMBER_CLASSES[self.kind].feature_views) > 1
-
-    def describe(self) -> str:
-        view = f", feature view {self.feature_view}" if self.records_view else ""
-        return f"{self.kind}: {self.model.describe()}{view}"
-
-    def to_json_dict(self) -> dict:
-        doc = {"kind": self.kind, "payload": self.model.to_json_dict()}
-        if self.records_view:
-            doc["feature_view"] = self.feature_view
-        return doc
-
-    @classmethod
-    def from_json_dict(cls, doc: dict, state: PreprocessState) -> "BundleMember":
-        if not isinstance(doc, dict):
-            raise DataError("bundle member must be an object")
-        kind = doc.get("kind")
-        if not isinstance(kind, str) or kind not in MEMBER_CLASSES:
-            raise DataError(f"bundle contains unknown member kind {kind!r}")
-        model_cls = MEMBER_CLASSES[kind]
-        names = ("kind", "payload", "feature_view")[: 3 if len(model_cls.feature_views) > 1 else 2]
-        _, payload, *view = fields(doc, names, f"{kind} member")
-        view = _feature_view(kind, *view)
-        return cls(model_cls.from_json_dict(payload, state, view), view)
+def _read_member(doc: dict, state: PreprocessState):
+    """The model of member document ``doc``, decoded against ``state``."""
+    if not isinstance(doc, dict):
+        raise DataError("bundle member must be an object")
+    kind = doc.get("kind")
+    if not isinstance(kind, str) or kind not in MEMBER_CLASSES:
+        raise DataError(f"bundle contains unknown member kind {kind!r}")
+    cls = MEMBER_CLASSES[kind]
+    names = ("kind", "payload", "feature_view")[: 3 if len(cls.feature_views) > 1 else 2]
+    _, payload, *view = fields(doc, names, f"{kind} member")
+    return cls.from_json_dict(payload, state, *view)
 
 
 @dataclass
 class ModelBundle:
     """Everything needed to predict on new rows of the fitted schema.
 
-    It holds a frequency encoder exactly when some member reads
+    Each member is a trained model of a class in ``MEMBER_CLASSES``. The
+    bundle holds a frequency encoder exactly when some member reads
     ``numeric+frequency``, checked when it is built or loaded.
     """
 
     kind: str
     state: PreprocessState
-    members: list[BundleMember]
+    members: list
     frequency_encoder: FrequencyEncoder | None = None
     run_summary: dict = field(default_factory=dict)
 
@@ -145,7 +111,7 @@ class ModelBundle:
             "format_version": BUNDLE_FORMAT_VERSION,
             "kind": self.kind,
             "preprocess": self.state.to_json_dict(),
-            "members": [m.to_json_dict() for m in self.members],
+            "members": [_member_doc(m) for m in self.members],
             "frequency_encoder": (
                 self.frequency_encoder.to_json_dict()
                 if self.frequency_encoder is not None
@@ -183,7 +149,7 @@ class ModelBundle:
             return cls(
                 kind=kind,
                 state=state,
-                members=[BundleMember.from_json_dict(m, state) for m in members],
+                members=[_read_member(m, state) for m in members],
                 frequency_encoder=encoder,
                 run_summary=run_summary,
             )

@@ -186,15 +186,31 @@ def _write_reports(outputs, out_dir: Path, kind: str, report, member_reports):
     outputs.write(out_dir / "confusion.csv", report.confusion_csv_text())
 
 
-def _score(args):
-    """Load ``--model``, read ``--data`` against it, and score every row."""
-    bundle = load_bundle(args.model)
-    table = load_csv(args.data, bundle.state.schema)
+def _score(bundle, data):
+    """Read the CSV ``data`` against ``bundle`` and score every row."""
+    table = load_csv(data, bundle.state.schema)
     # A number past float range ends in the one error[numeric] line, not in
     # numpy warnings first.
     with np.errstate(all="ignore"):
         encoded = transform(table, bundle.state)
-        return bundle, table, encoded, combined_probabilities(bundle, encoded, table)
+        return table, encoded, combined_probabilities(bundle, encoded, table)
+
+
+def _prediction_header(schema) -> list[str]:
+    """The schema's columns, one probability per class, then the predicted label.
+
+    Raises:
+        DataError: a schema column with the name of an added one, which a
+            reader that looks columns up by name could not tell apart.
+    """
+    added = [*(f"prob_{c}" for c in schema.class_labels), "predicted"]
+    for name in added:
+        if name in schema.column_names:
+            raise DataError(
+                f"schema column {name!r} has the name of a prediction column; "
+                "rename it and retrain to predict"
+            )
+    return [*schema.column_names, *added]
 
 
 def cmd_generate(args) -> int:
@@ -224,7 +240,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    bundle, table, encoded, probas = _score(args)
+    bundle = load_bundle(args.model)
+    table, encoded, probas = _score(bundle, args.data)
     if table.row_count == 0:
         raise DataError(f"{args.data} holds no rows; evaluate needs labeled rows")
     n_bad = int((encoded.labels < 0).sum())
@@ -239,11 +256,11 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    bundle, table, _, probas = _score(args)
+    bundle = load_bundle(args.model)
     schema = bundle.state.schema
+    header = _prediction_header(schema)
+    table, _, probas = _score(bundle, args.data)
     predicted = [schema.class_labels[i] for i in probas.argmax(axis=1).tolist()]
-
-    header = [*schema.column_names, *(f"prob_{c}" for c in schema.class_labels), "predicted"]
     with _OutputSet() as outputs:
         _write_csv_rows(outputs.path(args.out), header, [*table.columns, *probas.T, predicted])
     print(f"wrote {table.row_count} predictions to {Path(args.out)}")
@@ -267,7 +284,7 @@ def cmd_inspect(args) -> int:
         f"preprocess fingerprint: {state.fingerprint()}",
         f"members: {', '.join(m.kind for m in bundle.members)}",
     ]
-    lines.extend(f"  {m.describe()}" for m in bundle.members)
+    lines.extend(f"  {m.kind}: {m.describe()}" for m in bundle.members)
     seed = bundle.run_summary.get("seed")
     if seed is not None:
         lines.append(f"training seed: {seed}")

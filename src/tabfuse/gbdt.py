@@ -447,20 +447,32 @@ def _grow_tree(
     return tree, row_values
 
 
+def _checked_view(view: str) -> str:
+    """``view``, once it is one a GBDT can read."""
+    if view not in GbdtModel.feature_views:
+        raise DataError(
+            f"gbdt member has feature view {view!r}; "
+            f"pick one of {', '.join(GbdtModel.feature_views)}"
+        )
+    return view
+
+
 @dataclass(eq=False)
 class GbdtModel:
     """Trees as a bundle stores them: ``nodes`` maps each ``_TREE_DTYPES``
     field to one 1-d array holding every tree's nodes end to end, and tree
     t holds ``sizes[t]`` of them. Trees are round-major: tree
-    r * n_classes + k is round r, class k.
+    r * n_classes + k is round r, class k. ``feature_view`` is the one of
+    ``feature_views`` its features come from; a bundle records it.
 
     Building a model checks it once, trained, built in code or loaded.
 
     Raises:
-        DataError: a shrinkage that is not finite and positive; a non-finite
-            base score; trees that ``_PackedTrees.pack`` rejects; a tree
-            count that is not a multiple of ``n_classes`` (no trees is
-            allowed); a tree that reads a feature past ``feature_count``.
+        DataError: a feature view outside ``feature_views``; a shrinkage
+            that is not finite and positive; a non-finite base score; trees
+            that ``_PackedTrees.pack`` rejects; a tree count that is not a
+            multiple of ``n_classes`` (no trees is allowed); a tree that
+            reads a feature past ``feature_count``.
     """
 
     kind = "gbdt"
@@ -472,10 +484,12 @@ class GbdtModel:
     feature_count: int
     shrinkage: float
     base_score: float = 0.0
+    feature_view: str = feature_views[0]
     # Packed and checked from ``nodes`` when the model is built; edit no node after.
     _packed: _PackedTrees = field(init=False, repr=False)
 
     def __post_init__(self):
+        _checked_view(self.feature_view)
         shrinkage, base_score = self.shrinkage, self.base_score
         if not (math.isfinite(shrinkage) and shrinkage > 0 and math.isfinite(base_score)):
             raise DataError(
@@ -534,7 +548,7 @@ class GbdtModel:
         return softmax(self.margins(x))
 
     def describe(self) -> str:
-        return f"{self.rounds} rounds x {self.n_classes} classes"
+        return f"{self.rounds} rounds x {self.n_classes} classes, feature view {self.feature_view}"
 
     def to_json_dict(self) -> dict:
         """Each tree's size and the node fields, packed as the model holds them."""
@@ -548,10 +562,11 @@ class GbdtModel:
         which gives its class count and feature count.
 
         Raises:
-            DataError: what ``fields`` or ``unpack`` refuses, a shrinkage or
-                base score that is not a number, no trees, or what building
-                the model rejects.
+            DataError: a view a GBDT cannot read, what ``fields`` or
+                ``unpack`` refuses, a shrinkage or base score that is not a
+                number, no trees, or what building the model rejects.
         """
+        feature_count = state.view_width(_checked_view(view))
         shrinkage, base, trees = fields(doc, ("shrinkage", "base_score", "trees"), "gbdt payload")
         if not all(type(v) in (int, float) for v in (shrinkage, base)):
             raise DataError(f"gbdt shrinkage {shrinkage!r} and base score {base!r} must be numbers")
@@ -564,12 +579,7 @@ class GbdtModel:
             for (name, dtype), array in zip(_TREE_DTYPES.items(), arrays)
         }
         return cls(
-            nodes,
-            sizes,
-            state.schema.n_classes,
-            state.view_width(view),
-            float(shrinkage),
-            float(base),
+            nodes, sizes, state.schema.n_classes, feature_count, float(shrinkage), float(base), view
         )
 
 
@@ -578,8 +588,12 @@ def train_gbdt(
     labels: np.ndarray,
     n_classes: int,
     config: GbdtConfig,
+    *,
+    feature_view: str = GbdtModel.feature_views[0],
 ) -> tuple[GbdtModel, list[float]]:
     """Boost for config.rounds rounds; returns the model and per-round log-loss.
+
+    ``features`` is the ``feature_view`` matrix, which the model records.
 
     Each feature is binned once, and every tree's split search runs on
     histograms of those bins. Training has no subsampling, so it takes no
@@ -626,5 +640,7 @@ def train_gbdt(
     tree_sizes = np.array(sizes, INT)
     for array in (*arrays.values(), tree_sizes):
         array.flags.writeable = False
-    model = GbdtModel(arrays, tree_sizes, n_classes, x.shape[1], config.shrinkage)
+    model = GbdtModel(
+        arrays, tree_sizes, n_classes, x.shape[1], config.shrinkage, feature_view=feature_view
+    )
     return model, losses

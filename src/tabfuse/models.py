@@ -35,7 +35,7 @@ from .errors import DataError, NumericError
 from .nn import Adam, Embedding, Linear, Param, PReLU, softmax, softmax_cross_entropy
 from .packed import FLOAT, fields, pack, unpack
 from .preprocess import PreprocessState
-from .schema import DataTable
+from .schema import DataTable, TableSchema
 
 
 def _param(params: dict, name: str) -> np.ndarray:
@@ -94,7 +94,14 @@ class _Net:
     never built larger than the weights the document holds. Each subclass
     names ``predict_proba`` in its own namespace, so a profiler that wraps
     class attributes can time each kind.
+
+    A net reads one feature view, its class's only one, so a bundle records
+    no view for it.
     """
+
+    @property
+    def feature_view(self) -> str:
+        return self.feature_views[0]
 
     def params(self) -> list[Param]:
         return [p for layer in self.layers for p in layer.params()]
@@ -123,7 +130,7 @@ class _Net:
         return {"params": {p.name: pack(p.value, FLOAT) for p in self.params()}}
 
     @classmethod
-    def from_json_dict(cls, doc: dict, state: PreprocessState, view: str):
+    def from_json_dict(cls, doc: dict, state: PreprocessState):
         """Decode a net of ``state`` from its parameters.
 
         Raises:
@@ -212,6 +219,16 @@ class EmbeddingFusionNet(_Net):
 
     predict_proba = _Net.predict_proba
 
+    @staticmethod
+    def check_columns(schema: TableSchema) -> None:
+        """Refuse a schema without a feature column for each branch."""
+        for kind, names in (
+            ("numeric", schema.numeric_feature_names),
+            ("categorical", schema.categorical_feature_names),
+        ):
+            if not names:
+                raise DataError(f"fusion needs a {kind} feature column; the schema has none")
+
     @classmethod
     def from_state(cls, state: PreprocessState, **kwargs) -> "EmbeddingFusionNet":
         """A net sized for ``state``; ``kwargs`` are the other constructor arguments."""
@@ -264,14 +281,22 @@ class BaselineMlp(_Net):
 
     predict_proba = _Net.predict_proba
 
+    @staticmethod
+    def check_columns(schema: TableSchema) -> None:
+        """Refuse a schema without a feature column."""
+        if not (schema.numeric_feature_names or schema.categorical_feature_names):
+            raise DataError(
+                "baseline needs a numeric or categorical feature column; the schema has neither"
+            )
+
     @classmethod
     def from_state(cls, state: PreprocessState, **kwargs) -> "BaselineMlp":
         """An MLP sized for ``state``; ``kwargs`` are the other constructor arguments."""
         return cls(state.view_width(cls.feature_views[0]), state.schema.n_classes, **kwargs)
 
-    @staticmethod
-    def widths_from(params: dict, state: PreprocessState) -> dict:
-        hidden1 = _width(params, "mlp1.weight", 1, state.view_width("numeric+frequency"))
+    @classmethod
+    def widths_from(cls, params: dict, state: PreprocessState) -> dict:
+        hidden1 = _width(params, "mlp1.weight", 1, state.view_width(cls.feature_views[0]))
         return {"hidden1": hidden1, "hidden2": _width(params, "mlp2.weight", 1, hidden1)}
 
     def describe(self) -> str:

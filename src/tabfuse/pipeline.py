@@ -5,7 +5,10 @@ features each member's view reads, deterministic per-member seeding, the
 training of every member through one function, and the bundle assembly
 after training. Member kinds are declared once, in ``bundle.MEMBER_CLASSES``:
 ``_train_member`` boosts the GBDT and trains every other class as a network,
-built with ``from_state`` and fitted with ``models.train``.
+built with ``from_state`` and fitted with ``models.train``. A bundle's
+members are those trained models, and each reads its own ``feature_view``.
+A network's ``check_columns`` refuses a schema that lacks a feature column
+kind the network needs; every member is checked before any trains.
 
 ``RunConfig`` has one field per config key; ``rows``, ``imbalance`` and
 ``missing_fraction`` are set only to generate the training table. Its
@@ -31,7 +34,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .bundle import MEMBER_CLASSES, MODEL_KINDS, BundleMember, ModelBundle
+from .bundle import MEMBER_CLASSES, MODEL_KINDS, ModelBundle
 from .ensemble import soft_vote
 from .errors import DataError, NumericError, UsageError
 from .gbdt import GbdtConfig, GbdtModel, train_gbdt
@@ -55,7 +58,7 @@ class RunConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     gbdt: GbdtConfig = field(default_factory=GbdtConfig)
     ensemble_members: tuple[str, ...] = ("fusion", "gbdt")
-    gbdt_feature_view: str = "numeric+tokens"
+    gbdt_feature_view: str = GbdtModel.feature_views[0]
     rows: int | None = None
     imbalance: tuple[float, ...] | None = None
     missing_fraction: float | None = None
@@ -158,7 +161,9 @@ def _train_member(
     """
     x_train = member_inputs(view, train_d, frequency_matrix)
     if cls is GbdtModel:
-        model, losses = train_gbdt(x_train[0], train_d.labels, state.schema.n_classes, config.gbdt)
+        model, losses = train_gbdt(
+            x_train[0], train_d.labels, state.schema.n_classes, config.gbdt, feature_view=view
+        )
         lines = ["round,train_loss"]
         lines.extend(f"{r},{loss!r}" for r, loss in enumerate(losses, start=1))
         return model, "\n".join(lines) + "\n"
@@ -183,7 +188,7 @@ def member_probabilities(
     frequency_matrix: np.ndarray | None,
 ) -> list[np.ndarray]:
     return [
-        m.model.predict_proba(*member_inputs(m.feature_view, encoded, frequency_matrix))
+        m.predict_proba(*member_inputs(m.feature_view, encoded, frequency_matrix))
         for m in bundle.members
     ]
 
@@ -223,11 +228,14 @@ def run_training(config: RunConfig) -> TrainOutcome:
     """
     config.validate()
     table = load_training_table(config)
+    classes = [MEMBER_CLASSES[kind] for kind in config.member_kinds()]
+    for cls in classes:
+        if cls is not GbdtModel:  # a booster needs no feature column; a net does
+            cls.check_columns(table.schema)
     state = fit(table)
     encoded = transform(table, state)
     train_d, val_d, test_d = stratified_split(encoded, config.fractions, config.seed)
 
-    classes = [MEMBER_CLASSES[kind] for kind in config.member_kinds()]
     # Only the GBDT offers a choice of view; every other class reads its one view.
     views = [
         config.gbdt_feature_view if cls is GbdtModel else cls.feature_views[0]
@@ -242,11 +250,10 @@ def run_training(config: RunConfig) -> TrainOutcome:
     trained = []
     for index, (cls, view) in enumerate(zip(classes, views)):
         seed = config.seed + MEMBER_SEED_STRIDE * index
-        model, log_csv = _train_member(
-            cls, view, seed, state, train_d, val_d, frequency_matrix, config
+        trained.append(
+            _train_member(cls, view, seed, state, train_d, val_d, frequency_matrix, config)
         )
-        trained.append((BundleMember(model, view), log_csv))
-    members = [member for member, _ in trained]
+    members = [model for model, _ in trained]
 
     bundle = ModelBundle(
         kind=config.model,

@@ -9,7 +9,6 @@ from tabfuse.bundle import (
     BUNDLE_FORMAT_VERSION,
     MEMBER_CLASSES,
     MODEL_KINDS,
-    BundleMember,
     ModelBundle,
     load_bundle,
     save_bundle,
@@ -50,7 +49,7 @@ def fitted_state():
 
 
 def fusion_member(state, seed=0):
-    model = EmbeddingFusionNet(
+    return EmbeddingFusionNet(
         vocab_size=state.total_vocab_size,
         token_width=state.total_padded_width,
         n_numeric=len(state.numeric_columns),
@@ -60,15 +59,15 @@ def fusion_member(state, seed=0):
         fused_width=5,
         seed=seed,
     )
-    return BundleMember(model)
 
 
 def gbdt_member(state, seed=0, view="numeric+tokens"):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(30, state.view_width(view)))
     y = (x[:, 0] > 0).astype(np.int64)
-    model, _ = train_gbdt(x, y, 2, GbdtConfig(rounds=3, max_depth=2, max_leaves=4))
-    return BundleMember(model, feature_view=view)
+    config = GbdtConfig(rounds=3, max_depth=2, max_leaves=4)
+    model, _ = train_gbdt(x, y, 2, config, feature_view=view)
+    return model
 
 
 def saved_doc(tmp_path, bundle):
@@ -129,12 +128,15 @@ def test_every_member_kind_has_a_trainer():
 
 
 def test_a_member_is_of_its_models_kind(trained_bundles):
-    """A member stores no kind of its own, so it cannot name another."""
-    assert "kind" not in {f.name for f in dataclasses.fields(BundleMember)}
+    """A member is its model, whose kind is its class's, so it cannot name another."""
     bundle, _ = trained_bundles["ensemble"]
     assert [m.kind for m in bundle.members] == list(MEMBER_CLASSES)
     for m in bundle.members:
-        assert BundleMember(m.model, m.feature_view).kind == type(m.model).kind
+        assert type(m) is MEMBER_CLASSES[m.kind]
+        assert "kind" not in vars(m)
+        assert m.feature_view in type(m).feature_views
+    gbdt = bundle.members[2]
+    assert "kind" not in {f.name for f in dataclasses.fields(gbdt)}
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
@@ -161,7 +163,7 @@ class TestEveryKindRoundTrip:
 
     def test_describe_gives_the_inspect_line(self, kind, trained_bundles):
         bundle, _ = trained_bundles[kind]
-        assert [m.describe() for m in bundle.members] == [
+        assert [f"{m.kind}: {m.describe()}" for m in bundle.members] == [
             INSPECT_LINES[m.kind] for m in bundle.members
         ]
 
@@ -196,7 +198,7 @@ class TestFormat:
     def test_every_member_and_encoder_array_is_packed(self, trained_bundles, tmp_path):
         bundle, _ = trained_bundles["ensemble"]
         _, doc = saved_doc(tmp_path, bundle)
-        fusion, baseline, gbdt = (m.model for m in bundle.members)
+        fusion, baseline, gbdt = bundle.members
         docs = [m["payload"] for m in doc["members"]]
         for net, payload in ((fusion, docs[0]), (baseline, docs[1])):
             for p in net.params():
@@ -248,14 +250,14 @@ class TestRoundTrip:
         state, _ = fitted_state()
         member = fusion_member(state)
         # plant awkward values: irrational, repeating binary, subnormal, -0.0
-        member.model.classifier.bias.value[...] = [np.pi, 1.0 / 3.0]
-        member.model.cat_act1.slope.value[...] = 5e-324
-        member.model.num_act.slope.value[...] = -0.0
+        member.classifier.bias.value[...] = [np.pi, 1.0 / 3.0]
+        member.cat_act1.slope.value[...] = 5e-324
+        member.num_act.slope.value[...] = -0.0
         bundle = ModelBundle("fusion", state, [member])
         path = tmp_path / "bundle.json"
         save_bundle(bundle, path)
         loaded = load_bundle(path)
-        for p, q in zip(member.model.params(), loaded.members[0].model.params()):
+        for p, q in zip(member.params(), loaded.members[0].params()):
             assert p.value.tobytes() == q.value.tobytes(), p.name
 
     def test_fusion_predictions_survive_round_trip(self, tmp_path):
@@ -269,8 +271,8 @@ class TestRoundTrip:
         numeric = rng.normal(size=(5, len(state.numeric_columns)))
         tokens = rng.integers(0, state.total_vocab_size, size=(5, state.total_padded_width))
         assert np.array_equal(
-            member.model.predict_proba(numeric, tokens),
-            loaded.members[0].model.predict_proba(numeric, tokens),
+            member.predict_proba(numeric, tokens),
+            loaded.members[0].predict_proba(numeric, tokens),
         )
 
     def test_baseline_round_trip(self, tmp_path):
@@ -278,13 +280,13 @@ class TestRoundTrip:
         # One numeric column plus one frequency column per categorical column.
         model = BaselineMlp(2, 2, hidden1=6, hidden2=4, seed=1)
         enc = FrequencyEncoder.fit(table, state, np.arange(4))
-        bundle = ModelBundle("baseline", state, [BundleMember(model)], frequency_encoder=enc)
+        bundle = ModelBundle("baseline", state, [model], frequency_encoder=enc)
         path = tmp_path / "b.json"
         save_bundle(bundle, path)
         loaded = load_bundle(path)
         x = np.random.default_rng(1).normal(size=(4, 2))
         assert np.array_equal(
-            model.predict_proba(x), loaded.members[0].model.predict_proba(x)
+            model.predict_proba(x), loaded.members[0].predict_proba(x)
         )
 
     def test_gbdt_round_trip_keeps_feature_view(self, tmp_path):
@@ -297,7 +299,7 @@ class TestRoundTrip:
         assert loaded.members[0].feature_view == "numeric+tokens"
         x = np.random.default_rng(2).normal(size=(6, 3))
         assert np.array_equal(
-            member.model.predict_proba(x), loaded.members[0].model.predict_proba(x)
+            member.predict_proba(x), loaded.members[0].predict_proba(x)
         )
 
     def test_ensemble_bundle_full_round_trip(self, tmp_path):

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import tabfuse
 import tabfuse.cli
+import tabfuse.pipeline
 import tabfuse.schema
 from tabfuse.bundle import load_bundle
 from tabfuse.cli import build_run_config, main, make_parser
@@ -367,6 +368,61 @@ class TestTrain:
         assert leftovers == []
 
 
+# A schema with only numeric features, only categorical ones, or only its target.
+SCHEMA_SHAPES = {
+    "numeric-only": (ColumnSpec("age", ColumnKind.NUMERICAL),),
+    "categorical-only": (ColumnSpec("note", ColumnKind.CATEGORICAL),),
+    "target-only": (),
+}
+# The feature column kind a model's error names where the shape lacks what a
+# member of it needs; every pair not listed trains.
+MISSING_COLUMN_KIND = {
+    ("numeric-only", "fusion"): "categorical",
+    ("numeric-only", "ensemble"): "categorical",
+    ("categorical-only", "fusion"): "numeric",
+    ("categorical-only", "ensemble"): "numeric",
+    ("target-only", "fusion"): "numeric",
+    ("target-only", "baseline"): "numeric or categorical",
+    ("target-only", "ensemble"): "numeric",
+}
+
+
+@pytest.mark.parametrize("model", ["fusion", "baseline", "gbdt", "ensemble"])
+@pytest.mark.parametrize("shape", SCHEMA_SHAPES)
+def test_every_schema_shape_trains_or_fails_cleanly(tmp_path, capsys, monkeypatch, shape, model):
+    """A member that needs a column kind the schema lacks is a data error,
+    raised before any member trains; every other pair trains."""
+    schema = TableSchema(
+        (*SCHEMA_SHAPES[shape], ColumnSpec("outcome", ColumnKind.CATEGORICAL)),
+        target="outcome",
+        class_labels=("no", "yes"),
+    )
+    schema_path = tmp_path / "schema.json"
+    save_schema(schema, schema_path)
+    trained = []
+    train_member = tabfuse.pipeline._train_member
+    monkeypatch.setattr(
+        tabfuse.pipeline, "_train_member",
+        lambda cls, *args: trained.append(cls.kind) or train_member(cls, *args),
+    )
+    out = tmp_path / "run"
+    argv = ["train", "--config", str(quick_config(tmp_path)), "--schema", str(schema_path)]
+    code = main([*argv, "--rows", "120", "--model", model, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code in (0, 3)
+    assert err.count("error[") <= 1 and "Traceback" not in err
+    missing = MISSING_COLUMN_KIND.get((shape, model))
+    if missing is None:
+        assert code == 0 and err == ""
+        assert (out / "bundle.json").exists()
+    else:
+        assert code == 3
+        assert err.startswith(f"error[data]: {model if model != 'ensemble' else 'fusion'} needs a ")
+        assert f"needs a {missing} feature column; the schema has" in err
+        assert err.count("\n") == 1
+        assert trained == [] and not out.exists()
+
+
 class TestConfigListKeys:
     """A list key given as comma-separated text, as imbalance may be, reads as its list."""
 
@@ -542,6 +598,36 @@ class TestPredict:
         )
         assert code == 0
         assert len(pred_path.read_text().strip().split("\n")) == 2
+
+    @pytest.mark.parametrize("column", ["predicted", "prob_yes"])
+    def test_column_named_like_a_prediction_column_is_refused(self, tmp_path, capsys, column):
+        """A prediction file cannot hold two columns of one name, so predict
+        refuses the bundle before it reads the CSV, and writes nothing."""
+        schema = TableSchema(
+            (
+                ColumnSpec("age", ColumnKind.NUMERICAL),
+                ColumnSpec(column, ColumnKind.CATEGORICAL),
+                ColumnSpec("outcome", ColumnKind.CATEGORICAL),
+            ),
+            target="outcome",
+            class_labels=("no", "yes"),
+        )
+        schema_path = tmp_path / "schema.json"
+        save_schema(schema, schema_path)
+        data = tmp_path / "data.csv"
+        generate = ["generate", "--schema", str(schema_path), "--rows", "60", "--out", str(data)]
+        assert main(generate) == 0
+        run = train_quick(tmp_path, schema_path, data, model="gbdt")
+        pred_path = tmp_path / "p.csv"
+        capsys.readouterr()
+        for source in (data, tmp_path / "absent.csv"):
+            argv = ["--model", str(run / "bundle.json"), "--data", str(source)]
+            assert main(["predict", *argv, "--out", str(pred_path)]) == 3
+            assert capsys.readouterr().err == (
+                f"error[data]: schema column {column!r} has the name of a prediction "
+                "column; rename it and retrain to predict\n"
+            )
+            assert not pred_path.exists()
 
     @pytest.mark.parametrize("model", ["fusion", "gbdt", "ensemble"])
     def test_header_only_csv(self, tmp_path, schema_path, data_path, capsys, model):

@@ -581,7 +581,7 @@ def gbdt_bundle(tmp_path_factory):
     path = root / "bundle.json"
     bundle = run_training(config).bundle
     save_bundle(bundle, path)
-    width = bundle.members[0].model.feature_count
+    width = bundle.members[0].feature_count
     rng = np.random.default_rng(0)
     x = rng.normal(scale=2.0, size=(64, width))
     x[32:] = rng.integers(0, 6, size=(32, width))  # token codes
@@ -619,6 +619,16 @@ class TestTreeChecks:
         with pytest.raises(DataError, match=message):
             GbdtModel(*forest(split_tree()), n_classes, 1, shrinkage, base_score)
 
+    def test_model_rejects_a_view_it_cannot_read(self):
+        """A model records the view it reads, so it checks it when it is built."""
+        message = "gbdt member has feature view 'wavelets'; pick one of numeric[+]tokens, "
+        with pytest.raises(DataError, match=message):
+            GbdtModel(*forest(split_tree()), 1, 1, 0.1, feature_view="wavelets")
+        with pytest.raises(DataError, match=message):
+            train_gbdt(np.eye(2), np.arange(2), 2, GbdtConfig(rounds=1), feature_view="wavelets")
+        model, _ = train_gbdt(np.eye(2), np.arange(2), 2, GbdtConfig(rounds=1))
+        assert model.feature_view == "numeric+tokens"
+
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_what_loads_walks_like_the_reference(self, gbdt_bundle, data):
@@ -643,7 +653,7 @@ class TestTreeChecks:
         trees[name] = pack(values, trees[name]["dtype"])
         write_doc(path, doc)
         try:
-            model = load_bundle(path).members[0].model
+            model = load_bundle(path).members[0]
         except DataError:
             return
         assert model.margins(x).tobytes() == reference_margins(model, x).tobytes()

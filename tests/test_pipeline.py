@@ -163,8 +163,8 @@ class TestRunTraining:
                 schema_path, model="ensemble", ensemble_members=("fusion", "gbdt")
             )
         )
-        solo = standalone.bundle.members[0].model
-        member0 = ensemble.bundle.members[0].model
+        solo = standalone.bundle.members[0]
+        member0 = ensemble.bundle.members[0]
         for p, q in zip(solo.params(), member0.params()):
             assert np.array_equal(p.value, q.value), p.name
 
@@ -174,7 +174,7 @@ class TestRunTraining:
                 schema_path, model="ensemble", ensemble_members=("fusion", "fusion")
             )
         )
-        a, b = (m.model for m in outcome.bundle.members)
+        a, b = outcome.bundle.members
         assert any(
             not np.array_equal(p.value, q.value)
             for p, q in zip(a.params(), b.params())
