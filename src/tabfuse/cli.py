@@ -63,9 +63,20 @@ def _section(cls, section: str):
     return convert
 
 
-def _items(value):
+def _items(value) -> list:
     """A list as it is, or comma-separated text as its parts, each stripped."""
-    return [part.strip() for part in value.split(",")] if isinstance(value, str) else value
+    if isinstance(value, str):
+        return [part.strip() for part in value.split(",")]
+    if type(value) is not list:
+        raise ValueError("must be a list or comma-separated text")
+    return value
+
+
+def _text(value) -> str:
+    """A JSON string as it is: not a number, a bool, a list or an object."""
+    if type(value) is not str:
+        raise ValueError("must be a string")
+    return value
 
 
 def _integer(value) -> int:
@@ -75,9 +86,16 @@ def _integer(value) -> int:
     return value
 
 
+def _number(value) -> float:
+    """A number, or text that parses as one, as a float; a bool is neither."""
+    if type(value) is bool:
+        raise ValueError("must be a number, not a bool")
+    return float(value)
+
+
 def _weights(value) -> tuple[float, ...]:
     """Numbers from a list or from comma-separated text."""
-    return tuple(float(w) for w in _items(value))
+    return tuple(map(_number, _items(value)))
 
 
 def _fractions(value) -> tuple[float, ...]:
@@ -91,19 +109,19 @@ def _fractions(value) -> tuple[float, ...]:
 # flag overrides the key of its name; a key set by neither is left out, so
 # the dataclass default applies.
 _RUN_KEYS = {
-    "schema": str,
-    "model": str,
-    "data": str,
+    "schema": _text,
+    "model": _text,
+    "data": _text,
     "fractions": _fractions,
     "seed": _integer,
-    "out": str,
+    "out": _text,
     "train": _section(TrainConfig, "train"),
     "gbdt": _section(GbdtConfig, "gbdt"),
-    "ensemble_members": lambda v: tuple(str(m) for m in _items(v)),
-    "gbdt_feature_view": str,
+    "ensemble_members": lambda v: tuple(map(_text, _items(v))),
+    "gbdt_feature_view": _text,
     "rows": _integer,
     "imbalance": _weights,
-    "missing_fraction": float,
+    "missing_fraction": _number,
 }
 
 
@@ -277,8 +295,8 @@ def cmd_inspect(args) -> int:
         f"model kind: {bundle.kind}",
         f"target: {schema.target}",
         f"classes ({schema.n_classes}): {', '.join(schema.class_labels)}",
-        f"numeric features: {len(state.numeric_columns)}",
-        f"categorical features: {len(state.categorical_columns)}",
+        f"numeric features: {len(schema.numeric_feature_names)}",
+        f"categorical features: {len(schema.categorical_feature_names)}",
         f"token width: {state.total_padded_width}",
         f"vocabulary size: {state.total_vocab_size}",
         f"preprocess fingerprint: {state.fingerprint()}",

@@ -20,6 +20,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DataError
+from .schema import _quoted
 
 
 def confusion_matrix(
@@ -121,7 +122,9 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
     def confusion_csv_text(self) -> str:
-        labels = self.class_labels
+        """The matrix as CSV lines ending in ``\\n``, each label quoted as
+        csv.writer quotes it."""
+        labels = _quoted(list(self.class_labels))
         lines = ["true\\predicted," + ",".join(labels)]
         for i, label in enumerate(labels):
             row = ",".join(str(int(v)) for v in self.confusion[i])

@@ -232,8 +232,9 @@ class EmbeddingFusionNet(_Net):
     @classmethod
     def from_state(cls, state: PreprocessState, **kwargs) -> "EmbeddingFusionNet":
         """A net sized for ``state``; ``kwargs`` are the other constructor arguments."""
-        sizes = state.total_vocab_size, state.total_padded_width, len(state.numeric_columns)
-        return cls(*sizes, state.schema.n_classes, **kwargs)
+        schema = state.schema
+        sizes = state.total_vocab_size, state.total_padded_width, len(schema.numeric_feature_names)
+        return cls(*sizes, schema.n_classes, **kwargs)
 
     @staticmethod
     def widths_from(params: dict, state: PreprocessState) -> dict:
@@ -476,7 +477,7 @@ class FrequencyEncoder:
         if not rows:
             raise DataError("frequency encoder needs at least one row")
         tables = {}
-        for name in state.categorical_columns:
+        for name in state.schema.categorical_feature_names:
             mode = state.vocabularies[name].mode_value
             cells = table.column(name)
             counts = Counter(
@@ -487,7 +488,7 @@ class FrequencyEncoder:
 
     def encode(self, table: DataTable) -> np.ndarray:
         """One column per categorical column of the state, shape (rows, C)."""
-        columns = self.state.categorical_columns
+        columns = self.state.schema.categorical_feature_names
         out = np.zeros((table.row_count, len(columns)), dtype=np.float64)
         for j, name in enumerate(columns):
             freq, mode = self.tables[name], self.state.vocabularies[name].mode_value
@@ -516,7 +517,7 @@ class FrequencyEncoder:
                 strings, or a key count that is not the value count.
         """
         (tables,) = fields(doc, ("tables",), "frequency encoder")
-        if list(tables) != list(state.categorical_columns):
+        if list(tables) != list(state.schema.categorical_feature_names):
             raise DataError("frequency tables must follow the state's categorical columns")
         decoded = {}
         for name, table in tables.items():

@@ -20,11 +20,13 @@ ranges across columns so a single embedding table can serve every column;
 padding stays index 0 globally. Cells longer than the fitted pad length are truncated to the
 first ``pad_length`` tokens.
 
-A state's JSON form holds only what its schema does not give: the means
-and standard deviations in the schema's numeric column order, and per
-categorical column its token list (indices 2..n+1 in list order), pad
-length and mode. Class indices follow the schema's class labels. Building
-a state checks every fact the schema does not give.
+A state's JSON form holds only what its schema does not give: a
+``numeric_stats`` object of the means and standard deviations, in the order
+of the schema's ``numeric_feature_names``, and per categorical column its
+token list (indices 2..n+1 in list order), pad length and mode. Which
+columns are numeric and which categorical is read from the schema alone.
+Class indices follow the schema's class labels. Building a state checks
+every fact the schema does not give.
 """
 
 from __future__ import annotations
@@ -112,14 +114,6 @@ def _parse_numeric(table: DataTable, names: tuple[str, ...], outcome: str) -> np
 
 
 @dataclass(frozen=True)
-class NumericStats:
-    """Per numeric column, in schema order: fitted mean and population standard deviation."""
-
-    means: tuple[float, ...]
-    stds: tuple[float, ...]
-
-
-@dataclass(frozen=True)
 class ColumnVocabulary:
     """Per categorical column: token list, pad length, and mode.
 
@@ -159,18 +153,15 @@ class _TransformPlan:
     """What ``transform`` reads from a state, built once per state."""
 
     def __init__(self, state: "PreprocessState"):
-        self.numeric = state.schema.numeric_feature_names
-        self.categorical = state.schema.categorical_feature_names
-        self.means = np.array(state.numeric_stats.means, dtype=np.float64)
-        self.stds = np.array(state.numeric_stats.stds, dtype=np.float64)
+        self.means = np.array(state.means, dtype=np.float64)
+        self.stds = np.array(state.stds, dtype=np.float64)
         self.scaled = self.stds > 0.0  # constant columns stay 0
         self.labels = {label: i for i, label in enumerate(state.schema.class_labels)}
         # Per categorical column: name, vocabulary, and base offset of its
         # disjoint global index block.
         self.encoders: list[tuple[str, ColumnVocabulary, int]] = []
         base = 0
-        for name in self.categorical:
-            voc = state.vocabularies[name]
+        for name, voc in state.vocabularies.items():
             self.encoders.append((name, voc, base))
             base += voc.size
 
@@ -179,10 +170,13 @@ class _TransformPlan:
 class PreprocessState:
     """Everything needed to transform unseen rows of a fitted schema.
 
-    ``vocabularies`` is keyed by the schema's categorical features, in
-    schema order. A state is not edited after it is built: its transform
-    plan, built on first use, is kept beside the fields, outside equality
-    and the JSON form.
+    ``means`` and ``stds`` hold each numeric feature's fitted mean and
+    population standard deviation, and ``vocabularies`` is keyed by the
+    categorical features, each in the order of the schema, whose
+    ``numeric_feature_names`` and ``categorical_feature_names`` name them.
+    A state is not edited after it is built: its transform plan, built on
+    first use, is kept beside the fields, outside equality and the JSON
+    form.
 
     Raises:
         DataError: means or stds that are not one finite number per numeric
@@ -191,17 +185,17 @@ class PreprocessState:
     """
 
     schema: TableSchema
-    numeric_stats: NumericStats
+    means: tuple[float, ...]
+    stds: tuple[float, ...]
     vocabularies: dict[str, ColumnVocabulary]
 
     def __post_init__(self):
         n = len(self.schema.numeric_feature_names)
-        stats = self.numeric_stats
-        for name, values in (("means", stats.means), ("stds", stats.stds)):
+        for name, values in (("means", self.means), ("stds", self.stds)):
             finite = all(type(v) in (int, float) and math.isfinite(v) for v in values)
             if len(values) != n or not finite:
                 raise DataError(f"preprocess state needs {n} finite {name}, one per numeric column")
-        if any(s < 0 for s in stats.stds):
+        if any(s < 0 for s in self.stds):
             raise DataError("preprocess state holds a negative standard deviation")
         if list(self.vocabularies) != list(self.schema.categorical_feature_names):
             raise DataError("preprocess state vocabularies must follow the categorical features")
@@ -209,14 +203,6 @@ class PreprocessState:
     @cached_property
     def _plan(self) -> _TransformPlan:
         return _TransformPlan(self)
-
-    @property
-    def categorical_columns(self) -> tuple[str, ...]:
-        return self._plan.categorical
-
-    @property
-    def numeric_columns(self) -> tuple[str, ...]:
-        return self._plan.numeric
 
     @property
     def total_padded_width(self) -> int:
@@ -230,16 +216,13 @@ class PreprocessState:
         """Columns of the flat feature matrix of ``view``: the numerics, then
         every token position, one frequency per categorical column, or nothing."""
         extra = {"numeric": 0, "numeric+tokens": self.total_padded_width,
-                 "numeric+frequency": len(self.categorical_columns)}
-        return len(self.numeric_columns) + extra[view]
+                 "numeric+frequency": len(self.schema.categorical_feature_names)}
+        return len(self.schema.numeric_feature_names) + extra[view]
 
     def to_json_dict(self) -> dict:
         return {
             "schema": self.schema.to_json_dict(),
-            "numeric_stats": {
-                "means": list(self.numeric_stats.means),
-                "stds": list(self.numeric_stats.stds),
-            },
+            "numeric_stats": {"means": list(self.means), "stds": list(self.stds)},
             "vocabularies": {
                 name: {
                     "tokens": list(voc.tokens),
@@ -263,8 +246,7 @@ class PreprocessState:
             if type(tokens) is not list:
                 raise DataError(f"{what} tokens must be a list")
             decoded[name] = ColumnVocabulary(tuple(tokens), pad_length, mode)
-        stats = NumericStats(tuple(means), tuple(stds))
-        return cls(TableSchema.from_json_dict(schema), stats, decoded)
+        return cls(TableSchema.from_json_dict(schema), tuple(means), tuple(stds), decoded)
 
     def fingerprint(self) -> str:
         return digest(self.to_json_dict())
@@ -343,7 +325,7 @@ def fit(table: DataTable) -> PreprocessState:
     if all(c is None for c in table.column(schema.target)):
         raise DataError(f"target column {schema.target!r} is entirely missing")
 
-    return PreprocessState(schema, NumericStats(tuple(means), tuple(stds)), vocabularies)
+    return PreprocessState(schema, tuple(means), tuple(stds), vocabularies)
 
 
 def _encode_column(
@@ -382,7 +364,8 @@ def transform(table: DataTable, state: PreprocessState) -> EncodedDataset:
     plan = state._plan
     n_rows = table.row_count
 
-    parsed = _parse_numeric(table, plan.numeric, "imputed to the mean").T.copy()
+    names = state.schema.numeric_feature_names
+    parsed = _parse_numeric(table, names, "imputed to the mean").T.copy()
     parsed = np.where(np.isnan(parsed), plan.means, parsed)
     numeric = np.zeros_like(parsed)  # constant columns stay 0
     np.divide(parsed - plan.means, plan.stds, out=numeric, where=plan.scaled)

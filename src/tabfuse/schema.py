@@ -17,6 +17,10 @@ Schema files are JSON documents::
     }
 
 It holds exactly these three fields, and each column its name and kind.
+Every column but the target is a feature. The schema's
+``numeric_feature_names`` and ``categorical_feature_names`` are the one
+record of which features are which kind: preprocessing, the models and
+``tabfuse inspect`` all read them.
 
 CSV files are RFC 4180: comma separated, first row is the header, UTF-8,
 quoted fields where needed. Header order does not have to match schema
@@ -87,7 +91,9 @@ class TableSchema:
 
     The target must name exactly one categorical column; class labels are
     distinct and there are at least two of them. Feature columns are all
-    columns except the target.
+    columns except the target: ``numeric_feature_names`` and
+    ``categorical_feature_names`` name them by kind, in schema order, and
+    are computed once, when the schema is built.
     """
 
     columns: tuple[ColumnSpec, ...]
@@ -98,8 +104,12 @@ class TableSchema:
         object.__setattr__(self, "columns", tuple(self.columns))
         object.__setattr__(self, "class_labels", tuple(self.class_labels))
         names = [c.name for c in self.columns]
-        # Not a field: no part of equality, repr or the JSON form.
+        # Not fields: no part of equality, repr or the JSON form.
         object.__setattr__(self, "_positions", {n: i for i, n in enumerate(names)})
+        for attr, kind in (("numeric_feature_names", ColumnKind.NUMERICAL),
+                           ("categorical_feature_names", ColumnKind.CATEGORICAL)):
+            features = (c.name for c in self.columns if c.kind is kind and c.name != self.target)
+            object.__setattr__(self, attr, tuple(features))
         if len(set(names)) != len(names):
             dupes = sorted({n for n in names if names.count(n) > 1})
             raise DataError(f"duplicate column names: {dupes}")
@@ -119,22 +129,6 @@ class TableSchema:
     @property
     def column_names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.columns)
-
-    @property
-    def feature_columns(self) -> tuple[ColumnSpec, ...]:
-        return tuple(c for c in self.columns if c.name != self.target)
-
-    @property
-    def numeric_feature_names(self) -> tuple[str, ...]:
-        return tuple(
-            c.name for c in self.feature_columns if c.kind is ColumnKind.NUMERICAL
-        )
-
-    @property
-    def categorical_feature_names(self) -> tuple[str, ...]:
-        return tuple(
-            c.name for c in self.feature_columns if c.kind is ColumnKind.CATEGORICAL
-        )
 
     @property
     def n_classes(self) -> int:

@@ -143,7 +143,7 @@ def test_criterion_2_overfit_oracle(acceptance_lines):
     net = EmbeddingFusionNet(
         state.total_vocab_size,
         state.total_padded_width,
-        len(state.numeric_columns),
+        len(state.schema.numeric_feature_names),
         2,
         seed=0,
     )
@@ -195,7 +195,7 @@ def test_criterion_3_relative_ordering(acceptance_lines):
     net = EmbeddingFusionNet(
         state.total_vocab_size,
         state.total_padded_width,
-        len(state.numeric_columns),
+        len(state.schema.numeric_feature_names),
         3,
         seed=13,
     )

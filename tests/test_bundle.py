@@ -52,7 +52,7 @@ def fusion_member(state, seed=0):
     return EmbeddingFusionNet(
         vocab_size=state.total_vocab_size,
         token_width=state.total_padded_width,
-        n_numeric=len(state.numeric_columns),
+        n_numeric=len(state.schema.numeric_feature_names),
         n_classes=2,
         embed_dim=4,
         hidden_width=6,
@@ -268,7 +268,7 @@ class TestRoundTrip:
         save_bundle(bundle, path)
         loaded = load_bundle(path)
         rng = np.random.default_rng(0)
-        numeric = rng.normal(size=(5, len(state.numeric_columns)))
+        numeric = rng.normal(size=(5, len(state.schema.numeric_feature_names)))
         tokens = rng.integers(0, state.total_vocab_size, size=(5, state.total_padded_width))
         assert np.array_equal(
             member.predict_proba(numeric, tokens),

@@ -469,6 +469,36 @@ class TestConfigListKeys:
         assert not (tmp_path / "run").exists()
 
 
+TEXT_KEYS = ["schema", "model", "data", "out", "gbdt_feature_view", "ensemble_members"]
+NOT_TEXT = {"number": 5, "bool": True, "list": ["x", 1], "object": {"fusion": "gbdt"}}
+BOOL_NUMBERS = [
+    ("missing_fraction", True),
+    ("missing_fraction", False),
+    ("imbalance", [True, 2]),
+    ("imbalance", [1, False]),
+    ("fractions", [0.8, 0.1, True]),
+    ("fractions", [False, 0.5, 0.5]),
+]
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [pytest.param(k, v, id=f"{k}-{name}") for k in TEXT_KEYS for name, v in NOT_TEXT.items()]
+    + [pytest.param(k, v, id=f"{k}-{v}") for k, v in BOOL_NUMBERS],
+)
+def test_config_value_of_the_wrong_json_type_is_usage_error(
+    tmp_path, schema_path, capsys, monkeypatch, key, value
+):
+    """A text key takes only a JSON string, and no number key takes a bool."""
+    monkeypatch.chdir(tmp_path)  # the default or a relative output directory would land here
+    cfg = quick_config(tmp_path, **{"schema": str(schema_path), "rows": 40, key: value})
+    assert main(["train", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error[usage]: invalid {key} value {value!r}: ")
+    assert err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "schema.json"]
+
+
 def tree_bytes(root: Path) -> dict:
     """The bytes of every file under ``root``, by relative path."""
     return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}

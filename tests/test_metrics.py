@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import numpy as np
@@ -200,3 +202,15 @@ class TestReportRendering:
             "class_0,8,2\n"
             "class_1,3,7\n"
         )
+
+    def test_confusion_csv_quotes_labels_that_need_it(self):
+        probas, y_true = oracle_dataset()
+        labels = ("home, discharged", 'admitted "ICU"')
+        text = evaluate(probas, y_true, labels).confusion_csv_text()
+        rows = list(csv.reader(io.StringIO(text)))
+        assert rows == [
+            ["true\\predicted", *labels],
+            [labels[0], "8", "2"],
+            [labels[1], "3", "7"],
+        ]
+        assert text.count("\n") == 3 and "\r" not in text

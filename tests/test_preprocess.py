@@ -72,9 +72,9 @@ class TestTokenize:
 class TestFit:
     def test_numeric_mean_and_population_std(self):
         state = fit(small_table())
-        assert state.numeric_stats.means == (2.5,)
+        assert state.means == (2.5,)
         # population std of 1..4 = sqrt(1.25)
-        assert state.numeric_stats.stds == (1.118033988749895,)
+        assert state.stds == (1.118033988749895,)
 
     def test_vocabulary_sorted_from_two(self):
         state = fit(small_table())
@@ -107,7 +107,7 @@ class TestFit:
         )
         with caplog.at_level(logging.WARNING, logger="tabfuse.preprocess"):
             state = fit(t)
-        assert state.numeric_stats.means == (2.0,)
+        assert state.means == (2.0,)
         assert caplog.messages == ["column 'temp': 1 non-numeric cell(s) treated as missing"]
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="tabfuse.preprocess"):
