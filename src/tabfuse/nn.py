@@ -77,10 +77,11 @@ class Linear:
 
 
 class PReLU:
-    """Elementwise max(0, x) + a * min(0, x) with one learnable scalar a."""
+    """Elementwise max(0, x) + a * min(0, x) with one learnable scalar a,
+    which starts at 0.25."""
 
-    def __init__(self, name: str, init_slope: float = 0.25):
-        self.slope = Param(np.asarray(init_slope, dtype=np.float64), f"{name}.slope")
+    def __init__(self, name: str):
+        self.slope = Param(np.asarray(0.25, dtype=np.float64), f"{name}.slope")
 
     def params(self) -> list[Param]:
         return [self.slope]
@@ -174,27 +175,22 @@ def softmax_cross_entropy(
     return loss, grad
 
 
+# Adam's first and second moment decays, and the eps its denominator adds.
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+
+
 class Adam:
     """Adam with bias correction over a fixed parameter list.
 
-    Defaults: lr 0.001, beta1 0.9, beta2 0.999, epsilon 1e-8. Each Param's
+    The learning rate defaults to 0.001. The moment decays (0.9, 0.999) and
+    eps (1e-8) are fixed: ``_BETA1``, ``_BETA2``, ``_EPS``. Each Param's
     value and grad become views into the flat ``value`` and ``grad`` built
     here; entries whose update_mask (read here) is zero keep their values.
     """
 
-    def __init__(
-        self,
-        params: list[Param],
-        learning_rate: float = 0.001,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        epsilon: float = 1e-8,
-    ):
+    def __init__(self, params: list[Param], learning_rate: float = 0.001):
         self.params = list(params)
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
         self.step_count = 0
         self.value = np.concatenate([p.value.reshape(-1) for p in self.params])
         self.grad = np.concatenate([p.grad.reshape(-1) for p in self.params])
@@ -217,19 +213,19 @@ class Adam:
     def step(self):
         self.step_count += 1
         t = self.step_count
-        c1 = 1.0 - self.beta1**t
-        c2 = 1.0 - self.beta2**t
+        c1 = 1.0 - _BETA1**t
+        c2 = 1.0 - _BETA2**t
         # m += (1 - b1) g;  v += (1 - b2) g g;  value -= lr (m / c1) / (sqrt(v / c2) + eps),
         # each product and quotient in that order, so the bits match the formula
         g, a = np.multiply(self.grad, self._mask, out=self._g), self._a
-        self._m *= self.beta1
-        self._m += np.multiply(1.0 - self.beta1, g, out=a)
-        self._v *= self.beta2
-        np.multiply(1.0 - self.beta2, g, out=a)
+        self._m *= _BETA1
+        self._m += np.multiply(1.0 - _BETA1, g, out=a)
+        self._v *= _BETA2
+        np.multiply(1.0 - _BETA2, g, out=a)
         self._v += np.multiply(a, g, out=a)
         np.divide(self._v, c2, out=a)
         np.sqrt(a, out=a)
-        a += self.epsilon
+        a += _EPS
         step = np.divide(self._m, c1, out=g)  # g is spent; its buffer takes the step
         np.multiply(self.learning_rate, step, out=step)
         self.value -= np.divide(step, a, out=step)

@@ -149,23 +149,6 @@ class ColumnVocabulary:
         return len(self.tokens) + 2
 
 
-class _TransformPlan:
-    """What ``transform`` reads from a state, built once per state."""
-
-    def __init__(self, state: "PreprocessState"):
-        self.means = np.array(state.means, dtype=np.float64)
-        self.stds = np.array(state.stds, dtype=np.float64)
-        self.scaled = self.stds > 0.0  # constant columns stay 0
-        self.labels = {label: i for i, label in enumerate(state.schema.class_labels)}
-        # Per categorical column: name, vocabulary, and base offset of its
-        # disjoint global index block.
-        self.encoders: list[tuple[str, ColumnVocabulary, int]] = []
-        base = 0
-        for name, voc in state.vocabularies.items():
-            self.encoders.append((name, voc, base))
-            base += voc.size
-
-
 @dataclass(frozen=True)
 class PreprocessState:
     """Everything needed to transform unseen rows of a fitted schema.
@@ -174,9 +157,6 @@ class PreprocessState:
     population standard deviation, and ``vocabularies`` is keyed by the
     categorical features, each in the order of the schema, whose
     ``numeric_feature_names`` and ``categorical_feature_names`` name them.
-    A state is not edited after it is built: its transform plan, built on
-    first use, is kept beside the fields, outside equality and the JSON
-    form.
 
     Raises:
         DataError: means or stds that are not one finite number per numeric
@@ -199,10 +179,6 @@ class PreprocessState:
             raise DataError("preprocess state holds a negative standard deviation")
         if list(self.vocabularies) != list(self.schema.categorical_feature_names):
             raise DataError("preprocess state vocabularies must follow the categorical features")
-
-    @cached_property
-    def _plan(self) -> _TransformPlan:
-        return _TransformPlan(self)
 
     @property
     def total_padded_width(self) -> int:
@@ -290,9 +266,11 @@ class EncodedDataset:
 def fit(table: DataTable) -> PreprocessState:
     """Learn imputation, scaling, and vocabulary state from a table.
 
-    Every column must contain at least one non-missing value. Numeric cells
-    that fail to parse (or parse non-finite) count as missing and are
-    reported in a warning. Mode ties break to the lexicographically smallest
+    Every column must contain at least one non-missing value, and each
+    numeric column's mean and standard deviation must be finite (a column
+    of values near the float64 limit overflows them). Numeric cells that
+    fail to parse (or parse non-finite) count as missing and are reported
+    in a warning. Mode ties break to the lexicographically smallest
     value so fitting is deterministic.
     """
     schema = table.schema
@@ -303,8 +281,12 @@ def fit(table: DataTable) -> PreprocessState:
         values = col[~np.isnan(col)]
         if not values.size:
             raise DataError(f"column {name!r} has no usable values to fit on")
-        means.append(float(values.mean()))
-        stds.append(float(values.std()))
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below instead
+            mean, std = float(values.mean()), float(values.std())
+        if not (math.isfinite(mean) and math.isfinite(std)):
+            raise DataError(f"column {name!r} holds values too large for a finite mean and std")
+        means.append(mean)
+        stds.append(std)
 
     vocabularies: dict[str, ColumnVocabulary] = {}
     for name in schema.categorical_feature_names:
@@ -355,33 +337,35 @@ def transform(table: DataTable, state: PreprocessState) -> EncodedDataset:
     constant columns standardize to 0 everywhere. Missing categoricals
     impute to the fitted mode; unseen tokens map to the unknown index.
     Each distinct cell of a column is encoded once per call. Rows whose
-    target cell is missing get label -1.
+    target cell is missing get label -1. Each call reads the state's fields
+    afresh; nothing is cached on the state.
     """
     if table.schema != state.schema:
         raise SchemaMismatchError(
             "table schema differs from the schema the state was fitted on"
         )
-    plan = state._plan
     n_rows = table.row_count
 
     names = state.schema.numeric_feature_names
+    means = np.array(state.means, dtype=np.float64)
+    stds = np.array(state.stds, dtype=np.float64)
     parsed = _parse_numeric(table, names, "imputed to the mean").T.copy()
-    parsed = np.where(np.isnan(parsed), plan.means, parsed)
+    parsed = np.where(np.isnan(parsed), means, parsed)
     numeric = np.zeros_like(parsed)  # constant columns stay 0
-    np.divide(parsed - plan.means, plan.stds, out=numeric, where=plan.scaled)
+    np.divide(parsed - means, stds, out=numeric, where=stds > 0.0)
 
-    blocks = [
-        _encode_column(table.column(name), voc, base)
-        for name, voc, base in plan.encoders
-    ]
+    blocks = []
+    base = 0  # each column's codes are a disjoint block of the global index range
+    for name, voc in state.vocabularies.items():
+        blocks.append(_encode_column(table.column(name), voc, base))
+        base += voc.size
     tokens = (
         np.concatenate(blocks, axis=1) if blocks else np.zeros((n_rows, 0), np.int64)
     )
 
     target = table.column(state.schema.target)
-    labels = np.array(
-        [-1 if c is None else plan.labels[c] for c in target], dtype=np.int64
-    )
+    index = {label: i for i, label in enumerate(state.schema.class_labels)}
+    labels = np.array([-1 if c is None else index[c] for c in target], dtype=np.int64)
     return EncodedDataset(numeric, tokens, labels, np.arange(n_rows, dtype=np.int64))
 
 

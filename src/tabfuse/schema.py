@@ -24,10 +24,11 @@ record of which features are which kind: preprocessing, the models and
 
 CSV files are RFC 4180: comma separated, first row is the header, UTF-8,
 quoted fields where needed. Header order does not have to match schema
-order. Empty cells and any configured missing sentinel (default ``""`` and
-``"NA"``) load as missing. Files are written a block of rows at a time,
-each block formatted column by column and joined into one string, with
-the bytes ``csv.writer``'s default dialect would write.
+order. The missing sentinels are fixed: a cell of ``""`` or ``"NA"``
+(``DEFAULT_MISSING_VALUES``) loads as missing, so no class label may be one,
+and a missing cell is written as ``""``. Files are written a block of rows
+at a time, each block formatted column by column and joined into one
+string, with the bytes ``csv.writer``'s default dialect would write.
 """
 
 from __future__ import annotations
@@ -90,10 +91,10 @@ class TableSchema:
     """Ordered column specs plus the target column and its label set.
 
     The target must name exactly one categorical column; class labels are
-    distinct and there are at least two of them. Feature columns are all
-    columns except the target: ``numeric_feature_names`` and
-    ``categorical_feature_names`` name them by kind, in schema order, and
-    are computed once, when the schema is built.
+    distinct strings, none a missing sentinel, and there are at least two
+    of them. Feature columns are all columns except the target:
+    ``numeric_feature_names`` and ``categorical_feature_names`` name them by
+    kind, in schema order, and are computed once, when the schema is built.
     """
 
     columns: tuple[ColumnSpec, ...]
@@ -121,6 +122,8 @@ class TableSchema:
         for label in self.class_labels:
             if not isinstance(label, str):
                 raise DataError(f"class label {label!r} must be a string")
+            if label in DEFAULT_MISSING_VALUES:
+                raise DataError(f"class label {label!r} reads as a missing cell in a CSV")
         if len(self.class_labels) < 2:
             raise DataError("schema needs at least 2 class labels")
         if len(set(self.class_labels)) != len(self.class_labels):
@@ -266,16 +269,12 @@ def save_schema(schema: TableSchema, path: str | Path) -> None:
     )
 
 
-def load_csv(
-    path: str | Path,
-    schema: TableSchema,
-    missing_values: Sequence[str] = DEFAULT_MISSING_VALUES,
-) -> DataTable:
+def load_csv(path: str | Path, schema: TableSchema) -> DataTable:
     """Read a CSV file against a schema.
 
     The header must contain exactly the schema's column names, in any order;
-    cells are re-ordered to schema order. Cells equal to any entry of
-    ``missing_values`` become missing.
+    cells are re-ordered to schema order. Cells equal to a missing sentinel
+    of ``DEFAULT_MISSING_VALUES`` become missing.
 
     Raises:
         DataError: missing, unreadable or non-UTF-8 file, header mismatch
@@ -285,7 +284,7 @@ def load_csv(
             or a target cell outside the schema's class labels.
     """
     p = Path(path)
-    missing = set(missing_values)
+    missing = set(DEFAULT_MISSING_VALUES)
     with open_input(p, "CSV") as fh:
         reader = csv.reader(fh)
         try:
@@ -323,29 +322,24 @@ def load_csv(
     return DataTable.from_columns(schema, columns)
 
 
-def write_csv(
-    table: DataTable, path: str | Path, missing_value: str = ""
-) -> None:
+def write_csv(table: DataTable, path: str | Path) -> None:
     """Write a table as CSV in schema column order.
 
-    Missing cells are written as ``missing_value``. A data cell whose text
-    equals a missing sentinel is indistinguishable from missing after a
-    round trip; callers that need the distinction must pick a sentinel that
-    cannot occur as data.
+    Missing cells are written as ``""``. A data cell of ``"NA"`` is written
+    as itself and so loads back as missing.
     """
-    _write_csv_rows(path, table.schema.column_names, table.columns, missing_value)
+    _write_csv_rows(path, table.schema.column_names, table.columns)
 
 
 def _write_csv_rows(
     path: str | Path,
     header: Sequence[str],
     columns: Sequence[Sequence[str | None] | np.ndarray],
-    missing_value: str = "",
 ) -> None:
     """Write ``header`` and then the rows of ``columns`` as csv.writer would.
 
     A column is a sequence of text cells, where ``None`` is written as
-    ``missing_value``, or a 1-D float array, whose numbers are written as
+    ``""``, or a 1-D float array, whose numbers are written as
     their ``repr``. Each block of ``_WRITE_BLOCK_ROWS`` rows is formatted
     column by column and written as one string.
     """
@@ -353,13 +347,13 @@ def _write_csv_rows(
         fh.write(_csv_lines([_quoted([name]) for name in header]))
         for start in range(0, len(columns[0]), _WRITE_BLOCK_ROWS):
             rows = slice(start, start + _WRITE_BLOCK_ROWS)
-            fh.write(_csv_lines([_column_text(column[rows], missing_value) for column in columns]))
+            fh.write(_csv_lines([_column_text(column[rows]) for column in columns]))
 
 
-def _column_text(cells: Sequence[str | None] | np.ndarray, missing_value: str) -> list[str]:
+def _column_text(cells: Sequence[str | None] | np.ndarray) -> list[str]:
     if isinstance(cells, np.ndarray):
         return list(map(repr, cells.tolist()))  # no float's repr needs quotes
-    return _quoted([missing_value if c is None else c for c in cells])
+    return _quoted(["" if c is None else c for c in cells])
 
 
 def _quoted(cells: list[str]) -> list[str]:

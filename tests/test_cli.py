@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from bundle_docs import edit_packed, pack, refingerprint, unpacked, write_doc
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import tabfuse
@@ -421,6 +421,107 @@ def test_every_schema_shape_trains_or_fails_cleanly(tmp_path, capsys, monkeypatc
         assert f"needs a {missing} feature column; the schema has" in err
         assert err.count("\n") == 1
         assert trained == [] and not out.exists()
+
+
+
+def schema_doc(names, labels) -> dict:
+    """A schema of a numeric column, a categorical one and the target, named ``names``."""
+    kinds = ("numerical", "categorical", "categorical")
+    return {
+        "columns": [{"name": n, "kind": k} for n, k in zip(names, kinds)],
+        "target": names[2],
+        "class_labels": list(labels),
+    }
+
+
+def run_cli(argv) -> tuple[int, str]:
+    """Exit code and standard error of ``main(argv)``; standard output is dropped."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("label", ["NA", ""])
+def test_class_label_that_reads_as_missing_is_refused(tmp_path, label):
+    """A CSV loads a cell of "" or "NA" as missing, so a schema with such a
+    class label could write rows that read back unlabeled."""
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps(schema_doc(("temp", "complaint", "outcome"), ("home", label))))
+    out = tmp_path / "rows.csv"
+    code, err = run_cli(["generate", "--schema", schema, "--rows", 300, "--seed", 1, "--out", out])
+    assert code == 3
+    assert err == f"error[data]: class label {label!r} reads as a missing cell in a CSV\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("model", ["fusion", "gbdt"])
+@pytest.mark.parametrize("cells", [("1e308", None), ("1e200", "-1e200")], ids=["sum", "square"])
+def test_numeric_column_whose_mean_or_std_overflows(tmp_path, model, cells):
+    """Every other temp cell at 1e308 overflows the mean's sum, and cells of
+    +-1e200 the variance's squares: one error line names the column, and
+    numpy prints no warning first."""
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps(schema_doc(("temp", "complaint", "outcome"), ("home", "admitted"))))
+    data = tmp_path / "train.csv"
+    assert run_cli(["generate", "--schema", schema, "--rows", 200, "--seed", 1, "--out", data])[0] == 0
+    with open(data, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    for i, row in enumerate(rows):
+        cell = cells[i % 2]
+        if cell is not None:
+            row[header.index("temp")] = cell
+    with open(data, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([header, *rows])
+    out = tmp_path / "run"
+    argv = ["train", "--schema", schema, "--data", data, "--model", model, "--out", out]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, err = run_cli(argv)
+    assert code == 3
+    assert err.startswith("error[data]: column 'temp' ") and err.count("\n") == 1
+    assert [str(w.message) for w in caught] == []
+    assert not out.exists()
+
+
+# Text a CSV, the schema reader or the prediction file treats specially, and
+# plain words; "x" makes "prob_x" a prediction column's name.
+SCHEMA_TEXT = st.sampled_from(["home", "ward", "x", ",", '"', "\n", "prob_x", "predicted", "NA", ""])
+
+
+@settings(max_examples=60, deadline=None)
+@given(names=st.lists(SCHEMA_TEXT, min_size=3, max_size=3, unique=True),
+       labels=st.lists(SCHEMA_TEXT, min_size=2, max_size=3, unique=True))
+@example(names=["x", "home", "ward"], labels=["home", "NA"])
+def test_schema_text_ends_in_a_result_or_one_error_line(names, labels):
+    """generate, train, predict and evaluate each exit 0, or 3 with one
+    error[data] line; a CSV that generate wrote never fails train on a
+    missing label."""
+    with tempfile.TemporaryDirectory() as directory:
+        root = Path(directory)
+        schema, data, run = root / "schema.json", root / "rows.csv", root / "run"
+        schema.write_text(json.dumps(schema_doc(names, labels)))
+        config = root / "config.json"
+        config.write_text(json.dumps({"gbdt": {"rounds": 2, "max_depth": 2}}))
+        steps = [
+            ["generate", "--schema", schema, "--rows", 60, "--seed", 1, "--out", data],
+            ["train", "--config", config, "--schema", schema, "--data", data,
+             "--model", "gbdt", "--out", run],
+            ["predict", "--model", run / "bundle.json", "--data", data,
+             "--out", root / "predictions.csv"],
+            ["evaluate", "--model", run / "bundle.json", "--data", data],
+        ]
+        for argv in steps:
+            code, err = run_cli(argv)
+            assert code in (0, 3), (argv[0], err)
+            if code == 0:
+                assert "error[" not in err, (argv[0], err)
+                continue
+            assert err.startswith("error[data]: ") and err.count("\n") == 1, (argv[0], err)
+            if argv[0] == "train":
+                assert "missing" not in err, err
+            if argv[0] in ("generate", "train"):
+                break
 
 
 class TestConfigListKeys:
@@ -1555,10 +1656,8 @@ def predict_with(doc: dict, data: Path, root: Path) -> tuple[int, str, Path]:
     bundle, out = root / "edited.json", root / "predictions.csv"
     bundle.write_text(json.dumps(doc))
     out.unlink(missing_ok=True)
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = main(["predict", "--model", str(bundle), "--data", str(data), "--out", str(out)])
-    return code, err.getvalue(), out
+    code, err = run_cli(["predict", "--model", bundle, "--data", data, "--out", out])
+    return code, err, out
 
 
 def value_at(doc, path: tuple):

@@ -54,7 +54,8 @@ class TestPReLU:
         assert act.forward(np.array([[-2.0]]))[0, 0] == -0.5
 
     def test_unit_slope_is_identity(self):
-        act = PReLU("a", init_slope=1.0)
+        act = PReLU("a")
+        act.slope.value[...] = 1.0
         x = np.array([[-3.0, 0.0, 2.5]])
         assert np.array_equal(act.forward(x), x)
 

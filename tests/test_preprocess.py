@@ -390,7 +390,8 @@ class TestTransformPlan:
             assert enc.numeric.tobytes() == cold.numeric.tobytes()
             assert enc.tokens.tobytes() == cold.tokens.tobytes()
             assert enc.labels.tobytes() == cold.labels.tobytes()
-        # The plan is no part of equality, the JSON form or the fingerprint.
+        # Transforming leaves nothing on the state that equality, the JSON
+        # form or the fingerprint could see.
         assert loaded == state
         assert loaded.to_json_dict() == state.to_json_dict()
         assert state.fingerprint() == loaded.fingerprint()
