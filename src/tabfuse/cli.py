@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import os
 import sys
@@ -53,7 +54,7 @@ def _check_keys(doc: dict, valid, where: str) -> None:
 
 def _section(cls, section: str):
     """Converter that builds ``cls`` from a config section's object."""
-    valid = list(cls().to_json_dict())
+    valid = [f.name for f in dataclasses.fields(cls)]
 
     def convert(doc):
         if isinstance(doc, dict):
@@ -252,7 +253,7 @@ def cmd_train(args) -> int:
             outputs, out_dir, outcome.bundle.kind, outcome.report, outcome.member_reports
         )
     print(f"trained {outcome.bundle.kind} on {config.schema}")
-    print(f"test accuracy: {outcome.report.accuracy:.6f} ({outcome.test_rows} rows)")
+    print(f"test accuracy: {outcome.report.accuracy:.6f} ({outcome.report.n_samples} rows)")
     print(f"outputs in {out_dir}")
     return 0
 

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -74,9 +74,6 @@ class GbdtConfig:
             raise ValueError(
                 "shrinkage, l2_reg, and min_child_hessian must be finite and positive"
             )
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -323,8 +320,7 @@ class _Bins:
 
 
 def find_best_split(
-    g: np.ndarray,
-    h: np.ndarray,
+    n_rows: int,
     l2_reg: float,
     min_child_hessian: float,
     *,
@@ -332,15 +328,16 @@ def find_best_split(
     hist: np.ndarray,
     totals: tuple[float, float],
 ):
-    """Best split of a node over all features and bin boundaries.
+    """Best split of a node of ``n_rows`` rows over all features and bin boundaries.
 
-    ``g`` and ``h`` hold the node's rows, and ``totals`` their sums
-    ``(g.sum(), h.sum())``. ``bins`` is fit on all training rows, and
-    ``hist`` is the node's histogram: ``bins.histogram`` of its rows, or
-    its parent's minus its sibling's. A boundary is a candidate where it
-    has a threshold, the bin just below it holds rows of this node (so of
-    the boundaries that split the node alike only the lowest is one), and
-    each side keeps at least ``min_child_hessian``.
+    ``totals`` is the sums ``(g, h)`` over the node's rows. ``bins`` is fit
+    on all training rows, and ``hist`` is the node's histogram:
+    ``bins.histogram`` of its rows, or its parent's minus its sibling's. The
+    search reads no row's gradients; the histogram holds all it needs. A
+    boundary is a candidate where it has a threshold, the bin just below it
+    holds rows of this node (so of the boundaries that split the node alike
+    only the lowest is one), and each side keeps at least
+    ``min_child_hessian``.
 
     The running sums take one ``cumsum`` per width group, along each
     feature's row of cells; the masks and gains then run once over all
@@ -350,8 +347,7 @@ def find_best_split(
     or None when no candidate is valid. Ties break to the lowest feature
     index, then the lowest threshold, through ``bins.rank``.
     """
-    n = len(g)
-    if n < 2:
+    if n_rows < 2:
         return None
     g_total, h_total = totals
     parent_score = g_total * g_total / (h_total + l2_reg)
@@ -363,7 +359,7 @@ def find_best_split(
         np.cumsum(hist[:, start:stop].reshape(block), axis=-1, out=out)
     gl, hl, nl = sums
     hr = h_total - hl
-    valid = bins.has_threshold & (hist[2] > 0) & (nl < n)
+    valid = bins.has_threshold & (hist[2] > 0) & (nl < n_rows)
     valid &= (hl >= min_child_hessian) & (hr >= min_child_hessian)
     at = np.flatnonzero(valid)
     if len(at) == 0:
@@ -387,27 +383,27 @@ def _grow_tree(
     ``bins`` is ``_Bins.fit(x)``. Returns the tree's node lists, one per
     field in ``_TREE_DTYPES`` order, and the weight of the leaf each row
     ends in. A split's two children are added together, left then right.
+    A leaf keeps its rows, and a leaf on the heap its histogram; its g and
+    h sums give its weight and its search, and are not kept.
     """
     features, values, lefts = tree = [], [], []
 
     def add_node(idx):
-        """A leaf for rows ``idx``; its g and h, gathered and summed once, for its split."""
-        g_idx, h_idx = g[idx], h[idx]
-        g_sum, h_sum = g_idx.sum(), h_idx.sum()
+        """A leaf for rows ``idx``; returns it and the sums ``(g, h)`` over ``idx``."""
+        totals = g[idx].sum(), h[idx].sum()
         node = len(values)
         features.append(_NO_CHILD)
-        values.append(float(-g_sum / (h_sum + config.l2_reg)))
+        values.append(float(-totals[0] / (totals[1] + config.l2_reg)))
         lefts.append(_NO_CHILD)
         leaf_rows[node] = idx  # ascending, so sums keep their order
-        return node, (g_idx, h_idx, (g_sum, h_sum))
+        return node, totals
 
     leaf_rows = {}
     heap = []
 
-    def consider(node: int, sums, hist: np.ndarray, depth: int):
-        g_idx, h_idx, totals = sums
+    def consider(node: int, totals, hist: np.ndarray, depth: int):
         found = find_best_split(
-            g_idx, h_idx, config.l2_reg, config.min_child_hessian,
+            len(leaf_rows[node]), config.l2_reg, config.min_child_hessian,
             bins=bins, hist=hist, totals=totals,
         )
         if found is not None:
@@ -416,16 +412,16 @@ def _grow_tree(
             heapq.heappush(heap, (-gain, node, feature, threshold, hist, depth))
 
     all_rows = np.arange(len(x))
-    root, root_sums = add_node(all_rows)
-    consider(root, root_sums, bins.histogram(all_rows, *root_sums[:2]), 0)
+    root, root_totals = add_node(all_rows)
+    consider(root, root_totals, bins.histogram(all_rows, g, h), 0)
     n_leaves = 1
     while heap and n_leaves < config.max_leaves:
         _, node, feature, threshold, hist, depth = heapq.heappop(heap)
         idx = leaf_rows.pop(node)
         goes_left = x[idx, feature] < threshold
         left_rows, right_rows = idx[goes_left], idx[~goes_left]
-        left, left_sums = add_node(left_rows)
-        right, right_sums = add_node(right_rows)
+        left, left_totals = add_node(left_rows)
+        right, right_totals = add_node(right_rows)
         features[node], values[node], lefts[node] = feature, threshold, left
         n_leaves += 1
         # Children that the depth cap or the spent leaf budget keep as leaves
@@ -434,13 +430,11 @@ def _grow_tree(
             # Sum the child with fewer rows (left on a tie); the parent's
             # buffer becomes the other child's, parent minus sibling.
             left_smaller = len(left_rows) <= len(right_rows)
-            small_rows, small_sums = (
-                (left_rows, left_sums) if left_smaller else (right_rows, right_sums)
-            )
-            small = bins.histogram(small_rows, *small_sums[:2])
+            small_rows = left_rows if left_smaller else right_rows
+            small = bins.histogram(small_rows, g[small_rows], h[small_rows])
             hist -= small
-            consider(left, left_sums, small if left_smaller else hist, depth + 1)
-            consider(right, right_sums, hist if left_smaller else small, depth + 1)
+            consider(left, left_totals, small if left_smaller else hist, depth + 1)
+            consider(right, right_totals, hist if left_smaller else small, depth + 1)
     row_values = np.empty(len(x))
     for node, idx in leaf_rows.items():
         row_values[idx] = values[node]
@@ -596,8 +590,10 @@ def train_gbdt(
     ``features`` is the ``feature_view`` matrix, which the model records.
 
     Each feature is binned once, and every tree's split search runs on
-    histograms of those bins. Training has no subsampling, so it takes no
-    seed.
+    histograms of those bins. Each round softmaxes the margins once: the
+    probabilities p give that round's loss and the next round's class-k
+    gradients g = p_k - (y == k) and h = p_k (1 - p_k). Training has no
+    subsampling, so it takes no seed.
 
     Raises:
         DataError: fewer than 2 rows, labels out of range, or fewer than
@@ -614,24 +610,23 @@ def train_gbdt(
     if len(np.unique(y)) < 2:
         raise DataError("need at least 2 distinct classes present")
 
-    onehot = np.zeros((len(y), n_classes), dtype=np.float64)
-    onehot[np.arange(len(y)), y] = 1.0
     margins = np.zeros((len(y), n_classes), dtype=np.float64)
+    p = softmax(margins)
     nodes: dict[str, list] = {name: [] for name in _TREE_DTYPES}
     sizes: list[int] = []
     losses: list[float] = []
     rows = np.arange(len(y))
     bins = _Bins.fit(x)  # x is the same for every tree
     for _ in range(config.rounds):
-        p = softmax(margins)
         for k in range(n_classes):
-            g = p[:, k] - onehot[:, k]
+            g = p[:, k] - (y == k)
             h = p[:, k] * (1.0 - p[:, k])
             tree, values = _grow_tree(x, bins, g, h, config)
             for column, part in zip(nodes.values(), tree):
                 column.extend(part)
             sizes.append(len(tree[0]))
             margins[:, k] += config.shrinkage * values
+        # The round's probabilities: its loss, and the next round's gradients.
         p = softmax(margins)
         losses.append(float(-np.log(p[rows, y]).mean()))
     # All trees are joined once, into the arrays a bundle stores, read-only

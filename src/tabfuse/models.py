@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -325,9 +325,6 @@ class TrainConfig:
             raise ValueError("batch_size, max_epochs, and patience must be positive")
         if self.patience >= self.max_epochs:
             raise ValueError("patience must be smaller than max_epochs")
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass

@@ -155,7 +155,7 @@ def softmax_cross_entropy(
         labels: (B,) class indices in [0, K).
 
     Returns:
-        (loss, grad_logits) where grad_logits = (softmax - onehot) / B, the
+        (loss, grad_logits) where grad_logits = (softmax - [k == label]) / B, the
         gradient of the mean loss with respect to the logits.
     """
     logits = np.asarray(logits, dtype=np.float64)

@@ -64,6 +64,15 @@ class RunConfig:
     missing_fraction: float | None = None
 
     def validate(self) -> None:
+        """Refuse a config that no run can take, before any data is read.
+
+        Raises:
+            UsageError: an unknown model or feature view; both data sources or
+                neither; a generator setting with ``data``; a negative seed; an
+                ensemble with no member, an unknown member kind, or a kind
+                listed twice. ``report.json`` keys member metrics by kind, and
+                a second GBDT would copy the first, as boosting takes no seed.
+        """
         if self.model not in MODEL_KINDS:
             raise UsageError(
                 f"unknown model {self.model!r}; pick one of {', '.join(MODEL_KINDS)}"
@@ -87,6 +96,13 @@ class RunConfig:
             bad = [m for m in self.ensemble_members if m not in MEMBER_CLASSES]
             if bad:
                 raise UsageError(f"invalid ensemble members: {', '.join(bad)}")
+            members = self.ensemble_members
+            repeated = [m for m in dict.fromkeys(members) if members.count(m) > 1]
+            if repeated:
+                raise UsageError(
+                    f"ensemble member {', '.join(repeated)} is listed more than once; "
+                    "list each kind once"
+                )
 
     def member_kinds(self) -> tuple[str, ...]:
         if self.model == "ensemble":
@@ -175,11 +191,14 @@ def _train_member(
 
 @dataclass
 class TrainOutcome:
+    """What a run gives the CLI to write: the bundle, the test-split report
+    (``report.n_samples`` is the test row count), each ensemble member's
+    report by kind, and each member's train log as (file stem, CSV text)."""
+
     bundle: ModelBundle
     report: EvalReport
     member_reports: list[tuple[str, EvalReport]]
     member_logs: list[tuple[str, str]]
-    test_rows: int
 
 
 def member_probabilities(
@@ -225,6 +244,11 @@ def run_training(config: RunConfig) -> TrainOutcome:
 
     Deterministic for a fixed config: data generation/loading, splitting,
     member seeding, and training contain no unseeded randomness.
+
+    Raises:
+        DataError: besides what loading, fitting and training raise, an empty
+            train or test split, or an empty validation split when a member
+            is a network; each is raised before any member trains.
     """
     config.validate()
     table = load_training_table(config)
@@ -235,6 +259,16 @@ def run_training(config: RunConfig) -> TrainOutcome:
     state = fit(table)
     encoded = transform(table, state)
     train_d, val_d, test_d = stratified_split(encoded, config.fractions, config.seed)
+    # Every member trains on the train split and is scored on the test split;
+    # only a network reads the validation split.
+    nets = any(cls is not GbdtModel for cls in classes)
+    for name, split in (("train", train_d), ("validation", val_d), ("test", test_d)):
+        if split.n_rows == 0 and (nets or name != "validation"):
+            raise DataError(
+                f"the {name} split is empty: {table.row_count} rows split at fractions "
+                f"{'/'.join(map(str, config.fractions))}; give more rows or a larger "
+                f"{name} fraction"
+            )
 
     # Only the GBDT offers a choice of view; every other class reads its one view.
     views = [
@@ -278,4 +312,4 @@ def run_training(config: RunConfig) -> TrainOutcome:
         for i, (m, log) in enumerate(trained)
     ]
 
-    return TrainOutcome(bundle, report, member_reports, logs, test_d.n_rows)
+    return TrainOutcome(bundle, report, member_reports, logs)

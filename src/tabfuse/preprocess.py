@@ -379,7 +379,9 @@ def stratified_split(
     Per class, counts are allocated by largest remainder, so each split's
     class count is the floor or ceil of the exact proportional share. The
     three splits are disjoint and exhaustive, and the result depends only on
-    the data and the seed.
+    the data and the seed. A class needs at least 3 members, but that does
+    not put one in every split: 3 members at 0.8/0.1/0.1 land 3/0/0, so a
+    split can come back empty, and the caller decides whether it may.
 
     Raises:
         DataError: fractions not positive (NaN included) or not summing to 1,
@@ -403,7 +405,7 @@ def stratified_split(
         if len(members) < 3:
             raise DataError(
                 f"class index {int(cls)} has only {len(members)} member(s); "
-                f"need at least 3 to appear in all splits"
+                f"a class needs at least 3 to be split"
             )
         members = rng.permutation(members)
         share = len(members) * fr

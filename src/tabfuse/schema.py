@@ -236,12 +236,16 @@ def _target_error(r: int, cell: str) -> DataError:
 
 @contextmanager
 def open_input(path: str | Path, kind: str):
-    """Open a UTF-8 input; a missing, unreadable or non-UTF-8 file is a DataError."""
+    """Open a UTF-8 input; a missing, unreadable or non-UTF-8 file is a DataError.
+
+    A leading byte-order mark, as spreadsheet programs write in "CSV UTF-8",
+    is dropped; a file without one decodes as plain UTF-8.
+    """
     p = Path(path)
     if not p.exists():
         raise DataError(f"{kind} file not found: {p}")
     try:
-        with open(p, newline="", encoding="utf-8") as fh:
+        with open(p, newline="", encoding="utf-8-sig") as fh:
             yield fh
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {kind} file {p}: {exc}") from None

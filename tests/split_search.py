@@ -10,5 +10,5 @@ def binned_split(x, g, h, l2_reg, min_child_hessian):
     bins = _Bins.fit(x)
     hist = bins.histogram(np.arange(len(x)), g, h)
     return find_best_split(
-        g, h, l2_reg, min_child_hessian, bins=bins, hist=hist, totals=(g.sum(), h.sum())
+        len(x), l2_reg, min_child_hessian, bins=bins, hist=hist, totals=(g.sum(), h.sum())
     )

@@ -461,8 +461,8 @@ class TestValidation:
         path, doc = saved_doc(tmp_path, ModelBundle("gbdt", state, [gbdt_member(state)]))
         legacy = {
             "weights": None,
-            "train_config": TrainConfig().to_json_dict(),
-            "gbdt_config": GbdtConfig().to_json_dict(),
+            "train_config": dataclasses.asdict(TrainConfig()),
+            "gbdt_config": dataclasses.asdict(GbdtConfig()),
         }
         for name, value in legacy.items():
             with pytest.raises(DataError, match=rf"bundle fields: unknown \['{name}'\]"):

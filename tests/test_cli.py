@@ -484,6 +484,78 @@ def test_numeric_column_whose_mean_or_std_overflows(tmp_path, model, cells):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "rows, model, members, split",
+    [
+        (9, "fusion", None, "test"),
+        (9, "gbdt", None, "test"),
+        (9, "ensemble", None, "test"),
+        (6, "ensemble", ["gbdt", "fusion"], "validation"),
+    ],
+)
+def test_empty_split_is_refused_before_any_member_trains(
+    tmp_path, schema_path, monkeypatch, rows, model, members, split
+):
+    """9 rows of two classes at 0.8/0.1/0.1 leave no test row, and 6 no
+    validation row, which a network needs: one error line names the split,
+    and no member trains."""
+    trained = []
+    monkeypatch.setattr(tabfuse.pipeline, "train_gbdt", lambda *a, **k: trained.append(a))
+    monkeypatch.setattr(tabfuse.pipeline, "train", lambda *a, **k: trained.append(a))
+    extra = {} if members is None else {"ensemble_members": members}
+    out = tmp_path / "run"
+    argv = ["train", "--config", quick_config(tmp_path, **extra), "--schema", schema_path,
+            "--rows", rows, "--model", model, "--out", out]
+    code, err = run_cli(argv)
+    assert code == 3
+    assert err == (
+        f"error[data]: the {split} split is empty: {rows} rows split at fractions "
+        f"0.8/0.1/0.1; give more rows or a larger {split} fraction\n"
+    )
+    assert trained == [] and not out.exists()
+
+
+def test_repeated_member_kind_is_usage_error(tmp_path, schema_path, data_path):
+    """report.json keys member metrics by kind, so a second fusion's would
+    replace the first's."""
+    config = quick_config(tmp_path, ensemble_members=["fusion", "fusion", "gbdt"])
+    out = tmp_path / "run"
+    argv = ["train", "--config", config, "--schema", schema_path, "--data", data_path,
+            "--model", "ensemble", "--out", out]
+    code, err = run_cli(argv)
+    assert code == 2
+    assert err == (
+        "error[usage]: ensemble member fusion is listed more than once; list each kind once\n"
+    )
+    assert not out.exists()
+
+
+def test_inputs_with_a_byte_order_mark_read_as_without(tmp_path, schema_path, data_path):
+    """Spreadsheet programs save "CSV UTF-8" with a leading byte-order mark."""
+    bom_data, bom_schema = tmp_path / "bom.csv", tmp_path / "bom_schema.json"
+    bom_data.write_bytes(b"\xef\xbb\xbf" + data_path.read_bytes())
+    bom_schema.write_bytes(b"\xef\xbb\xbf" + schema_path.read_bytes())
+    assert load_schema(bom_schema) == load_schema(schema_path)
+    runs = [
+        train_quick(tmp_path, schema_path, data_path, model="ensemble", out="plain"),
+        train_quick(tmp_path, bom_schema, bom_data, model="ensemble", out="bom"),
+    ]
+    # Each bundle's run summary holds its own paths; its models are compared
+    # through the predictions below.
+    plain, bom = (
+        {p.name: p.read_bytes() for p in run.iterdir() if p.name != "bundle.json"} for run in runs
+    )
+    assert plain == bom
+    predicted = set()
+    pairs = [(runs[0], data_path), (runs[0], bom_data), (runs[1], bom_data)]
+    for i, (run, data) in enumerate(pairs):
+        out = tmp_path / f"predictions_{i}.csv"
+        argv = ["predict", "--model", run / "bundle.json", "--data", data, "--out", out]
+        assert run_cli(argv) == (0, "")
+        predicted.add(out.read_bytes())
+    assert len(predicted) == 1
+
+
 # Text a CSV, the schema reader or the prediction file treats specially, and
 # plain words; "x" makes "prob_x" a prediction column's name.
 SCHEMA_TEXT = st.sampled_from(["home", "ward", "x", ",", '"', "\n", "prob_x", "predicted", "NA", ""])

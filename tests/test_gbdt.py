@@ -904,7 +904,7 @@ class TestHistogramTraining:
         bins = _Bins.fit(x)
         assert bins.feature[0] == 1 and bins.feature[-1] == 0
         hist = bins.histogram(np.arange(n), g, h)
-        found = find_best_split(g, h, 1.0, 1e-3, bins=bins, hist=hist, totals=(g.sum(), h.sum()))
+        found = find_best_split(n, 1.0, 1e-3, bins=bins, hist=hist, totals=(g.sum(), h.sum()))
         thresholds, ref_bins = reference_bins(x)
         ref_hists = reference_histograms(ref_bins, thresholds, range(n), g, h)
         expected = reference_split(ref_hists, thresholds, g, h, 1.0, 1e-3)
@@ -927,7 +927,7 @@ class TestHistogramTraining:
             rows, others = every[side], every[~side]
             hist = bins.histogram(every, g, h) - bins.histogram(others, g[others], h[others])
             totals = (g[rows].sum(), h[rows].sum())
-            found = find_best_split(g[rows], h[rows], *args, bins=bins, hist=hist, totals=totals)
+            found = find_best_split(len(rows), *args, bins=bins, hist=hist, totals=totals)
             ref_hists = [
                 parent - sibling
                 for parent, sibling in zip(
@@ -974,7 +974,7 @@ class TestBinning:
         hist = np.array([[-1.0, -1e-15, 1.0, 0.0], [1.0, 0.0, 1.0, 0.0], [1.0, 0.0, 1.0, 0.0]])
         g, h = np.array([-1.0, 1.0]), np.array([1.0, 1.0])
         totals = (g.sum(), h.sum())
-        found = find_best_split(g, h, 1.0, 1e-3, bins=bins, hist=hist, totals=totals)
+        found = find_best_split(len(g), 1.0, 1e-3, bins=bins, hist=hist, totals=totals)
         _, feature, threshold = found
         assert (feature, threshold) == (0, 0.5)
 

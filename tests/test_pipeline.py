@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+import tabfuse.pipeline
 from tabfuse.errors import DataError, UsageError
 from tabfuse.gbdt import GbdtConfig
 from tabfuse.models import TrainConfig
 from tabfuse.pipeline import (
+    MEMBER_SEED_STRIDE,
     RunConfig,
     build_features,
     load_training_table,
@@ -117,6 +119,12 @@ class TestRunConfigValidation:
         )
         with pytest.raises(UsageError, match="at least one member"):
             empty.validate()
+        # report.json keys member metrics by kind, so each kind is listed once.
+        repeated = quick_run_config(
+            schema_path, model="ensemble", ensemble_members=("gbdt", "baseline", "gbdt", "baseline")
+        )
+        with pytest.raises(UsageError, match="^ensemble member gbdt, baseline is listed more"):
+            repeated.validate()
 
     def test_member_kinds(self, schema_path):
         assert quick_run_config(schema_path).member_kinds() == ("fusion",)
@@ -130,7 +138,7 @@ class TestRunTraining:
     def test_fusion_outcome_shape(self, schema_path):
         outcome = run_training(quick_run_config(schema_path))
         assert outcome.bundle.kind == "fusion"
-        assert outcome.test_rows == 6  # 60 rows at 0.8/0.1/0.1
+        assert outcome.report.n_samples == 6  # 60 rows at 0.8/0.1/0.1
         assert 0.0 <= outcome.report.accuracy <= 1.0
         assert outcome.member_logs[0][0] == "train_log"
         assert outcome.member_reports == []
@@ -168,17 +176,18 @@ class TestRunTraining:
         for p, q in zip(solo.params(), member0.params()):
             assert np.array_equal(p.value, q.value), p.name
 
-    def test_duplicate_members_train_with_distinct_seeds(self, schema_path):
-        outcome = run_training(
-            quick_run_config(
-                schema_path, model="ensemble", ensemble_members=("fusion", "fusion")
-            )
-        )
-        a, b = outcome.bundle.members
-        assert any(
-            not np.array_equal(p.value, q.value)
-            for p, q in zip(a.params(), b.params())
-        )
+    def test_members_train_with_distinct_seeds(self, schema_path, monkeypatch):
+        seeds = []
+        train_member = tabfuse.pipeline._train_member
+
+        def recorded(cls, view, seed, *args):
+            seeds.append(seed)
+            return train_member(cls, view, seed, *args)
+
+        monkeypatch.setattr(tabfuse.pipeline, "_train_member", recorded)
+        members = ("fusion", "baseline", "gbdt")
+        run_training(quick_run_config(schema_path, model="ensemble", ensemble_members=members))
+        assert seeds == [5, 5 + MEMBER_SEED_STRIDE, 5 + 2 * MEMBER_SEED_STRIDE]
 
     def test_ensemble_reports_and_logs_per_member(self, schema_path):
         outcome = run_training(
