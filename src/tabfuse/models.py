@@ -20,7 +20,7 @@ Training is mini-batch Adam with a seeded shuffle per epoch, epoch-level
 validation, and early stopping that restores the best-epoch snapshot.
 Scoring and the validation pass run in row blocks of 1,024 to 2,047 rows
 (``_Net._blocked``), so their activations are bounded by one block, not by
-the table.
+the table; a pass of fewer than 2,048 rows is one block of the same loop.
 """
 
 from __future__ import annotations
@@ -113,15 +113,11 @@ class _Net:
         """``finish`` of the logits of ``inputs``, run without a tape in blocks
         of ``_ROW_BLOCK`` rows and joined in row order. The short tail joins the
         last block, so each holds ``_ROW_BLOCK`` to ``2 * _ROW_BLOCK - 1`` rows,
-        and fewer than ``2 * _ROW_BLOCK`` rows run as one pass."""
+        and fewer than ``2 * _ROW_BLOCK`` rows, 0 included, are one block."""
         rows = len(inputs[0])
-        if rows < 2 * _ROW_BLOCK:
-            # one pass and no join buffer, so a small scoring call does no more
-            # work than an unblocked one
-            return finish(self.forward(*inputs))
         # each net's last layer is its classifier
         out = np.empty((rows, self.layers[-1].out_dim))
-        starts = range(0, rows - _ROW_BLOCK + 1, _ROW_BLOCK)
+        starts = range(0, max(rows - _ROW_BLOCK, 0) + 1, _ROW_BLOCK)
         for block in map(slice, starts, [*starts[1:], rows]):
             out[block] = finish(self.forward(*(a[block] for a in inputs)))
         return out

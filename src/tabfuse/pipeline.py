@@ -247,8 +247,9 @@ def run_training(config: RunConfig) -> TrainOutcome:
 
     Raises:
         DataError: besides what loading, fitting and training raise, an empty
-            train or test split, or an empty validation split when a member
-            is a network; each is raised before any member trains.
+            train or test split, an empty validation split when a member is a
+            network, or a train split that holds one class; each is raised
+            before any member trains.
     """
     config.validate()
     table = load_training_table(config)
@@ -262,13 +263,20 @@ def run_training(config: RunConfig) -> TrainOutcome:
     # Every member trains on the train split and is scored on the test split;
     # only a network reads the validation split.
     nets = any(cls is not GbdtModel for cls in classes)
+    fractions = "/".join(map(str, config.fractions))
     for name, split in (("train", train_d), ("validation", val_d), ("test", test_d)):
         if split.n_rows == 0 and (nets or name != "validation"):
             raise DataError(
                 f"the {name} split is empty: {table.row_count} rows split at fractions "
-                f"{'/'.join(map(str, config.fractions))}; give more rows or a larger "
-                f"{name} fraction"
+                f"{fractions}; give more rows or a larger {name} fraction"
             )
+    present = np.unique(train_d.labels)
+    if len(present) < 2:
+        raise DataError(
+            f"the train split holds only class {table.schema.class_labels[present[0]]!r} "
+            f"({train_d.n_rows} rows): {table.row_count} rows split at fractions "
+            f"{fractions}; a model needs at least 2 classes to train on"
+        )
 
     # Only the GBDT offers a choice of view; every other class reads its one view.
     views = [

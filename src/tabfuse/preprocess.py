@@ -369,6 +369,18 @@ def transform(table: DataTable, state: PreprocessState) -> EncodedDataset:
     return EncodedDataset(numeric, tokens, labels, np.arange(n_rows, dtype=np.int64))
 
 
+def _largest_remainder(total: int, share: np.ndarray) -> np.ndarray:
+    """Counts summing to ``total``, each the floor or ceil of its ``share``:
+    the rows the floors leave go to the largest remainders, the lowest index
+    first on a tie. Shares are used as given, not renormalised, since split
+    fractions such as 0.7/0.2/0.1 sum to 0.9999999999999999."""
+    counts = np.floor(share).astype(np.int64)
+    deficit = total - int(counts.sum())
+    order = np.lexsort((np.arange(len(share)), -(share - counts)))
+    counts[order[:deficit]] += 1
+    return counts
+
+
 def stratified_split(
     data: EncodedDataset,
     fractions: tuple[float, float, float] = (0.8, 0.1, 0.1),
@@ -376,12 +388,13 @@ def stratified_split(
 ) -> tuple[EncodedDataset, EncodedDataset, EncodedDataset]:
     """Partition rows into train/val/test preserving class proportions.
 
-    Per class, counts are allocated by largest remainder, so each split's
-    class count is the floor or ceil of the exact proportional share. The
-    three splits are disjoint and exhaustive, and the result depends only on
-    the data and the seed. A class needs at least 3 members, but that does
-    not put one in every split: 3 members at 0.8/0.1/0.1 land 3/0/0, so a
-    split can come back empty, and the caller decides whether it may.
+    Per class, ``_largest_remainder`` allocates the shares ``len(members) *
+    fractions``, so each split's class count is the floor or ceil of the
+    exact proportional share. The three splits are disjoint and exhaustive,
+    and the result depends only on the data and the seed. A class needs at
+    least 3 members, but that does not put one in every split: 3 members at
+    0.8/0.1/0.1 land 3/0/0, so a split can come back empty, or hold one
+    class, and the caller decides whether it may.
 
     Raises:
         DataError: fractions not positive (NaN included) or not summing to 1,
@@ -408,12 +421,7 @@ def stratified_split(
                 f"a class needs at least 3 to be split"
             )
         members = rng.permutation(members)
-        share = len(members) * fr
-        counts = np.floor(share).astype(np.int64)
-        deficit = len(members) - int(counts.sum())
-        order = np.lexsort((np.arange(3), -(share - counts)))
-        counts[order[:deficit]] += 1
-        stops = np.cumsum(counts)
+        stops = np.cumsum(_largest_remainder(len(members), len(members) * fr))
         parts[0].append(members[: stops[0]])
         parts[1].append(members[stops[0] : stops[1]])
         parts[2].append(members[stops[1] :])

@@ -21,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DataError
+from .preprocess import _largest_remainder
 from .schema import ColumnKind, DataTable, TableSchema
 
 # Alphabetically ordered word roots; per-class pool blocks stay contiguous
@@ -80,21 +81,6 @@ def _gauss(h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
     u1 = np.maximum(_u01(h1), 2.0**-53)
     u2 = _u01(h2)
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
-
-
-def _largest_remainder(total: int, weights: np.ndarray) -> np.ndarray:
-    """Integer allocation of `total` proportional to `weights`.
-
-    Each count is the floor or ceil of its exact share, so counts match
-    the requested proportions within one sample.
-    """
-    share = total * weights / weights.sum()
-    base = np.floor(share).astype(np.int64)
-    deficit = total - int(base.sum())
-    # Remainder descending, index ascending on ties.
-    order = np.lexsort((np.arange(len(weights)), -(share - base)))
-    base[order[:deficit]] += 1
-    return base
 
 
 def _shuffled_labels(rows: int, counts: np.ndarray, seed: int) -> np.ndarray:
@@ -158,7 +144,7 @@ def generate_synthetic(
     if len(_WORDS) < 2 * k:
         raise DataError(f"generator supports at most {len(_WORDS) // 2} classes")
 
-    counts = _largest_remainder(rows, weights)
+    counts = _largest_remainder(rows, rows * weights / weights.sum())
     labels = _shuffled_labels(rows, counts, seed)
     row_ids = np.arange(rows)
 

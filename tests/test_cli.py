@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -511,6 +512,32 @@ def test_empty_split_is_refused_before_any_member_trains(
     assert err == (
         f"error[data]: the {split} split is empty: {rows} rows split at fractions "
         f"0.8/0.1/0.1; give more rows or a larger {split} fraction\n"
+    )
+    assert trained == [] and not out.exists()
+
+
+@pytest.mark.parametrize("model", ["fusion", "baseline", "gbdt", "ensemble"])
+def test_train_split_of_one_class_is_refused_before_any_member_trains(tmp_path, monkeypatch, model):
+    """3 admitted and 20 home rows at 0.1/0.45/0.45 leave a train split of 2
+    home rows: one error line names the split and its class, and no member
+    trains on it."""
+    trained = []
+    monkeypatch.setattr(tabfuse.pipeline, "train_gbdt", lambda *a, **k: trained.append(a))
+    monkeypatch.setattr(tabfuse.pipeline, "train", lambda *a, **k: trained.append(a))
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps(schema_doc(("temp", "complaint", "outcome"), ("admitted", "home"))))
+    data = tmp_path / "rows.csv"
+    rows = [f"{36 + i / 10},{'fall' if i % 2 else 'chest pain'},{'admitted' if i < 3 else 'home'}"
+            for i in range(23)]
+    data.write_text("\n".join(["temp,complaint,outcome", *rows]) + "\n")
+    out = tmp_path / "run"
+    argv = ["train", "--config", quick_config(tmp_path, fractions=[0.1, 0.45, 0.45]),
+            "--schema", schema, "--data", data, "--model", model, "--out", out]
+    code, err = run_cli(argv)
+    assert code == 3
+    assert err == (
+        "error[data]: the train split holds only class 'home' (2 rows): 23 rows split at "
+        "fractions 0.1/0.45/0.45; a model needs at least 2 classes to train on\n"
     )
     assert trained == [] and not out.exists()
 
@@ -1790,6 +1817,104 @@ class TestBundleEdits:
             assert not out.exists()
         else:
             assert err == "" and out.exists()
+
+
+def assert_clean_exit(argv, outputs):
+    """``argv`` exits 0 and writes every one of ``outputs``, or exits 2, 3 or
+    4 with one error line and leaves none of them."""
+    code, err = run_cli(argv)
+    assert code in (0, 2, 3, 4), (argv[0], err)
+    assert "Traceback" not in err, (argv[0], err)
+    if code:
+        assert err.startswith("error[") and err.count("\n") == 1, (argv[0], err)
+        assert not any(path.exists() for path in outputs), (argv[0], err)
+    else:
+        assert "error[" not in err and all(path.exists() for path in outputs), (argv[0], err)
+
+
+# Bytes a CSV reader treats specially: NUL, line ends, quotes, separators, a
+# byte-order mark, bytes that are not UTF-8, and numbers at or past float range.
+CSV_BYTES = st.sampled_from(
+    [b"\x00", b"\r", b"\n", b'"', b",", b"\xef\xbb\xbf", b"\xff", b"\xc3", b"nan", b"inf",
+     b"-inf", b"1e400", b"NA", b" "]
+) | st.binary(min_size=1, max_size=3)
+
+
+@st.composite
+def csv_edits(draw, data: bytes) -> bytes:
+    """``data`` with 1 to 3 spans of bytes inserted, deleted or replaced."""
+    for _ in range(draw(st.integers(1, 3), label="edits")):
+        at = draw(st.integers(0, len(data)), label="at")
+        cut = draw(st.integers(0, 3), label="cut")
+        data = data[:at] + draw(st.just(b"") | CSV_BYTES, label="insert") + data[at + cut :]
+    return data
+
+
+class TestCsvEdits:
+    """Byte edits of a 12-row CSV through ``predict`` and ``evaluate`` end in a
+    result or one error line."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_an_edited_csv_exits_cleanly(self, ensemble_run, data):
+        doc, rows, root = ensemble_run
+        header, *lines = rows.read_bytes().splitlines(keepends=True)
+        edited = root / "edited.csv"
+        edited.write_bytes(data.draw(csv_edits(header + b"".join(lines[:12]))))
+        bundle = root / "run" / "bundle.json"
+        predictions, reports = root / "edited_predictions.csv", root / "edited_reports"
+        predictions.unlink(missing_ok=True)
+        shutil.rmtree(reports, ignore_errors=True)
+        assert_clean_exit(["predict", "--model", bundle, "--data", edited, "--out", predictions],
+                          [predictions])
+        assert_clean_exit(["evaluate", "--model", bundle, "--data", edited, "--out", reports],
+                          [reports])
+
+
+@st.composite
+def schema_edits(draw) -> dict:
+    """A schema document with one or two structural edits: a field replaced or
+    removed, or a column dropped, repeated, moved or added."""
+    doc = schema_doc(("temp", "complaint", "outcome"), ("home", "admitted", "ward"))
+    for _ in range(draw(st.integers(1, 2), label="edits")):
+        columns = doc.get("columns")
+        edit = draw(st.sampled_from(["field", "drop", "repeat", "move", "add"]), label="edit")
+        if edit == "field" or not isinstance(columns, list) or not columns:
+            doc = draw(bundle_edits(doc))
+            continue
+        i = draw(st.integers(0, len(columns) - 1), label="column")
+        if edit == "drop":
+            del columns[i]
+        elif edit == "repeat":
+            columns.insert(i, columns[i])
+        elif edit == "move":
+            columns.append(columns.pop(i))
+        else:
+            kind = draw(st.sampled_from(["numerical", "categorical"]), label="kind")
+            columns.insert(i, {"name": draw(SCHEMA_TEXT, label="name"), "kind": kind})
+    return doc
+
+
+class TestSchemaEdits:
+    """Structural edits of a schema document through ``generate`` and an
+    ensemble ``train`` end in a result or one error line."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(doc=schema_edits())
+    def test_an_edited_schema_exits_cleanly(self, doc):
+        with tempfile.TemporaryDirectory() as directory:
+            root = Path(directory)
+            schema, rows, run = root / "schema.json", root / "rows.csv", root / "run"
+            schema.write_text(json.dumps(doc))
+            config = root / "config.json"
+            config.write_text(json.dumps({
+                "train": {"max_epochs": 2, "patience": 1, "batch_size": 16},
+                "gbdt": {"rounds": 2, "max_depth": 2, "max_leaves": 3},
+            }))
+            assert_clean_exit(["generate", "--schema", schema, "--rows", 60, "--seed", 1,
+                               "--out", rows], [rows])
+            assert_clean_exit(["train", "--config", config, "--schema", schema, "--rows", 60,
+                               "--model", "ensemble", "--out", run], [run])
 
 
 class TestParsing:

@@ -484,6 +484,34 @@ def _dataset_with_labels(labels):
     )
 
 
+# Per-class train and validation counts for classes of 3, 4, ..., 50 members.
+SPLIT_COUNTS = [
+    (
+        (0.7, 0.2, 0.1),
+        [2, 3, 4, 4, 5, 5, 6, 7, 8, 8, 9, 10, 11, 11, 12, 12, 13, 14, 15, 15, 16, 17, 18, 18,
+         19, 19, 20, 21, 22, 22, 23, 24, 25, 25, 26, 26, 27, 28, 29, 29, 30, 31, 31, 32, 33, 33,
+         34, 35],
+        [1, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3, 3, 3, 4, 4, 4, 4, 5, 5, 5, 5, 5, 5, 6, 6, 6, 6,
+         7, 7, 7, 7, 7, 7, 8, 8, 8, 8, 9, 9, 9, 9, 9, 9, 10, 10, 10],
+    ),
+    (
+        (0.6, 0.25, 0.15),
+        [2, 2, 3, 4, 4, 5, 6, 6, 6, 7, 8, 8, 9, 10, 10, 11, 11, 12, 13, 13, 14, 14, 15, 16, 16,
+         17, 18, 18, 18, 19, 20, 20, 21, 22, 22, 23, 23, 24, 25, 25, 26, 26, 27, 28, 28, 29, 30,
+         30],
+        [1, 1, 1, 1, 2, 2, 2, 3, 3, 3, 3, 4, 4, 4, 4, 4, 5, 5, 5, 6, 6, 6, 6, 6, 7, 7, 7, 8, 8,
+         8, 8, 9, 9, 9, 9, 9, 10, 10, 10, 11, 11, 11, 11, 11, 12, 12, 12, 13],
+    ),
+    (
+        (1 / 3, 1 / 3, 1 / 3),
+        [1, 2, 2, 2, 3, 3, 3, 4, 4, 4, 5, 5, 5, 6, 6, 6, 7, 7, 7, 8, 8, 8, 9, 9, 9, 10, 10, 10,
+         11, 11, 11, 12, 12, 12, 13, 13, 13, 14, 14, 14, 15, 15, 15, 16, 16, 16, 17, 17],
+        [1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 4, 5, 5, 5, 6, 6, 6, 7, 7, 7, 8, 8, 8, 9, 9, 9, 10, 10,
+         10, 11, 11, 11, 12, 12, 12, 13, 13, 13, 14, 14, 14, 15, 15, 15, 16, 16, 16, 17],
+    ),
+]
+
+
 class TestStratifiedSplit:
     def test_spec_allocation_60_40(self):
         """60+40 rows at 0.8/0.1/0.1 must give 48/6/6 and 32/4/4."""
@@ -527,6 +555,18 @@ class TestStratifiedSplit:
                 for frac, split in zip(f, splits):
                     got = int((split.labels == c).sum())
                     assert abs(got - n_c * frac) < 1.0
+
+    @pytest.mark.parametrize("fractions, train, val", SPLIT_COUNTS, ids=["70-20-10", "60-25-15", "thirds"])
+    def test_counts_per_class_size_are_pinned(self, fractions, train, val):
+        """Classes of 3 to 50 members split into these (train, val) counts, the
+        rest to test. The shares are used as given: renormalising 0.7/0.2/0.1,
+        which sums to 0.9999999999999999, moves the counts of 8, 18, 28, 32, 38
+        and 42 members."""
+        sizes = range(3, 51)
+        data = _dataset_with_labels(np.repeat(np.arange(len(sizes)), sizes))
+        splits = stratified_split(data, fractions, seed=0)
+        got = [[int((s.labels == c).sum()) for s in splits] for c in range(len(sizes))]
+        assert got == [[t, v, n - t - v] for n, t, v in zip(sizes, train, val)]
 
     def test_small_class_rejected(self):
         data = _dataset_with_labels([0, 0, 0, 1, 1])

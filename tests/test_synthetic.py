@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tabfuse.errors import DataError
+from tabfuse.preprocess import _largest_remainder
 from tabfuse.schema import ColumnKind, ColumnSpec, TableSchema
 from tabfuse.synthetic import (
     _TAG_CENTER,
@@ -18,7 +19,6 @@ from tabfuse.synthetic import (
     _four_decimals,
     _gauss,
     _hash,
-    _largest_remainder,
     _shuffled_labels,
     _u01,
     generate_synthetic,
@@ -139,7 +139,7 @@ def test_bad_missing_fraction():
 
 class TestLargestRemainder:
     def test_exact_shares(self):
-        counts = _largest_remainder(100, np.array([0.8, 0.1, 0.1]))
+        counts = _largest_remainder(100, np.array([80.0, 10.0, 10.0]))
         assert counts.tolist() == [80, 10, 10]
 
     def test_within_one_of_share(self):
@@ -148,8 +148,8 @@ class TestLargestRemainder:
             n = int(rng.integers(1, 500))
             k = int(rng.integers(1, 8))
             w = rng.uniform(0.1, 5.0, size=k)
-            counts = _largest_remainder(n, w)
             share = n * w / w.sum()
+            counts = _largest_remainder(n, share)
             assert counts.sum() == n
             assert np.all(np.abs(counts - share) < 1.0)
 
@@ -171,7 +171,7 @@ def _shuffled_labels_per_row(rows, counts, seed):
 @pytest.mark.parametrize("rows", [1, 2, 57, 5000])
 @pytest.mark.parametrize("seed", [0, 7, -7, 2**63 + 5])
 def test_shuffled_labels_match_per_row_reference(rows, seed):
-    counts = _largest_remainder(rows, np.array([3.0, 1.0, 1.0]))
+    counts = _largest_remainder(rows, rows * np.array([3.0, 1.0, 1.0]) / 5.0)
     got = _shuffled_labels(rows, counts, seed)
     want = _shuffled_labels_per_row(rows, counts, seed)
     assert got.dtype == want.dtype
@@ -185,7 +185,7 @@ def _generate_per_row(
     """The generator with its cell text built row by row: the reference cells."""
     k = schema.n_classes
     weights = np.ones(k) if imbalance is None else np.asarray(imbalance, dtype=np.float64)
-    counts = _largest_remainder(rows, weights)
+    counts = _largest_remainder(rows, rows * weights / weights.sum())
     labels = _shuffled_labels(rows, counts, seed)
     row_ids = np.arange(rows)
 
