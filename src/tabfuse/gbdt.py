@@ -16,7 +16,17 @@ node's gradient, hessian and row count per cell come from ``np.bincount``
 over its rows, in row order. When a node splits, the child with fewer rows
 is counted and the other child's histogram is its parent's minus its
 sibling's. A node scans every boundary of every feature at once: one
-running sum per feature, taken by one ``cumsum`` per group.
+running sum per feature, taken by one ``np.add.accumulate`` per group.
+
+A training keeps, next to the bins, every row's cells, their row count per
+cell and the features column by column, and every tree reuses them. So a
+root's histogram is two weighted ``bincount`` calls, with no gather and no
+count pass, and a split partitions its rows from one contiguous column.
+Each child's g and h are gathered once, for its sums and, for the smaller
+child, its histogram. Most searched nodes hold a few dozen rows, so fixed
+per-call costs, not per-row work, dominate: the search builds its mask and
+gains in place and calls numpy's ufuncs directly. Every sum still adds
+its terms in row order, so none of this moves a bit of any tree.
 
 Split gain, with L2 penalty lambda on leaf weights:
 
@@ -267,6 +277,12 @@ class _Bins:
     boundary hold NaN in ``threshold`` and False in ``has_threshold``.
     ``rank[c]`` orders the cells by (feature, boundary), whatever their
     group. ``cells[i, j]`` is row i's cell of feature j.
+
+    Every tree of a training reuses what ``fit`` keeps: ``cells``, whose
+    flat view is every row's cells in row order; ``counts``, each cell's
+    row count over all rows; and ``columns``, the features stored column
+    by column (``columns[j]`` is x[:, j]), from which a split partitions
+    its rows.
     """
 
     cells: np.ndarray
@@ -275,6 +291,8 @@ class _Bins:
     has_threshold: np.ndarray
     rank: np.ndarray
     groups: tuple[tuple[int, int, int, int], ...]
+    counts: np.ndarray
+    columns: np.ndarray
 
     @classmethod
     def fit(cls, x: np.ndarray) -> "_Bins":
@@ -301,21 +319,29 @@ class _Bins:
             cells[:, j] = np.where(np.isnan(column), len(t) + 1, bin_of) + offsets[j]
         # Orders the cells by feature, then by position in the feature's row.
         rank = feature * widths.max(initial=0) + (np.arange(start) - offsets[feature])
-        return cls(cells, feature, threshold, ~np.isnan(threshold), rank, tuple(groups))
+        counts = np.bincount(cells.reshape(-1), minlength=start).astype(np.float64)
+        return cls(
+            cells, feature, threshold, ~np.isnan(threshold), rank, tuple(groups),
+            counts, np.ascontiguousarray(x.T),
+        )
 
-    def histogram(self, rows: np.ndarray, g: np.ndarray, h: np.ndarray) -> np.ndarray:
+    def histogram(self, rows: np.ndarray | None, g: np.ndarray, h: np.ndarray) -> np.ndarray:
         """Sums of g, of h and of rows per cell, shape (3, cells).
 
         ``g`` and ``h`` hold the values of ``rows``, gathered by the caller.
         ``bincount`` adds in the order of ``rows``, so ascending rows give
-        every cell its sums in row order.
+        every cell its sums in row order. ``rows`` None stands for every
+        row, in order: its sums come from the kept cells and counts, with no
+        gather and no count pass, and have the bits that ``np.arange`` of
+        every row gives.
         """
-        n_features, size = self.cells.shape[1], len(self.feature)
-        cells = self.cells[rows].ravel()
+        cells = self.cells if rows is None else self.cells.take(rows, axis=0)
+        n_features, size = cells.shape[1], len(self.feature)
+        cells = cells.reshape(-1)
         hist = np.empty((3, size))
         hist[0] = np.bincount(cells, weights=np.repeat(g, n_features), minlength=size)
         hist[1] = np.bincount(cells, weights=np.repeat(h, n_features), minlength=size)
-        hist[2] = np.bincount(cells, minlength=size)
+        hist[2] = self.counts if rows is None else np.bincount(cells, minlength=size)
         return hist
 
 
@@ -339,9 +365,13 @@ def find_best_split(
     only the lowest is one), and each side keeps at least
     ``min_child_hessian``.
 
-    The running sums take one ``cumsum`` per width group, along each
-    feature's row of cells; the masks and gains then run once over all
-    cells.
+    The running sums take one ``np.add.accumulate`` per width group, along
+    each feature's row of cells; the mask then runs once over all cells and
+    the gains once over the candidates. Both are built in place, in
+    buffers the search allocates; ``hist`` is only read, as the heap keeps
+    it to derive a child's histogram from. Most searched nodes are small,
+    so the search calls the ufuncs themselves, not numpy's Python wrappers
+    around them.
 
     Returns (gain, feature, threshold) for the best positive-gain split,
     or None when no candidate is valid. Ties break to the lowest feature
@@ -356,47 +386,66 @@ def find_best_split(
     for start, stop, n_features, width in bins.groups:
         block = (3, n_features, width)
         out = sums[:, start:stop].reshape(block)  # a view: sums is C-contiguous
-        np.cumsum(hist[:, start:stop].reshape(block), axis=-1, out=out)
+        np.add.accumulate(hist[:, start:stop].reshape(block), axis=-1, out=out)
     gl, hl, nl = sums
-    hr = h_total - hl
-    valid = bins.has_threshold & (hist[2] > 0) & (nl < n_rows)
-    valid &= (hl >= min_child_hessian) & (hr >= min_child_hessian)
-    at = np.flatnonzero(valid)
-    if len(at) == 0:
+    hr = np.subtract(h_total, hl)
+    valid = np.greater(hist[2], 0.0)
+    valid &= bins.has_threshold
+    term = np.less(nl, n_rows)
+    valid &= term
+    valid &= np.greater_equal(hl, min_child_hessian, out=term)
+    valid &= np.greater_equal(hr, min_child_hessian, out=term)
+    at = valid.nonzero()[0]
+    if not len(at):
         return None
-    gl, hl, hr = gl[at], hl[at], hr[at]
-    gr = g_total - gl
-    gains = 0.5 * (gl * gl / (hl + l2_reg) + gr * gr / (hr + l2_reg) - parent_score)
-    best = gains.max()
+    # gains = 0.5 * (GL^2/(HL+lam) + GR^2/(HR+lam) - parent_score), one step at a time.
+    gains, hl, hr = gl.take(at), hl.take(at), hr.take(at)
+    gr = np.subtract(g_total, gains)
+    gains *= gains
+    gains /= np.add(hl, l2_reg, out=hl)
+    gr *= gr
+    gr /= np.add(hr, l2_reg, out=hr)
+    gains += gr
+    gains -= parent_score
+    gains *= 0.5
+    best = np.maximum.reduce(gains)
     if not best > 0.0:
         return None
     ties = at[gains == best]
-    cell = ties[np.argmin(bins.rank[ties])]
+    cell = ties[bins.rank.take(ties).argmin()]
     return float(best), int(bins.feature[cell]), float(bins.threshold[cell])
 
 
 def _grow_tree(
-    x: np.ndarray, bins: _Bins, g: np.ndarray, h: np.ndarray, config: GbdtConfig
+    bins: _Bins, g: np.ndarray, h: np.ndarray, config: GbdtConfig
 ) -> tuple[tuple[list, ...], np.ndarray]:
     """Best-first growth: always expand the pending node with highest gain.
 
-    ``bins`` is ``_Bins.fit(x)``. Returns the tree's node lists, one per
-    field in ``_TREE_DTYPES`` order, and the weight of the leaf each row
-    ends in. A split's two children are added together, left then right.
-    A leaf keeps its rows, and a leaf on the heap its histogram; its g and
-    h sums give its weight and its search, and are not kept.
+    ``bins`` is ``_Bins.fit`` of the training rows. Returns the tree's node
+    lists, one per field in ``_TREE_DTYPES`` order, and the weight of the
+    leaf each row ends in. A split's two children are added together, left
+    then right. A leaf keeps its rows, and a leaf on the heap its
+    histogram; its g and h sums give its weight and its search, and are not
+    kept.
+
+    The root's histogram comes from the cells and counts ``bins`` keeps. A
+    split reads its feature from ``bins.columns``, and each child's g and h
+    are gathered once: for its sums and, if it is the smaller child, its
+    histogram.
     """
     features, values, lefts = tree = [], [], []
 
     def add_node(idx):
-        """A leaf for rows ``idx``; returns it and the sums ``(g, h)`` over ``idx``."""
-        totals = g[idx].sum(), h[idx].sum()
+        """A leaf for rows ``idx``; returns it, ``(idx, g[idx], h[idx])`` and
+        the sums ``(g, h)`` over ``idx``."""
+        g_rows, h_rows = g[idx], h[idx]
+        totals = np.add.reduce(g_rows), np.add.reduce(h_rows)
         node = len(values)
         features.append(_NO_CHILD)
         values.append(float(-totals[0] / (totals[1] + config.l2_reg)))
         lefts.append(_NO_CHILD)
         leaf_rows[node] = idx  # ascending, so sums keep their order
-        return node, totals
+        return node, (idx, g_rows, h_rows), totals
 
     leaf_rows = {}
     heap = []
@@ -411,17 +460,15 @@ def _grow_tree(
             # Nodes are numbered as they are found: equal gains pop the earlier.
             heapq.heappush(heap, (-gain, node, feature, threshold, hist, depth))
 
-    all_rows = np.arange(len(x))
-    root, root_totals = add_node(all_rows)
-    consider(root, root_totals, bins.histogram(all_rows, g, h), 0)
+    root, _, root_totals = add_node(np.arange(len(g)))
+    consider(root, root_totals, bins.histogram(None, g, h), 0)
     n_leaves = 1
     while heap and n_leaves < config.max_leaves:
         _, node, feature, threshold, hist, depth = heapq.heappop(heap)
         idx = leaf_rows.pop(node)
-        goes_left = x[idx, feature] < threshold
-        left_rows, right_rows = idx[goes_left], idx[~goes_left]
-        left, left_totals = add_node(left_rows)
-        right, right_totals = add_node(right_rows)
+        goes_left = bins.columns[feature].take(idx) < threshold
+        left, left_part, left_totals = add_node(idx[goes_left])
+        right, right_part, right_totals = add_node(idx[~goes_left])
         features[node], values[node], lefts[node] = feature, threshold, left
         n_leaves += 1
         # Children that the depth cap or the spent leaf budget keep as leaves
@@ -429,13 +476,12 @@ def _grow_tree(
         if depth + 1 < config.max_depth and n_leaves < config.max_leaves:
             # Sum the child with fewer rows (left on a tie); the parent's
             # buffer becomes the other child's, parent minus sibling.
-            left_smaller = len(left_rows) <= len(right_rows)
-            small_rows = left_rows if left_smaller else right_rows
-            small = bins.histogram(small_rows, g[small_rows], h[small_rows])
+            left_smaller = len(left_part[0]) <= len(right_part[0])
+            small = bins.histogram(*(left_part if left_smaller else right_part))
             hist -= small
             consider(left, left_totals, small if left_smaller else hist, depth + 1)
             consider(right, right_totals, hist if left_smaller else small, depth + 1)
-    row_values = np.empty(len(x))
+    row_values = np.empty(len(g))
     for node, idx in leaf_rows.items():
         row_values[idx] = values[node]
     return tree, row_values
@@ -621,7 +667,7 @@ def train_gbdt(
         for k in range(n_classes):
             g = p[:, k] - (y == k)
             h = p[:, k] * (1.0 - p[:, k])
-            tree, values = _grow_tree(x, bins, g, h, config)
+            tree, values = _grow_tree(bins, g, h, config)
             for column, part in zip(nodes.values(), tree):
                 column.extend(part)
             sizes.append(len(tree[0]))

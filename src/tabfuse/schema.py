@@ -222,7 +222,17 @@ class DataTable:
         return self.columns[self.schema.column_index(name)]
 
     def subset(self, indices: Iterable[int]) -> "DataTable":
+        """The rows at ``indices``, in that order; an index may repeat.
+
+        Raises:
+            DataError: an index outside [0, row_count); a negative index
+                does not count from the end.
+        """
         pick = list(indices)
+        n = self.row_count
+        if pick and (min(pick) < 0 or max(pick) >= n):
+            bad = next(i for i in pick if not 0 <= i < n)
+            raise DataError(f"row index {bad} is outside a table of {n} rows")
         return DataTable.from_columns(
             self.schema, [tuple(map(c.__getitem__, pick)) for c in self.columns]
         )

@@ -243,6 +243,25 @@ class TestTrainGbdt:
         assert leaves_per_tree(model).tolist() == [1] * 4
         assert all(np.isfinite(l) for l in losses)
 
+    def test_zero_columns_give_single_leaf_trees(self):
+        """With no feature to split on, each tree is one leaf of weight -G/(H+lambda)."""
+        y = np.array([0, 1, 2, 1, 1, 0, 2])
+        cfg = GbdtConfig(rounds=3, shrinkage=0.3, l2_reg=0.5)
+        model, losses = train_gbdt(np.empty((len(y), 0)), y, 3, cfg)
+        margins, weights, expected_losses = np.zeros((len(y), 3)), [], []
+        for _ in range(cfg.rounds):
+            p = softmax(margins)
+            for k in range(3):
+                g, h = p[:, k] - (y == k), p[:, k] * (1.0 - p[:, k])
+                weights.append(float(-g.sum() / (h.sum() + cfg.l2_reg)))
+                margins[:, k] += cfg.shrinkage * weights[-1]
+            expected_losses.append(float(-np.log(softmax(margins)[np.arange(len(y)), y]).mean()))
+        assert model.feature_count == 0 and model.sizes.tolist() == [1] * 9
+        assert model.nodes["feature"].tolist() == model.nodes["left"].tolist() == [-1] * 9
+        assert repr(model.nodes["value"].tolist()) == repr(weights)
+        assert repr(losses) == repr(expected_losses)
+        assert np.array_equal(model.margins(np.empty((len(y), 0))), margins)
+
     def test_deterministic(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(50, 3))
@@ -894,6 +913,49 @@ class TestHistogramTraining:
         expected, expected_searches = reference_boost(x, y, n_classes, config)
         assert [node_lists(t) for t in model.trees] == [node_lists(t) for t in expected]
         assert repr(searches) == repr(expected_searches)
+
+    @settings(max_examples=20, deadline=None)
+    @given(case=wide_training_sets())
+    def test_search_leaves_its_histogram_bit_unchanged(self, case):
+        """The heap keeps a searched node's histogram and later subtracts the
+        smaller child from it, so a search must not write to it."""
+        x, y, n_classes, config = case
+        calls = []
+
+        def checked(*args, hist, **kwargs):
+            before = hist.copy()
+            found = find_best_split(*args, hist=hist, **kwargs)
+            calls.append(hist.tobytes() == before.tobytes())
+            return found
+
+        with mock.patch.object(gbdt, "find_best_split", checked):
+            train_gbdt(x, y, n_classes, config)
+        assert calls and all(calls)
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            np.empty((5, 0)),
+            np.column_stack([np.full(6, math.nan), np.arange(6.0)]),
+            np.column_stack([np.arange(6.0), np.full(6, 2.0)]),
+            np.array([[1.0, math.nan, -0.0]]),
+            np.random.default_rng(3).normal(size=(300, 4)).round(1),
+        ],
+        ids=["no-columns", "all-nan-column", "constant-column", "one-row", "wide-and-narrow"],
+    )
+    def test_root_histogram_from_kept_arrays_equals_gathered_one(self, x):
+        """The root's histogram, from the cells and counts ``fit`` keeps, has the
+        bits of ``histogram`` over every row, which gathers and counts; the
+        kept columns are x column by column."""
+        rng = np.random.default_rng(len(x))
+        g, h = rng.normal(size=len(x)), rng.uniform(0.01, 0.3, size=len(x))
+        bins = _Bins.fit(x)
+        root = bins.histogram(None, g, h)
+        gathered = bins.histogram(np.arange(len(x)), g, h)
+        assert root.shape == gathered.shape == (3, len(bins.feature))
+        assert root.tobytes() == gathered.tobytes()
+        assert bins.columns.flags.c_contiguous and bins.columns.shape == x.T.shape
+        assert bins.columns.tobytes() == np.ascontiguousarray(x.T).tobytes()
 
     def test_lower_wide_feature_wins_an_exact_tie_with_a_higher_narrow_one(self):
         """Feature 0 has 400 values, so it is cut by rank and its cells come after

@@ -155,6 +155,26 @@ class TestDataTable:
         assert t.column("complaint") == ("a", "b")
         assert t.subset([1]).column("temperature") == ("2",)
 
+    @pytest.mark.parametrize(
+        "picks, bad", [([-1], -1), ([0, 1, 2, 5], 5), ([1, 4, -1], 4), (iter([1, 3]), 3)]
+    )
+    def test_subset_refuses_an_index_outside_the_table(self, picks, bad):
+        """A negative index does not count from the end; the first bad index is named."""
+        s = make_schema()
+        t = DataTable(s, (("1", "a", "home"), ("2", "b", "admitted"), ("3", "c", None)))
+        with pytest.raises(DataError, match=rf"^row index {bad} is outside a table of 3 rows$"):
+            t.subset(picks)
+
+    def test_subset_takes_an_empty_pick_and_an_iterator(self):
+        s = make_schema()
+        t = DataTable(s, (("1", "a", "home"), ("2", "b", "admitted")))
+        empty = t.subset([])
+        assert empty.row_count == 0 and empty == DataTable(s, ())
+        assert DataTable(s, ()).subset(iter([])) == empty
+        assert t.subset(iter([1, 0, 1])).column("temperature") == ("2", "1", "2")
+        with pytest.raises(DataError, match="row index 0 is outside a table of 0 rows"):
+            DataTable(s, ()).subset([0])
+
     @settings(max_examples=200, deadline=None)
     @given(
         rows=st.lists(
