@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, NumericError
 from .nn import softmax
 from .packed import FLOAT, INT, fields, pack, unpack
 
@@ -644,6 +644,8 @@ def train_gbdt(
     Raises:
         DataError: fewer than 2 rows, labels out of range, or fewer than
             2 distinct classes present.
+        NumericError: a round's loss is not finite, as a shrinkage at the
+            edge of float range can make it.
     """
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels)
@@ -663,18 +665,24 @@ def train_gbdt(
     losses: list[float] = []
     rows = np.arange(len(y))
     bins = _Bins.fit(x)  # x is the same for every tree
-    for _ in range(config.rounds):
-        for k in range(n_classes):
-            g = p[:, k] - (y == k)
-            h = p[:, k] * (1.0 - p[:, k])
-            tree, values = _grow_tree(bins, g, h, config)
-            for column, part in zip(nodes.values(), tree):
-                column.extend(part)
-            sizes.append(len(tree[0]))
-            margins[:, k] += config.shrinkage * values
-        # The round's probabilities: its loss, and the next round's gradients.
-        p = softmax(margins)
-        losses.append(float(-np.log(p[rows, y]).mean()))
+    for round_ in range(1, config.rounds + 1):
+        # A diverging round overflows its margins; the loss check refuses it,
+        # so numpy's warnings would only repeat the error.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for k in range(n_classes):
+                g = p[:, k] - (y == k)
+                h = p[:, k] * (1.0 - p[:, k])
+                tree, values = _grow_tree(bins, g, h, config)
+                for column, part in zip(nodes.values(), tree):
+                    column.extend(part)
+                sizes.append(len(tree[0]))
+                margins[:, k] += config.shrinkage * values
+            # The round's probabilities: its loss, and the next round's gradients.
+            p = softmax(margins)
+            loss = float(-np.log(p[rows, y]).mean())
+        if not math.isfinite(loss):
+            raise NumericError(f"gbdt training loss became non-finite at round {round_}")
+        losses.append(loss)
     # All trees are joined once, into the arrays a bundle stores, read-only
     # as loaded ones are: the model walks its packed copy, not these.
     arrays = {name: np.array(nodes[name], dtype) for name, dtype in _TREE_DTYPES.items()}

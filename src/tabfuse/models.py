@@ -11,13 +11,17 @@ Two classifiers share one training interface:
   value per categorical column.
 
 A chain is a tuple of layers, which ``_run`` applies in order and ``_back``
-walks in reverse, so each net states its layer order once. Both nets are
+walks in reverse, so each net states its layer order once. A training step
+hands each layer a tape, on which the layer itself puts what its backward
+reads; ``_back`` hands each layer that entry back. Both nets are
 sized from the preprocessing state by ``from_state``, for training and for
 decoding. A payload holds only their parameters: each layer width is read
 from the shape of a stored weight.
 
 Training is mini-batch Adam with a seeded shuffle per epoch, epoch-level
-validation, and early stopping that restores the best-epoch snapshot.
+validation, and early stopping that restores the best-epoch snapshot. A
+diverging run ends in one ``NumericError``: numpy's overflow and invalid
+warnings are off inside the loop, as its finite loss checks report them.
 Scoring and the validation pass run in row blocks of 1,024 to 2,047 rows
 (``_Net._blocked``), so their activations are bounded by one block, not by
 the table; a pass of fewer than 2,048 rows is one block of the same loop.
@@ -51,16 +55,15 @@ _ROW_BLOCK = 1024
 
 
 def _run(chain: tuple, x: np.ndarray, tape: dict | None) -> np.ndarray:
-    """``x`` through each layer of ``chain``, each input put on ``tape`` when there is one."""
+    """``x`` through each layer of ``chain``, each handed ``tape``, on which it
+    puts what its backward reads when there is one."""
     for layer in chain:
-        if tape is not None:
-            tape[layer] = x
-        x = layer.forward(x)
+        x = layer.forward(x, tape)
     return x
 
 
 def _back(chain: tuple, tape: dict, grad: np.ndarray) -> np.ndarray:
-    """``grad`` back through ``chain`` in reverse, each layer handed its input from ``tape``."""
+    """``grad`` back through ``chain`` in reverse, each layer handed its entry from ``tape``."""
     for layer in reversed(chain):
         grad = layer.backward(tape[layer], grad)
     return grad
@@ -80,9 +83,10 @@ class _Net:
     """What both networks share: their parameters, gathered from ``layers``,
     softmax probabilities, and a payload that is only those parameters.
 
-    ``forward(*inputs, tape=None)`` runs the net's chains, each input put on
-    ``tape`` (a dict keyed by layer) when it is given one, and
-    ``backward(tape, grad)`` runs them back, each layer handed that input.
+    ``forward(*inputs, tape=None)`` runs the net's chains, each layer putting
+    what its backward reads on ``tape`` (a dict keyed by layer) when it is
+    given one, and ``backward(tape, grad)`` runs them back, each layer handed
+    its entry.
     Only a training step passes a tape, and it is never split. A pass without
     one goes through ``_blocked``: one ``forward`` per row block, each
     activation freed as soon as the next layer has read it, so
@@ -201,7 +205,7 @@ class EmbeddingFusionNet(_Net):
         self, numeric: np.ndarray, tokens: np.ndarray, tape: dict | None = None
     ) -> np.ndarray:
         flat = (len(tokens), self.token_width * self.embed_dim)
-        c = _run(self.cat, _run((self.embedding,), tokens, tape).reshape(flat), tape)
+        c = _run(self.cat, self.embedding.forward(tokens, tape).reshape(flat), tape)
         # no layer takes c as its input, so no tape holds it and the sum can reuse it
         c += _run(self.num, numeric, tape)
         return _run(self.head, c, tape)
@@ -406,40 +410,43 @@ def train(
     log = TrainLog()
     best = optimizer.value.copy()
 
-    for epoch in range(1, config.max_epochs + 1):
-        perm = rng.permutation(n)
-        loss_sum = 0.0
-        for start in range(0, n, config.batch_size):
-            idx = perm[start : start + config.batch_size]
-            batch = tuple(a[idx] for a in train_inputs)
-            tape = {}
-            logits = model.forward(*batch, tape=tape)
-            loss, grad = softmax_cross_entropy(logits, train_labels[idx])
-            if not np.isfinite(loss):
-                raise NumericError(
-                    f"training loss became non-finite at epoch {epoch}"
-                )
-            optimizer.zero_grad()
-            model.backward(tape, grad)
-            optimizer.step()
-            loss_sum += loss * len(idx)
-        log.train_losses.append(loss_sum / n)
+    # A diverging step overflows before its loss does; the finite checks below
+    # refuse the result, so numpy's warnings would only repeat them.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, config.max_epochs + 1):
+            perm = rng.permutation(n)
+            loss_sum = 0.0
+            for start in range(0, n, config.batch_size):
+                idx = perm[start : start + config.batch_size]
+                batch = tuple(a.take(idx, axis=0) for a in train_inputs)
+                tape = {}
+                logits = model.forward(*batch, tape=tape)
+                loss, grad = softmax_cross_entropy(logits, train_labels.take(idx))
+                if not math.isfinite(loss):
+                    raise NumericError(
+                        f"training loss became non-finite at epoch {epoch}"
+                    )
+                optimizer.zero_grad()
+                model.backward(tape, grad)
+                optimizer.step()
+                loss_sum += loss * len(idx)
+            log.train_losses.append(loss_sum / n)
 
-        val_logits = model._blocked(val_inputs, lambda logits: logits)
-        val_loss, _ = softmax_cross_entropy(val_logits, val_labels)
-        if not np.isfinite(val_loss):
-            raise NumericError(f"validation loss became non-finite at epoch {epoch}")
-        log.val_losses.append(val_loss)
-        log.val_accuracies.append(
-            float((val_logits.argmax(axis=1) == val_labels).mean())
-        )
+            val_logits = model._blocked(val_inputs, lambda logits: logits)
+            val_loss, _ = softmax_cross_entropy(val_logits, val_labels)
+            if not math.isfinite(val_loss):
+                raise NumericError(f"validation loss became non-finite at epoch {epoch}")
+            log.val_losses.append(val_loss)
+            log.val_accuracies.append(
+                float((val_logits.argmax(axis=1) == val_labels).mean())
+            )
 
-        should_stop = stopper.update(val_loss, epoch)
-        if stopper.improved:
-            best = optimizer.value.copy()
-        log.stopped_epoch = epoch
-        if should_stop:
-            break
+            should_stop = stopper.update(val_loss, epoch)
+            if stopper.improved:
+                best = optimizer.value.copy()
+            log.stopped_epoch = epoch
+            if should_stop:
+                break
 
     optimizer.value[...] = best
     log.best_epoch = stopper.best_epoch

@@ -2,12 +2,14 @@
 
 Dense layers, PReLU activations, an embedding table, softmax cross-entropy
 and Adam. Everything is plain numpy float64; there is no autodiff graph.
-A layer keeps no activations: ``forward(x)`` only returns its output, and
-``backward(x, dy)`` is handed the same input back, accumulates into
-parameter gradients and returns the gradient with respect to ``x``.
-``models`` runs a network as chains, tuples of these layers. A training step
-puts each layer's input on a tape, a dict keyed by layer, and its backward
-hands each input back; a scoring pass keeps no tape, so each activation is
+A layer keeps no activations. ``forward(x, tape=None)`` returns its
+output and, when it is given a tape (a dict keyed by layer), puts on
+``tape[layer]`` what its own backward reads: the input for ``Linear`` and
+``Embedding``, the input and the slope factor for ``PReLU``.
+``backward(saved, dy)`` is handed that entry back, accumulates into
+parameter gradients and returns the gradient with respect to the input.
+``models`` runs a network as chains, tuples of these layers; a training
+step passes a tape, and a scoring pass passes none, so each activation is
 freed once the next layer has read it. Adam owns a network's parameters as
 one flat vector, and each Param as a view into it, so an update,
 ``zero_grad`` or snapshot is whole-vector work.
@@ -60,11 +62,14 @@ class Linear:
     def params(self) -> list[Param]:
         return [self.weight, self.bias]
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, tape: dict | None = None) -> np.ndarray:
+        """``x @ weightᵀ + bias``; ``x`` goes on ``tape``, for backward."""
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise ValueError(
                 f"expected input of width {self.in_dim}, got shape {x.shape}"
             )
+        if tape is not None:
+            tape[self] = x
         y = x @ self.weight.value.T
         y += self.bias.value
         return y
@@ -78,7 +83,15 @@ class Linear:
 
 class PReLU:
     """Elementwise max(0, x) + a * min(0, x) with one learnable scalar a,
-    which starts at 0.25."""
+    which starts at 0.25.
+
+    Forward picks each cell's factor s, 1 where x > 0 and a elsewhere, and
+    returns x * s. That factor is also d/dx, so backward returns dy * s and
+    reads x only for the slope gradient; a pass without a tape writes x * s
+    over s, which nothing reads again. ``x * 1.0`` is ``x`` and ``x * a`` is
+    ``a * x`` exactly, -0.0 and ±inf included, so this gives the bits of
+    ``where(x > 0, x, a * x)`` and ``where(x > 0, dy, dy * a)``.
+    """
 
     def __init__(self, name: str):
         self.slope = Param(np.asarray(0.25, dtype=np.float64), f"{name}.slope")
@@ -86,14 +99,20 @@ class PReLU:
     def params(self) -> list[Param]:
         return [self.slope]
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        a = self.slope.value
-        return np.where(x > 0, x, a * x)
+    def forward(self, x: np.ndarray, tape: dict | None = None) -> np.ndarray:
+        """``x * s``; ``(x, s)`` goes on ``tape``, for backward."""
+        s = np.where(x > 0, 1.0, self.slope.value)
+        if tape is None:
+            return np.multiply(x, s, out=s)
+        tape[self] = x, s
+        return x * s
 
-    def backward(self, x: np.ndarray, dy: np.ndarray) -> np.ndarray:
-        """Add the slope gradient for input ``x`` and output gradient ``dy``; return d/dx."""
+    def backward(self, saved: tuple[np.ndarray, np.ndarray], dy: np.ndarray) -> np.ndarray:
+        """Add the slope gradient for the ``(x, s)`` forward saved and output
+        gradient ``dy``; return d/dx."""
+        x, s = saved
         self.slope.grad += np.add.reduce(dy * np.minimum(x, 0.0), axis=None)
-        return np.where(x > 0, dy, dy * self.slope.value)
+        return dy * s
 
 
 class Embedding:
@@ -118,13 +137,18 @@ class Embedding:
     def params(self) -> list[Param]:
         return [self.weight]
 
-    def forward(self, tokens: np.ndarray) -> np.ndarray:
-        """Map integer tokens of shape (B, S) to vectors of shape (B, S, dim)."""
+    def forward(self, tokens: np.ndarray, tape: dict | None = None) -> np.ndarray:
+        """Map integer tokens of shape (B, S) to vectors of shape (B, S, dim);
+        ``tokens`` go on ``tape``, for backward."""
         tokens = np.asarray(tokens)
-        if tokens.min(initial=0) < 0 or tokens.max(initial=0) >= self.vocab_size:
+        low = np.minimum.reduce(tokens, axis=None, initial=0)
+        high = np.maximum.reduce(tokens, axis=None, initial=0)
+        if low < 0 or high >= self.vocab_size:
             raise ValueError(
                 f"token index out of range for vocabulary of {self.vocab_size}"
             )
+        if tape is not None:
+            tape[self] = tokens
         return self.weight.value.take(tokens, axis=0)
 
     def backward(self, tokens: np.ndarray, dout: np.ndarray) -> None:
@@ -140,9 +164,9 @@ class Embedding:
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax, stabilized by max subtraction."""
-    z = logits - logits.max(axis=1, keepdims=True)
+    z = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / np.add.reduce(e, axis=1, keepdims=True)
 
 
 def softmax_cross_entropy(
@@ -163,14 +187,15 @@ def softmax_cross_entropy(
     b, k = logits.shape
     if labels.shape != (b,):
         raise ValueError(f"expected {b} labels, got shape {labels.shape}")
-    if labels.min() < 0 or labels.max() >= k:
+    if np.minimum.reduce(labels) < 0 or np.maximum.reduce(labels) >= k:
         raise ValueError(f"label out of range for {k} classes")
-    z = logits - logits.max(axis=1, keepdims=True)
+    z = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
     log_norm = np.log(np.add.reduce(np.exp(z), axis=1))
-    rows = np.arange(b)
-    loss = float(np.add.reduce(log_norm - z[rows, labels]) / b)
+    # each row's label cell as one flat index into the C-ordered (B, K) arrays
+    picks = np.arange(0, b * k, k) + labels
+    loss = float(np.add.reduce(log_norm - z.take(picks)) / b)
     grad = np.exp(z - log_norm[:, None])
-    grad[rows, labels] -= 1.0
+    grad.reshape(-1)[picks] -= 1.0
     grad /= b
     return loss, grad
 

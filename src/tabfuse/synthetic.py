@@ -115,8 +115,9 @@ def generate_synthetic(
         schema: target table schema; its class labels define K.
         rows: number of rows, must be >= K.
         seed: any integer; output is a pure function of the arguments.
-        imbalance: K positive class weights (default uniform); class counts
-            follow the weights within rounding.
+        imbalance: K positive finite class weights (default uniform); class
+            counts follow the weights within rounding. Weights whose shares
+            ``rows * w / sum(w)`` overflow are refused.
         missing_fraction: probability a non-target cell is missing.
         numeric_signal: spread of per-class numeric centers, in units of the
             cell noise standard deviation. 0 removes numeric signal.
@@ -144,7 +145,13 @@ def generate_synthetic(
     if len(_WORDS) < 2 * k:
         raise DataError(f"generator supports at most {len(_WORDS) // 2} classes")
 
-    counts = _largest_remainder(rows, rows * weights / weights.sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        shares = rows * weights / weights.sum()
+    if not np.all(np.isfinite(shares)):
+        raise DataError(
+            f"imbalance weights {weights.tolist()} overflow: their class shares are not finite"
+        )
+    counts = _largest_remainder(rows, shares)
     labels = _shuffled_labels(rows, counts, seed)
     row_ids = np.arange(rows)
 

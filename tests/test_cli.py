@@ -486,6 +486,59 @@ def test_numeric_column_whose_mean_or_std_overflows(tmp_path, model, cells):
 
 
 @pytest.mark.parametrize(
+    "model, doc, labels, message",
+    [
+        ("fusion", {"train": {"learning_rate": 1e308}}, ("home", "admitted"),
+         "validation loss became non-finite at epoch 1"),
+        ("baseline", {"train": {"learning_rate": 1e300}}, ("home", "admitted"),
+         "validation loss became non-finite at epoch 1"),
+        ("gbdt", {"gbdt": {"shrinkage": 1e308, "rounds": 2}}, ("home", "admitted", "transferred"),
+         "gbdt training loss became non-finite at round 1"),
+    ],
+)
+def test_diverging_training_is_one_numeric_error(tmp_path, model, doc, labels, message):
+    """A learning rate or shrinkage at the edge of float range overflows the
+    first steps: one error[numeric] line names where the loss stopped being
+    finite, numpy prints no warning first, and nothing is written."""
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps(schema_doc(("temp", "complaint", "outcome"), labels)))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "run"
+    argv = ["train", "--config", config, "--schema", schema, "--rows", 60, "--model", model,
+            "--out", out]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, err = run_cli(argv)
+    assert code == 4
+    assert err == f"error[numeric]: {message}\n"
+    assert [str(w.message) for w in caught] == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "train"])
+def test_imbalance_whose_shares_overflow_is_refused(tmp_path, command):
+    """Weights of 1e308 overflow rows * w / sum(w) to NaN: one error[data]
+    line names the weights, and nothing is written."""
+    schema = tmp_path / "schema.json"
+    labels = ("home", "admitted", "transferred")
+    schema.write_text(json.dumps(schema_doc(("temp", "complaint", "outcome"), labels)))
+    out = tmp_path / "out"
+    argv = [command, "--schema", schema, "--rows", 60, "--imbalance", "1e308,1e308,1",
+            "--out", out]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, err = run_cli(argv)
+    assert code == 3
+    assert err == (
+        "error[data]: imbalance weights [1e+308, 1e+308, 1.0] overflow: "
+        "their class shares are not finite\n"
+    )
+    assert [str(w.message) for w in caught] == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "rows, model, members, split",
     [
         (9, "fusion", None, "test"),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from gradcheck import GradientCheckReport, gradient_check
@@ -44,6 +46,13 @@ class TestLinear:
         assert np.all(layer.bias.value == 0.0)
 
 
+# Cells at the edges the activations meet: signed zeros, tiny and large
+# magnitudes and infinities, beside plain values.
+EDGE_CELLS = st.sampled_from(
+    [0.0, -0.0, 1e-300, -1e-300, 1e6, -1e6, np.inf, -np.inf]
+) | st.floats(-10, 10)
+
+
 class TestPReLU:
     def test_positive_passthrough(self):
         act = PReLU("a")
@@ -61,6 +70,43 @@ class TestPReLU:
 
     def test_slope_initialized_to_quarter(self):
         assert float(PReLU("a").slope.value) == 0.25
+
+    def test_pass_without_a_tape_writes_its_output_over_the_factor(self):
+        """Nothing reads the factor of a pass without a tape, so beside its input
+        that pass holds one float array, the factor then the output, and a bool mask."""
+        x = np.random.default_rng(0).normal(size=(1000, 64))
+        act = PReLU("a")
+        tracemalloc.start()
+        try:
+            y = act.forward(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert y.tobytes() == np.where(x > 0, x, 0.25 * x).tobytes()
+        assert peak <= x.nbytes + x.size + 2**12, f"{peak} bytes"
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        x=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2), elements=EDGE_CELLS),
+        slope=st.sampled_from([0.0, -0.0, 0.25, -0.5, 1.5]),
+        data=st.data(),
+    )
+    def test_tape_gives_the_plain_formulas_bit_for_bit(self, x, slope, data):
+        """Output, input gradient and slope gradient through a tape equal the
+        plain formulas, the slope's accumulated into a zeroed gradient."""
+        dy = data.draw(hnp.arrays(np.float64, x.shape, elements=EDGE_CELLS), label="dy")
+        act = PReLU("a")
+        act.slope.value[...] = a = np.float64(slope)
+        tape = {}
+        # 0 * inf is NaN on both sides; numpy's warning about it says nothing here
+        with np.errstate(invalid="ignore", over="ignore"):
+            y = act.forward(x, tape)
+            dx = act.backward(tape[act], dy)
+            assert y.tobytes() == np.where(x > 0, x, a * x).tobytes()
+            assert act.forward(x).tobytes() == y.tobytes()
+            assert dx.tobytes() == np.where(x > 0, dy, dy * a).tobytes()
+            expected = np.zeros(()) + np.add.reduce(dy * np.minimum(x, 0.0), axis=None)
+        assert act.slope.grad.tobytes() == expected.tobytes()
 
 
 class TestEmbedding:
@@ -278,16 +324,19 @@ class TestFlatAdam:
         assert not params[-1].value[0].any()  # the pad row never moves
 
 
-# Each reference layer keeps the input its own forward saw and ignores the one
-# a net's tape hands back to backward, so a wrong tape entry shows as a mismatch.
+# Each reference layer keeps the input its own forward saw and puts only a
+# placeholder on the tape, so its backward reads nothing from a tape and a wrong
+# entry on the tested net's tape shows as a mismatch.
 class ReferenceLinear(Linear):
     """Linear with the plain formulas, each temporary allocated."""
 
-    def forward(self, x):
+    def forward(self, x, tape=None):
         self._x = x
+        if tape is not None:
+            tape[self] = None
         return x @ self.weight.value.T + self.bias.value
 
-    def backward(self, x, dy):
+    def backward(self, saved, dy):
         self.weight.grad += dy.T @ self._x
         self.bias.grad += dy.sum(axis=0)
         return dy @ self.weight.value
@@ -296,12 +345,14 @@ class ReferenceLinear(Linear):
 class ReferencePReLU(PReLU):
     """PReLU with the plain formulas; records the sign bits of the exact zeros it sees."""
 
-    def forward(self, x):
+    def forward(self, x, tape=None):
         self._x = x
+        if tape is not None:
+            tape[self] = None
         self.zero_signs = getattr(self, "zero_signs", set()) | set(np.signbit(x[x == 0]).tolist())
         return np.where(x > 0, x, self.slope.value * x)
 
-    def backward(self, x, dy):
+    def backward(self, saved, dy):
         x = self._x
         self.slope.grad += (dy * np.minimum(x, 0.0)).sum()
         return dy * np.where(x > 0, 1.0, self.slope.value)
@@ -310,11 +361,13 @@ class ReferencePReLU(PReLU):
 class ReferenceEmbedding(Embedding):
     """Embedding by fancy indexing, and backward by np.add.at into the zeroed gradient."""
 
-    def forward(self, tokens):
+    def forward(self, tokens, tape=None):
         self._x = tokens
+        if tape is not None:
+            tape[self] = None
         return self.weight.value[tokens]
 
-    def backward(self, tokens, dout):
+    def backward(self, saved, dout):
         np.add.at(self.weight.grad, self._x, dout)
 
 
@@ -506,10 +559,11 @@ class TestGradientCheck:
         def loss_fn():
             for p in params:
                 p.zero_grad()
+            tape = {}
             h = lin.forward(x)
-            a = act.forward(h)
+            a = act.forward(h, tape)
             loss, grad = softmax_cross_entropy(head.forward(a), y)
-            lin.backward(x, act.backward(h, head.backward(a, grad)))
+            lin.backward(x, act.backward(tape[act], head.backward(a, grad)))
             return loss
 
         report = gradient_check(loss_fn, params)
