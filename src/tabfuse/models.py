@@ -1,22 +1,20 @@
 """Network assemblies and the training loop.
 
-Two classifiers share one training interface:
+Two classifiers share one training interface, and ``_Net`` runs both. Each
+lists its branches, ``(input position, chain)`` pairs whose outputs are
+summed, and a head chain run on the sum; a chain is a tuple of layers.
 
-* EmbeddingFusionNet: a categorical chain (embedded, flattened tokens through
-  two PReLU-activated dense layers to a 16-wide vector) plus a numeric chain
+* EmbeddingFusionNet: a token branch (the embedding's flat rows through two
+  PReLU-activated dense layers to a 16-wide vector), a numeric branch
   (standardized numerics through one PReLU-activated dense layer to the same
-  width), then a head chain: a final PReLU and the classifier.
-* BaselineMlp: one chain of three dense layers with PReLU after the first
-  two, fed the standardized numerics concatenated with one frequency-encoded
-  value per categorical column.
+  width), and a head of a final PReLU and the classifier.
+* BaselineMlp: one branch of three dense layers with PReLU after the first
+  two, over the standardized numerics and one frequency-encoded value per
+  categorical column, and an empty head.
 
-A chain is a tuple of layers, which ``_run`` applies in order and ``_back``
-walks in reverse, so each net states its layer order once. A training step
-hands each layer a tape, on which the layer itself puts what its backward
-reads; ``_back`` hands each layer that entry back. Both nets are
-sized from the preprocessing state by ``from_state``, for training and for
-decoding. A payload holds only their parameters: each layer width is read
-from the shape of a stored weight.
+Both nets are sized from the preprocessing state by ``from_state``, for
+training and for decoding. A payload holds only their parameters: each
+layer width is read from the shape of a stored weight.
 
 Training is mini-batch Adam with a seeded shuffle per epoch, epoch-level
 validation, and early stopping that restores the best-epoch snapshot. A
@@ -55,8 +53,7 @@ _ROW_BLOCK = 1024
 
 
 def _run(chain: tuple, x: np.ndarray, tape: dict | None) -> np.ndarray:
-    """``x`` through each layer of ``chain``, each handed ``tape``, on which it
-    puts what its backward reads when there is one."""
+    """``x`` through each layer of ``chain``, each handed ``tape``."""
     for layer in chain:
         x = layer.forward(x, tape)
     return x
@@ -79,19 +76,29 @@ def _width(params: dict, name: str, axis: int, size: int) -> int:
     return shape[1 - axis]
 
 
-class _Net:
-    """What both networks share: their parameters, gathered from ``layers``,
-    softmax probabilities, and a payload that is only those parameters.
+def _rows(arrays, what: str) -> int:
+    """The row count ``arrays`` share; a ``DataError`` naming the counts if they differ."""
+    rows = len(arrays[0])
+    for a in arrays:
+        if len(a) != rows:
+            raise DataError(f"{what} must have equal row counts, got {[len(a) for a in arrays]}")
+    return rows
 
-    ``forward(*inputs, tape=None)`` runs the net's chains, each layer putting
-    what its backward reads on ``tape`` (a dict keyed by layer) when it is
-    given one, and ``backward(tape, grad)`` runs them back, each layer handed
-    its entry.
+
+class _Net:
+    """What both networks share: their only ``forward`` and ``backward``,
+    parameters, softmax probabilities, and a payload of those parameters.
+
+    ``forward(*inputs, tape=None)`` runs each of ``branches`` on its input,
+    adds their outputs in order, and runs ``head`` on the sum, each layer
+    putting what its backward reads on ``tape`` (a dict keyed by layer) when
+    given one; inputs of unequal row counts are refused. ``backward(tape,
+    grad)`` runs the head back, then every branch from the same gradient.
     Only a training step passes a tape, and it is never split. A pass without
     one goes through ``_blocked``: one ``forward`` per row block, each
-    activation freed as soon as the next layer has read it, so
-    ``predict_proba`` holds about one layer's input and output for at most
-    2,047 rows at a time and leaves no activations behind.
+    activation freed once the next layer has read it, so ``predict_proba``
+    holds about one layer's input and output for at most 2,047 rows at a
+    time and leaves no activations behind.
 
     A payload gives no width: each is read from a stored weight whose other
     axis the state or an earlier width fixes (``widths_from``), so a net is
@@ -107,8 +114,26 @@ class _Net:
     def feature_view(self) -> str:
         return self.feature_views[0]
 
+    @property
+    def layers(self) -> tuple:
+        return (*(layer for _, chain in self.branches for layer in chain), *self.head)
+
     def params(self) -> list[Param]:
         return [p for layer in self.layers for p in layer.params()]
+
+    def forward(self, *inputs: np.ndarray, tape: dict | None = None) -> np.ndarray:
+        _rows(inputs, "network inputs")
+        (first, chain), *rest = self.branches
+        x = _run(chain, inputs[first], tape)
+        # each branch ends in a layer whose output no tape holds, so the sum reuses it
+        for position, chain in rest:
+            x += _run(chain, inputs[position], tape)
+        return _run(self.head, x, tape)
+
+    def backward(self, tape: dict, grad: np.ndarray) -> None:
+        grad = _back(self.head, tape, grad)
+        for _, chain in self.branches:
+            _back(chain, tape, grad)
 
     def predict_proba(self, *inputs: np.ndarray) -> np.ndarray:
         return self._blocked(inputs, softmax)
@@ -118,7 +143,7 @@ class _Net:
         of ``_ROW_BLOCK`` rows and joined in row order. The short tail joins the
         last block, so each holds ``_ROW_BLOCK`` to ``2 * _ROW_BLOCK - 1`` rows,
         and fewer than ``2 * _ROW_BLOCK`` rows, 0 included, are one block."""
-        rows = len(inputs[0])
+        rows = _rows(inputs, "network inputs")
         # each net's last layer is its classifier
         out = np.empty((rows, self.layers[-1].out_dim))
         starts = range(0, max(rows - _ROW_BLOCK, 0) + 1, _ROW_BLOCK)
@@ -194,28 +219,10 @@ class EmbeddingFusionNet(_Net):
         self.num_act = PReLU("num.act")
         self.fusion_act = PReLU("fusion.act")
         self.classifier = Linear(fused_width, n_classes, rng, "classifier")
-        self.cat = (self.cat_linear1, self.cat_act1, self.cat_linear2, self.cat_act2)
-        self.num = (self.num_linear, self.num_act)
+        # inputs are (numeric, tokens); tokens first keeps parameter order and scoring peak
+        tokens = (self.embedding, self.cat_linear1, self.cat_act1, self.cat_linear2, self.cat_act2)
+        self.branches = ((1, tokens), (0, (self.num_linear, self.num_act)))
         self.head = (self.fusion_act, self.classifier)
-        self.layers = (self.embedding, *self.cat, *self.num, *self.head)
-        self.token_width = token_width
-        self.embed_dim = embed_dim
-
-    def forward(
-        self, numeric: np.ndarray, tokens: np.ndarray, tape: dict | None = None
-    ) -> np.ndarray:
-        flat = (len(tokens), self.token_width * self.embed_dim)
-        c = _run(self.cat, self.embedding.forward(tokens, tape).reshape(flat), tape)
-        # no layer takes c as its input, so no tape holds it and the sum can reuse it
-        c += _run(self.num, numeric, tape)
-        return _run(self.head, c, tape)
-
-    def backward(self, tape: dict, grad_logits: np.ndarray) -> None:
-        d_fused = _back(self.head, tape, grad_logits)
-        # the addition node fans the same gradient into both branches
-        _back(self.num, tape, d_fused)
-        d = _back(self.cat, tape, d_fused).reshape(len(d_fused), self.token_width, self.embed_dim)
-        self.embedding.backward(tape[self.embedding], d)
 
     predict_proba = _Net.predict_proba
 
@@ -244,10 +251,8 @@ class EmbeddingFusionNet(_Net):
         return {"embed_dim": embed_dim, "hidden_width": hidden_width, "fused_width": fused_width}
 
     def describe(self) -> str:
-        return (
-            f"embed dim {self.embed_dim}, token width {self.token_width}, "
-            f"numerics {self.num_linear.in_dim}"
-        )
+        dim, width = self.embedding.dim, self.cat_linear1.in_dim
+        return f"embed dim {dim}, token width {width // dim}, numerics {self.num_linear.in_dim}"
 
 
 class BaselineMlp(_Net):
@@ -272,13 +277,8 @@ class BaselineMlp(_Net):
         self.linear2 = Linear(hidden1, hidden2, rng, "mlp2")
         self.act2 = PReLU("mlp2.act")
         self.linear3 = Linear(hidden2, n_classes, rng, "mlp3")
-        self.layers = (self.linear1, self.act1, self.linear2, self.act2, self.linear3)
-
-    def forward(self, features: np.ndarray, tape: dict | None = None) -> np.ndarray:
-        return _run(self.layers, features, tape)
-
-    def backward(self, tape: dict, grad_logits: np.ndarray) -> None:
-        _back(self.layers, tape, grad_logits)
+        self.branches = ((0, (self.linear1, self.act1, self.linear2, self.act2, self.linear3)),)
+        self.head = ()
 
     predict_proba = _Net.predict_proba
 
@@ -398,11 +398,11 @@ def train(
         (model, TrainLog)
 
     Raises:
-        DataError: empty training or validation data.
+        DataError: empty data, or inputs and labels of unequal row counts.
         NumericError: loss became non-finite.
     """
-    n = len(train_labels)
-    if n == 0 or len(val_labels) == 0:
+    n = _rows((*train_inputs, train_labels), "training inputs and labels")
+    if n == 0 or _rows((*val_inputs, val_labels), "validation inputs and labels") == 0:
         raise DataError("training and validation sets must be non-empty")
     optimizer = Adam(model.params(), learning_rate=config.learning_rate)
     stopper = EarlyStopper(config.patience, config.min_improvement)

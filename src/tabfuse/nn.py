@@ -2,10 +2,10 @@
 
 Dense layers, PReLU activations, an embedding table, softmax cross-entropy
 and Adam. Everything is plain numpy float64; there is no autodiff graph.
-A layer keeps no activations. ``forward(x, tape=None)`` returns its
-output and, when it is given a tape (a dict keyed by layer), puts on
-``tape[layer]`` what its own backward reads: the input for ``Linear`` and
-``Embedding``, the input and the slope factor for ``PReLU``.
+A layer keeps no activations. ``forward(x, tape=None)`` returns its output
+as 2-d rows, the embedding's flat, and, given a tape (a dict keyed by
+layer), puts on ``tape[layer]`` what its own backward reads: the input for
+``Linear`` and ``Embedding``, the input and the slope factor for ``PReLU``.
 ``backward(saved, dy)`` is handed that entry back, accumulates into
 parameter gradients and returns the gradient with respect to the input.
 ``models`` runs a network as chains, tuples of these layers; a training
@@ -116,7 +116,7 @@ class PReLU:
 
 
 class Embedding:
-    """Lookup table of shape (vocab_size, dim); index 0 is the pad row.
+    """Lookup table (vocab_size, dim), a chain layer of flat rows; index 0 is the pad row.
 
     The pad row starts at zero and its update mask is zero, so it never
     moves during optimization. Backward still accumulates the true gradient
@@ -138,8 +138,8 @@ class Embedding:
         return [self.weight]
 
     def forward(self, tokens: np.ndarray, tape: dict | None = None) -> np.ndarray:
-        """Map integer tokens of shape (B, S) to vectors of shape (B, S, dim);
-        ``tokens`` go on ``tape``, for backward."""
+        """Map integer tokens of shape (B, S) to flat rows of shape (B, S * dim),
+        each token's vector in turn; ``tokens`` go on ``tape``, for backward."""
         tokens = np.asarray(tokens)
         low = np.minimum.reduce(tokens, axis=None, initial=0)
         high = np.maximum.reduce(tokens, axis=None, initial=0)
@@ -149,17 +149,17 @@ class Embedding:
             )
         if tape is not None:
             tape[self] = tokens
-        return self.weight.value.take(tokens, axis=0)
+        vectors = self.weight.value.take(tokens, axis=0)
+        return vectors.reshape(len(tokens), tokens.shape[1] * self.dim)
 
     def backward(self, tokens: np.ndarray, dout: np.ndarray) -> None:
-        """Add the table gradient for the ``tokens`` forward read; tokens get no gradient."""
+        """Add the table gradient of the ``tokens`` read and flat ``dout``; tokens get none."""
         # bincount adds each (token, k) cell's terms in row order, as
         # np.add.at would, at about half the cost.
         cells = (tokens[..., None] * self.dim + np.arange(self.dim)).ravel()
         size = self.vocab_size * self.dim
         summed = np.bincount(cells, weights=dout.ravel(), minlength=size)
         self.weight.grad += summed.reshape(self.vocab_size, self.dim)
-        return None
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

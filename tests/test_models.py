@@ -153,6 +153,16 @@ def scoring_cases(rows, seed=0):
     return [(fusion, fusion_inputs), (baseline, (rng.normal(size=(rows, 10)),))]
 
 
+def peak_bytes_per_row(net):
+    """What scoring holds per row at its peak, the first dense layer's step. Fusion:
+    that layer's input, the embedding's flat rows, and its output. The baseline: the
+    first PReLU's input, the factor its output is written over, and its bool mask.
+    Float cells take 8 bytes, bool cells 1."""
+    if isinstance(net, EmbeddingFusionNet):
+        return 8 * (net.cat_linear1.in_dim + net.cat_linear1.out_dim)
+    return net.linear1.out_dim * (2 * 8 + 1)
+
+
 @pytest.mark.parametrize("case", [0, 1], ids=["fusion", "baseline"])
 def test_training_forward_runs_every_layer(case):
     """Every layer in ``layers`` is trained and saved, so each must be in a chain
@@ -199,17 +209,11 @@ class TestScoringReleasesLayerInputs:
 
     @pytest.mark.parametrize("case", [0, 1], ids=["fusion", "baseline"])
     def test_scoring_peak_is_one_layer_at_a_time(self, case):
-        """Scoring frees each activation once the next layer has read it. Fusion
-        peaks while the first dense layer holds the embedding output and its own
-        output; the baseline while the first PReLU holds its input, a full-size
-        temporary, its output and a bool mask, each of the first dense width."""
-        rows = 5000
-        net, inputs = scoring_cases(rows)[case]
-        if case == 0:
-            bound = rows * 8 * (net.token_width * net.embed_dim + net.cat_linear1.out_dim)
-        else:
-            bound = rows * net.linear1.out_dim * (3 * 8 + 1)
-        bound += 2**18
+        """Scoring frees each activation once the next layer has read it, so its
+        peak is one layer step of its largest block: 5,000 rows run as blocks of
+        1,024, 1,024, 1,024 and 1,928 rows."""
+        net, inputs = scoring_cases(5000)[case]
+        bound = 1928 * peak_bytes_per_row(net) + 2**18
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -309,11 +313,7 @@ class TestRowBlocks:
         whole-table layer step."""
         rows = 20000
         net, inputs = scoring_cases(rows)[case]
-        if case == 0:
-            per_row = 8 * (net.token_width * net.embed_dim + net.cat_linear1.out_dim)
-        else:
-            per_row = net.linear1.out_dim * (3 * 8 + 1)
-        bound = 2047 * per_row + rows * net.layers[-1].out_dim * 8 + 2**18
+        bound = 2047 * peak_bytes_per_row(net) + rows * net.layers[-1].out_dim * 8 + 2**18
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -322,6 +322,48 @@ class TestRowBlocks:
         finally:
             tracemalloc.stop()
         assert peak <= bound, f"{peak / 2**20:.2f} MiB peak, bound {bound / 2**20:.2f} MiB"
+
+
+class TestUnequalRowCounts:
+    """Network inputs of different row counts are one DataError that names the
+    counts, not an answer from the rows that happen to line up."""
+
+    def test_forward_refuses_inputs_that_would_broadcast(self):
+        net, rng = small_fusion_net(), np.random.default_rng(0)
+        with pytest.raises(DataError, match=r"network inputs .* got \[1, 5\]$"):
+            net.forward(rng.normal(size=(1, 3)), rng.integers(0, 8, size=(5, 4)))
+
+    def test_predict_proba_refuses_before_slicing_blocks(self):
+        net, rng = small_fusion_net(), np.random.default_rng(0)
+        with pytest.raises(DataError, match=r"network inputs .* got \[10, 12\]$"):
+            net.predict_proba(rng.normal(size=(10, 3)), rng.integers(0, 8, size=(12, 4)))
+
+    @pytest.mark.parametrize(
+        "train_rows, val_rows, refused",
+        [
+            ((20, 20, 18), (10, 10, 10), r"training inputs and labels .* got \[20, 20, 18\]$"),
+            ((20, 18, 20), (10, 10, 10), r"training inputs and labels .* got \[20, 18, 20\]$"),
+            ((20, 20, 20), (10, 10, 12), r"validation inputs and labels .* got \[10, 10, 12\]$"),
+            ((20, 20, 20), (10, 9, 10), r"validation inputs and labels .* got \[10, 9, 10\]$"),
+        ],
+        ids=["train-labels", "train-tokens", "validation-labels", "validation-tokens"],
+    )
+    def test_train_refuses_inputs_unlike_their_labels(self, train_rows, val_rows, refused):
+        rng = np.random.default_rng(0)
+
+        def split(numeric_rows, token_rows, label_rows):
+            inputs = rng.normal(size=(numeric_rows, 3)), rng.integers(0, 8, size=(token_rows, 4))
+            return inputs, np.arange(label_rows) % 3
+
+        config = TrainConfig(batch_size=8, max_epochs=2, patience=1)
+        with pytest.raises(DataError, match=refused):
+            train(small_fusion_net(), *split(*train_rows), *split(*val_rows), config)
+
+    def test_train_refuses_baseline_features_unlike_their_labels(self):
+        features, labels = np.zeros((20, 5)), np.arange(18) % 4
+        config = TrainConfig(batch_size=8, max_epochs=2, patience=1)
+        with pytest.raises(DataError, match=r"training inputs and labels .* got \[20, 18\]$"):
+            train(BaselineMlp(5, 4), (features,), labels, (features,), np.arange(20) % 4, config)
 
 
 class TestTrainConfig:

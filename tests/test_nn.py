@@ -117,7 +117,7 @@ class TestEmbedding:
 
     def test_lookup_repeats(self):
         emb = Embedding(6, 4, np.random.default_rng(0), "e")
-        out = emb.forward(np.array([[2, 2, 2]]))
+        out = emb.forward(np.array([[2, 2, 2]])).reshape(1, 3, 4)
         assert np.array_equal(out[0, 0], out[0, 1])
         assert np.array_equal(out[0, 0], emb.weight.value[2])
 
@@ -359,16 +359,17 @@ class ReferencePReLU(PReLU):
 
 
 class ReferenceEmbedding(Embedding):
-    """Embedding by fancy indexing, and backward by np.add.at into the zeroed gradient."""
+    """Embedding by fancy indexing, and backward by np.add.at into the zeroed gradient,
+    with the layer's flat rows."""
 
     def forward(self, tokens, tape=None):
         self._x = tokens
         if tape is not None:
             tape[self] = None
-        return self.weight.value[tokens]
+        return self.weight.value[tokens].reshape(len(tokens), -1)
 
     def backward(self, saved, dout):
-        np.add.at(self.weight.grad, self._x, dout)
+        np.add.at(self.weight.grad, self._x, dout.reshape(*self._x.shape, self.dim))
 
 
 REFERENCE_LAYERS = {Linear: ReferenceLinear, PReLU: ReferencePReLU, Embedding: ReferenceEmbedding}
@@ -506,6 +507,126 @@ class TestTrainingStepBits:
         assert_steps_bit_equal(net, reference, (features,), labels, batch_size, learning_rate, seed)
         for act in (reference.act1, reference.act2):
             assert False in act.zero_signs
+
+
+def plain_dense(p, name, x):
+    return x @ p[f"{name}.weight"].T + p[f"{name}.bias"]
+
+
+def plain_dense_back(p, name, x, dy, grads):
+    """Sets ``name``'s gradients as added into zeroed ones; returns d/dx."""
+    grads[f"{name}.weight"] = 0.0 + dy.T @ x
+    grads[f"{name}.bias"] = 0.0 + dy.sum(axis=0)
+    return dy @ p[f"{name}.weight"]
+
+
+def plain_prelu(p, name, x):
+    return np.where(x > 0, x, p[f"{name}.slope"] * x)
+
+
+def plain_prelu_back(p, name, x, dy, grads):
+    grads[f"{name}.slope"] = 0.0 + (dy * np.minimum(x, 0.0)).sum()
+    return dy * np.where(x > 0, 1.0, p[f"{name}.slope"])
+
+
+def plain_fusion(p, numeric, tokens, d_logits):
+    """EF-Net's logits and parameter gradients, composed by hand: tokens are
+    embedded and flattened, then cat1, cat2; numerics go through num; the two
+    are summed, and the sum goes through fusion.act and the classifier."""
+    grads = {}
+    embedded = p["embedding.weight"][tokens].reshape(len(tokens), -1)
+    h1 = plain_dense(p, "cat1", embedded)
+    a1 = plain_prelu(p, "cat1.act", h1)
+    h2 = plain_dense(p, "cat2", a1)
+    hn = plain_dense(p, "num", numeric)
+    fused = plain_prelu(p, "cat2.act", h2) + plain_prelu(p, "num.act", hn)
+    out = plain_prelu(p, "fusion.act", fused)
+    logits = plain_dense(p, "classifier", out)
+    d = plain_dense_back(p, "classifier", out, d_logits, grads)
+    d_fused = plain_prelu_back(p, "fusion.act", fused, d, grads)
+    plain_dense_back(p, "num", numeric, plain_prelu_back(p, "num.act", hn, d_fused, grads), grads)
+    d = plain_dense_back(p, "cat2", a1, plain_prelu_back(p, "cat2.act", h2, d_fused, grads), grads)
+    d = plain_dense_back(p, "cat1", embedded, plain_prelu_back(p, "cat1.act", h1, d, grads), grads)
+    grads["embedding.weight"] = np.zeros_like(p["embedding.weight"])
+    np.add.at(grads["embedding.weight"], tokens, d.reshape(*tokens.shape, -1))
+    return logits, grads
+
+
+def plain_baseline(p, features, d_logits):
+    """The baseline's logits and parameter gradients: mlp1, mlp2, mlp3 in turn."""
+    grads = {}
+    h1 = plain_dense(p, "mlp1", features)
+    a1 = plain_prelu(p, "mlp1.act", h1)
+    h2 = plain_dense(p, "mlp2", a1)
+    a2 = plain_prelu(p, "mlp2.act", h2)
+    logits = plain_dense(p, "mlp3", a2)
+    d = plain_prelu_back(p, "mlp2.act", h2, plain_dense_back(p, "mlp3", a2, d_logits, grads), grads)
+    d = plain_prelu_back(p, "mlp1.act", h1, plain_dense_back(p, "mlp2", a1, d, grads), grads)
+    plain_dense_back(p, "mlp1", features, d, grads)
+    return logits, grads
+
+
+class TestWiringOracle:
+    """Each net's ``forward`` logits and the gradients its ``backward`` leaves,
+    bit for bit against plain formulas composed by hand from the net's own
+    parameters, read by name. The oracle alone says which input feeds which
+    branch, that the branches are summed and that each is run back, so a
+    wiring fault in the nets shows here, where TestTrainingStepBits, which
+    runs the nets' own wiring on both sides, cannot see it."""
+
+    @staticmethod
+    def assert_matches_oracle(net, inputs, d_logits, oracle):
+        for p in net.params():
+            p.zero_grad()
+        tape = {}
+        logits = net.forward(*inputs, tape=tape)
+        net.backward(tape, d_logits)
+        expected_logits, expected_grads = oracle(
+            {p.name: p.value for p in net.params()}, *inputs, d_logits
+        )
+        assert logits.tobytes() == expected_logits.tobytes()
+        assert sorted(expected_grads) == sorted(p.name for p in net.params())
+        for p in net.params():
+            assert p.grad.tobytes() == expected_grads[p.name].tobytes(), p.name
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sizes=st.tuples(*[st.integers(1, 4)] * 6),
+        rows=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_fusion_net(self, sizes, rows, seed, data):
+        vocab, token_width, n_numeric, embed_dim, hidden, fused = sizes
+        n_classes = data.draw(st.integers(2, 4), label="classes")
+        net = EmbeddingFusionNet(
+            vocab + 1, token_width, n_numeric, n_classes, embed_dim, hidden, fused, seed
+        )
+        slopes = data.draw(st.tuples(*[SLOPES] * 4), label="slopes")
+        for act, slope in zip((net.cat_act1, net.cat_act2, net.num_act, net.fusion_act), slopes):
+            act.slope.value[...] = slope
+        numeric = data.draw(hnp.arrays(np.float64, (rows, n_numeric), elements=INPUT_CELLS))
+        tokens = data.draw(hnp.arrays(np.int64, (rows, token_width), elements=st.integers(0, vocab)))
+        d_logits = data.draw(hnp.arrays(np.float64, (rows, n_classes), elements=INPUT_CELLS))
+        self.assert_matches_oracle(net, (numeric, tokens), d_logits, plain_fusion)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sizes=st.tuples(*[st.integers(1, 5)] * 3),
+        rows=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_baseline_net(self, sizes, rows, seed, data):
+        n_features, hidden1, hidden2 = sizes
+        n_classes = data.draw(st.integers(2, 4), label="classes")
+        net = BaselineMlp(n_features, n_classes, hidden1, hidden2, seed)
+        slopes = data.draw(st.tuples(SLOPES, SLOPES), label="slopes")
+        for act, slope in zip((net.act1, net.act2), slopes):
+            act.slope.value[...] = slope
+        features = data.draw(hnp.arrays(np.float64, (rows, n_features), elements=INPUT_CELLS))
+        d_logits = data.draw(hnp.arrays(np.float64, (rows, n_classes), elements=INPUT_CELLS))
+        self.assert_matches_oracle(net, (features,), d_logits, plain_baseline)
 
 
 class TestGradientCheck:
