@@ -267,10 +267,10 @@ def cmd_evaluate(args) -> int:
     if n_bad:
         raise DataError(f"{n_bad} row(s) have no target label; evaluate needs labeled data")
     report = evaluate(probas, encoded.labels, bundle.state.schema.class_labels)
-    print(_report_text(bundle.kind, report, []), end="")
     if args.out:
         with _OutputSet() as outputs:
             _write_reports(outputs, Path(args.out), bundle.kind, report, [])
+    print(_report_text(bundle.kind, report, []), end="")
     return 0
 
 

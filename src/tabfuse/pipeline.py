@@ -95,7 +95,10 @@ class RunConfig:
                 raise UsageError("ensemble needs at least one member")
             bad = [m for m in self.ensemble_members if m not in MEMBER_CLASSES]
             if bad:
-                raise UsageError(f"invalid ensemble members: {', '.join(bad)}")
+                raise UsageError(
+                    f"invalid ensemble members: {', '.join(map(repr, bad))}; "
+                    f"pick from {', '.join(MEMBER_CLASSES)}"
+                )
             members = self.ensemble_members
             repeated = [m for m in dict.fromkeys(members) if members.count(m) > 1]
             if repeated:

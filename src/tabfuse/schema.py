@@ -292,10 +292,10 @@ def load_csv(path: str | Path, schema: TableSchema) -> DataTable:
 
     Raises:
         DataError: missing, unreadable or non-UTF-8 file, header mismatch
-            (lists missing and extra columns), row arity mismatch (reports
-            the 1-based data row), a line ``csv.reader`` cannot parse, such
-            as one with a cell past its field size limit (reports the line),
-            or a target cell outside the schema's class labels.
+            (lists missing, extra and repeated columns), row arity mismatch
+            (reports the 1-based data row), a line ``csv.reader`` cannot
+            parse, such as one with a cell past its field size limit (reports
+            the line), or a target cell outside the schema's class labels.
     """
     p = Path(path)
     missing = set(DEFAULT_MISSING_VALUES)
@@ -310,9 +310,10 @@ def load_csv(path: str | Path, schema: TableSchema) -> DataTable:
             if got != expected or len(header) != len(set(header)):
                 lacking = sorted(expected - got)
                 extra = sorted(got - expected)
+                repeated = sorted(name for name in got if header.count(name) > 1)
                 raise DataError(
                     f"{p}: header mismatch; missing columns {lacking}, "
-                    f"unexpected columns {extra}"
+                    f"unexpected columns {extra}, repeated columns {repeated}"
                 )
             width = len(header)
             by_header: list[list | None] = [[] for _ in header]

@@ -595,21 +595,6 @@ def test_train_split_of_one_class_is_refused_before_any_member_trains(tmp_path, 
     assert trained == [] and not out.exists()
 
 
-def test_repeated_member_kind_is_usage_error(tmp_path, schema_path, data_path):
-    """report.json keys member metrics by kind, so a second fusion's would
-    replace the first's."""
-    config = quick_config(tmp_path, ensemble_members=["fusion", "fusion", "gbdt"])
-    out = tmp_path / "run"
-    argv = ["train", "--config", config, "--schema", schema_path, "--data", data_path,
-            "--model", "ensemble", "--out", out]
-    code, err = run_cli(argv)
-    assert code == 2
-    assert err == (
-        "error[usage]: ensemble member fusion is listed more than once; list each kind once\n"
-    )
-    assert not out.exists()
-
-
 def test_inputs_with_a_byte_order_mark_read_as_without(tmp_path, schema_path, data_path):
     """Spreadsheet programs save "CSV UTF-8" with a leading byte-order mark."""
     bom_data, bom_schema = tmp_path / "bom.csv", tmp_path / "bom_schema.json"
@@ -711,7 +696,8 @@ class TestConfigListKeys:
         "doc, message",
         [
             ({"fractions": "0.8"}, "invalid fractions value '0.8': must be [train, val, test]"),
-            ({"model": "ensemble", "ensemble_members": "fusion,knn"}, "invalid ensemble members: knn"),
+            ({"model": "ensemble", "ensemble_members": "fusion,knn"},
+             "invalid ensemble members: 'knn'; pick from fusion, baseline, gbdt"),
         ],
     )
     def test_text_of_a_bad_list_is_usage_error(self, tmp_path, schema_path, capsys, doc, message):

@@ -112,7 +112,9 @@ class TestRunConfigValidation:
             cfg.validate()
         # Members are checked against bundle.MEMBER_CLASSES, the one member table.
         unknown = quick_run_config(schema_path, model="ensemble", ensemble_members=("nope",))
-        with pytest.raises(UsageError, match="invalid ensemble members: nope"):
+        with pytest.raises(
+            UsageError, match="invalid ensemble members: 'nope'; pick from fusion, baseline, gbdt$"
+        ):
             unknown.validate()
         empty = quick_run_config(
             schema_path, model="ensemble", ensemble_members=()
