@@ -261,8 +261,10 @@ def run_training(config: RunConfig) -> TrainOutcome:
         if cls is not GbdtModel:  # a booster needs no feature column; a net does
             cls.check_columns(table.schema)
     state = fit(table)
-    encoded = transform(table, state)
-    train_d, val_d, test_d = stratified_split(encoded, config.fractions, config.seed)
+    train_d, val_d, test_d = stratified_split(
+        transform(table, state), config.fractions, config.seed
+    )
+    n_rows = table.row_count
     # Every member trains on the train split and is scored on the test split;
     # only a network reads the validation split.
     nets = any(cls is not GbdtModel for cls in classes)
@@ -270,14 +272,14 @@ def run_training(config: RunConfig) -> TrainOutcome:
     for name, split in (("train", train_d), ("validation", val_d), ("test", test_d)):
         if split.n_rows == 0 and (nets or name != "validation"):
             raise DataError(
-                f"the {name} split is empty: {table.row_count} rows split at fractions "
+                f"the {name} split is empty: {n_rows} rows split at fractions "
                 f"{fractions}; give more rows or a larger {name} fraction"
             )
     present = np.unique(train_d.labels)
     if len(present) < 2:
         raise DataError(
-            f"the train split holds only class {table.schema.class_labels[present[0]]!r} "
-            f"({train_d.n_rows} rows): {table.row_count} rows split at fractions "
+            f"the train split holds only class {state.schema.class_labels[present[0]]!r} "
+            f"({train_d.n_rows} rows): {n_rows} rows split at fractions "
             f"{fractions}; a model needs at least 2 classes to train on"
         )
 
@@ -291,6 +293,8 @@ def run_training(config: RunConfig) -> TrainOutcome:
     if "numeric+frequency" in views:
         frequency_encoder = FrequencyEncoder.fit(table, state, train_d.row_indices)
         frequency_matrix = frequency_encoder.encode(table)
+    # Members train holding only the three splits, not the table's cells.
+    del table
 
     trained = []
     for index, (cls, view) in enumerate(zip(classes, views)):
@@ -308,7 +312,7 @@ def run_training(config: RunConfig) -> TrainOutcome:
         run_summary=config.to_json_dict(),
     )
 
-    class_labels = table.schema.class_labels
+    class_labels = state.schema.class_labels
     member_probas = member_probabilities(bundle, test_d, frequency_matrix)
     report = evaluate(soft_vote(member_probas), test_d.labels, class_labels)
     member_reports = []

@@ -5,6 +5,9 @@ the categorical target column, and the ordered label set. A
 :class:`DataTable` holds raw text cells against a schema; every cell is
 either a string or ``None`` (missing). Numeric parsing is deferred to
 preprocessing so that stray text in numeric columns never kills ingestion.
+A loaded categorical column, the target included, holds each repeated
+value as one string, as a column store's dictionary does; numerical cells
+are mostly distinct and are not shared.
 
 Schema files are JSON documents::
 
@@ -288,7 +291,9 @@ def load_csv(path: str | Path, schema: TableSchema) -> DataTable:
 
     The header must contain exactly the schema's column names, in any order;
     cells are re-ordered to schema order. Cells equal to a missing sentinel
-    of ``DEFAULT_MISSING_VALUES`` become missing.
+    of ``DEFAULT_MISSING_VALUES`` become missing. In a categorical column,
+    the target included, every cell of one value is the same string object,
+    the first read with it; numerical cells are not shared.
 
     Raises:
         DataError: missing, unreadable or non-UTF-8 file, header mismatch
@@ -298,7 +303,6 @@ def load_csv(path: str | Path, schema: TableSchema) -> DataTable:
             the line), or a target cell outside the schema's class labels.
     """
     p = Path(path)
-    missing = set(DEFAULT_MISSING_VALUES)
     with open_input(p, "CSV") as fh:
         reader = csv.reader(fh)
         try:
@@ -316,15 +320,25 @@ def load_csv(path: str | Path, schema: TableSchema) -> DataTable:
                     f"unexpected columns {extra}, repeated columns {repeated}"
                 )
             width = len(header)
+            # Each column's dict maps the missing sentinels to None. Through
+            # setdefault, a categorical cell becomes the string first read
+            # with its value, so each block's copies are freed; numerical
+            # cells are mostly distinct, so get leaves them their own.
+            readers = []
+            for name in header:
+                seen = dict.fromkeys(DEFAULT_MISSING_VALUES)
+                kind = schema.columns[schema.column_index(name)].kind
+                readers.append(seen.setdefault if kind is ColumnKind.CATEGORICAL else seen.get)
             by_header: list[list | None] = [[] for _ in header]
             start = 1
             while rows := list(islice(reader, _CSV_BLOCK_ROWS)):
                 for r, raw in enumerate(rows, start=start):
                     if len(raw) != width:
                         raise DataError(f"{p}: row {r} has {len(raw)} cells, expected {width}")
-                for cells, block in zip(by_header, zip(*rows)):
-                    cells.extend(block)
+                for cells, read, block in zip(by_header, readers, zip(*rows)):
+                    cells.extend(map(read, block, block))
                 start += len(rows)
+            del readers
         except csv.Error as exc:
             # A cell past the reader's field size limit, or (before Python
             # 3.11) a NUL byte.
@@ -333,7 +347,7 @@ def load_csv(path: str | Path, schema: TableSchema) -> DataTable:
     for name in schema.column_names:
         i = header.index(name)
         cells, by_header[i] = by_header[i], None  # freed once its tuple is built
-        columns.append(tuple([None if c in missing else c for c in cells]))
+        columns.append(tuple(cells))
     return DataTable.from_columns(schema, columns)
 
 

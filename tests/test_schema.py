@@ -2,6 +2,7 @@ import csv
 import io
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -22,6 +23,7 @@ from tabfuse.schema import (
     save_schema,
     write_csv,
 )
+from tabfuse.synthetic import generate_synthetic
 
 # Python 3.10's csv module can neither write nor read NUL.
 NUL_OK = sys.version_info >= (3, 11)
@@ -226,12 +228,12 @@ class TestCsvIo:
         assert load_csv(path, s) == t
 
     def test_missing_sentinels(self, tmp_path):
-        """Empty cells and the literal NA both load as missing."""
+        """Empty cells and the literal NA both load as missing, in either column kind."""
         s = make_schema()
         path = tmp_path / "t.csv"
-        path.write_text("temperature,complaint,outcome\nNA,,home\n")
+        path.write_text("temperature,complaint,outcome\nNA,,home\n,NA,admitted\n")
         t = load_csv(path, s)
-        assert t.cells == ((None, None, "home"),)
+        assert t.cells == ((None, None, "home"), (None, None, "admitted"))
 
     def test_header_order_free(self, tmp_path):
         s = make_schema()
@@ -267,6 +269,68 @@ class TestCsvIo:
             fh.write("8,x\n")
         with pytest.raises(DataError, match="row 8 has 2 cells"):
             load_csv(path, s)
+
+    def test_a_repeated_categorical_value_is_one_string(self, tmp_path, monkeypatch):
+        """Across row blocks, a categorical column, the target included, holds
+        one object per distinct value."""
+        monkeypatch.setattr(tabfuse.schema, "_CSV_BLOCK_ROWS", 2)
+        s = make_schema()
+        complaints = ("chest pain", "rash", None)
+        rows = [(f"3{r}.5", complaints[r % 3], ("home", "admitted")[r % 2]) for r in range(9)]
+        path = tmp_path / "t.csv"
+        write_csv(DataTable(s, rows), path)
+        t = load_csv(path, s)
+        assert t.cells == tuple(rows)
+        for name, distinct in (("complaint", 3), ("outcome", 2)):
+            column = t.column(name)
+            assert len({id(c) for c in column}) == len(set(column)) == distinct
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), block=st.integers(1, 5))
+    def test_cells_are_what_csv_reader_read_and_repeats_share(self, data, block):
+        """Drawn CSVs of repeated, missing and quoted cells, in any header order."""
+        s = quoting_schema()
+        texts = data.draw(st.lists(CELLS.filter(lambda c: c is not None), min_size=1, max_size=4))
+        pool = st.sampled_from(texts)
+        labels = st.sampled_from([*DEFAULT_MISSING_VALUES, *QUOTED_LABELS])
+        rows = data.draw(st.lists(st.tuples(pool, pool, labels), max_size=12))
+        order = data.draw(st.permutations(range(3)))
+        header = [s.column_names[i] for i in order]
+        text = csv_writer_bytes(header, [[row[i] for i in order] for row in rows])
+        read_header, *read_rows = csv.reader(io.StringIO(text.decode("utf-8"), newline=""))
+        expected = tuple(
+            tuple(None if row[i] in DEFAULT_MISSING_VALUES else row[i] for row in read_rows)
+            for i in map(read_header.index, s.column_names)
+        )
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+            tabfuse.schema, "_CSV_BLOCK_ROWS", block
+        ):
+            path = Path(tmp) / "t.csv"
+            path.write_bytes(text)
+            t = load_csv(path, s)
+        assert t.columns == expected
+        for name in (s.column_names[1], s.target):
+            column = t.column(name)
+            assert len({id(c) for c in column}) == len(set(column))
+
+    def test_a_20000_row_table_retains_under_9_mib(self, tmp_path):
+        """Six numerical and four categorical generated features and a target
+        retain 8.01 MiB under tracemalloc, so 9 MiB leaves about 12% for other
+        Python builds; with one string per cell the table retained 13.37 MiB."""
+        columns = [ColumnSpec(f"num{i}", ColumnKind.NUMERICAL) for i in range(6)]
+        columns += [ColumnSpec(f"cat{i}", ColumnKind.CATEGORICAL) for i in range(4)]
+        columns.append(ColumnSpec("outcome", ColumnKind.CATEGORICAL))
+        s = TableSchema(tuple(columns), "outcome", ("low", "mid", "high"))
+        path = tmp_path / "t.csv"
+        write_csv(generate_synthetic(s, 20_000, seed=7), path)
+        tracemalloc.start()
+        try:
+            t = load_csv(path, s)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert t.row_count == 20_000
+        assert retained < 9 * 2**20
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="not found"):
