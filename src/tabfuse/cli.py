@@ -211,8 +211,8 @@ def _score(bundle, data):
     # A number past float range ends in the one error[numeric] line, not in
     # numpy warnings first.
     with np.errstate(all="ignore"):
-        encoded = transform(table, bundle.state)
-        return table, encoded, combined_probabilities(bundle, encoded, table)
+        encoded = transform(table, bundle.state, bundle.frequency_encoder)
+        return table, encoded, combined_probabilities(bundle, encoded)
 
 
 def _prediction_header(schema) -> list[str]:

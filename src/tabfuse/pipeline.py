@@ -15,12 +15,13 @@ kind the network needs; every member is checked before any trains.
 ``to_json_dict``, the bundle's run summary, is a config document that
 retrains the run byte for byte from the same working directory.
 
-Feature views:
+Feature views, each built by ``build_features`` from the encoded rows alone:
 
 * fusion members read the standardized numeric matrix and the padded
   token-index matrix as two inputs ("numeric,tokens");
-* baseline members read numerics concatenated with one frequency-encoded
-  column per categorical feature ("numeric+frequency");
+* baseline members read numerics concatenated with the ``frequency``
+  block, one column per categorical feature ("numeric+frequency"), from
+  the encoder that a run fits on its train split and the bundle keeps;
 * gbdt members read a configurable view: "numeric+tokens" (token indices
   as integer ordinals, the default), "numeric+frequency", or "numeric".
 
@@ -30,7 +31,7 @@ Member i of an ensemble trains with seed = run seed + 7919 * i, so member
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -122,32 +123,25 @@ class RunConfig:
         }
 
 
-def build_features(
-    view: str, encoded: EncodedDataset, frequency_matrix: np.ndarray | None
-) -> np.ndarray:
-    """Assemble the flat feature matrix a tree/MLP member consumes.
+def build_features(view: str, encoded: EncodedDataset) -> tuple[np.ndarray, ...]:
+    """The arrays a member reading ``view`` takes, in ``predict_proba`` order:
+    the numeric and token blocks as two inputs, or one flat feature matrix.
 
-    ``frequency_matrix`` is aligned to the original table; rows are picked
-    out by ``encoded.row_indices`` so split subsets stay consistent.
+    Raises:
+        DataError: the frequency view of rows encoded without a frequency encoder.
+        UsageError: an unknown view.
     """
-    if view == "numeric":
-        return encoded.numeric
-    if view == "numeric+tokens":
-        return np.hstack([encoded.numeric, encoded.tokens.astype(np.float64)])
-    if view == "numeric+frequency":
-        if frequency_matrix is None:
-            raise DataError("feature view needs a fitted frequency encoder")
-        return np.hstack([encoded.numeric, frequency_matrix[encoded.row_indices]])
-    raise UsageError(f"unknown feature view {view!r}")
-
-
-def member_inputs(
-    view: str, encoded: EncodedDataset, frequency_matrix: np.ndarray | None
-) -> tuple[np.ndarray, ...]:
-    """The arrays a member reading ``view`` takes, in ``predict_proba`` order."""
     if view == "numeric,tokens":
         return encoded.numeric, encoded.tokens
-    return (build_features(view, encoded, frequency_matrix),)
+    if view == "numeric":
+        return (encoded.numeric,)
+    if view == "numeric+tokens":
+        return (np.hstack([encoded.numeric, encoded.tokens.astype(np.float64)]),)
+    if view == "numeric+frequency":
+        if encoded.frequency is None:
+            raise DataError("feature view needs a fitted frequency encoder")
+        return (np.hstack([encoded.numeric, encoded.frequency]),)
+    raise UsageError(f"unknown feature view {view!r}")
 
 
 def load_training_table(config: RunConfig) -> DataTable:
@@ -166,7 +160,6 @@ def _train_member(
     state: PreprocessState,
     train_d: EncodedDataset,
     val_d: EncodedDataset,
-    frequency_matrix: np.ndarray | None,
     config: RunConfig,
 ) -> tuple[object, str]:
     """Build and train one member of model class ``cls`` on feature ``view``.
@@ -178,7 +171,7 @@ def _train_member(
     Returns:
         (model, train log CSV text)
     """
-    x_train = member_inputs(view, train_d, frequency_matrix)
+    x_train = build_features(view, train_d)
     if cls is GbdtModel:
         model, losses = train_gbdt(
             x_train[0], train_d.labels, state.schema.n_classes, config.gbdt, feature_view=view
@@ -187,7 +180,7 @@ def _train_member(
         lines.extend(f"{r},{loss!r}" for r, loss in enumerate(losses, start=1))
         return model, "\n".join(lines) + "\n"
     model = cls.from_state(state, seed=seed)
-    x_val = member_inputs(view, val_d, frequency_matrix)
+    x_val = build_features(view, val_d)
     _, log = train(model, x_train, train_d.labels, x_val, val_d.labels, config.train, seed)
     return model, log.to_csv_text()
 
@@ -204,32 +197,19 @@ class TrainOutcome:
     member_logs: list[tuple[str, str]]
 
 
-def member_probabilities(
-    bundle: ModelBundle,
-    encoded: EncodedDataset,
-    frequency_matrix: np.ndarray | None,
-) -> list[np.ndarray]:
-    return [
-        m.predict_proba(*member_inputs(m.feature_view, encoded, frequency_matrix))
-        for m in bundle.members
-    ]
+def member_probabilities(bundle: ModelBundle, encoded: EncodedDataset) -> list[np.ndarray]:
+    return [m.predict_proba(*build_features(m.feature_view, encoded)) for m in bundle.members]
 
 
-def combined_probabilities(
-    bundle: ModelBundle, encoded: EncodedDataset, table: DataTable
-) -> np.ndarray:
-    """Soft-voted probabilities for ``encoded``, the transform of ``table``.
+def combined_probabilities(bundle: ModelBundle, encoded: EncodedDataset) -> np.ndarray:
+    """Soft-voted probabilities for ``encoded``, rows that ``transform``
+    encoded with the bundle's state and frequency encoder.
 
     Raises:
         NumericError: a probability that is not finite, as finite parameters
             or inputs at the edge of float range can give.
     """
-    freq = (
-        bundle.frequency_encoder.encode(table)
-        if bundle.frequency_encoder is not None
-        else None
-    )
-    probas = soft_vote(member_probabilities(bundle, encoded, freq))
+    probas = soft_vote(member_probabilities(bundle, encoded))
     finite = np.isfinite(probas)
     if not finite.all():
         bad = int((~finite.all(axis=1)).sum())
@@ -239,7 +219,7 @@ def combined_probabilities(
 
 def predict_on_table(bundle: ModelBundle, table: DataTable) -> np.ndarray:
     """Probabilities for every row of a raw table under a loaded bundle."""
-    return combined_probabilities(bundle, transform(table, bundle.state), table)
+    return combined_probabilities(bundle, transform(table, bundle.state, bundle.frequency_encoder))
 
 
 def run_training(config: RunConfig) -> TrainOutcome:
@@ -289,19 +269,20 @@ def run_training(config: RunConfig) -> TrainOutcome:
         for cls in classes
     ]
     frequency_encoder = None
-    frequency_matrix = None
     if "numeric+frequency" in views:
         frequency_encoder = FrequencyEncoder.fit(table, state, train_d.row_indices)
-        frequency_matrix = frequency_encoder.encode(table)
+        frequency = frequency_encoder.encode(table)
+        train_d, val_d, test_d = (
+            replace(d, frequency=frequency[d.row_indices]) for d in (train_d, val_d, test_d)
+        )
+        del frequency
     # Members train holding only the three splits, not the table's cells.
     del table
 
     trained = []
     for index, (cls, view) in enumerate(zip(classes, views)):
         seed = config.seed + MEMBER_SEED_STRIDE * index
-        trained.append(
-            _train_member(cls, view, seed, state, train_d, val_d, frequency_matrix, config)
-        )
+        trained.append(_train_member(cls, view, seed, state, train_d, val_d, config))
     members = [model for model, _ in trained]
 
     bundle = ModelBundle(
@@ -313,7 +294,7 @@ def run_training(config: RunConfig) -> TrainOutcome:
     )
 
     class_labels = state.schema.class_labels
-    member_probas = member_probabilities(bundle, test_d, frequency_matrix)
+    member_probas = member_probabilities(bundle, test_d)
     report = evaluate(soft_vote(member_probas), test_d.labels, class_labels)
     member_reports = []
     if bundle.kind == "ensemble":

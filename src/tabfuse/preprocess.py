@@ -18,7 +18,10 @@ at fit time, so vocabulary indices start at 2. At transform time each
 column's indices are shifted by a per-column offset, giving disjoint index
 ranges across columns so a single embedding table can serve every column;
 padding stays index 0 globally. Cells longer than the fitted pad length are truncated to the
-first ``pad_length`` tokens.
+first ``pad_length`` tokens. Given a fitted ``models.FrequencyEncoder``,
+``transform`` also fills the dataset's ``frequency`` block, one training
+frequency per categorical column, so every member's feature view is built
+from the encoded rows alone.
 
 A state's JSON form holds only what its schema does not give: a
 ``numeric_stats`` object of the means and standard deviations, in the order
@@ -230,23 +233,27 @@ class PreprocessState:
 
 @dataclass(frozen=True)
 class EncodedDataset:
-    """Model-ready arrays: standardized numerics, padded token indices, labels.
+    """Model-ready arrays: standardized numerics, padded token indices,
+    labels and, when a frequency encoder was given, frequencies.
 
     ``labels`` holds class indices; -1 marks a row whose target cell was
     missing (prediction-only input). ``row_indices`` point back into the
-    table the arrays came from, so raw-value views (e.g. frequency encoding)
-    can be built for the same rows.
+    table the arrays came from. ``frequency`` holds each categorical cell's
+    training frequency, one column per categorical column, or is None.
+
+    Raises:
+        DataError: blocks that disagree on row count.
     """
 
     numeric: np.ndarray
     tokens: np.ndarray
     labels: np.ndarray
     row_indices: np.ndarray
+    frequency: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.numeric.shape[0] != self.tokens.shape[0] or self.numeric.shape[
-            0
-        ] != len(self.labels):
+        blocks = (self.tokens, self.labels, self.row_indices, self.frequency)
+        if any(b is not None and len(b) != self.n_rows for b in blocks):
             raise DataError("encoded arrays disagree on row count")
 
     @property
@@ -260,6 +267,7 @@ class EncodedDataset:
             self.tokens[idx],
             self.labels[idx],
             self.row_indices[idx],
+            None if self.frequency is None else self.frequency[idx],
         )
 
 
@@ -330,14 +338,16 @@ def _encode_column(
     return np.array(codes, dtype=np.int64).reshape(len(position), pad).take(rows, axis=0)
 
 
-def transform(table: DataTable, state: PreprocessState) -> EncodedDataset:
+def transform(table: DataTable, state: PreprocessState, frequency_encoder=None) -> EncodedDataset:
     """Apply a fitted state to a table; rows are processed independently.
 
     Missing numerics impute to the fitted mean and standardize to 0;
     constant columns standardize to 0 everywhere. Missing categoricals
     impute to the fitted mode; unseen tokens map to the unknown index.
     Each distinct cell of a column is encoded once per call. Rows whose
-    target cell is missing get label -1. Each call reads the state's fields
+    target cell is missing get label -1. The ``frequency`` block is
+    ``frequency_encoder.encode(table)``, a ``models.FrequencyEncoder`` of
+    ``state``, or None without one. Each call reads the state's fields
     afresh; nothing is cached on the state.
     """
     if table.schema != state.schema:
@@ -366,7 +376,8 @@ def transform(table: DataTable, state: PreprocessState) -> EncodedDataset:
     target = table.column(state.schema.target)
     index = {label: i for i, label in enumerate(state.schema.class_labels)}
     labels = np.array([-1 if c is None else index[c] for c in target], dtype=np.int64)
-    return EncodedDataset(numeric, tokens, labels, np.arange(n_rows, dtype=np.int64))
+    frequency = None if frequency_encoder is None else frequency_encoder.encode(table)
+    return EncodedDataset(numeric, tokens, labels, np.arange(n_rows, dtype=np.int64), frequency)
 
 
 def _largest_remainder(total: int, share: np.ndarray) -> np.ndarray:

@@ -160,7 +160,7 @@ def test_criterion_2_overfit_oracle(acceptance_lines):
     )
 
     freq = FrequencyEncoder.fit(table, state, np.arange(table.row_count))
-    x = build_features("numeric+frequency", encoded, freq.encode(table))
+    (x,) = build_features("numeric+frequency", transform(table, state, freq))
     mlp = BaselineMlp(x.shape[1], 2, seed=0)
     mlp, _ = train(mlp, (x,), encoded.labels, (x,), encoded.labels, config)
     baseline_acc = float((mlp.predict_proba(x).argmax(1) == encoded.labels).mean())
@@ -212,33 +212,22 @@ def test_criterion_3_relative_ordering(acceptance_lines):
     fusion_acc = float((fusion_probas.argmax(1) == test_d.labels).mean())
 
     freq = FrequencyEncoder.fit(table, state, train_d.row_indices)
-    freq_matrix = freq.encode(table)
-    mlp = BaselineMlp(
-        build_features("numeric+frequency", train_d, freq_matrix).shape[1], 3, seed=13
+    with_freq = transform(table, state, freq)
+    x_train, x_val, x_test = (
+        build_features("numeric+frequency", with_freq.subset(d.row_indices))
+        for d in (train_d, val_d, test_d)
     )
-    mlp, _ = train(
-        mlp,
-        (build_features("numeric+frequency", train_d, freq_matrix),),
-        train_d.labels,
-        (build_features("numeric+frequency", val_d, freq_matrix),),
-        val_d.labels,
-        config,
-        13,
-    )
-    baseline_acc = float(
-        (
-            mlp.predict_proba(build_features("numeric+frequency", test_d, freq_matrix)).argmax(1)
-            == test_d.labels
-        ).mean()
-    )
+    mlp = BaselineMlp(x_train[0].shape[1], 3, seed=13)
+    mlp, _ = train(mlp, x_train, train_d.labels, x_val, val_d.labels, config, 13)
+    baseline_acc = float((mlp.predict_proba(*x_test).argmax(1) == test_d.labels).mean())
 
     gbdt_model, _ = train_gbdt(
-        build_features("numeric+tokens", train_d, None),
+        build_features("numeric+tokens", train_d)[0],
         train_d.labels,
         3,
         GbdtConfig(rounds=30, max_depth=3, max_leaves=8),
     )
-    gbdt_probas = gbdt_model.predict_proba(build_features("numeric+tokens", test_d, None))
+    gbdt_probas = gbdt_model.predict_proba(*build_features("numeric+tokens", test_d))
     gbdt_acc = float((gbdt_probas.argmax(1) == test_d.labels).mean())
 
     ensemble_acc = float(

@@ -47,42 +47,47 @@ def quick_run_config(schema_path, **overrides):
     return RunConfig(**defaults)
 
 
-def tiny_encoded():
+def tiny_encoded(frequency=None):
     return EncodedDataset(
         numeric=np.array([[1.0, 2.0], [3.0, 4.0]]),
         tokens=np.array([[2, 0], [3, 1]], dtype=np.int64),
         labels=np.array([0, 1], dtype=np.int64),
         row_indices=np.array([2, 0], dtype=np.int64),
+        frequency=frequency,
     )
 
 
 class TestBuildFeatures:
+    def test_fusion_view_is_the_two_blocks(self):
+        d = tiny_encoded()
+        numeric, tokens = build_features("numeric,tokens", d)
+        assert numeric is d.numeric and tokens is d.tokens
+
     def test_numeric_view_is_identity(self):
         d = tiny_encoded()
-        assert build_features("numeric", d, None) is d.numeric
+        (out,) = build_features("numeric", d)
+        assert out is d.numeric
 
     def test_numeric_plus_tokens(self):
         d = tiny_encoded()
-        out = build_features("numeric+tokens", d, None)
+        (out,) = build_features("numeric+tokens", d)
         assert out.shape == (2, 4)
         assert np.array_equal(out[:, :2], d.numeric)
         assert np.array_equal(out[:, 2:], [[2.0, 0.0], [3.0, 1.0]])
         assert out.dtype == np.float64
 
-    def test_frequency_rows_follow_row_indices(self):
-        d = tiny_encoded()
-        freq = np.array([[0.1], [0.2], [0.3]])
-        out = build_features("numeric+frequency", d, freq)
-        # row_indices (2, 0) select the 0.3 and 0.1 rows, in that order
-        assert np.array_equal(out[:, 2], [0.3, 0.1])
+    def test_numeric_plus_frequency_reads_the_block(self):
+        d = tiny_encoded(frequency=np.array([[0.3], [0.1]]))
+        (out,) = build_features("numeric+frequency", d)
+        assert out.tolist() == [[1.0, 2.0, 0.3], [3.0, 4.0, 0.1]]
 
     def test_frequency_view_requires_encoder(self):
         with pytest.raises(DataError, match="frequency encoder"):
-            build_features("numeric+frequency", tiny_encoded(), None)
+            build_features("numeric+frequency", tiny_encoded())
 
     def test_unknown_view(self):
         with pytest.raises(UsageError, match="unknown feature view"):
-            build_features("tokens+vibes", tiny_encoded(), None)
+            build_features("tokens+vibes", tiny_encoded())
 
 
 class TestRunConfigValidation:
@@ -165,6 +170,28 @@ class TestRunTraining:
         )
         assert outcome.bundle.frequency_encoder is not None
         assert outcome.bundle.members[0].feature_view == "numeric+frequency"
+
+    def test_gbdt_frequency_view_scores_any_rows_as_the_bulk_call(self, schema_path):
+        """Tree walk, softmax and frequency lookup are per row, so a subset or
+        permutation of the table scores to the bulk call's rows bit for bit."""
+        config = quick_run_config(
+            schema_path,
+            model="gbdt",
+            gbdt_feature_view="numeric+frequency",
+            gbdt=GbdtConfig(rounds=8, max_depth=3, max_leaves=8),
+        )
+        bundle = run_training(config).bundle
+        # Column 2, after the two numerics, is the frequency of "tag".
+        assert any(2 in tree.feature for tree in bundle.members[0].trees)
+        table = load_training_table(config)
+        bulk = predict_on_table(bundle, table)
+        rng = np.random.default_rng(3)
+        picks = [list(range(59, -1, -1)), [0], [59, 59, 0]]
+        picks += [rng.permutation(60).tolist() for _ in range(5)]
+        picks += [rng.integers(0, 60, size=n).tolist() for n in (1, 7, 16, 33)]
+        for rows in picks:
+            got = predict_on_table(bundle, table.subset(rows))
+            assert got.tobytes() == bulk[rows].tobytes(), rows
 
     def test_ensemble_member_zero_matches_standalone(self, schema_path):
         standalone = run_training(quick_run_config(schema_path))

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import tabfuse.preprocess
 from tabfuse.errors import DataError, SchemaMismatchError
+from tabfuse.models import FrequencyEncoder
 from tabfuse.preprocess import (
     _TOKEN_RE,
     PAD_INDEX,
@@ -377,6 +378,49 @@ class TestNumericParsing:
         got = _parse_cells(columns)
         assert got.shape == expected.shape
         assert got.tobytes() == expected.tobytes()
+
+
+class TestEncodedDataset:
+    @pytest.mark.parametrize("block", ["tokens", "labels", "row_indices", "frequency"])
+    def test_every_block_holds_one_entry_per_row(self, block):
+        """A 5-entry block beside 2 rows is refused; ``subset`` would pair the
+        encoded rows with the wrong table rows."""
+        blocks = dict(
+            numeric=np.zeros((2, 1)),
+            tokens=np.zeros((2, 1), dtype=np.int64),
+            labels=np.zeros(2, dtype=np.int64),
+            row_indices=np.arange(2, dtype=np.int64),
+        )
+        EncodedDataset(**blocks)
+        like = blocks.get(block, np.zeros((2, 1)))
+        blocks[block] = np.zeros((5, *like.shape[1:]), like.dtype)
+        with pytest.raises(DataError, match="disagree on row count"):
+            EncodedDataset(**blocks)
+
+    def test_subset_picks_frequency_rows_in_order(self):
+        d = EncodedDataset(
+            numeric=np.zeros((3, 1)),
+            tokens=np.zeros((3, 1), dtype=np.int64),
+            labels=np.zeros(3, dtype=np.int64),
+            row_indices=np.arange(3, dtype=np.int64),
+            frequency=np.array([[0.1, 0.4], [0.2, 0.5], [0.3, 0.6]]),
+        )
+        sub = d.subset([2, 0])
+        assert sub.frequency.tolist() == [[0.3, 0.6], [0.1, 0.4]]
+        assert sub.row_indices.tolist() == [2, 0]
+        no_block = EncodedDataset(d.numeric, d.tokens, d.labels, d.row_indices)
+        assert no_block.subset([2, 0]).frequency is None
+
+    def test_transform_fills_frequency_block_from_encoder(self):
+        table = small_table()
+        state = fit(table)
+        encoder = FrequencyEncoder.fit(table, state, np.arange(3))
+        frequency = transform(table, state, encoder).frequency
+        expected = encoder.encode(table)
+        assert frequency.shape == expected.shape == (4, 2)
+        assert frequency.dtype == expected.dtype
+        assert frequency.tobytes() == expected.tobytes()
+        assert transform(table, state).frequency is None
 
 
 class TestTransformPlan:
